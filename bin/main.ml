@@ -1,5 +1,23 @@
 (* prudence-repro: command-line driver for the paper reproduction. *)
 
+module Env = Core.Workloads.Env
+module Sweep = Core.Check.Sweep
+module Fuzz = Core.Check.Fuzz
+module J = Core.Metrics.Json
+
+(* Every validation failure prints one line on stderr and exits 2. *)
+let die fmt =
+  Format.kfprintf (fun _ -> exit 2) Format.err_formatter (fmt ^^ "@.")
+
+let require_positive ?(unit = "") flag v =
+  if v <= 0 then die "%s must be positive (got %d%s)" flag v unit
+
+let print_json v = print_endline (J.to_string v)
+let emit fields = print_json (J.Obj fields)
+
+let write_file file body =
+  Out_channel.with_open_text file (fun oc -> output_string oc body)
+
 let list_experiments () =
   Format.printf "experiments:@.";
   List.iter
@@ -12,26 +30,9 @@ let list_experiments () =
     "Figs. 7-13";
   0
 
-(* --sched is process-global: every engine the command builds (including
-   the ones buried inside experiments and sweeps) picks it up via
-   [Engine.default_sched]. *)
-let set_sched s =
-  match Core.Sim.Engine.sched_of_string s with
-  | Some sched -> Core.Sim.Engine.default_sched := sched
-  | None ->
-      Format.eprintf "unknown scheduler %S (wheel or heap)@." s;
-      exit 2
-
-let params sched scale seed cpus runs =
-  if cpus <= 0 then begin
-    Format.eprintf "--cpus must be positive (got %d)@." cpus;
-    exit 2
-  end;
-  if runs <= 0 then begin
-    Format.eprintf "--runs must be positive (got %d)@." runs;
-    exit 2
-  end;
-  set_sched sched;
+let params scale seed cpus runs =
+  require_positive "--cpus" cpus;
+  require_positive "--runs" runs;
   { Core.Experiments.scale; seed; cpus; runs; trace = None }
 
 let run_experiment ids p =
@@ -43,9 +44,7 @@ let run_experiment ids p =
         (fun id ->
           match Core.Experiments.find id with
           | Some e -> e
-          | None ->
-              Format.eprintf "unknown experiment %S (try `list`)@." id;
-              exit 2)
+          | None -> die "unknown experiment %S (try `list`)" id)
         ids
   in
   (* Dedupe (fig7..fig13 all alias apps). *)
@@ -63,16 +62,11 @@ let run_experiment ids p =
   0
 
 let trace_experiment id out want_hists ring p =
-  if ring <= 0 then begin
-    Format.eprintf "--ring must be positive (got %d)@." ring;
-    exit 2
-  end;
   let p = { p with Core.Experiments.trace = Some ring } in
   match Core.Experiments.run_traced p id with
   | None ->
-      Format.eprintf "experiment %S cannot be traced; traceable: %s@." id
-        (String.concat ", " Core.Experiments.traceable);
-      2
+      die "experiment %S cannot be traced; traceable: %s" id
+        (String.concat ", " Core.Experiments.traceable)
   | Some runs ->
       let out =
         match out with Some f -> f | None -> Printf.sprintf "trace-%s.json" id
@@ -107,41 +101,50 @@ let trace_experiment id out want_hists ring p =
                      chrome://tracing)@." out;
       0
 
-let parse_scenarios names =
-  let names = if names = [] then [ "all" ] else names in
-  if names = [ "all" ] then Core.Workloads.Chaos.all_scenarios
-  else
-    List.map
-      (fun name ->
-        match Core.Workloads.Chaos.scenario_of_string name with
-        | Some s -> s
-        | None ->
-            Format.eprintf "unknown scenario %S; scenarios: %s, all@." name
-              (String.concat ", "
-                 (List.map Core.Workloads.Chaos.scenario_name
-                    Core.Workloads.Chaos.all_scenarios));
-            exit 2)
-      names
+(* One name out of the closed set [all]; [suffix] extends the list of
+   valid names printed on failure. *)
+let lookup ~what ~of_string ~name ~all ?(suffix = "") n =
+  match of_string n with
+  | Some s -> s
+  | None ->
+      die "unknown %s %S; scenarios: %s%s" what n
+        (String.concat ", " (List.map name all))
+        suffix
 
-let parse_kinds alloc =
+(* Scenario positionals: none or 'all' selects every scenario. *)
+let parse_names ~what ~of_string ~name ~all = function
+  | [] | [ "all" ] -> all
+  | names -> List.map (lookup ~what ~of_string ~name ~all ~suffix:", all") names
+
+let chaos_lookup =
+  Core.Workloads.Chaos.(
+    lookup ~what:"scenario" ~of_string:scenario_of_string ~name:scenario_name
+      ~all:all_scenarios)
+
+let parse_scenarios =
+  Core.Workloads.Chaos.(
+    parse_names ~what:"scenario" ~of_string:scenario_of_string
+      ~name:scenario_name ~all:all_scenarios)
+
+let parse_perf_scenarios =
+  Wallclock.(
+    parse_names ~what:"perf scenario" ~of_string:scenario_of_string
+      ~name:scenario_name ~all:all_scenarios)
+
+(* [both] is what "both" selects: slub+prudence, except where a command
+   compares every scheme anyway. *)
+let parse_kinds ?(both = [ Env.Baseline; Env.Prudence_alloc ]) alloc =
   match alloc with
-  | "both" -> [ Core.Workloads.Env.Baseline; Core.Workloads.Env.Prudence_alloc ]
-  | "all" -> Core.Workloads.Env.all_kinds
+  | "both" -> both
+  | "all" -> Env.all_kinds
   | s -> (
-      match Core.Workloads.Env.kind_of_string s with
+      match Env.kind_of_string s with
       | Some k -> [ k ]
       | None ->
-          Format.eprintf
-            "unknown allocator %S (slub, prudence, ebr-debra, hyaline, both, \
-             all)@."
-            s;
-          exit 2)
+          die "unknown allocator %S (slub, prudence, ebr-debra, hyaline, both, \
+               all)" s)
 
 let chaos_params ring p =
-  if ring <= 0 then begin
-    Format.eprintf "--ring must be positive (got %d)@." ring;
-    exit 2
-  end;
   {
     Core.Chaos.seed = p.Core.Experiments.seed;
     cpus = p.Core.Experiments.cpus;
@@ -149,32 +152,16 @@ let chaos_params ring p =
     ring;
   }
 
-let run_chaos names alloc ring bundle_dir p =
-  let scenarios = parse_scenarios names in
+let run_chaos scenarios alloc ring bundle_dir p =
   let kinds = parse_kinds alloc in
-  let cp = chaos_params ring p in
   Core.Metrics.Report.print Format.std_formatter
-    (Core.Chaos.report ~kinds ?bundle_dir cp scenarios);
+    (Core.Chaos.report ~kinds ?bundle_dir (chaos_params ring p) scenarios);
   0
 
 let run_anatomy name alloc ring json p =
-  let scenario =
-    match Core.Workloads.Chaos.scenario_of_string name with
-    | Some s -> s
-    | None ->
-        Format.eprintf "unknown scenario %S; scenarios: %s@." name
-          (String.concat ", "
-             (List.map Core.Workloads.Chaos.scenario_name
-                Core.Workloads.Chaos.all_scenarios));
-        exit 2
-  in
-  let kinds =
-    match alloc with
-    | "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> parse_kinds alloc
-  in
-  let cp = chaos_params ring p in
-  let results = Core.Anatomy.run ~kinds cp scenario in
+  let scenario = chaos_lookup name in
+  let kinds = parse_kinds ~both:Env.all_kinds alloc in
+  let results = Core.Anatomy.run ~kinds (chaos_params ring p) scenario in
   if json then
     print_string
       (String.concat "\n" (Core.Anatomy.json_of_results scenario results)
@@ -184,42 +171,24 @@ let run_anatomy name alloc ring json p =
       (Core.Anatomy.report_results scenario results);
   if Core.Anatomy.sum_identity_ok results then 0 else 1
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let run_postmortem file =
-  match read_whole_file file with
-  | exception Sys_error e ->
-      Format.eprintf "postmortem: %s@." e;
-      2
-  | content -> (
-      match Core.Obs.Bundle.render content with
-      | Ok text ->
-          print_string text;
-          0
-      | Error e ->
-          Format.eprintf "postmortem: %s@." e;
-          2)
+  let read () = In_channel.with_open_bin file In_channel.input_all in
+  match Core.Obs.Bundle.render (read ()) with
+  | exception Sys_error e -> die "postmortem: %s" e
+  | Ok text ->
+      print_string text;
+      0
+  | Error e -> die "postmortem: %s" e
 
-let run_tournament names alloc ring out p =
+let run_tournament scenarios alloc ring out p =
   let module T = Core.Tournament in
-  let scenarios = parse_scenarios names in
-  let kinds = match alloc with "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> parse_kinds alloc
-  in
-  let cp = chaos_params ring p in
-  let cells = T.run ~kinds cp scenarios in
+  let kinds = parse_kinds ~both:Env.all_kinds alloc in
+  let cells = T.run ~kinds (chaos_params ring p) scenarios in
   Core.Metrics.Report.print Format.std_formatter (T.report_cells kinds cells);
   (match out with
   | None -> ()
   | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (T.to_ndjson kinds cells));
+      write_file file (T.to_ndjson kinds cells);
       Format.printf "wrote %s (%d scheme rows + summary)@." file
         (List.length cells));
   let violations =
@@ -231,36 +200,18 @@ let run_tournament names alloc ring out p =
   if violations = 0 then 0 else 1
 
 let run_stat alloc duration_ms sample_every capacity watch series format
-    registry_table pages scale seed cpus sched =
+    registry_table pages scale seed cpus =
   let module Live = Core.Stats.Live in
   let module Providers = Core.Stats.Providers in
-  set_sched sched;
-  if cpus <= 0 then begin
-    Format.eprintf "--cpus must be positive (got %d)@." cpus;
-    exit 2
-  end;
-  if duration_ms <= 0 then begin
-    Format.eprintf "--duration-ms must be positive (got %d)@." duration_ms;
-    exit 2
-  end;
-  if sample_every <= 0 then begin
-    Format.eprintf "--sample-every must be positive (got %d ns)@." sample_every;
-    exit 2
-  end;
-  if capacity <= 0 then begin
-    Format.eprintf "--capacity must be positive (got %d)@." capacity;
-    exit 2
-  end;
-  if pages <= 0 then begin
-    Format.eprintf "--pages must be positive (got %d)@." pages;
-    exit 2
-  end;
+  require_positive "--cpus" cpus;
+  require_positive "--duration-ms" duration_ms;
+  require_positive "--sample-every" sample_every ~unit:" ns";
+  require_positive "--capacity" capacity;
+  require_positive "--pages" pages;
   let ext =
     match format with
     | "csv" | "ndjson" -> format
-    | s ->
-        Format.eprintf "unknown series format %S (csv, ndjson)@." s;
-        exit 2
+    | s -> die "unknown series format %S (csv, ndjson)" s
   in
   let kinds = parse_kinds alloc in
   let series_file label =
@@ -295,7 +246,7 @@ let run_stat alloc duration_ms sample_every capacity watch series format
           Some
             (fun ~time_ns ~snapshot ->
               Format.printf "---- %s @ %.1f ms (virtual) ----@.%s@."
-                (Core.Workloads.Env.kind_label kind)
+                (Env.kind_label kind)
                 (float_of_int time_ns /. 1e6)
                 snapshot)
       in
@@ -313,15 +264,10 @@ let run_stat alloc duration_ms sample_every capacity watch series format
       (match series_file r.Live.label with
       | None -> ()
       | Some file ->
-          let body =
-            match ext with
+          write_file file
+            (match ext with
             | "csv" -> Core.Sim.Sampler.to_csv r.Live.sampler
-            | _ -> Core.Sim.Sampler.to_ndjson r.Live.sampler
-          in
-          let oc = open_out file in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc body);
+            | _ -> Core.Sim.Sampler.to_ndjson r.Live.sampler);
           Format.printf "wrote %s (%d samples, %d dropped)@." file
             (Core.Sim.Sampler.rows r.Live.sampler)
             (Core.Sim.Sampler.dropped r.Live.sampler));
@@ -329,36 +275,16 @@ let run_stat alloc duration_ms sample_every capacity watch series format
     kinds;
   0
 
-let parse_perf_scenarios names =
-  let module Wc = Wallclock in
-  let names = if names = [] then [ "all" ] else names in
-  if names = [ "all" ] then Wc.all_scenarios
-  else
-    List.map
-      (fun name ->
-        match Wc.scenario_of_string name with
-        | Some s -> s
-        | None ->
-            Format.eprintf "unknown perf scenario %S; scenarios: %s, all@."
-              name
-              (String.concat ", " (List.map Wc.scenario_name Wc.all_scenarios));
-            exit 2)
-      names
-
 let run_regress baseline_file current_file tolerance json =
   let module B = Core.Stats.Bench_json in
-  if tolerance < 0. then begin
-    Format.eprintf "--tolerance-pct must be non-negative (got %g)@." tolerance;
-    exit 2
-  end;
+  if tolerance < 0. then
+    die "--tolerance-pct must be non-negative (got %g)" tolerance;
   (* With --json, every exit path still emits the one summary NDJSON
      line automation keys on — a missing baseline or config mismatch
      reports as an error summary, not silent stderr. *)
   let fail_with ~code msg =
     Format.eprintf "%s@." msg;
-    if json then
-      print_endline
-        (Core.Metrics.Json.to_string (B.summary_to_json ~error:msg []));
+    if json then print_json (B.summary_to_json ~error:msg []);
     code
   in
   let load what file k =
@@ -377,11 +303,8 @@ let run_regress baseline_file current_file tolerance json =
       in
       let failed = B.failures drifts in
       if json then begin
-        List.iter
-          (fun d ->
-            print_endline (Core.Metrics.Json.to_string (B.drift_to_json d)))
-          drifts;
-        print_endline (Core.Metrics.Json.to_string (B.summary_to_json drifts))
+        List.iter (fun d -> print_json (B.drift_to_json d)) drifts;
+        print_json (B.summary_to_json drifts)
       end
       else Format.printf "%a" B.pp_drifts drifts;
       if failed = [] then 0
@@ -392,17 +315,12 @@ let run_regress baseline_file current_file tolerance json =
         1
       end
 
-let run_perf names out p =
+let wallclock_params (p : Core.Experiments.params) =
+  { Wallclock.scale = p.scale; seed = p.seed; cpus = p.cpus; runs = p.runs }
+
+let run_perf scenarios out p =
   let module Wc = Wallclock in
-  let scenarios = parse_perf_scenarios names in
-  let wp =
-    {
-      Wc.scale = p.Core.Experiments.scale;
-      seed = p.Core.Experiments.seed;
-      cpus = p.Core.Experiments.cpus;
-      runs = p.Core.Experiments.runs;
-    }
-  in
+  let wp = wallclock_params p in
   let ms = Wc.run_all ~scenarios wp in
   Format.printf "%s@." (Wc.table ms);
   Core.Stats.Bench_json.write_file out (Wc.to_bench wp ms);
@@ -412,29 +330,15 @@ let run_perf names out p =
     out;
   0
 
-let run_prof names top by folded json p =
+let run_prof scenarios top by folded json p =
   let module Pr = Profrun in
-  if top < 0 then begin
-    Format.eprintf "--top must be non-negative (got %d)@." top;
-    exit 2
-  end;
+  if top < 0 then die "--top must be non-negative (got %d)" top;
   let by =
     match Pr.sort_key_of_string by with
     | Some k -> k
-    | None ->
-        Format.eprintf "unknown sort key %S (time, alloc)@." by;
-        exit 2
+    | None -> die "unknown sort key %S (time, alloc)" by
   in
-  let scenarios = parse_perf_scenarios names in
-  let wp =
-    {
-      Wallclock.scale = p.Core.Experiments.scale;
-      seed = p.Core.Experiments.seed;
-      cpus = p.Core.Experiments.cpus;
-      runs = p.Core.Experiments.runs;
-    }
-  in
-  let rs = Pr.run_all ~scenarios wp in
+  let rs = Pr.run_all ~scenarios (wallclock_params p) in
   if json then print_string (Pr.to_ndjson rs)
   else
     List.iter
@@ -445,10 +349,7 @@ let run_prof names top by folded json p =
   (match folded with
   | None -> ()
   | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> List.iter (fun r -> output_string oc (Pr.folded ~by r)) rs);
+      write_file file (String.concat "" (List.map (Pr.folded ~by) rs));
       if not json then
         Format.printf
           "wrote %s (folded call paths; feed to flamegraph.pl or \
@@ -457,16 +358,13 @@ let run_prof names top by folded json p =
   0
 
 let parse_mutation mutate =
-  let module Sweep = Core.Check.Sweep in
   match Sweep.mutation_of_string mutate with
   | Some m -> m
   | None ->
-      Format.eprintf "unknown mutation %S (none, %s)@." mutate
-        (String.concat ", " (List.map Sweep.mutation_name Sweep.all_mutations));
-      exit 2
+      die "unknown mutation %S (none, %s)" mutate
+        (String.concat ", " (List.map Sweep.mutation_name Sweep.all_mutations))
 
 let parse_oracles disabled =
-  let module Sweep = Core.Check.Sweep in
   List.fold_left
     (fun (o : Sweep.oracles) name ->
       match name with
@@ -475,11 +373,8 @@ let parse_oracles disabled =
       | "missed-qs" -> { o with Sweep.missed_qs = false }
       | "cb-conservation" -> { o with Sweep.cb_conservation = false }
       | _ ->
-          Format.eprintf
-            "unknown oracle %S (page-reuse, early-reuse, missed-qs, \
-             cb-conservation)@."
-            name;
-          exit 2)
+          die "unknown oracle %S (page-reuse, early-reuse, missed-qs, \
+               cb-conservation)" name)
     Sweep.all_oracles disabled
 
 let parse_plan = function
@@ -487,28 +382,24 @@ let parse_plan = function
   | Some s -> (
       match Core.Faults.Plan.of_compact s with
       | Ok p -> Some p
-      | Error e ->
-          Format.eprintf "bad --plan: %s@." e;
-          exit 2)
+      | Error e -> die "bad --plan: %s" e)
 
-let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
-    disabled plan skip_diff bundle_dir json seed cpus sched =
-  let module Sweep = Core.Check.Sweep in
-  let module J = Core.Metrics.Json in
-  set_sched sched;
-  if sweeps <= 0 || duration_ms <= 0 || pages <= 0 || cpus <= 0 then begin
-    Format.eprintf
-      "--sweeps, --duration-ms, --pages and --cpus must be positive@.";
-    exit 2
-  end;
-  let scenarios = parse_scenarios names in
+(* The sweep config that check and fuzz start from, validated together
+   with the command's own run count ([count_flag]: --sweeps or
+   --budget). One schedule per case and no bundles: fuzz campaign cases
+   never dump them (only its final witness does), and check sets its
+   own [sweeps] and [bundle_dir]. *)
+let sweep_config count_flag count scenarios alloc mutate shuffle_seed
+    duration_ms pages disabled plan seed cpus =
+  if count <= 0 || duration_ms <= 0 || pages <= 0 || cpus <= 0 then
+    die "%s, --duration-ms, --pages and --cpus must be positive" count_flag;
   let kinds = parse_kinds alloc in
   let mutation = parse_mutation mutate in
-  let cfg =
+  ( count,
     {
       Sweep.scenarios;
       kinds;
-      sweeps;
+      sweeps = 1;
       base_shuffle_seed = shuffle_seed;
       seed;
       cpus;
@@ -517,14 +408,19 @@ let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
       mutation;
       oracles = parse_oracles disabled;
       plan = parse_plan plan;
-      bundle_dir;
-    }
-  in
+      bundle_dir = None;
+    } )
+
+let run_check (sweeps, cfg) skip_diff bundle_dir json =
+  let cfg = { cfg with Sweep.sweeps; bundle_dir } in
+  let shuffle_seed = cfg.Sweep.base_shuffle_seed and seed = cfg.Sweep.seed in
   if not json then
     Format.printf
       "sweeping %d scenario(s) x %d allocator(s) x %d shuffled schedule(s) \
        (shuffle seeds %d..%d, workload seed %d)...@."
-      (List.length scenarios) (List.length kinds) sweeps shuffle_seed
+      (List.length cfg.Sweep.scenarios)
+      (List.length cfg.Sweep.kinds)
+      sweeps shuffle_seed
       (shuffle_seed + sweeps - 1)
       seed;
   let last = ref None in
@@ -534,7 +430,7 @@ let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
       last := Some key;
       Format.printf "  %s/%s@."
         (Core.Workloads.Chaos.scenario_name case.Sweep.scenario)
-        (Core.Workloads.Env.kind_label case.Sweep.kind)
+        (Env.kind_label case.Sweep.kind)
     end
   in
   let verdicts = Sweep.run ~progress cfg in
@@ -542,38 +438,34 @@ let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
   if json then
     List.iter
       (fun (v : Sweep.verdict) ->
-        print_endline
-          (J.to_string
-             (J.Obj
-                [
-                  ("type", J.Str "verdict");
-                  ( "scenario",
-                    J.Str
-                      (Core.Workloads.Chaos.scenario_name
-                         v.Sweep.case.Sweep.scenario) );
-                  ( "alloc",
-                    J.Str (Core.Workloads.Env.kind_label v.Sweep.case.Sweep.kind)
-                  );
-                  ("shuffle_seed", J.Int v.Sweep.case.Sweep.shuffle_seed);
-                  ("ok", J.Bool (Sweep.ok v));
-                  ( "oracle_violations",
-                    J.Int (List.length v.Sweep.oracle_violations) );
-                  ( "reader_violations",
-                    J.Int (List.length v.Sweep.reader_violations) );
-                  ( "stall_violations",
-                    J.Int (List.length v.Sweep.stall_violations) );
-                  ("cb_violations", J.Int (List.length v.Sweep.cb_violations));
-                  ("audit_failures", J.Int (List.length v.Sweep.audit_failures));
-                  ("dropped_violations", J.Int v.Sweep.dropped_violations);
-                  ("oracle_events", J.Int v.Sweep.oracle_events);
-                  ("updates", J.Int v.Sweep.updates);
-                  ("survived", J.Bool v.Sweep.survived);
-                  ("replay", J.Str v.Sweep.replay);
-                  ( "bundle",
-                    match v.Sweep.bundle with
-                    | Some path -> J.Str path
-                    | None -> J.Null );
-                ])))
+        emit
+          [
+            ("type", J.Str "verdict");
+            ( "scenario",
+              J.Str
+                (Core.Workloads.Chaos.scenario_name
+                   v.Sweep.case.Sweep.scenario) );
+            ("alloc", J.Str (Env.kind_label v.Sweep.case.Sweep.kind));
+            ("shuffle_seed", J.Int v.Sweep.case.Sweep.shuffle_seed);
+            ("ok", J.Bool (Sweep.ok v));
+            ( "oracle_violations",
+              J.Int (List.length v.Sweep.oracle_violations) );
+            ( "reader_violations",
+              J.Int (List.length v.Sweep.reader_violations) );
+            ( "stall_violations",
+              J.Int (List.length v.Sweep.stall_violations) );
+            ("cb_violations", J.Int (List.length v.Sweep.cb_violations));
+            ("audit_failures", J.Int (List.length v.Sweep.audit_failures));
+            ("dropped_violations", J.Int v.Sweep.dropped_violations);
+            ("oracle_events", J.Int v.Sweep.oracle_events);
+            ("updates", J.Int v.Sweep.updates);
+            ("survived", J.Bool v.Sweep.survived);
+            ("replay", J.Str v.Sweep.replay);
+            ( "bundle",
+              match v.Sweep.bundle with
+              | Some path -> J.Str path
+              | None -> J.Null );
+          ])
       verdicts
   else Format.printf "@.%a@." Sweep.summary verdicts;
   let diff_failed =
@@ -582,66 +474,61 @@ let run_check names alloc sweeps shuffle_seed mutate duration_ms pages
       let trace = Core.Check.Differential.gen ~seed () in
       let r = Core.Check.Differential.run ~seed trace in
       if json then
-        print_endline
-          (J.to_string
-             (J.Obj
-                [
-                  ("type", J.Str "differential");
-                  ("ok", J.Bool r.Core.Check.Differential.ok);
-                  ( "mismatches",
-                    J.Int (List.length r.Core.Check.Differential.mismatches) );
-                ]))
+        emit
+          [
+            ("type", J.Str "differential");
+            ("ok", J.Bool r.Core.Check.Differential.ok);
+            ( "mismatches",
+              J.Int (List.length r.Core.Check.Differential.mismatches) );
+          ]
       else Format.printf "%a@." Core.Check.Differential.pp_result r;
       not r.Core.Check.Differential.ok
     end
   in
   let failed = sweep_failed || diff_failed in
   if json then
-    print_endline
-      (J.to_string
-         (J.Obj
-            [
-              ("type", J.Str "summary");
-              ("cases", J.Int (List.length verdicts));
-              ( "failed_cases",
-                J.Int
-                  (List.length
-                     (List.filter (fun v -> not (Sweep.ok v)) verdicts)) );
-              ("differential", J.Bool (not skip_diff));
-              ("ok", J.Bool (not failed));
-            ]));
+    emit
+      [
+        ("type", J.Str "summary");
+        ("cases", J.Int (List.length verdicts));
+        ( "failed_cases",
+          J.Int
+            (List.length
+               (List.filter (fun v -> not (Sweep.ok v)) verdicts)) );
+        ("differential", J.Bool (not skip_diff));
+        ("ok", J.Bool (not failed));
+      ];
   if failed then 1 else 0
 
-let run_fuzz_differential base fcfg alloc json =
-  let module Fuzz = Core.Check.Fuzz in
+(* Differential mode always replays every backend: a comparison needs
+   at least two, so a single --alloc kind is rejected, not run. *)
+let run_fuzz_differential fcfg json =
   let module Diff = Core.Check.Differential in
-  let module J = Core.Metrics.Json in
-  let kinds =
-    match alloc with
-    | "both" | "all" -> Core.Workloads.Env.all_kinds
-    | _ -> base.Core.Check.Sweep.kinds
-  in
+  (match fcfg.Fuzz.base.Sweep.kinds with
+  | [ k ] ->
+      die "fuzz --differential compares backends; --alloc=%s selects only one"
+        (Env.kind_label k)
+  | _ -> ());
+  let kinds = Env.all_kinds in
   if not json then
     Format.printf
       "differential fuzzing: budget %d, fuzz seed %d, %d backend(s) (%s)...@."
       fcfg.Fuzz.budget fcfg.Fuzz.seed (List.length kinds)
-      (String.concat ", " (List.map Core.Workloads.Env.kind_label kinds));
+      (String.concat ", " (List.map Env.kind_label kinds));
   let progress (r : Fuzz.diff_record) =
     if json then
-      print_endline
-        (J.to_string
-           (J.Obj
-              [
-                ("type", J.Str "diff_case");
-                ("exec", J.Int r.Fuzz.d_exec);
-                ("trace_seed", J.Int r.Fuzz.trace_seed);
-                ("ops", J.Int r.Fuzz.n_ops);
-                ("slots", J.Int r.Fuzz.n_slots);
-                ("gap_ns", J.Int r.Fuzz.gap_ns);
-                ("ok", J.Bool r.Fuzz.result.Diff.ok);
-                ( "mismatches",
-                  J.Int (List.length r.Fuzz.result.Diff.mismatches) );
-              ]))
+      emit
+        [
+          ("type", J.Str "diff_case");
+          ("exec", J.Int r.Fuzz.d_exec);
+          ("trace_seed", J.Int r.Fuzz.trace_seed);
+          ("ops", J.Int r.Fuzz.n_ops);
+          ("slots", J.Int r.Fuzz.n_slots);
+          ("gap_ns", J.Int r.Fuzz.gap_ns);
+          ("ok", J.Bool r.Fuzz.result.Diff.ok);
+          ( "mismatches",
+            J.Int (List.length r.Fuzz.result.Diff.mismatches) );
+        ]
     else if not r.Fuzz.result.Diff.ok then
       Format.printf "  #%-4d trace seed %d (%d ops, %d slots) DIVERGED@."
         r.Fuzz.d_exec r.Fuzz.trace_seed r.Fuzz.n_ops r.Fuzz.n_slots
@@ -649,22 +536,17 @@ let run_fuzz_differential base fcfg alloc json =
   let dr = Fuzz.run_differential ~progress ~kinds fcfg in
   let failed = dr.Fuzz.diff_failure <> None in
   if json then
-    print_endline
-      (J.to_string
-         (J.Obj
-            [
-              ("type", J.Str "summary");
-              ("mode", J.Str "differential");
-              ("executed", J.Int dr.Fuzz.diff_executed);
-              ("budget", J.Int fcfg.Fuzz.budget);
-              ( "backends",
-                J.List
-                  (List.map
-                     (fun k -> J.Str (Core.Workloads.Env.kind_label k))
-                     kinds) );
-              ("failure", J.Bool failed);
-              ("ok", J.Bool (not failed));
-            ]))
+    emit
+      [
+        ("type", J.Str "summary");
+        ("mode", J.Str "differential");
+        ("executed", J.Int dr.Fuzz.diff_executed);
+        ("budget", J.Int fcfg.Fuzz.budget);
+        ( "backends",
+          J.List (List.map (fun k -> J.Str (Env.kind_label k)) kinds) );
+        ("failure", J.Bool failed);
+        ("ok", J.Bool (not failed));
+      ]
   else begin
     Format.printf "@.%d differential case(s) executed across %d backend(s)@."
       dr.Fuzz.diff_executed (List.length kinds);
@@ -676,123 +558,17 @@ let run_fuzz_differential base fcfg alloc json =
   end;
   if failed then 1 else 0
 
-let run_fuzz_cross_sched fcfg json =
-  let module Fuzz = Core.Check.Fuzz in
-  let module Sweep = Core.Check.Sweep in
-  let module J = Core.Metrics.Json in
-  if not json then
-    Format.printf
-      "cross-scheduler fuzzing: budget %d input(s) x {heap, wheel}, fuzz \
-       seed %d...@."
-      fcfg.Fuzz.budget fcfg.Fuzz.seed;
-  let progress (r : Fuzz.xsched_record) =
-    if json then
-      print_endline
-        (J.to_string
-           (J.Obj
-              [
-                ("type", J.Str "xsched_case");
-                ("exec", J.Int r.Fuzz.x_exec);
-                ("origin", J.Str (Fuzz.origin_name r.Fuzz.x_origin));
-                ( "scenario",
-                  J.Str
-                    (Core.Workloads.Chaos.scenario_name
-                       r.Fuzz.x_input.Fuzz.scenario) );
-                ( "alloc",
-                  J.Str (Core.Workloads.Env.kind_label r.Fuzz.x_input.Fuzz.kind)
-                );
-                ("shuffle_seed", J.Int r.Fuzz.x_input.Fuzz.shuffle_seed);
-                ("events_heap", J.Int r.Fuzz.x_heap.Sweep.events);
-                ("events_wheel", J.Int r.Fuzz.x_wheel.Sweep.events);
-                ("agree", J.Bool r.Fuzz.x_agree);
-              ]))
-    else if not r.Fuzz.x_agree then
-      Format.printf
-        "  #%-4d %-8s %-16s/%-9s s%d DIVERGED (heap %d vs wheel %d events)@."
-        r.Fuzz.x_exec
-        (Fuzz.origin_name r.Fuzz.x_origin)
-        (Core.Workloads.Chaos.scenario_name r.Fuzz.x_input.Fuzz.scenario)
-        (Core.Workloads.Env.kind_label r.Fuzz.x_input.Fuzz.kind)
-        r.Fuzz.x_input.Fuzz.shuffle_seed r.Fuzz.x_heap.Sweep.events
-        r.Fuzz.x_wheel.Sweep.events
-  in
-  let xr = Fuzz.run_cross_sched ~progress fcfg in
-  let failed = xr.Fuzz.xsched_failure <> None in
-  if json then
-    print_endline
-      (J.to_string
-         (J.Obj
-            [
-              ("type", J.Str "summary");
-              ("mode", J.Str "cross-sched");
-              ("executed", J.Int xr.Fuzz.xsched_executed);
-              ("budget", J.Int fcfg.Fuzz.budget);
-              ("failure", J.Bool failed);
-              ("ok", J.Bool (not failed));
-            ]))
-  else begin
-    Format.printf
-      "@.%d input(s) replayed under both schedulers (%d engine runs)@."
-      xr.Fuzz.xsched_executed
-      (2 * xr.Fuzz.xsched_executed);
-    match xr.Fuzz.xsched_failure with
-    | None ->
-        Format.printf
-          "no divergence: deterministic counters and oracle verdicts \
-           identical under heap and wheel.@."
-    | Some r ->
-        Format.printf "divergence at execution %d:@." r.Fuzz.x_exec;
-        Format.printf "--- heap verdict ---@.%a@." Sweep.pp_verdict
-          r.Fuzz.x_heap;
-        Format.printf "--- wheel verdict ---@.%a@." Sweep.pp_verdict
-          r.Fuzz.x_wheel
-  end;
-  if failed then 1 else 0
-
-let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
-    pages disabled plan no_minimize differential cross_sched inject_sched_bug
-    bundle_dir json seed cpus sched =
-  let module Sweep = Core.Check.Sweep in
-  let module Fuzz = Core.Check.Fuzz in
+let run_fuzz (budget, base) fuzz_seed no_minimize differential bundle_dir json
+    =
   let module Minimize = Core.Check.Minimize in
-  let module J = Core.Metrics.Json in
-  set_sched sched;
-  (* Self-test hook for the cross-scheduler differential: disable the
-     wheel's same-instant batch sort so Shuffle dispatch order diverges
-     from the heap — the replay must catch it and exit non-zero. *)
-  if inject_sched_bug then Core.Sim.Engine.debug_no_batch_sort := true;
-  if budget <= 0 || duration_ms <= 0 || pages <= 0 || cpus <= 0 then begin
-    Format.eprintf
-      "--budget, --duration-ms, --pages and --cpus must be positive@.";
-    exit 2
-  end;
-  let base =
-    {
-      Sweep.scenarios = parse_scenarios names;
-      kinds = parse_kinds alloc;
-      sweeps = 1;
-      base_shuffle_seed = shuffle_seed;
-      seed;
-      cpus;
-      duration_ns = duration_ms * 1_000_000;
-      total_pages = pages;
-      mutation = parse_mutation mutate;
-      oracles = parse_oracles disabled;
-      plan = parse_plan plan;
-      (* Campaign cases never dump bundles; only the final (minimized)
-         witness does, via a bundle-armed re-run below. *)
-      bundle_dir = None;
-    }
-  in
   let fcfg = { Fuzz.base; budget; seed = fuzz_seed; stop_on_failure = true } in
-  if cross_sched then run_fuzz_cross_sched fcfg json
-  else if differential then run_fuzz_differential base fcfg alloc json
+  if differential then run_fuzz_differential fcfg json
   else begin
   if not json then
     Format.printf
       "fuzzing: budget %d, fuzz seed %d, workload seed %d, %d scenario(s) x \
        %d allocator(s)...@."
-      budget fuzz_seed seed
+      budget fuzz_seed base.Sweep.seed
       (List.length base.Sweep.scenarios)
       (List.length base.Sweep.kinds);
   let case_json (r : Fuzz.record) =
@@ -805,7 +581,7 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
         ( "scenario",
           J.Str (Core.Workloads.Chaos.scenario_name r.Fuzz.input.Fuzz.scenario)
         );
-        ("alloc", J.Str (Core.Workloads.Env.kind_label r.Fuzz.input.Fuzz.kind));
+        ("alloc", J.Str (Env.kind_label r.Fuzz.input.Fuzz.kind));
         ("shuffle_seed", J.Int r.Fuzz.input.Fuzz.shuffle_seed);
         ("duration_ns", J.Int r.Fuzz.input.Fuzz.duration_ns);
         ("cpus", J.Int r.Fuzz.input.Fuzz.cpus);
@@ -821,12 +597,12 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
       ]
   in
   let progress (r : Fuzz.record) =
-    if json then print_endline (J.to_string (case_json r))
+    if json then print_json (case_json r)
     else if r.Fuzz.new_features > 0 || not (Sweep.ok r.Fuzz.verdict) then
       Format.printf "  #%-4d %-8s %-16s/%-9s %s%s@." r.Fuzz.exec
         (Fuzz.origin_name r.Fuzz.origin)
         (Core.Workloads.Chaos.scenario_name r.Fuzz.input.Fuzz.scenario)
-        (Core.Workloads.Env.kind_label r.Fuzz.input.Fuzz.kind)
+        (Env.kind_label r.Fuzz.input.Fuzz.kind)
         (if Sweep.ok r.Fuzz.verdict then
            Printf.sprintf "+%d features (%d total, corpus %d)"
              r.Fuzz.new_features r.Fuzz.total_features r.Fuzz.corpus_size
@@ -839,21 +615,22 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
       "@.%d case(s) executed, %d coverage feature(s), corpus %d@."
       result.Fuzz.executed result.Fuzz.total_features
       (List.length result.Fuzz.corpus);
+  let summary ~failure extra =
+    emit
+      ([
+         ("type", J.Str "summary");
+         ("executed", J.Int result.Fuzz.executed);
+         ("budget", J.Int budget);
+         ("total_features", J.Int result.Fuzz.total_features);
+         ("corpus_size", J.Int (List.length result.Fuzz.corpus));
+         ("failure", J.Bool failure);
+       ]
+      @ extra
+      @ [ ("ok", J.Bool (not failure)) ])
+  in
   match result.Fuzz.failure with
   | None ->
-      if json then
-        print_endline
-          (J.to_string
-             (J.Obj
-                [
-                  ("type", J.Str "summary");
-                  ("executed", J.Int result.Fuzz.executed);
-                  ("budget", J.Int budget);
-                  ("total_features", J.Int result.Fuzz.total_features);
-                  ("corpus_size", J.Int (List.length result.Fuzz.corpus));
-                  ("failure", J.Bool false);
-                  ("ok", J.Bool true);
-                ]))
+      if json then summary ~failure:false []
       else Format.printf "no oracle fired within the budget.@.";
       0
   | Some (fcfg', fcase, fverdict) ->
@@ -866,15 +643,13 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
           if not json then Format.printf "@.minimizing witness...@.";
           let progress (s : Minimize.step) =
             if json then
-              print_endline
-                (J.to_string
-                   (J.Obj
-                      [
-                        ("type", J.Str "shrink");
-                        ("action", J.Str s.Minimize.action);
-                        ("candidate", J.Str s.Minimize.candidate);
-                        ("kept", J.Bool s.Minimize.kept);
-                      ]))
+              emit
+                [
+                  ("type", J.Str "shrink");
+                  ("action", J.Str s.Minimize.action);
+                  ("candidate", J.Str s.Minimize.candidate);
+                  ("kept", J.Bool s.Minimize.kept);
+                ]
             else if s.Minimize.kept then
               Format.printf "  %s %s: still fails, kept@." s.Minimize.action
                 s.Minimize.candidate
@@ -896,6 +671,11 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
          (or the original failure when minimization was skipped or came up
          empty) with the bundle dump armed. The re-run is deterministic,
          so the verdict matches what the campaign saw. *)
+      let plan_specs (m : Minimize.result) =
+        match m.Minimize.cfg.Sweep.plan with
+        | Some p -> List.length p.Core.Faults.Plan.specs
+        | None -> 0
+      in
       let bundle =
         match bundle_dir with
         | None -> None
@@ -914,38 +694,21 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
         (match minimized with
         | None -> ()
         | Some m ->
-            let plan_specs =
-              match m.Minimize.cfg.Sweep.plan with
-              | Some p -> List.length p.Core.Faults.Plan.specs
-              | None -> 0
-            in
-            print_endline
-              (J.to_string
-                 (J.Obj
-                    [
-                      ("type", J.Str "minimized");
-                      ("runs", J.Int m.Minimize.runs);
-                      ( "duration_ns",
-                        J.Int m.Minimize.cfg.Sweep.duration_ns );
-                      ("cpus", J.Int m.Minimize.cfg.Sweep.cpus);
-                      ("plan_specs", J.Int plan_specs);
-                      ("replay", J.Str m.Minimize.replay);
-                    ])));
-        print_endline
-          (J.to_string
-             (J.Obj
-                [
-                  ("type", J.Str "summary");
-                  ("executed", J.Int result.Fuzz.executed);
-                  ("budget", J.Int budget);
-                  ("total_features", J.Int result.Fuzz.total_features);
-                  ("corpus_size", J.Int (List.length result.Fuzz.corpus));
-                  ("failure", J.Bool true);
-                  ("replay", J.Str replay);
-                  ( "bundle",
-                    match bundle with Some p -> J.Str p | None -> J.Null );
-                  ("ok", J.Bool false);
-                ]))
+            emit
+              [
+                ("type", J.Str "minimized");
+                ("runs", J.Int m.Minimize.runs);
+                ( "duration_ns",
+                  J.Int m.Minimize.cfg.Sweep.duration_ns );
+                ("cpus", J.Int m.Minimize.cfg.Sweep.cpus);
+                ("plan_specs", J.Int (plan_specs m));
+                ("replay", J.Str m.Minimize.replay);
+              ]);
+        summary ~failure:true
+          [
+            ("replay", J.Str replay);
+            ("bundle", match bundle with Some p -> J.Str p | None -> J.Null);
+          ]
       end
       else begin
         (match minimized with
@@ -956,10 +719,7 @@ let run_fuzz names alloc budget fuzz_seed mutate shuffle_seed duration_ms
                fault spec(s)@."
               m.Minimize.runs
               (m.Minimize.cfg.Sweep.duration_ns / 1_000_000)
-              m.Minimize.cfg.Sweep.cpus
-              (match m.Minimize.cfg.Sweep.plan with
-              | Some p -> List.length p.Core.Faults.Plan.specs
-              | None -> 0));
+              m.Minimize.cfg.Sweep.cpus (plan_specs m));
         (match bundle with
         | Some p -> Format.printf "@.bundle: %s@." p
         | None -> ());
@@ -995,24 +755,122 @@ let seed_arg =
   let doc = "Deterministic simulation seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
 
-let cpus_arg =
-  let doc = "Simulated CPUs (the paper's machine had 64 logical CPUs)." in
-  Arg.(value & opt int 8 & info [ "cpus" ] ~docv:"N" ~doc)
+let cpus_arg ?(default = 8) doc =
+  Arg.(value & opt int default & info [ "cpus" ] ~docv:"N" ~doc)
 
 let runs_arg =
   let doc = "Repetitions for mean +/- stdev (paper: 3)." in
   Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
 
-let sched_arg =
-  let doc =
-    "Engine event scheduler: 'wheel' (hierarchical timer wheel, default) \
-     or 'heap' (the original 4-ary heap, kept for differential testing). \
-     Deterministic counters are identical under both."
-  in
-  Arg.(value & opt string "wheel" & info [ "sched" ] ~docv:"S" ~doc)
-
 let params_term =
-  Term.(const params $ sched_arg $ scale_arg $ seed_arg $ cpus_arg $ runs_arg)
+  Term.(
+    const params $ scale_arg $ seed_arg
+    $ cpus_arg "Simulated CPUs (the paper's machine had 64 logical CPUs)."
+    $ runs_arg)
+
+let scenario_names doc =
+  Arg.(value & pos_all string [] & info [] ~docv:"SCENARIO" ~doc)
+
+let chaos_scenarios_term =
+  Term.(
+    const parse_scenarios
+    $ scenario_names
+        "Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
+         alloc-fault) or 'all' (default).")
+
+let perf_scenarios_term =
+  Term.(
+    const parse_perf_scenarios
+    $ scenario_names
+        "Scenarios (endurance, fig3, chaos-clean, check) or 'all' (default).")
+
+let alloc_arg default =
+  let doc =
+    "Reclamation scheme(s): slub, prudence, ebr-debra, hyaline, both or \
+     all. 'both' is slub+prudence, except under anatomy and tournament, \
+     which compare all four."
+  in
+  Arg.(value & opt string default & info [ "alloc" ] ~docv:"KIND" ~doc)
+
+let ring_term default =
+  let doc =
+    "Per-CPU trace event-ring capacity (oldest events drop on overflow)."
+  in
+  let check ring =
+    require_positive "--ring" ring;
+    ring
+  in
+  Term.(
+    const check $ Arg.(value & opt int default & info [ "ring" ] ~docv:"N" ~doc))
+
+let json_arg doc = Arg.(value & flag & info [ "json" ] ~doc)
+
+let bundle_dir_arg doc =
+  Arg.(value & opt (some string) None & info [ "bundle-dir" ] ~docv:"DIR" ~doc)
+
+let output_arg doc =
+  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+
+(* check and fuzz: everything [sweep_config] needs, plus the command's
+   own run-count flag. *)
+let sweep_term count_flag count =
+  let mutate =
+    let doc =
+      "Inject a known kernel bug class (proof an oracle has teeth: the \
+       matching oracle must FAIL the run). 'skip-gp' reclaims deferred \
+       objects without waiting for their grace period (shadow oracle); \
+       'drop-stall' disarms the stall detector under pinned grace periods \
+       (missed-QS oracle); 'lose-cb' drops every 64th call_rcu callback \
+       between accounting and list (conservation oracle); \
+       'free-latent-page' lets the shrinker return still-deferred pages to \
+       the buddy (page-reuse oracle); 'skip-epoch-advance' advances the EBR \
+       epoch without scanning reader announcements (early-reuse oracle, \
+       --alloc=ebr-debra); 'drop-retire-batch' ripens Hyaline batches while \
+       readers still hold references (early-reuse oracle, --alloc=hyaline)."
+    in
+    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
+  in
+  let shuffle_seed =
+    let doc =
+      "First shuffle seed: check sweeps seeds N..N+sweeps-1 (replay a \
+       failing run with its printed seed and --sweeps=1); fuzz seeds its \
+       corpus with it."
+    in
+    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
+  in
+  let duration_ms =
+    let doc =
+      "Virtual run length per schedule, in milliseconds (fuzz's duration \
+       mutator scales it x0.5..x2)."
+    in
+    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
+  in
+  let pages =
+    let doc = "Physical memory per run, in 4 KiB pages." in
+    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
+  in
+  let disable_oracle =
+    let doc =
+      "Disable one oracle (page-reuse, early-reuse, missed-qs, \
+       cb-conservation); repeatable. Used by the necessity self-tests: a \
+       --mutate run with its oracle disabled must pass."
+    in
+    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
+  in
+  let plan =
+    let doc =
+      "Fault-plan override in compact form ('seed:spec;spec;...', as \
+       printed by failing replay commands) instead of the scenario's \
+       default plan."
+    in
+    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
+  in
+  Term.(
+    const (sweep_config count_flag)
+    $ count $ chaos_scenarios_term $ alloc_arg "both" $ mutate $ shuffle_seed
+    $ duration_ms $ pages $ disable_oracle $ plan $ seed_arg
+    $ cpus_arg ~default:4
+        "Simulated CPUs per run (fuzz's CPU mutator varies it 2..8).")
 
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List available experiments")
@@ -1038,54 +896,31 @@ let trace_cmd =
       & info [] ~docv:"EXPERIMENT" ~doc:"Experiment id to trace (fig3, fig6).")
   in
   let out =
-    let doc = "Output file for the Chrome trace-event JSON (default \
-               trace-<experiment>.json)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+    output_arg
+      "Output file for the Chrome trace-event JSON (default \
+       trace-<experiment>.json)."
   in
   let hists =
     let doc = "Also print the grace-period latency, lock-wait and \
                allocation-cost histograms." in
     Arg.(value & flag & info [ "hist" ] ~doc)
   in
-  let ring =
-    let doc = "Per-CPU event-ring capacity (oldest events drop on overflow)." in
-    Arg.(value & opt int 65_536 & info [ "ring" ] ~docv:"N" ~doc)
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Rerun an experiment with tracing armed: write a Perfetto-loadable \
           Chrome trace and print latency histograms")
-    Term.(const trace_experiment $ id $ out $ hists $ ring $ params_term)
+    Term.(
+      const trace_experiment $ id $ out $ hists $ ring_term 65_536
+      $ params_term)
 
 let chaos_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Reclamation scheme(s): slub, prudence, ebr-debra, hyaline, both \
-       (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
-  let ring =
-    let doc = "Per-CPU event-ring capacity for the GP-latency histogram." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
-  in
   let bundle_dir =
-    let doc =
+    bundle_dir_arg
       "Arm the flight recorder and dump a forensic bundle into $(docv) for \
        every outcome whose mitigations fired (safety violation, OOM, \
        emergency flush, OOM delay or stall warning); render bundles with \
        the postmortem subcommand."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "bundle-dir" ] ~docv:"DIR" ~doc)
   in
   Cmd.v
     (Cmd.info "chaos"
@@ -1093,7 +928,9 @@ let chaos_cmd =
          "Run fault-injection scenarios over the selected reclamation \
           schemes and print a survival/degradation report (RCU stall \
           warnings, grace-period p99, backoff retries, emergency flushes)")
-    Term.(const run_chaos $ names $ alloc $ ring $ bundle_dir $ params_term)
+    Term.(
+      const run_chaos $ chaos_scenarios_term $ alloc_arg "both"
+      $ ring_term 16_384 $ bundle_dir $ params_term)
 
 let anatomy_cmd =
   let scenario =
@@ -1103,24 +940,11 @@ let anatomy_cmd =
           ~doc:"Scenario to dissect (clean, stalled-reader, cb-flood, \
                 pressure-spike, alloc-fault; default clean).")
   in
-  let alloc =
-    let doc =
-      "Reclamation scheme(s): slub, prudence, ebr-debra, hyaline, or all \
-       (default; 'both' also maps to all four here)."
-    in
-    Arg.(value & opt string "all" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
-  let ring =
-    let doc = "Per-CPU event-ring capacity." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
-  in
   let json =
-    let doc =
+    json_arg
       "Machine-readable output: one NDJSON 'phase' object per (scheme, \
        phase), one 'total' and one 'worst_gp' per scheme, one trailing \
        'summary' line with the sum-identity verdict."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v
     (Cmd.info "anatomy"
@@ -1132,7 +956,9 @@ let anatomy_cmd =
           for all four backends), with a worst-GP drill-down naming the \
           holdout CPU; non-zero exit if the per-phase sums do not add up \
           exactly to the totals")
-    Term.(const run_anatomy $ scenario $ alloc $ ring $ json $ params_term)
+    Term.(
+      const run_anatomy $ scenario $ alloc_arg "all" $ ring_term 16_384 $ json
+      $ params_term)
 
 let postmortem_cmd =
   let file =
@@ -1155,30 +981,10 @@ let postmortem_cmd =
     Term.(const run_postmortem $ file)
 
 let tournament_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Schemes to race: slub, prudence, ebr-debra, hyaline, or all \
-       (default; 'both' also maps to all four here)."
-    in
-    Arg.(value & opt string "all" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
-  let ring =
-    let doc = "Per-CPU event-ring capacity for the latency histograms." in
-    Arg.(value & opt int 16_384 & info [ "ring" ] ~docv:"N" ~doc)
-  in
   let out =
-    let doc =
+    output_arg
       "Also write the table as NDJSON to $(docv): one 'scheme' object per \
        (scenario, scheme) cell plus a trailing 'summary' line."
-    in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   Cmd.v
     (Cmd.info "tournament"
@@ -1188,100 +994,31 @@ let tournament_cmd =
           Hyaline) and print one comparison table -- throughput, end-of-run \
           limbo occupancy, defer-to-reuse latency percentiles, grace-period \
           p99, OOM resilience; non-zero exit on any safety violation")
-    Term.(const run_tournament $ names $ alloc $ ring $ out $ params_term)
+    Term.(
+      const run_tournament $ chaos_scenarios_term $ alloc_arg "all"
+      $ ring_term 16_384 $ out $ params_term)
 
 let check_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Allocator/SMR stack(s) to sweep: slub, prudence, ebr-debra, hyaline, \
-       both (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
   let sweeps =
     let doc = "Shuffled schedules per (scenario, allocator) pair." in
     Arg.(value & opt int 20 & info [ "sweeps" ] ~docv:"N" ~doc)
-  in
-  let shuffle_seed =
-    let doc =
-      "First shuffle seed; the sweep uses seeds N..N+sweeps-1. Use the \
-       seed printed by a failing run (with --sweeps=1) to replay it."
-    in
-    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
-  in
-  let mutate =
-    let doc =
-      "Mutation self-test: inject a known kernel bug class and require the \
-       matching oracle to FAIL the sweep (proof the oracle has teeth). \
-       'skip-gp' reclaims deferred objects without waiting for their grace \
-       period (shadow oracle); 'drop-stall' disarms the stall detector \
-       under pinned grace periods (missed-QS oracle); 'lose-cb' drops \
-       every 64th call_rcu callback between accounting and list \
-       (conservation oracle); 'free-latent-page' lets the shrinker return \
-       still-deferred pages to the buddy (page-reuse oracle); \
-       'skip-epoch-advance' advances the EBR epoch without scanning \
-       reader announcements (early-reuse oracle, --alloc=ebr-debra); \
-       'drop-retire-batch' ripens Hyaline batches while readers still \
-       hold references (early-reuse oracle, --alloc=hyaline)."
-    in
-    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
-  in
-  let duration_ms =
-    let doc = "Virtual run length per schedule, in milliseconds." in
-    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let pages =
-    let doc = "Physical memory per run, in 4 KiB pages." in
-    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
-  in
-  let disable_oracle =
-    let doc =
-      "Disable one oracle (page-reuse, early-reuse, missed-qs, \
-       cb-conservation); repeatable. Used by the necessity self-tests: a \
-       --mutate run with its oracle disabled must pass."
-    in
-    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
-  in
-  let plan =
-    let doc =
-      "Fault-plan override in compact form ('seed:spec;spec;...', as \
-       printed by failing replay commands) instead of the scenario's \
-       default plan."
-    in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
   in
   let skip_diff =
     let doc = "Skip the baseline-vs-Prudence differential trace replay." in
     Arg.(value & flag & info [ "skip-diff" ] ~doc)
   in
   let bundle_dir =
-    let doc =
+    bundle_dir_arg
       "Dump a self-contained forensic bundle (NDJSON: violation, per-CPU \
        event window, offending object lineages, GP anatomy, metric \
        snapshot, replay command) into $(docv) for every failing case; \
        render with the postmortem subcommand."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "bundle-dir" ] ~docv:"DIR" ~doc)
-  in
-  let cpus =
-    let doc = "Simulated CPUs per run." in
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
   in
   let json =
-    let doc =
+    json_arg
       "Machine-readable output: one NDJSON object per sweep verdict, one \
        for the differential replay, one summary line; human progress \
        output is suppressed."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v
     (Cmd.info "check"
@@ -1292,25 +1029,10 @@ let check_cmd =
           one trace against both allocators; non-zero exit and a replay \
           command on any violation")
     Term.(
-      const run_check $ names $ alloc $ sweeps $ shuffle_seed $ mutate
-      $ duration_ms $ pages $ disable_oracle $ plan $ skip_diff $ bundle_dir
-      $ json $ seed_arg $ cpus $ sched_arg)
+      const run_check $ sweep_term "--sweeps" sweeps $ skip_diff $ bundle_dir
+      $ json)
 
 let fuzz_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (clean, stalled-reader, cb-flood, pressure-spike, \
-                alloc-fault) or 'all' (default).")
-  in
-  let alloc =
-    let doc =
-      "Allocator/SMR stack(s) to fuzz: slub, prudence, ebr-debra, hyaline, \
-       both (slub+prudence) or all."
-    in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
   let budget =
     let doc = "Maximum cases to execute." in
     Arg.(value & opt int 100 & info [ "budget" ] ~docv:"N" ~doc)
@@ -1322,88 +1044,32 @@ let fuzz_cmd =
     in
     Arg.(value & opt int 1 & info [ "fuzz-seed" ] ~docv:"N" ~doc)
   in
-  let mutate =
-    let doc =
-      "Inject a bug class (skip-gp, drop-stall, lose-cb, free-latent-page, \
-       skip-epoch-advance, drop-retire-batch) so the fuzzer has something \
-       to find; used by the guided-vs-brute self-test."
-    in
-    Arg.(value & opt string "none" & info [ "mutate" ] ~docv:"M" ~doc)
-  in
-  let shuffle_seed =
-    let doc = "Shuffle seed for the seed corpus." in
-    Arg.(value & opt int 1 & info [ "shuffle-seed" ] ~docv:"N" ~doc)
-  in
-  let duration_ms =
-    let doc = "Base virtual run length per case, in milliseconds (the \
-               duration mutator scales it x0.5..x2)." in
-    Arg.(value & opt int 50 & info [ "duration-ms" ] ~docv:"MS" ~doc)
-  in
-  let pages =
-    let doc = "Physical memory per run, in 4 KiB pages." in
-    Arg.(value & opt int 8_192 & info [ "pages" ] ~docv:"N" ~doc)
-  in
-  let disable_oracle =
-    let doc = "Disable one oracle (page-reuse, early-reuse, missed-qs, \
-               cb-conservation); repeatable." in
-    Arg.(value & opt_all string [] & info [ "disable-oracle" ] ~docv:"O" ~doc)
-  in
-  let plan =
-    let doc = "Fault-plan override for the seed corpus, in compact form." in
-    Arg.(value & opt (some string) None & info [ "plan" ] ~docv:"PLAN" ~doc)
-  in
   let no_minimize =
     let doc = "Report the first failure as-is instead of shrinking it." in
     Arg.(value & flag & info [ "no-minimize" ] ~doc)
   in
   let bundle_dir =
-    let doc =
+    bundle_dir_arg
       "On failure, re-run the final (minimized) witness with the flight \
        recorder armed and dump its forensic bundle into $(docv); the \
        summary NDJSON line carries the bundle path."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "bundle-dir" ] ~docv:"DIR" ~doc)
   in
   let differential =
     let doc =
       "Differential mode: instead of the coverage-guided campaign, draw \
        random op traces from the fuzz RNG and replay each under every \
-       reclamation backend (--alloc=all by default); any divergence in the \
-       backend-independent outcome sequence, or any oracle hit, is a \
-       finding."
+       reclamation backend (--alloc=both or all; a single kind is \
+       rejected); any divergence in the backend-independent outcome \
+       sequence, or any oracle hit, is a finding."
     in
     Arg.(value & flag & info [ "differential" ] ~doc)
   in
-  let cross_sched =
-    let doc =
-      "Cross-scheduler mode: replay each fuzz input under both engine \
-       schedulers (--sched=heap and --sched=wheel) and require identical \
-       deterministic counters and oracle verdicts; any disagreement is a \
-       finding."
-    in
-    Arg.(value & flag & info [ "cross-sched" ] ~doc)
-  in
-  let inject_sched_bug =
-    let doc =
-      "Self-test: disable the wheel's same-instant batch ordering so its \
-       Shuffle dispatch order diverges from the heap's; a --cross-sched \
-       run with this flag must fail (proof the differential has teeth)."
-    in
-    Arg.(value & flag & info [ "inject-sched-bug" ] ~doc)
-  in
   let json =
-    let doc =
+    json_arg
       "Machine-readable output: one NDJSON 'case' object per execution, \
        'shrink' objects during minimization, a 'minimized' object and one \
        trailing 'summary' line; byte-identical across runs with the same \
        seeds and budget."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let cpus =
-    let doc = "Base simulated CPUs per run (the CPU mutator varies 2..8)." in
-    Arg.(value & opt int 4 & info [ "cpus" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1415,16 +1081,10 @@ let fuzz_cmd =
           duration, reduce CPUs) and print a one-line replay command; \
           deterministic and replayable from --fuzz-seed")
     Term.(
-      const run_fuzz $ names $ alloc $ budget $ fuzz_seed $ mutate
-      $ shuffle_seed $ duration_ms $ pages $ disable_oracle $ plan
-      $ no_minimize $ differential $ cross_sched $ inject_sched_bug
-      $ bundle_dir $ json $ seed_arg $ cpus $ sched_arg)
+      const run_fuzz $ sweep_term "--budget" budget $ fuzz_seed $ no_minimize
+      $ differential $ bundle_dir $ json)
 
 let stat_cmd =
-  let alloc =
-    let doc = "Allocator stack(s) to introspect: slub, prudence or both." in
-    Arg.(value & opt string "both" & info [ "alloc" ] ~docv:"KIND" ~doc)
-  in
   let duration_ms =
     let doc = "Virtual run length in milliseconds (scaled by --scale)." in
     Arg.(value & opt int 2_000 & info [ "duration-ms" ] ~docv:"MS" ~doc)
@@ -1447,8 +1107,8 @@ let stat_cmd =
   in
   let series =
     let doc =
-      "Export the sampled time series to $(docv) (with --alloc both, the \
-       allocator label is appended to the file name)."
+      "Export the sampled time series to $(docv) (with several allocators, \
+       the allocator label is appended to the file name)."
     in
     Arg.(value & opt (some string) None & info [ "series" ] ~docv:"FILE" ~doc)
   in
@@ -1474,17 +1134,12 @@ let stat_cmd =
           Prudence latent-cache occupancy; optionally sample any \
           registered metric into a bounded time-series ring and export it")
     Term.(
-      const run_stat $ alloc $ duration_ms $ sample_every $ capacity $ watch
-      $ series $ format $ registry_table $ pages $ scale_arg $ seed_arg
-      $ cpus_arg $ sched_arg)
+      const run_stat $ alloc_arg "both" $ duration_ms $ sample_every
+      $ capacity $ watch $ series $ format $ registry_table $ pages $ scale_arg
+      $ seed_arg
+      $ cpus_arg "Simulated CPUs (the paper's machine had 64 logical CPUs).")
 
 let perf_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (endurance, fig3, chaos-clean) or 'all' (default).")
-  in
   let out =
     let doc = "Output file for the wall-clock benchmark JSON." in
     Arg.(
@@ -1501,15 +1156,9 @@ let perf_cmd =
           BENCH_wallclock.json whose deterministic counters (events, \
           updates, allocation counts, grace periods) gate in CI while \
           wall timings stay informational")
-    Term.(const run_perf $ names $ out $ params_term)
+    Term.(const run_perf $ perf_scenarios_term $ out $ params_term)
 
 let prof_cmd =
-  let names =
-    Arg.(
-      value & pos_all string []
-      & info [] ~docv:"SCENARIO"
-          ~doc:"Scenarios (endurance, fig3, chaos-clean) or 'all' (default).")
-  in
   let top =
     let doc = "Show only the $(docv) heaviest spans per run (0 = all)." in
     Arg.(value & opt int 0 & info [ "top" ] ~docv:"N" ~doc)
@@ -1527,12 +1176,10 @@ let prof_cmd =
     Arg.(value & opt (some string) None & info [ "folded" ] ~docv:"FILE" ~doc)
   in
   let json =
-    let doc =
+    json_arg
       "Machine-readable output: one NDJSON object per span per run, one \
        scenario_summary per run, one trailing summary line; the human \
        tables are suppressed."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
   in
   Cmd.v
     (Cmd.info "prof"
@@ -1542,24 +1189,15 @@ let prof_cmd =
           per-span wall time, call counts and GC allocation words \
           (allocs-per-event, subsystem shares, folded stacks for \
           flamegraphs); deterministic counters are unchanged by profiling")
-    Term.(const run_prof $ names $ top $ by $ folded $ json $ params_term)
+    Term.(
+      const run_prof $ perf_scenarios_term $ top $ by $ folded $ json
+      $ params_term)
 
 let regress_cmd =
-  let baseline =
-    (* A plain string, not Arg.file: a missing baseline must reach the
-       loader so `--json` still emits its error summary line. *)
-    let doc = "Committed baseline BENCH_seed.json." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let current =
-    let doc = "Freshly generated BENCH_seed.json to gate." in
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "current" ] ~docv:"FILE" ~doc)
+  (* Plain strings, not Arg.file: a missing baseline must reach the
+     loader so `--json` still emits its error summary line. *)
+  let file name doc =
+    Arg.(required & opt (some string) None & info [ name ] ~docv:"FILE" ~doc)
   in
   let tolerance =
     let doc =
@@ -1568,17 +1206,18 @@ let regress_cmd =
     in
     Arg.(value & opt float 5.0 & info [ "tolerance-pct" ] ~docv:"PCT" ~doc)
   in
-  let json =
-    let doc = "Emit one NDJSON object per metric drift instead of a table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
   Cmd.v
     (Cmd.info "regress"
        ~doc:
          "Bench regression gate: compare a fresh BENCH_seed.json against \
           the committed baseline; exit 1 when any metric drifts past its \
           tolerance in the paper-unexpected direction (or disappears)")
-    Term.(const run_regress $ baseline $ current $ tolerance $ json)
+    Term.(
+      const run_regress
+      $ file "baseline" "Committed baseline BENCH_seed.json."
+      $ file "current" "Freshly generated BENCH_seed.json to gate."
+      $ tolerance
+      $ json_arg "Emit one NDJSON object per metric drift instead of a table.")
 
 let main_cmd =
   let doc =

@@ -189,95 +189,6 @@ let run_differential ?(progress = fun (_ : diff_record) -> ())
     diff_failure = !failure;
   }
 
-(* ------------------------------------------------------------------ *)
-(* Cross-scheduler fuzzing: the same input replayed under the heap and
-   the wheel engine scheduler must produce identical deterministic
-   counters and oracle verdicts — dispatch order is part of the
-   simulation's contract, not an implementation detail.               *)
-(* ------------------------------------------------------------------ *)
-
-type xsched_record = {
-  x_exec : int;  (* 1-based execution index; one input = two runs *)
-  x_origin : origin;
-  x_input : input;
-  x_agree : bool;
-  x_heap : Sweep.verdict;
-  x_wheel : Sweep.verdict;
-}
-
-type xsched_result = {
-  xsched_records : xsched_record list;  (* in execution order *)
-  xsched_executed : int;
-  xsched_failure : xsched_record option;  (* first diverging input *)
-}
-
-(* Everything a verdict observes about the run except fields that are
-   scheduler-run metadata by construction (replay command, coverage
-   features, bundle path). [events] is the engine's executed count: the
-   broadest deterministic counter, sensitive to any dispatch-order
-   change that perturbs nested scheduling. *)
-let verdict_signature (v : Sweep.verdict) =
-  ( v.Sweep.oracle_violations,
-    v.Sweep.reader_violations,
-    v.Sweep.stall_violations,
-    v.Sweep.cb_violations,
-    v.Sweep.audit_failures,
-    v.Sweep.dropped_violations,
-    v.Sweep.oracle_events,
-    v.Sweep.events,
-    v.Sweep.updates,
-    v.Sweep.survived )
-
-let run_with_sched sched scfg case =
-  let saved = !Sim.Engine.default_sched in
-  Sim.Engine.default_sched := sched;
-  Fun.protect
-    ~finally:(fun () -> Sim.Engine.default_sched := saved)
-    (fun () -> Sweep.run_case scfg case)
-
-(* Budget counts inputs; each input runs twice (heap, then wheel).
-   Mutations draw from the fuzz RNG only, so the campaign is a pure
-   function of (config, seed, budget) — like [run], but comparing
-   schedulers instead of hunting oracle violations. *)
-let run_cross_sched ?(progress = fun (_ : xsched_record) -> ()) cfg =
-  let rng = Sim.Rng.create ~seed:cfg.seed in
-  let records = ref [] in
-  let executed = ref 0 in
-  let failure = ref None in
-  let execute origin input =
-    let scfg, case = concretize cfg input in
-    (* Any failing-case forensics belong to the ordinary fuzz loop; a
-       cross-scheduler run only compares, so never write bundles. *)
-    let scfg = { scfg with Sweep.bundle_dir = None } in
-    let x_heap = run_with_sched Sim.Engine.Heap scfg case in
-    let x_wheel = run_with_sched Sim.Engine.Wheel scfg case in
-    incr executed;
-    let x_agree = verdict_signature x_heap = verdict_signature x_wheel in
-    let record =
-      { x_exec = !executed; x_origin = origin; x_input = input; x_agree;
-        x_heap; x_wheel }
-    in
-    records := record :: !records;
-    progress record;
-    if (not x_agree) && !failure = None then failure := Some record
-  in
-  let stop () =
-    !executed >= cfg.budget || (cfg.stop_on_failure && !failure <> None)
-  in
-  let seeds = seed_inputs cfg in
-  List.iter (fun input -> if not (stop ()) then execute Seed input) seeds;
-  let corpus = Array.of_list seeds in
-  while not (stop ()) && Array.length corpus > 0 do
-    let parent = Sim.Rng.int rng (Array.length corpus) in
-    let op, input = mutate_input cfg rng corpus.(parent) in
-    execute (Mutated { parent; op }) input
-  done;
-  {
-    xsched_records = List.rev !records;
-    xsched_executed = !executed;
-    xsched_failure = !failure;
-  }
-
 let run ?(progress = fun (_ : record) -> ()) cfg =
   let rng = Sim.Rng.create ~seed:cfg.seed in
   let global = Coverage.create () in

@@ -96,33 +96,3 @@ val run_differential :
     a finding even when no safety oracle fires on its own. The budget
     counts traces; each trace costs one full replay per kind.
     Deterministic in (config, kinds, seed, budget). *)
-
-(** {1 Cross-scheduler mode} *)
-
-type xsched_record = {
-  x_exec : int;  (** 1-based execution index; one input = two runs. *)
-  x_origin : origin;
-  x_input : input;
-  x_agree : bool;
-      (** Whether the two schedulers produced identical verdict
-          signatures (deterministic counters + oracle outcomes). *)
-  x_heap : Sweep.verdict;
-  x_wheel : Sweep.verdict;
-}
-
-type xsched_result = {
-  xsched_records : xsched_record list;  (** In execution order. *)
-  xsched_executed : int;
-  xsched_failure : xsched_record option;  (** First diverging input. *)
-}
-
-val run_cross_sched :
-  ?progress:(xsched_record -> unit) -> config -> xsched_result
-(** Replay each input under [Sim.Engine.Heap] and [Sim.Engine.Wheel]
-    and compare verdict signatures: all violation lists, audit
-    failures, dropped counts, oracle events, engine events, updates and
-    survival must match exactly (replay command, coverage features and
-    bundle paths are excluded — they are run metadata, not outcomes).
-    Seeds first, then plan/shuffle/duration/cpus mutations of them.
-    The budget counts inputs; each costs one run per scheduler.
-    Deterministic in (config, seed, budget). *)

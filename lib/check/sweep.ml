@@ -96,7 +96,6 @@ type verdict = {
   audit_failures : string list;
   dropped_violations : int;
   oracle_events : int;
-  events : int;
   updates : int;
   survived : bool;
   replay : string;
@@ -316,7 +315,6 @@ let run_case ?coverage cfg case =
         + Rcu.Readers.dropped_violations env.W.Env.readers
         + Oracles.dropped_violations orc;
       oracle_events = Shadow.events oracle;
-      events = Sim.Engine.executed env.W.Env.eng;
       updates = r.W.Endurance.updates;
       survived = r.W.Endurance.oom_at_ns = None;
       replay = replay_command cfg case;

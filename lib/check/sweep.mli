@@ -111,10 +111,6 @@ type verdict = {
   dropped_violations : int;
       (** Violations past the bounded logs (shadow + readers + oracles). *)
   oracle_events : int;  (** Probe events seen: sanity that hooks fired. *)
-  events : int;
-      (** Engine events executed: the deterministic counter the
-          cross-scheduler fuzz differential compares between [Heap] and
-          [Wheel] runs of the same case. *)
   updates : int;
   survived : bool;  (** Informational; OOM under faults is not a failure. *)
   replay : string;  (** Command line reproducing this exact case. *)

@@ -1,7 +1,6 @@
 type t =
   | Engine_dispatch
   | Engine_schedule
-  | Engine_heap_pop
   | Buddy_alloc
   | Buddy_free
   | Slab_alloc
@@ -20,51 +19,49 @@ type t =
   | Engine_wheel_advance
   | Engine_bucket_drain
 
-let count = 20
+let count = 19
 
 let index = function
   | Engine_dispatch -> 0
   | Engine_schedule -> 1
-  | Engine_heap_pop -> 2
-  | Buddy_alloc -> 3
-  | Buddy_free -> 4
-  | Slab_alloc -> 5
-  | Slab_free -> 6
-  | Slab_defer -> 7
-  | Slab_grow -> 8
-  | Latq_push -> 9
-  | Latq_harvest -> 10
-  | Rcu_qs -> 11
-  | Rcu_gp -> 12
-  | Rcu_cb_drain -> 13
-  | Prudence_defer -> 14
-  | Prudence_scan -> 15
-  | Prudence_flush -> 16
-  | Check_probe -> 17
-  | Engine_wheel_advance -> 18
-  | Engine_bucket_drain -> 19
+  | Buddy_alloc -> 2
+  | Buddy_free -> 3
+  | Slab_alloc -> 4
+  | Slab_free -> 5
+  | Slab_defer -> 6
+  | Slab_grow -> 7
+  | Latq_push -> 8
+  | Latq_harvest -> 9
+  | Rcu_qs -> 10
+  | Rcu_gp -> 11
+  | Rcu_cb_drain -> 12
+  | Prudence_defer -> 13
+  | Prudence_scan -> 14
+  | Prudence_flush -> 15
+  | Check_probe -> 16
+  | Engine_wheel_advance -> 17
+  | Engine_bucket_drain -> 18
 
 let of_index = function
   | 0 -> Engine_dispatch
   | 1 -> Engine_schedule
-  | 2 -> Engine_heap_pop
-  | 3 -> Buddy_alloc
-  | 4 -> Buddy_free
-  | 5 -> Slab_alloc
-  | 6 -> Slab_free
-  | 7 -> Slab_defer
-  | 8 -> Slab_grow
-  | 9 -> Latq_push
-  | 10 -> Latq_harvest
-  | 11 -> Rcu_qs
-  | 12 -> Rcu_gp
-  | 13 -> Rcu_cb_drain
-  | 14 -> Prudence_defer
-  | 15 -> Prudence_scan
-  | 16 -> Prudence_flush
-  | 17 -> Check_probe
-  | 18 -> Engine_wheel_advance
-  | 19 -> Engine_bucket_drain
+  | 2 -> Buddy_alloc
+  | 3 -> Buddy_free
+  | 4 -> Slab_alloc
+  | 5 -> Slab_free
+  | 6 -> Slab_defer
+  | 7 -> Slab_grow
+  | 8 -> Latq_push
+  | 9 -> Latq_harvest
+  | 10 -> Rcu_qs
+  | 11 -> Rcu_gp
+  | 12 -> Rcu_cb_drain
+  | 13 -> Prudence_defer
+  | 14 -> Prudence_scan
+  | 15 -> Prudence_flush
+  | 16 -> Check_probe
+  | 17 -> Engine_wheel_advance
+  | 18 -> Engine_bucket_drain
   | i -> invalid_arg (Printf.sprintf "Prof.Span.of_index %d" i)
 
 let all = List.init count of_index
@@ -72,7 +69,6 @@ let all = List.init count of_index
 let name = function
   | Engine_dispatch -> "engine.dispatch"
   | Engine_schedule -> "engine.schedule"
-  | Engine_heap_pop -> "engine.heap_pop"
   | Buddy_alloc -> "buddy.alloc"
   | Buddy_free -> "buddy.free"
   | Slab_alloc -> "slab.alloc"

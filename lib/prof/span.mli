@@ -7,8 +7,7 @@
 
 type t =
   | Engine_dispatch  (** Event execution: the body of every event. *)
-  | Engine_schedule  (** Event creation + heap push. *)
-  | Engine_heap_pop  (** Heap pop in the run loops. *)
+  | Engine_schedule  (** Event creation + wheel placement. *)
   | Buddy_alloc
   | Buddy_free
   | Slab_alloc  (** Backend alloc entry (slub and prudence). *)
@@ -26,10 +25,10 @@ type t =
   | Check_probe  (** Shadow-heap oracle probe handlers (checker overhead). *)
   | Engine_wheel_advance
       (** Timer-wheel cursor advance: bitmap scan, cascades, overflow
-          refill (wheel scheduler only). *)
+          refill. *)
   | Engine_bucket_drain
       (** Same-instant bucket extraction into the dispatch batch,
-          including the Shuffle tie-break sort (wheel scheduler only). *)
+          including the Shuffle tie-break sort. *)
 
 val count : int
 (** Number of spans; [index] is a bijection onto [0..count-1]. *)

@@ -59,10 +59,6 @@ let peek_back d =
   | x :: _ -> Some x
   | [] -> ( match List.rev d.front with [] -> None | x :: _ -> Some x)
 
-let iter f d =
-  List.iter f d.front;
-  List.iter f (List.rev d.back)
-
 let to_list d = d.front @ List.rev d.back
 
 let clear d =

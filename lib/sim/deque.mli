@@ -17,9 +17,6 @@ val pop_back : 'a t -> 'a option
 val peek_front : 'a t -> 'a option
 val peek_back : 'a t -> 'a option
 
-val iter : ('a -> unit) -> 'a t -> unit
-(** Front to back. *)
-
 val to_list : 'a t -> 'a list
 (** Front first. *)
 

@@ -1,14 +1,11 @@
 type tiebreak = Fifo | Shuffle of int
-type sched = Heap | Wheel
 
 (* Events live in the flat structure-of-arrays pool owned by [Wheel];
    handles pack (generation, slot) into one immediate int. Scheduling,
    cancelling and dispatching shuffle integers between the pool, the
-   scheduler structure and the batch array — zero words allocated in
-   steady state (closures aside, which the caller allocates anyway). *)
+   timer wheel and the batch array — zero words allocated in steady
+   state (closures aside, which the caller allocates anyway). *)
 type handle = int
-
-type queue = Qheap of int Heap.t | Qwheel of Wheel.t
 
 type t = {
   pool : Wheel.pool;
@@ -23,7 +20,7 @@ type t = {
   mutable cancelled : int; (* tombstones still queued *)
   mutable compactions : int;
   tiebreak : tiebreak;
-  queue : queue;
+  queue : Wheel.t;
   rng : Rng.t;
   mutable prof : Prof.t;
   mutable observer : (time:int -> unit) option;
@@ -37,21 +34,8 @@ type t = {
   mutable batch_time : int;
 }
 
-(* The scheduler used by [create] when [?sched] is omitted. A ref (not
-   a parameter threaded through every call site) so the CLI's [--sched]
-   flag reaches engines built deep inside workload constructors. *)
-let default_sched = ref Wheel
-
-let sched_of_string = function
-  | "heap" -> Some Heap
-  | "wheel" -> Some Wheel
-  | _ -> None
-
-let sched_label = function Heap -> "heap" | Wheel -> "wheel"
-
 (* Test hook: skip the Shuffle batch sort, re-introducing the ordering
-   bug the QCheck equivalence suite and the cross-scheduler fuzz
-   differential must both catch. Never set outside those tests. *)
+   bug the QCheck model suite must catch. Never set outside that test. *)
 let debug_no_batch_sort = ref false
 
 (* splitmix64 finalizer: good avalanche, so (seed, time, seq) triples map to
@@ -67,7 +51,7 @@ let mix64 z =
    same-instant events get pseudo-random relative order, deterministic in
    (shuffle seed, time, seq) — a perturbed but replayable serialization of
    logically concurrent events. *)
-let tie_for policy ~time ~seq =
+let tie_key policy ~time ~seq =
   match policy with
   | Fifo -> 0
   | Shuffle seed ->
@@ -80,14 +64,8 @@ let tie_for policy ~time ~seq =
       in
       Int64.to_int h land max_int
 
-let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
-  let sched = match sched with Some s -> s | None -> !default_sched in
+let create ?(seed = 42) ?(tiebreak = Fifo) () =
   let pool = Wheel.create_pool () in
-  let queue =
-    match sched with
-    | Heap -> Qheap (Heap.create ~cmp:(Wheel.slot_cmp pool) ())
-    | Wheel -> Qwheel (Wheel.create pool)
-  in
   {
     pool;
     now = 0;
@@ -101,7 +79,7 @@ let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
     cancelled = 0;
     compactions = 0;
     tiebreak;
-    queue;
+    queue = Wheel.create pool;
     rng = Rng.create ~seed;
     prof = Prof.null;
     observer = None;
@@ -115,8 +93,6 @@ let create ?(seed = 42) ?(tiebreak = Fifo) ?sched () =
 let now t = t.now
 let rng t = t.rng
 let tiebreak t = t.tiebreak
-let sched t = match t.queue with Qheap _ -> Heap | Qwheel _ -> Wheel
-let prof t = t.prof
 let set_prof t prof = t.prof <- prof
 let set_observer t obs = t.observer <- obs
 
@@ -180,8 +156,8 @@ let sort_batch t n =
   if !src != t.batch then Array.blit !src 0 t.batch 0 n
 
 (* A schedule landing on the instant currently being dispatched must
-   join the active batch exactly where the heap would have popped it:
-   after every already-run event, ordered by (tie, seq) among the rest.
+   join the active batch in global (time, tie, seq) order: after every
+   already-run event, ordered by (tie, seq) among the rest.
    Under Fifo the new event has the highest seq, so that is the end;
    under Shuffle its random tie key places it anywhere in the
    undispatched suffix — binary search + shift. *)
@@ -210,7 +186,7 @@ let schedule_at ?(daemon = false) t ~time fn =
   t.next_seq <- seq + 1;
   let s = Wheel.alloc_slot p in
   p.Wheel.times.(s) <- time;
-  p.Wheel.ties.(s) <- tie_for t.tiebreak ~time ~seq;
+  p.Wheel.ties.(s) <- tie_key t.tiebreak ~time ~seq;
   p.Wheel.seqs.(s) <- seq;
   p.Wheel.flags.(s) <-
     (if daemon then Wheel.flag_live lor Wheel.flag_daemon else Wheel.flag_live);
@@ -218,11 +194,8 @@ let schedule_at ?(daemon = false) t ~time fn =
   if not daemon then t.busy <- t.busy + 1;
   t.live <- t.live + 1;
   let h = (p.Wheel.gens.(s) lsl Wheel.slot_bits) lor s in
-  (match t.queue with
-  | Qheap heap -> Heap.push heap s
-  | Qwheel w ->
-      if batch_active t && time = t.batch_time then batch_insert t s
-      else Wheel.add w s);
+  if batch_active t && time = t.batch_time then batch_insert t s
+  else Wheel.add t.queue s;
   Prof.exit t.prof Prof.Span.Engine_schedule;
   h
 
@@ -232,40 +205,28 @@ let schedule ?daemon t ~after fn =
 
 let incr_waiters t = t.waiters <- t.waiters + 1
 let decr_waiters t = t.waiters <- t.waiters - 1
-let busy t = t.busy + t.waiters
 
 (* A cancelled event stops counting as live work immediately; its slot
    stays queued as a tombstone (cancel is O(1), a targeted delete from
-   either scheduler is not). When tombstones outnumber live events the
+   a bucket list is not). When tombstones outnumber live events the
    queue is compacted in one O(n) pass, so cancel-heavy fault plans
    cannot grow it without bound. *)
 let compact t =
   let p = t.pool in
   let keep s = p.Wheel.flags.(s) land Wheel.flag_live <> 0 in
-  (match t.queue with
-  | Qheap heap ->
-      (* Collect before freeing: a freed slot could be re-allocated into
-         this same heap while the sweep is still walking it. *)
-      let dead = ref [] in
-      Heap.iter (fun s -> if not (keep s) then dead := s :: !dead) heap;
-      if !dead <> [] then begin
-        Heap.filter_in_place keep heap;
-        List.iter (Wheel.free_slot p) !dead
-      end
-  | Qwheel w ->
-      Wheel.purge w ~keep ~drop:(Wheel.free_slot p);
-      (* The undispatched suffix of the active batch holds tombstones
-         the wheel no longer knows about. *)
-      let j = ref t.batch_pos in
-      for i = t.batch_pos to t.batch_len - 1 do
-        let s = t.batch.(i) in
-        if keep s then begin
-          t.batch.(!j) <- s;
-          incr j
-        end
-        else Wheel.free_slot p s
-      done;
-      t.batch_len <- !j);
+  Wheel.purge t.queue ~keep ~drop:(Wheel.free_slot p);
+  (* The undispatched suffix of the active batch holds tombstones the
+     wheel no longer knows about. *)
+  let j = ref t.batch_pos in
+  for i = t.batch_pos to t.batch_len - 1 do
+    let s = t.batch.(i) in
+    if keep s then begin
+      t.batch.(!j) <- s;
+      incr j
+    end
+    else Wheel.free_slot p s
+  done;
+  t.batch_len <- !j;
   t.cancelled <- 0;
   t.compactions <- t.compactions + 1
 
@@ -292,13 +253,9 @@ let pending t = t.live
 let executed t = t.executed
 let compactions t = t.compactions
 
-let wheel_occupancy t =
-  match t.queue with
-  | Qwheel w -> Wheel.occupancy w
-  | Qheap heap -> Heap.length heap
-
-let cascades t = match t.queue with Qwheel w -> Wheel.cascades w | Qheap _ -> 0
-let spills t = match t.queue with Qwheel w -> Wheel.spills w | Qheap _ -> 0
+let wheel_occupancy t = Wheel.occupancy t.queue
+let cascades t = Wheel.cascades t.queue
+let spills t = Wheel.spills t.queue
 
 let exec_slot t s =
   let p = t.pool in
@@ -331,7 +288,8 @@ let free_tombstone t s =
    leaves the queue untouched: the horizon peek happens before any
    extraction, so a bucket is never half-dispatched across [run]
    boundaries with different horizons. *)
-let load_batch t w ~horizon =
+let load_batch t ~horizon =
+  let w = t.queue in
   Prof.enter t.prof ~cpu:(-1) Prof.Span.Engine_wheel_advance;
   let tnext = Wheel.peek_time w in
   Prof.exit t.prof Prof.Span.Engine_wheel_advance;
@@ -363,11 +321,11 @@ let load_batch t w ~horizon =
     true
   end
 
-(* Dispatch loop, wheel flavour. [quiet] is the run_until_quiet
-   condition: stop once no non-daemon work remains. The batch left by a
-   prior [step]/[stop] resumes first; its instant may postdate a
-   shorter new horizon, in which case it stays queued untouched. *)
-let wheel_run t w ~horizon ~quiet =
+(* Dispatch loop. [quiet] is the run_until_quiet condition: stop once
+   no non-daemon work remains. The batch left by a prior [step]/[stop]
+   resumes first; its instant may postdate a shorter new horizon, in
+   which case it stays queued untouched. *)
+let dispatch t ~horizon ~quiet =
   let running = ref true in
   while !running do
     if t.stop_requested || (quiet && t.busy + t.waiters = 0) then
@@ -381,88 +339,37 @@ let wheel_run t w ~horizon ~quiet =
         else free_tombstone t s
       end
     end
-    else if not (load_batch t w ~horizon) then running := false
-  done
-
-let heap_pop_profiled t heap =
-  Prof.enter t.prof ~cpu:(-1) Prof.Span.Engine_heap_pop;
-  let s = Heap.pop_exn heap in
-  Prof.exit t.prof Prof.Span.Engine_heap_pop;
-  s
-
-let heap_run t heap ~horizon ~quiet =
-  let running = ref true in
-  while !running do
-    if
-      t.stop_requested
-      || (quiet && t.busy + t.waiters = 0)
-      || Heap.is_empty heap
-    then running := false
-    else if t.pool.Wheel.times.(Heap.peek_exn heap) > horizon then
-      running := false
-    else begin
-      let s = heap_pop_profiled t heap in
-      if t.pool.Wheel.flags.(s) land Wheel.flag_live <> 0 then exec_slot t s
-      else free_tombstone t s
-    end
+    else if not (load_batch t ~horizon) then running := false
   done
 
 let run ?until t =
   t.running <- true;
   let horizon = match until with None -> max_int | Some u -> u in
-  (match t.queue with
-  | Qheap heap -> heap_run t heap ~horizon ~quiet:false
-  | Qwheel w -> wheel_run t w ~horizon ~quiet:false);
+  dispatch t ~horizon ~quiet:false;
   t.running <- false;
   match until with
   | Some u when (not t.stop_requested) && u > t.now -> t.now <- u
   | _ -> ()
 
-let run_until_quiet ?(horizon = max_int) t =
-  match t.queue with
-  | Qheap heap -> heap_run t heap ~horizon ~quiet:true
-  | Qwheel w -> wheel_run t w ~horizon ~quiet:true
+let run_until_quiet ?(horizon = max_int) t = dispatch t ~horizon ~quiet:true
 
 (* Execute the single next live event, silently reaping any tombstones
    queued ahead of it. *)
-let step t =
+let rec step t =
   if t.stop_requested then false
-  else
-    match t.queue with
-    | Qheap heap ->
-        let rec go () =
-          if Heap.is_empty heap then false
-          else begin
-            let s = heap_pop_profiled t heap in
-            if t.pool.Wheel.flags.(s) land Wheel.flag_live <> 0 then begin
-              exec_slot t s;
-              true
-            end
-            else begin
-              free_tombstone t s;
-              go ()
-            end
-          end
-        in
-        go ()
-    | Qwheel w ->
-        let rec go () =
-          if batch_active t then begin
-            let s = t.batch.(t.batch_pos) in
-            t.batch_pos <- t.batch_pos + 1;
-            if t.pool.Wheel.flags.(s) land Wheel.flag_live <> 0 then begin
-              exec_slot t s;
-              true
-            end
-            else begin
-              free_tombstone t s;
-              go ()
-            end
-          end
-          else if load_batch t w ~horizon:max_int then go ()
-          else false
-        in
-        go ()
+  else if batch_active t then begin
+    let s = t.batch.(t.batch_pos) in
+    t.batch_pos <- t.batch_pos + 1;
+    if t.pool.Wheel.flags.(s) land Wheel.flag_live <> 0 then begin
+      exec_slot t s;
+      true
+    end
+    else begin
+      free_tombstone t s;
+      step t
+    end
+  end
+  else load_batch t ~horizon:max_int && step t
 
 let every t ~period ?phase fn =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";

@@ -5,13 +5,11 @@
     in scheduling order (FIFO), which makes every simulation deterministic
     for a given seed.
 
-    Two scheduler implementations dispatch the exact same event order:
-
-    - {!Wheel} (default): a hierarchical timer wheel (Varghese-Lauck)
-      over flat structure-of-arrays event slots — O(1) schedule, batched
-      same-instant dispatch, zero allocation in steady state.
-    - {!Heap}: the original 4-ary binary-comparison heap, kept for
-      differential testing ([--sched=heap]).
+    The scheduler is a hierarchical timer wheel (Varghese-Lauck, see
+    {!Wheel}) over flat structure-of-arrays event slots: O(1) schedule,
+    batched same-instant dispatch, zero allocation in steady state.
+    Events dispatch in ascending (time, {!tie_key}, sequence number)
+    order; the test suite checks this against a sorted-list model.
 
     The engine is single-threaded on purpose: the reproduction models a
     64-CPU machine with virtual time rather than real parallelism, which is
@@ -36,30 +34,17 @@ type tiebreak =
           different seeds explore different serializations of logically
           concurrent events. *)
 
-type sched =
-  | Heap  (** Original 4-ary heap scheduler. *)
-  | Wheel  (** Hierarchical timer wheel (default). *)
+val tie_key : tiebreak -> time:int -> seq:int -> int
+(** The same-instant ordering key of the event with sequence number
+    [seq] scheduled for [time]: 0 under {!Fifo} (so [seq] alone
+    decides), a pseudo-random non-negative int under {!Shuffle}. *)
 
-val default_sched : sched ref
-(** Scheduler used by {!create} when [?sched] is omitted. [Wheel]
-    unless overridden (the CLI's [--sched] flag sets this before any
-    engine is built). *)
-
-val sched_of_string : string -> sched option
-(** ["heap"] / ["wheel"]. *)
-
-val sched_label : sched -> string
-
-val create : ?seed:int -> ?tiebreak:tiebreak -> ?sched:sched -> unit -> t
+val create : ?seed:int -> ?tiebreak:tiebreak -> unit -> t
 (** [create ~seed ()] makes a fresh engine at time 0. Default seed 42,
-    default tie-break {!Fifo} (the historical, byte-identical order),
-    default scheduler [!default_sched]. *)
+    default tie-break {!Fifo} (the historical, byte-identical order). *)
 
 val tiebreak : t -> tiebreak
 (** The engine's same-instant tie-break policy. *)
-
-val sched : t -> sched
-(** The scheduler this engine was built with. *)
 
 val now : t -> int
 (** Current virtual time in nanoseconds. *)
@@ -67,15 +52,11 @@ val now : t -> int
 val rng : t -> Rng.t
 (** The engine's root RNG; subsystems should [Rng.split] it. *)
 
-val prof : t -> Prof.t
-(** The engine's profiler; {!Prof.null} (disabled) unless {!set_prof}
-    was called. *)
-
 val set_prof : t -> Prof.t -> unit
 (** Install a profiler. The engine opens [engine.dispatch] /
     [engine.schedule] spans around event execution and scheduling, plus
-    [engine.wheel_advance] / [engine.bucket_drain] (wheel) or
-    [engine.heap_pop] (heap) around event extraction. *)
+    [engine.wheel_advance] / [engine.bucket_drain] around event
+    extraction. *)
 
 val set_observer : t -> (time:int -> unit) option -> unit
 (** Install (or clear) a per-executed-event observer, called with the
@@ -95,7 +76,7 @@ val schedule_at : ?daemon:bool -> t -> time:int -> (unit -> unit) -> handle
 
 val cancel : t -> handle -> unit
 (** [cancel t h] prevents the event from running if it has not run yet.
-    The event immediately stops counting towards {!busy} and {!pending};
+    The event immediately stops counting as pending or live work;
     its slot stays queued as a tombstone until its deadline reaps it or
     a compaction sweep drops it (the queue compacts in one O(n) pass
     whenever tombstones outnumber live events, so cancel-heavy fault
@@ -129,16 +110,15 @@ val compactions : t -> int
 (** Number of tombstone-compaction sweeps performed (diagnostic). *)
 
 val wheel_occupancy : t -> int
-(** Events currently held by the scheduler structure (wheel buckets +
-    overflow + front heap, or heap length including tombstones).
-    Diagnostic gauge; excludes the active dispatch batch. *)
+(** Events currently held by the timer wheel (buckets + overflow +
+    front heap, tombstones included). Diagnostic gauge; excludes the
+    active dispatch batch. *)
 
 val cascades : t -> int
-(** Timer-wheel buckets cascaded down a level so far (0 under heap). *)
+(** Timer-wheel buckets cascaded down a level so far. *)
 
 val spills : t -> int
-(** Events that landed in the out-of-horizon overflow heap (0 under
-    heap). *)
+(** Events that landed in the out-of-horizon overflow heap. *)
 
 val run_until_quiet : ?horizon:int -> t -> unit
 (** Run while there is live work: non-daemon events queued or processes
@@ -152,16 +132,13 @@ val incr_waiters : t -> unit
 
 val decr_waiters : t -> unit
 
-val busy : t -> int
-(** Queued non-daemon events plus suspended processes. *)
-
 val every : t -> period:int -> ?phase:int -> (unit -> bool) -> unit
 (** [every t ~period ?phase fn] first runs [fn] at [now + phase] (default
     [period]) and then every [period] ns for as long as [fn] returns [true]
     and the engine is not stopped. *)
 
 val debug_no_batch_sort : bool ref
-(** Test-only fault injection: when true, the wheel skips the Shuffle
+(** Test-only fault injection: when true, the engine skips the Shuffle
     same-instant batch sort, deliberately breaking tie-break order. The
-    QCheck equivalence suite and the cross-scheduler fuzz differential
-    use this to prove they detect ordering bugs. Never set elsewhere. *)
+    QCheck model suite uses this to prove it detects ordering bugs.
+    Never set elsewhere. *)

@@ -6,7 +6,6 @@ type 'a t = {
 
 let create ~cmp () = { cmp; data = [||]; size = 0 }
 
-let length h = h.size
 let is_empty h = h.size = 0
 
 let grow h x =
@@ -54,8 +53,6 @@ let push h x =
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
-let peek h = if h.size = 0 then None else Some h.data.(0)
-
 let peek_exn h =
   if h.size = 0 then invalid_arg "Heap.peek_exn: empty heap"
   else h.data.(0)
@@ -77,10 +74,6 @@ let pop_exn h =
   end
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0
 
 let iter f h =
   for i = 0 to h.size - 1 do
@@ -110,9 +103,3 @@ let filter_in_place keep h =
   for i = (h.size - 2) / 4 downto 0 do
     sift_down h i
   done
-
-let to_sorted_list h =
-  let rec drain acc =
-    match pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  drain []

@@ -1,9 +1,10 @@
 (** Array-backed min-heap (4-ary) over arbitrary elements.
 
-    Used as the event queue of the simulation {!Engine}; also reusable as a
-    generic priority queue. Elements are ordered by the comparison function
-    supplied at creation time; ties are broken by insertion order only if the
-    caller encodes a sequence number in the element (the engine does). *)
+    Holds the timer wheel's out-of-horizon overflow and below-cursor
+    front events; also reusable as a generic priority queue. Elements
+    are ordered by the comparison function supplied at creation time;
+    ties are broken by insertion order only if the caller encodes a
+    sequence number in the element (the wheel does). *)
 
 type 'a t
 (** A mutable min-heap holding elements of type ['a]. *)
@@ -11,21 +12,15 @@ type 'a t
 val create : cmp:('a -> 'a -> int) -> unit -> 'a t
 (** [create ~cmp ()] is an empty heap ordered by [cmp] (smallest first). *)
 
-val length : 'a t -> int
-(** [length h] is the number of elements currently in [h]. *)
-
 val is_empty : 'a t -> bool
-(** [is_empty h] is [length h = 0]. *)
+(** [is_empty h] is true when [h] holds no element. *)
 
 val push : 'a t -> 'a -> unit
 (** [push h x] inserts [x] into [h]. Amortized O(log n). *)
 
-val peek : 'a t -> 'a option
-(** [peek h] is the smallest element of [h], without removing it. *)
-
 val peek_exn : 'a t -> 'a
-(** Like {!peek} but raises [Invalid_argument] on an empty heap;
-    allocation-free. *)
+(** [peek_exn h] is the smallest element of [h], without removing it.
+    Raises [Invalid_argument] on an empty heap; allocation-free. *)
 
 val pop : 'a t -> 'a option
 (** [pop h] removes and returns the smallest element of [h]. *)
@@ -34,18 +29,11 @@ val pop_exn : 'a t -> 'a
 (** Like {!pop} but raises [Invalid_argument] on an empty heap;
     allocation-free. *)
 
-val clear : 'a t -> unit
-(** [clear h] removes every element. *)
-
 val iter : ('a -> unit) -> 'a t -> unit
 (** [iter f h] applies [f] to every element in unspecified order. *)
 
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** [filter_in_place keep h] drops every element for which [keep] is
     [false] and re-establishes the heap property bottom-up. O(n),
-    allocation-free. The engine uses it to compact cancelled-event
-    tombstones out of the event queue. *)
-
-val to_sorted_list : 'a t -> 'a list
-(** [to_sorted_list h] drains [h] and returns its elements smallest-first.
-    The heap is empty afterwards. *)
+    allocation-free. The wheel uses it to compact cancelled-event
+    tombstones out of its overflow and front queues. *)

@@ -17,8 +17,6 @@ let create ~name =
     total_hold = 0;
   }
 
-let name l = l.lock_name
-
 let acquire ?(tracer = Trace.null) ?(cpu = -1) l ~now ~hold =
   if hold < 0 then invalid_arg "Simlock.acquire: negative hold";
   let start = if now >= l.free_at then now else l.free_at in

@@ -15,8 +15,6 @@ type t
 val create : name:string -> t
 (** [create ~name] is a fresh, uncontended lock. [name] labels stats. *)
 
-val name : t -> string
-
 val acquire :
   ?tracer:Trace.t -> ?cpu:int -> t -> now:int -> hold:int -> int
 (** [acquire l ~now ~hold] simulates acquiring [l] at time [now] and holding

@@ -29,6 +29,3 @@ let percent_change ~baseline v =
   if baseline = 0. then 0. else (v -. baseline) /. baseline *. 100.
 
 let speedup ~baseline v = if baseline = 0. then 0. else v /. baseline
-
-let pp_summary fmt s =
-  Format.fprintf fmt "%.2f +/- %.2f (n=%d)" s.mean s.stdev s.n

@@ -19,5 +19,3 @@ val percent_change : baseline:float -> float -> float
 
 val speedup : baseline:float -> float -> float
 (** [speedup ~baseline v] is [v /. baseline]. *)
-
-val pp_summary : Format.formatter -> summary -> unit

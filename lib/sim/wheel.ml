@@ -181,7 +181,6 @@ let create pool =
     spills = 0;
   }
 
-let wnow w = w.wnow
 let occupancy w = w.occupancy
 let cascades w = w.cascades
 let spills w = w.spills
@@ -355,8 +354,6 @@ let rec settle w =
       end
     end
   end
-
-let is_empty w = w.occupancy = 0
 
 (* Earliest pending event time, or max_int. May cascade and advance the
    cursor (observably pure: placement and dispatch order are unchanged). *)

@@ -35,14 +35,10 @@ val slot_bits : int
 (** Handles pack [(gen lsl slot_bits) lor slot]. *)
 
 val slot_mask : int
-val gen_mask : int
-val dummy_fn : unit -> unit
 
 val create_pool : unit -> pool
 val alloc_slot : pool -> int
 val free_slot : pool -> int -> unit
-val slot_cmp : pool -> int -> int -> int
-(** (time, tie, seq) ascending; total because seqs are unique. *)
 
 (** {1 Wheel} *)
 
@@ -52,10 +48,6 @@ val create : pool -> t
 val add : t -> int -> unit
 (** Place a slot by [pool.times.(slot)]. Below-cursor times go to the
     front heap; beyond-horizon times to the overflow heap. *)
-
-val is_empty : t -> bool
-val wnow : t -> int
-(** Cursor; [<=] every wheel/overflow event time. *)
 
 val peek_time : t -> int
 (** Earliest pending event time, or [max_int] when empty. May cascade

@@ -111,7 +111,7 @@ let test_executed_counter () =
   Sim.Engine.run eng;
   Alcotest.(check int) "executed" 7 (Sim.Engine.executed eng)
 
-(* Regression: cancelled events stay in the heap (cancel is O(1)) but must
+(* Regression: cancelled events stay queued (cancel is O(1)) but must
    not be reported as pending work. *)
 let test_pending_excludes_cancelled () =
   let eng = Sim.Engine.create () in
@@ -157,6 +157,17 @@ let test_shuffle_tiebreak () =
   Alcotest.(check bool) "some seed perturbs same-instant order" true
     !perturbed
 
+let test_tie_key () =
+  let key tb seq = Sim.Engine.tie_key tb ~time:100 ~seq in
+  let seqs = List.init 64 Fun.id in
+  Alcotest.(check bool) "fifo: 0, seq decides" true
+    (List.for_all (fun s -> key Sim.Engine.Fifo s = 0) seqs);
+  let keys seed = List.map (key (Sim.Engine.Shuffle seed)) seqs in
+  Alcotest.(check bool) "shuffle: non-negative" true
+    (List.for_all (fun k -> k >= 0) (keys 1));
+  Alcotest.(check (list int)) "shuffle: deterministic" (keys 1) (keys 1);
+  Alcotest.(check bool) "shuffle: seed-dependent" true (keys 1 <> keys 2)
+
 let test_shuffle_preserves_time_order () =
   let eng = Sim.Engine.create ~tiebreak:(Sim.Engine.Shuffle 3) () in
   let times = ref [] in
@@ -189,6 +200,7 @@ let suite =
     Alcotest.test_case "pending excludes cancelled" `Quick
       test_pending_excludes_cancelled;
     Alcotest.test_case "shuffle tie-break" `Quick test_shuffle_tiebreak;
+    Alcotest.test_case "tie_key" `Quick test_tie_key;
     Alcotest.test_case "shuffle keeps time order" `Quick
       test_shuffle_preserves_time_order;
   ]

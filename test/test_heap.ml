@@ -1,27 +1,29 @@
 let int_heap () = Sim.Heap.create ~cmp:compare ()
 
+(* Pop everything, smallest first. *)
+let drain h =
+  let rec go acc =
+    match Sim.Heap.pop h with None -> List.rev acc | Some x -> go (x :: acc)
+  in
+  go []
+
 let test_empty () =
   let h = int_heap () in
-  Alcotest.(check int) "empty length" 0 (Sim.Heap.length h);
   Alcotest.(check bool) "is_empty" true (Sim.Heap.is_empty h);
-  Alcotest.(check (option int)) "peek" None (Sim.Heap.peek h);
   Alcotest.(check (option int)) "pop" None (Sim.Heap.pop h)
 
 let test_push_pop_ordering () =
   let h = int_heap () in
   List.iter (Sim.Heap.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  Alcotest.(check int) "length" 7 (Sim.Heap.length h);
-  Alcotest.(check (list int))
-    "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ]
-    (Sim.Heap.to_sorted_list h);
-  Alcotest.(check int) "drained" 0 (Sim.Heap.length h)
+  Alcotest.(check (list int)) "sorted drain" [ 0; 1; 1; 3; 4; 5; 9 ] (drain h);
+  Alcotest.(check bool) "drained" true (Sim.Heap.is_empty h)
 
 let test_peek_does_not_remove () =
   let h = int_heap () in
   Sim.Heap.push h 2;
   Sim.Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Sim.Heap.peek h);
-  Alcotest.(check int) "length unchanged" 2 (Sim.Heap.length h)
+  Alcotest.(check int) "peek min" 1 (Sim.Heap.peek_exn h);
+  Alcotest.(check (list int)) "still holds both" [ 1; 2 ] (drain h)
 
 let test_pop_exn () =
   let h = int_heap () in
@@ -31,14 +33,6 @@ let test_pop_exn () =
   Sim.Heap.push h 7;
   Alcotest.(check int) "pop_exn" 7 (Sim.Heap.pop_exn h)
 
-let test_clear () =
-  let h = int_heap () in
-  List.iter (Sim.Heap.push h) [ 3; 2; 1 ];
-  Sim.Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Sim.Heap.length h);
-  Sim.Heap.push h 42;
-  Alcotest.(check (option int)) "usable after clear" (Some 42) (Sim.Heap.pop h)
-
 let test_iter_counts () =
   let h = int_heap () in
   List.iter (Sim.Heap.push h) [ 4; 8; 15; 16; 23; 42 ];
@@ -46,11 +40,22 @@ let test_iter_counts () =
   Sim.Heap.iter (fun x -> sum := !sum + x) h;
   Alcotest.(check int) "iter sums all" 108 !sum
 
+(* The wheel compacts cancelled events out of its queues with it. *)
+let test_filter_in_place () =
+  let h = int_heap () in
+  List.iter (Sim.Heap.push h) [ 9; 2; 7; 4; 1; 8; 3; 6; 5; 0 ];
+  Sim.Heap.filter_in_place (fun x -> x mod 2 = 0) h;
+  Alcotest.(check (list int)) "evens, sorted" [ 0; 2; 4; 6; 8 ] (drain h);
+  List.iter (Sim.Heap.push h) [ 3; 1 ];
+  Sim.Heap.filter_in_place (fun _ -> false) h;
+  Alcotest.(check bool) "all dropped" true (Sim.Heap.is_empty h);
+  Sim.Heap.push h 42;
+  Alcotest.(check (option int)) "usable after emptying" (Some 42) (Sim.Heap.pop h)
+
 let test_custom_order () =
   let h = Sim.Heap.create ~cmp:(fun a b -> compare b a) () in
   List.iter (Sim.Heap.push h) [ 1; 3; 2 ];
-  Alcotest.(check (list int)) "max-heap drain" [ 3; 2; 1 ]
-    (Sim.Heap.to_sorted_list h)
+  Alcotest.(check (list int)) "max-heap drain" [ 3; 2; 1 ] (drain h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap drains any list sorted" ~count:200
@@ -58,7 +63,7 @@ let prop_heap_sorts =
     (fun xs ->
       let h = int_heap () in
       List.iter (Sim.Heap.push h) xs;
-      Sim.Heap.to_sorted_list h = List.sort compare xs)
+      drain h = List.sort compare xs)
 
 let prop_interleaved_push_pop =
   QCheck.Test.make ~name:"interleaved push/pop returns global minimum"
@@ -101,8 +106,8 @@ let suite =
     Alcotest.test_case "push/pop ordering" `Quick test_push_pop_ordering;
     Alcotest.test_case "peek does not remove" `Quick test_peek_does_not_remove;
     Alcotest.test_case "pop_exn" `Quick test_pop_exn;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "iter visits all" `Quick test_iter_counts;
+    Alcotest.test_case "filter_in_place" `Quick test_filter_in_place;
     Alcotest.test_case "custom comparison" `Quick test_custom_order;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_interleaved_push_pop;

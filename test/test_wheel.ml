@@ -1,19 +1,114 @@
-(* Timer-wheel scheduler tests: the QCheck model proving wheel and heap
-   are observationally equivalent, plus targeted unit tests for the
-   wheel's horizon machinery (cascade boundaries, overflow spills, the
-   below-cursor front heap) that random programs rarely hit squarely. *)
+(* Timer-wheel scheduler tests: a QCheck model suite proving the engine
+   dispatches exactly the order of a naive sorted-list scheduler, plus
+   targeted unit tests for the wheel's horizon machinery (cascade
+   boundaries, overflow spills, the below-cursor front heap) that random
+   programs rarely hit squarely. *)
 
 module E = Sim.Engine
 
-(* ---------------- random-program equivalence model ----------------
+(* ---------------- sorted-list reference model ----------------
+
+   The model keeps every pending event in one list sorted by
+   (time, tie key, seq) and always dispatches the head; cancel clears
+   the event's live flag and dispatch drops dead heads. Tie keys come
+   from [E.tie_key], so the model and the engine agree on what Shuffle
+   means and differ only in how they find the next event. *)
+
+(* What a random program drives; both the engine and the model
+   provide it. *)
+module type SCHED = sig
+  type t
+  type handle
+
+  val create : E.tiebreak -> t
+  val now : t -> int
+  val schedule : t -> after:int -> (unit -> unit) -> handle
+  val cancel : t -> handle -> unit
+  val run : ?until:int -> t -> unit
+  val step : t -> bool
+  val executed : t -> int
+  val pending : t -> int
+end
+
+module Engine_sched : SCHED = struct
+  include E
+
+  let create tiebreak = E.create ~tiebreak ()
+  let schedule t ~after fn = E.schedule t ~after fn
+end
+
+module Model : SCHED = struct
+  type handle = {
+    time : int;
+    key : int;
+    seq : int;
+    fn : unit -> unit;
+    mutable live : bool;
+  }
+
+  type t = {
+    tiebreak : E.tiebreak;
+    mutable now : int;
+    mutable next_seq : int;
+    mutable queue : handle list;
+    mutable executed : int;
+  }
+
+  let create tiebreak =
+    { tiebreak; now = 0; next_seq = 0; queue = []; executed = 0 }
+
+  let now m = m.now
+  let executed m = m.executed
+  let key e = (e.time, e.key, e.seq)
+
+  let schedule m ~after fn =
+    let time = m.now + after and seq = m.next_seq in
+    m.next_seq <- seq + 1;
+    let ev =
+      { time; key = E.tie_key m.tiebreak ~time ~seq; seq; fn; live = true }
+    in
+    let rec insert = function
+      | e :: rest when key e < key ev -> e :: insert rest
+      | l -> ev :: l
+    in
+    m.queue <- insert m.queue;
+    ev
+
+  let cancel _ ev = ev.live <- false
+
+  (* Run the earliest live event due by [until]; false if there is none. *)
+  let rec pop m ~until =
+    match m.queue with
+    | e :: rest when not e.live ->
+        m.queue <- rest;
+        pop m ~until
+    | e :: rest when e.time <= until ->
+        m.queue <- rest;
+        e.live <- false;
+        m.now <- e.time;
+        m.executed <- m.executed + 1;
+        e.fn ();
+        true
+    | _ -> false
+
+  let step m = pop m ~until:max_int
+
+  let run ?(until = max_int) m =
+    while pop m ~until do () done;
+    if until <> max_int && until > m.now then m.now <- until
+
+  let pending m = List.length (List.filter (fun e -> e.live) m.queue)
+end
+
+(* ---------------- random programs ----------------
 
    A program is a sequence of scheduler operations interpreted
-   identically against a heap engine and a wheel engine. Every executed
-   event appends (virtual time, event id) to a log; the two logs (plus
-   executed counts and final clocks) must match exactly. Ids are handed
-   out in execution order for nested events, so any dispatch-order
-   divergence shows up as differing logs even when the time streams
-   agree. *)
+   identically against the engine and the model. Every executed event
+   appends (virtual time, event id) to a log; the two logs (plus
+   executed counts, final clocks and pending counts) must match
+   exactly. Ids are handed out in execution order for nested events, so
+   any dispatch-order divergence shows up as differing logs even when
+   the time streams agree. *)
 
 type op =
   | Sched of int  (* schedule at now + delay, log on fire *)
@@ -24,8 +119,8 @@ type op =
   | Run_until of int  (* run ~until:(now + u) *)
   | Step  (* single-step once *)
 
-let run_program ~sched ~tiebreak ops =
-  let eng = E.create ~sched ~tiebreak () in
+let run_program (module S : SCHED) ~tiebreak ops =
+  let s = S.create tiebreak in
   let log = ref [] in
   let next_id = ref 0 in
   let handles = ref [||] in
@@ -39,11 +134,11 @@ let run_program ~sched ~tiebreak ops =
     !handles.(!n_handles) <- h;
     incr n_handles
   in
-  let fire id () = log := (E.now eng, id) :: !log in
+  let fire id () = log := (S.now s, id) :: !log in
   let sched_logged ~after k =
     let id = !next_id in
     incr next_id;
-    remember (E.schedule eng ~after (fun () -> fire id (); k ()))
+    remember (S.schedule s ~after (fun () -> fire id (); k ()))
   in
   List.iter
     (fun op ->
@@ -55,12 +150,12 @@ let run_program ~sched ~tiebreak ops =
                  equal dispatch order, not just equal times *)
               sched_logged ~after:d2 (fun () -> ()))
       | Cancel k ->
-          if !n_handles > 0 then E.cancel eng !handles.(k mod !n_handles)
-      | Run_until u -> E.run ~until:(E.now eng + u) eng
-      | Step -> ignore (E.step eng))
+          if !n_handles > 0 then S.cancel s !handles.(k mod !n_handles)
+      | Run_until u -> S.run ~until:(S.now s + u) s
+      | Step -> ignore (S.step s))
     ops;
-  E.run eng;
-  (List.rev !log, E.executed eng, E.now eng, E.pending eng)
+  S.run s;
+  (List.rev !log, S.executed s, S.now s, S.pending s)
 
 let op_gen =
   QCheck.Gen.(
@@ -111,15 +206,16 @@ let program_arb =
            ops))
 
 let equivalent ~tiebreak ops =
-  run_program ~sched:E.Heap ~tiebreak ops
-  = run_program ~sched:E.Wheel ~tiebreak ops
+  run_program (module Engine_sched) ~tiebreak ops
+  = run_program (module Model) ~tiebreak ops
 
 let prop_equiv_fifo =
-  QCheck.Test.make ~name:"wheel = heap: (time, id) streams (Fifo)" ~count:300
-    program_arb (equivalent ~tiebreak:E.Fifo)
+  QCheck.Test.make ~name:"engine = sorted-list model: (time, id) streams (Fifo)"
+    ~count:300 program_arb (equivalent ~tiebreak:E.Fifo)
 
 let prop_equiv_shuffle =
-  QCheck.Test.make ~name:"wheel = heap: (time, id) streams (Shuffle)"
+  QCheck.Test.make
+    ~name:"engine = sorted-list model: (time, id) streams (Shuffle)"
     ~count:300 program_arb
     (fun ops ->
       equivalent ~tiebreak:(E.Shuffle 7) ops
@@ -146,7 +242,7 @@ let test_detects_injected_ordering_bug () =
 (* ---------------- wheel-horizon unit tests ---------------- *)
 
 let test_cascade_boundaries () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let log = ref [] in
   let note tag () = log := tag :: !log in
   (* One event per wheel level plus an out-of-horizon spill. *)
@@ -166,7 +262,7 @@ let test_cascade_boundaries () =
 let test_same_instant_across_cascade () =
   (* Events scheduled from different times at the same far instant must
      still dispatch FIFO after cascading down. *)
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let target = (1 lsl 17) + 42 in
   let log = ref [] in
   ignore (E.schedule_at eng ~time:target (fun () -> log := 0 :: !log));
@@ -182,7 +278,7 @@ let test_front_heap_after_horizon_peek () =
   (* run ~until peeks past the pending event, advancing the wheel
      cursor beyond the horizon; scheduling into that gap must still
      dispatch in time order (via the front heap). *)
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let log = ref [] in
   ignore (E.schedule eng ~after:1_000 (fun () -> log := "far" :: !log));
   E.run ~until:500 eng;
@@ -196,7 +292,7 @@ let test_front_heap_after_horizon_peek () =
     (List.rev !log)
 
 let test_cancel_compaction_wheel () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ran = ref 0 in
   let handles =
     List.init 100 (fun i ->
@@ -210,7 +306,7 @@ let test_cancel_compaction_wheel () =
   Alcotest.(check int) "none left" 0 (E.pending eng)
 
 let test_stale_handle_ignored () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ran = ref 0 in
   let h = E.schedule eng ~after:5 (fun () -> incr ran) in
   E.run eng;
@@ -223,7 +319,7 @@ let test_stale_handle_ignored () =
   Alcotest.(check int) "both events ran" 2 !ran
 
 let test_daemon_quiet_wheel () =
-  let eng = E.create ~sched:E.Wheel () in
+  let eng = E.create () in
   let ticks = ref 0 in
   E.every eng ~period:100 (fun () -> incr ticks; true);
   ignore (E.schedule eng ~after:450 ignore);
