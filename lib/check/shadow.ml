@@ -120,7 +120,7 @@ let on_defer t ~oid ~cookie =
    RCU state (not the promotion hook, whose registration order vs. other
    GP hooks must not matter): pooling before completion is THE bug class
    this oracle exists for. *)
-let on_pool t ~oid ~cookie:_ =
+let on_pool t ~oid =
   t.events <- t.events + 1;
   (* Pool-to-pool moves (refill: slab freelist -> object cache; flush:
      the reverse) re-enter here from [Reclaimed]; that is legal. *)
@@ -136,38 +136,42 @@ let on_pool t ~oid ~cookie:_ =
    the page can be re-carved and handed out while readers may still hold
    pointers into it — distinct from (and invisible to) the object-level
    early-reuse check, because the object never re-enters a free pool. *)
-let on_page_release t ~oids =
-  List.iter
-    (fun (oid, cookie) ->
-      t.events <- t.events + 1;
-      (if t.page_reuse then
-         match state t ~oid with
-         | Some (Deferred c) when not (Slab.Smr.ripe t.smr c) ->
-             flag t ~oid
-               (Page_reuse
-                  { cookie = c; completed = t.smr.Slab.Smr.ripe_upto () })
-         | Some (Live | Deferred _ | Ripe | Reclaimed) | None ->
-             (* Deferred-and-ripe (grace period done, harvest pending) is
-                safe; cross-check the frame's stamp for never-seen oids. *)
-             if (not (Slab.Smr.ripe t.smr cookie)) && state t ~oid = None then
-               flag t ~oid
-                 (Page_reuse
-                    { cookie; completed = t.smr.Slab.Smr.ripe_upto () }));
-      (match t.coverage with
-      | Some cov ->
-          Coverage.note_transition cov
-            ~from_tag:(tag (state t ~oid))
-            ~to_tag:tag_gone
-      | None -> ());
-      (* The page is gone; the oid will never be seen again. *)
-      Hashtbl.remove t.states oid)
-    oids
+let on_page_release t ~oid ~cookie =
+  t.events <- t.events + 1;
+  (if t.page_reuse then
+     match state t ~oid with
+     | Some (Deferred c) when not (Slab.Smr.ripe t.smr c) ->
+         flag t ~oid
+           (Page_reuse { cookie = c; completed = t.smr.Slab.Smr.ripe_upto () })
+     | Some (Live | Deferred _ | Ripe | Reclaimed) | None ->
+         (* Deferred-and-ripe (grace period done, harvest pending) is
+            safe; cross-check the frame's stamp for never-seen oids. *)
+         if (not (Slab.Smr.ripe t.smr cookie)) && state t ~oid = None then
+           flag t ~oid
+             (Page_reuse { cookie; completed = t.smr.Slab.Smr.ripe_upto () }));
+  (match t.coverage with
+  | Some cov ->
+      Coverage.note_transition cov
+        ~from_tag:(tag (state t ~oid))
+        ~to_tag:tag_gone
+  | None -> ());
+  (* The page is gone; the oid will never be seen again. *)
+  Hashtbl.remove t.states oid
 
 let on_reader_access t ~cpu ~oid =
   t.events <- t.events + 1;
   match state t ~oid with
   | Some Reclaimed -> flag t ~oid (Use_after_reclaim { cpu })
   | Some (Live | Deferred _ | Ripe) | None -> ()
+
+let on_frame_event t (kind : Trace.Tap.kind) a b =
+  match kind with
+  | Alloc -> on_alloc t ~oid:a
+  | Free -> on_free t ~oid:a
+  | Defer -> on_defer t ~oid:a ~cookie:b
+  | Pool -> on_pool t ~oid:a
+  | Page_release -> on_page_release t ~oid:a ~cookie:b
+  | _ -> ()
 
 let on_gp_complete t completed =
   (* Promote every deferred object whose reclamation token just ripened.
@@ -198,42 +202,19 @@ let install ?(page_reuse = true) ?(early_reuse = true) ?coverage
       events = 0;
     }
   in
-  (* Probe handlers run under the [check.probe] span so oracle overhead
-     shows up in the prof tables next to the paths it rides on; on
-     [Prof.null] each enter/exit is one load and branch. *)
+  (* Frame events are handled under the [check.probe] span so oracle
+     overhead shows up in the prof tables next to the paths it rides on;
+     on [Prof.null] each enter/exit is one load and branch. *)
   let prof = t.prof in
-  env.Workloads.Env.fenv.Slab.Frame.probe <-
-    Some
-      {
-        Slab.Frame.on_alloc =
-          (fun ~oid ->
-            Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
-            on_alloc t ~oid;
-            Prof.exit prof Prof.Span.Check_probe);
-        on_free =
-          (fun ~oid ->
-            Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
-            on_free t ~oid;
-            Prof.exit prof Prof.Span.Check_probe);
-        on_defer =
-          (fun ~oid ~cookie ->
-            Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
-            on_defer t ~oid ~cookie;
-            Prof.exit prof Prof.Span.Check_probe);
-        on_pool =
-          (fun ~oid ~cookie ->
-            Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
-            on_pool t ~oid ~cookie;
-            Prof.exit prof Prof.Span.Check_probe);
-        on_page_release =
-          (fun ~oids ->
-            Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
-            on_page_release t ~oids;
-            Prof.exit prof Prof.Span.Check_probe);
-      };
+  Trace.Tap.subscribe (Sim.Engine.tap env.Workloads.Env.eng) (fun kind a b ->
+      match kind with
+      | Alloc | Free | Defer | Pool | Page_release ->
+          Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;
+          on_frame_event t kind a b;
+          Prof.exit prof Prof.Span.Check_probe
+      | Reader_access -> on_reader_access t ~cpu:a ~oid:b
+      | _ -> ());
   t.smr.Slab.Smr.on_ripen (fun frontier -> on_gp_complete t frontier);
-  Rcu.Readers.set_access_hook env.Workloads.Env.readers
-    (Some (fun ~cpu ~oid -> on_reader_access t ~cpu ~oid));
   t
 
 let violations t = List.rev t.violation_log

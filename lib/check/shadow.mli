@@ -5,8 +5,9 @@
 
     {v live -> deferred(cookie) -> ripe -> reclaimed -> live -> ... v}
 
-    by listening to the {!Slab.Frame.probe} hooks plus the reader access
-    hook, and flags the failures procrastination-based reclamation must
+    as a subscriber of the engine's reclamation event tap
+    ({!Sim.Engine.tap}: the frame's lifecycle events plus reader
+    accesses), and flags the failures procrastination-based reclamation must
     never exhibit:
 
     - {e early reuse}: a deferred object enters a free pool (object cache
@@ -58,10 +59,11 @@ type t
 val install :
   ?page_reuse:bool -> ?early_reuse:bool -> ?coverage:Coverage.t ->
   Workloads.Env.t -> t
-(** Wire the oracle into a built environment: sets the frame's probe
-    record (under the [check.probe] prof span), registers a frontier-
-    advance hook (under RCU: grace-period completion) that promotes
-    deferred objects to ripe, and installs the reader access hook.
+(** Wire the oracle into a built environment: subscribes to the
+    engine's tap (frame events handled under the [check.probe] prof
+    span, reader accesses outside it) and registers a frontier-advance
+    hook (under RCU: grace-period completion) that promotes deferred
+    objects to ripe.
     Ripeness is judged against the environment's {i truthful} SMR view
     ([env.smr]) — an opaque token compare, so the oracle works for any
     backend and stays honest under frontier-corrupting mutations.
@@ -69,8 +71,7 @@ val install :
     [early_reuse] (default [true]) the object-pool check — the off
     switches exist so each [--mutate] self-test can prove its oracle
     necessary. When [coverage] is given, every shadow-state transition
-    feeds it. Install at most one oracle per environment (the hooks are
-    overwritten, not chained). *)
+    feeds it. *)
 
 val violations : t -> violation list
 (** Oldest first; at most {!max_logged_violations} entries. *)
@@ -94,4 +95,4 @@ val counts : t -> int * int * int * int
     cross-check material for the auditors. *)
 
 val events : t -> int
-(** Probe events observed (sanity: > 0 after any workload). *)
+(** Tap events handled (sanity: > 0 after any workload). *)

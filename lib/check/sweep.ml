@@ -195,8 +195,8 @@ let dump_bundle dir cfg env v =
   Obs.Bundle.write ~path ~reason ~replay:v.replay
     ~scheme:(W.Env.kind_label v.case.kind)
     ~at_ns:(Sim.Engine.now env.W.Env.eng)
-    ~tracer:env.W.Env.tracer ~anatomy:env.W.Env.obs ~offenders ~violations
-    ~metrics ();
+    ~tracer:env.W.Env.tracer ~anatomy:(W.Env.anatomy env) ~offenders
+    ~violations ~metrics ();
   path
 
 (* Mirrors [Workloads.Chaos.run_one] — same fault plan, same mitigations —

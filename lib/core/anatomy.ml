@@ -16,7 +16,8 @@ let run ?(kinds = Workloads.Env.all_kinds) p scenario =
   List.map
     (fun kind ->
       let outcome = Workloads.Chaos.run_one cfg kind in
-      { kind; outcome; obs = outcome.Workloads.Chaos.env.Workloads.Env.obs })
+      let obs = Workloads.Env.anatomy outcome.Workloads.Chaos.env in
+      { kind; outcome; obs })
     kinds
 
 (* {1 Rendering} *)

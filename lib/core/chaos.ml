@@ -107,7 +107,7 @@ let write_bundle dir p reason (o : Workloads.Chaos.outcome) =
     ~replay:(chaos_replay p o.Workloads.Chaos.scenario o.Workloads.Chaos.label)
     ~scheme:o.Workloads.Chaos.label
     ~at_ns:(Sim.Engine.now env.Workloads.Env.eng)
-    ~tracer:env.Workloads.Env.tracer ~anatomy:env.Workloads.Env.obs
+    ~tracer:env.Workloads.Env.tracer ~anatomy:(Workloads.Env.anatomy env)
     ~offenders:[] ~violations ~metrics ();
   path
 

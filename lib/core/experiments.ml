@@ -75,7 +75,7 @@ let fmt_time_opt = function
 let run_fig3 params =
   let slub, prud = endurance_pair params in
   let thin (r : W.Endurance.result) =
-    let s = Sim.Series.create ~name:r.W.Endurance.label in
+    let s = Sim.Series.create () in
     Array.iter (fun (t, v) -> Sim.Series.push s ~time:t v) r.W.Endurance.series;
     Sim.Series.downsample s ~max_points:68
   in

@@ -29,7 +29,7 @@ let cell_of kind (o : Workloads.Chaos.outcome) =
     reuse_p50_ns = Trace.Hist.percentile_opt (Trace.lifetime tracer) 50.;
     reuse_p99_ns = Trace.Hist.percentile_opt (Trace.lifetime tracer) 99.;
     gp_p99_ns = Trace.Hist.percentile_opt (Trace.gp_latency tracer) 99.;
-    obs = env.Workloads.Env.obs;
+    obs = Workloads.Env.anatomy env;
   }
 
 let phase_p99 c p =

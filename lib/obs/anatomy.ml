@@ -1,12 +1,12 @@
 (* The grace-period anatomy tracer + object-lineage flight recorder.
 
-   One instance observes a whole environment through taps that are pure
-   observation — they read the virtual clock and mutate only their own
-   state, never consume virtual time, and never schedule events — so a
-   run with the recorder armed is byte-identical (in every deterministic
-   counter) to one without. The off switch is the Trace.null /
-   Prof.null pattern: {!null} has [enabled = false] and every entry
-   point is one load-and-branch.
+   One instance observes a whole environment as a subscriber of the
+   engine's reclamation event tap plus a frontier hook on the truthful
+   SMR view. Both are pure observation — they read the virtual clock and
+   mutate only the recorder's own state, never consume virtual time, and
+   never schedule events — so a run with the recorder armed is
+   byte-identical (in every deterministic counter) to one without. A run
+   without it simply has no subscriber.
 
    Phase attribution: each reclamation token (GP number / epoch / batch
    id) gets a record stamped at defer, detection request, detection
@@ -38,7 +38,6 @@ type lineage = {
 }
 
 type t = {
-  enabled : bool;
   scheme : string;
   now : unit -> int;
   hists : Trace.Hist.t array;  (* one per Phase.t *)
@@ -58,18 +57,17 @@ type t = {
 let completed_log_capacity = 1_024
 let recent_lineage_capacity = 4_096
 
-let make ~enabled ~scheme ~now =
+let make ~scheme ~now =
   {
-    enabled;
     scheme;
     now;
     hists = Array.init Phase.count (fun _ -> Trace.Hist.create ());
     total = Trace.Hist.create ();
-    tokens = Hashtbl.create (if enabled then 256 else 1);
+    tokens = Hashtbl.create 256;
     open_toks = [];
     awaiting_request = [];
     completed_log = Trace.Ring.create ~capacity:completed_log_capacity;
-    lineages = Hashtbl.create (if enabled then 256 else 1);
+    lineages = Hashtbl.create 256;
     recent_lineage = Trace.Ring.create ~capacity:recent_lineage_capacity;
     frontier = 0;
     defers = 0;
@@ -77,52 +75,47 @@ let make ~enabled ~scheme ~now =
     dropped = 0;
   }
 
-let create ~scheme ~now () = make ~enabled:true ~scheme ~now
-let null = make ~enabled:false ~scheme:"null" ~now:(fun () -> 0)
-let enabled t = t.enabled
 let scheme t = t.scheme
 
 (* {1 Observation entry points} *)
 
 let note_defer t ~oid ~cookie =
-  if t.enabled then begin
-    let now = t.now () in
-    t.defers <- t.defers + 1;
-    (match Hashtbl.find_opt t.tokens cookie with
-    | Some r -> r.objects <- r.objects + 1
-    | None ->
-        let r =
-          {
-            cookie;
-            defer_ns = now;
-            request_ns = -1;
-            start_ns = -1;
-            complete_ns = -1;
-            first_qs_cpu = -1;
-            first_qs_ns = -1;
-            holdout_cpu = -1;
-            holdout_ns = -1;
-            objects = 1;
-          }
-        in
-        Hashtbl.replace t.tokens cookie r;
-        if cookie <= t.frontier then begin
-          (* Token already ripe at defer (frontier-corrupting mutants or
-             an instant scheme): complete immediately, no open window. *)
-          r.complete_ns <- now;
-          Trace.Ring.push t.completed_log r
-        end
-        else begin
-          t.open_toks <- r :: t.open_toks;
-          t.awaiting_request <- r :: t.awaiting_request
-        end);
-    Hashtbl.replace t.lineages oid
-      { oid; l_cookie = cookie; l_deferred_ns = now; l_pooled_ns = -1;
-        l_reused_ns = -1 }
-  end
+  let now = t.now () in
+  t.defers <- t.defers + 1;
+  (match Hashtbl.find_opt t.tokens cookie with
+  | Some r -> r.objects <- r.objects + 1
+  | None ->
+      let r =
+        {
+          cookie;
+          defer_ns = now;
+          request_ns = -1;
+          start_ns = -1;
+          complete_ns = -1;
+          first_qs_cpu = -1;
+          first_qs_ns = -1;
+          holdout_cpu = -1;
+          holdout_ns = -1;
+          objects = 1;
+        }
+      in
+      Hashtbl.replace t.tokens cookie r;
+      if cookie <= t.frontier then begin
+        (* Token already ripe at defer (frontier-corrupting mutants or
+           an instant scheme): complete immediately, no open window. *)
+        r.complete_ns <- now;
+        Trace.Ring.push t.completed_log r
+      end
+      else begin
+        t.open_toks <- r :: t.open_toks;
+        t.awaiting_request <- r :: t.awaiting_request
+      end);
+  Hashtbl.replace t.lineages oid
+    { oid; l_cookie = cookie; l_deferred_ns = now; l_pooled_ns = -1;
+      l_reused_ns = -1 }
 
 let note_request t =
-  if t.enabled && t.awaiting_request <> [] then begin
+  if t.awaiting_request <> [] then begin
     let now = t.now () in
     List.iter
       (fun r -> if r.request_ns < 0 then r.request_ns <- now)
@@ -133,43 +126,35 @@ let note_request t =
 (* A detection cycle began for one specific token (RCU GP number,
    Hyaline batch seal). *)
 let note_start t ~token =
-  if t.enabled then
-    match Hashtbl.find_opt t.tokens token with
-    | Some r when r.start_ns < 0 && r.complete_ns < 0 ->
-        r.start_ns <- t.now ()
-    | Some _ | None -> ()
+  match Hashtbl.find_opt t.tokens token with
+  | Some r when r.start_ns < 0 && r.complete_ns < 0 -> r.start_ns <- t.now ()
+  | Some _ | None -> ()
 
 (* A detection cycle began for every open token at once (EBR: an
    advancement attempt scans on behalf of all outstanding epochs). *)
 let note_start_open t =
-  if t.enabled then begin
-    let now = t.now () in
-    List.iter
-      (fun r -> if r.start_ns < 0 then r.start_ns <- now)
-      t.open_toks
-  end
+  let now = t.now () in
+  List.iter (fun r -> if r.start_ns < 0 then r.start_ns <- now) t.open_toks
 
 (* [cpu] reported progress for every started open token: a QS report, a
    blocking stale announcement, or a batch-ref decrement. The last
    report standing when the token completes is its holdout. *)
 let note_qs t ~cpu =
-  if t.enabled then begin
-    let now = t.now () in
-    List.iter
-      (fun r ->
-        if r.start_ns >= 0 then begin
-          if r.first_qs_ns < 0 then begin
-            r.first_qs_cpu <- cpu;
-            r.first_qs_ns <- now
-          end;
-          r.holdout_cpu <- cpu;
-          r.holdout_ns <- now
-        end)
-      t.open_toks
-  end
+  let now = t.now () in
+  List.iter
+    (fun r ->
+      if r.start_ns >= 0 then begin
+        if r.first_qs_ns < 0 then begin
+          r.first_qs_cpu <- cpu;
+          r.first_qs_ns <- now
+        end;
+        r.holdout_cpu <- cpu;
+        r.holdout_ns <- now
+      end)
+    t.open_toks
 
 let note_complete t ~frontier =
-  if t.enabled && frontier > t.frontier then begin
+  if frontier > t.frontier then begin
     t.frontier <- frontier;
     let now = t.now () in
     t.open_toks <-
@@ -207,89 +192,63 @@ let record_phases t (ln : lineage) ~reused_ns =
       Trace.Hist.record t.total (e5 - e0)
 
 let note_pool t ~oid =
-  if t.enabled then
-    match Hashtbl.find_opt t.lineages oid with
-    | Some ln when ln.l_pooled_ns < 0 -> ln.l_pooled_ns <- t.now ()
-    | Some _ | None -> ()
+  match Hashtbl.find_opt t.lineages oid with
+  | Some ln when ln.l_pooled_ns < 0 -> ln.l_pooled_ns <- t.now ()
+  | Some _ | None -> ()
 
 let note_alloc t ~oid =
-  if t.enabled then
-    match Hashtbl.find_opt t.lineages oid with
-    | None -> ()
-    | Some ln ->
-        let now = t.now () in
-        ln.l_reused_ns <- now;
-        t.reuses <- t.reuses + 1;
-        record_phases t ln ~reused_ns:now;
-        Hashtbl.remove t.lineages oid;
-        Trace.Ring.push t.recent_lineage ln
+  match Hashtbl.find_opt t.lineages oid with
+  | None -> ()
+  | Some ln ->
+      let now = t.now () in
+      ln.l_reused_ns <- now;
+      t.reuses <- t.reuses + 1;
+      record_phases t ln ~reused_ns:now;
+      Hashtbl.remove t.lineages oid;
+      Trace.Ring.push t.recent_lineage ln
 
 (* The object died with its page (never reused): close the lineage
    without a reuse edge so the bundle can still show it. *)
 let note_page_release t ~oid =
-  if t.enabled then
-    match Hashtbl.find_opt t.lineages oid with
-    | None -> ()
-    | Some ln ->
-        Hashtbl.remove t.lineages oid;
-        Trace.Ring.push t.recent_lineage ln
+  match Hashtbl.find_opt t.lineages oid with
+  | None -> ()
+  | Some ln ->
+      Hashtbl.remove t.lineages oid;
+      Trace.Ring.push t.recent_lineage ln
 
-(* {1 Wiring} *)
+(* {1 Subscription} *)
 
-let probe t =
-  {
-    Slab.Frame.on_alloc = (fun ~oid -> note_alloc t ~oid);
-    on_free = (fun ~oid:_ -> ());
-    on_defer = (fun ~oid ~cookie -> note_defer t ~oid ~cookie);
-    on_pool = (fun ~oid ~cookie:_ -> note_pool t ~oid);
-    on_page_release =
-      (fun ~oids ->
-        List.iter (fun (oid, _) -> note_page_release t ~oid) oids);
-  }
+(* The detector whose events feed the phase edges: the scheme behind the
+   truthful SMR view. Another detector on the same engine (RCU driven by
+   a callback flood under an epoch backend) does not reclaim this
+   backend's objects and is ignored. *)
+type detector = Rcu_gp | Epoch | Batch
 
-let instrument_smr t (smr : Slab.Smr.t) =
-  if not t.enabled then smr
-  else
-    {
-      smr with
-      Slab.Smr.request =
-        (fun () ->
-          note_request t;
-          smr.Slab.Smr.request ());
-    }
+let detector_of (smr : Slab.Smr.t) =
+  match smr.Slab.Smr.scheme with
+  | "ebr-debra" -> Epoch
+  | "hyaline" -> Batch
+  | _ -> Rcu_gp
 
-let observe_frontier t (smr : Slab.Smr.t) =
-  if t.enabled then
-    smr.Slab.Smr.on_ripen (fun f -> note_complete t ~frontier:f)
+let on_event t detector (kind : Trace.Tap.kind) a b =
+  match (kind, detector) with
+  | Defer, _ -> note_defer t ~oid:a ~cookie:b
+  | Pool, _ -> note_pool t ~oid:a
+  | Alloc, _ -> note_alloc t ~oid:a
+  | Page_release, _ -> note_page_release t ~oid:a
+  | (Gp_request, Rcu_gp | Epoch_request, Epoch | Batch_request, Batch) ->
+      note_request t
+  | (Gp_start, Rcu_gp | Batch_seal, Batch) -> note_start t ~token:a
+  | Epoch_scan, Epoch -> note_start_open t
+  | (Gp_qs, Rcu_gp | Epoch_blocked, Epoch | Batch_unref, Batch) ->
+      note_qs t ~cpu:a
+  | _ -> ()
 
-let install_rcu t rcu =
-  if t.enabled then
-    Rcu.set_obs rcu
-      (Some
-         {
-           Rcu.obs_request = (fun () -> note_request t);
-           obs_start = (fun ~seq -> note_start t ~token:seq);
-           obs_qs = (fun ~cpu ~remaining:_ -> note_qs t ~cpu);
-         })
-
-let install_ebr t e =
-  if t.enabled then
-    Slab.Ebr.set_obs e
-      (Some
-         {
-           Slab.Ebr.obs_attempt = (fun () -> note_start_open t);
-           obs_blocked = (fun ~cpu -> note_qs t ~cpu);
-         })
-
-let install_hyaline t h =
-  if t.enabled then
-    Slab.Hyaline.set_obs h
-      (Some
-         {
-           Slab.Hyaline.obs_seal =
-             (fun ~batch ~refs:_ -> note_start t ~token:batch);
-           obs_unref = (fun ~batch:_ ~cpu ~refs:_ -> note_qs t ~cpu);
-         })
+let create ~scheme engine (smr : Slab.Smr.t) =
+  let t = make ~scheme ~now:(fun () -> Sim.Engine.now engine) in
+  Trace.Tap.subscribe (Sim.Engine.tap engine) (on_event t (detector_of smr));
+  smr.Slab.Smr.on_ripen (fun f -> note_complete t ~frontier:f);
+  t
 
 (* {1 Results} *)
 

@@ -52,14 +52,6 @@ type pcpu = {
   mutable softirq_scheduled : bool;
 }
 
-type obs = {
-  obs_request : unit -> unit;
-  obs_start : seq:int -> unit;
-  obs_qs : cpu:int -> remaining:int -> unit;
-}
-(* Grace-period anatomy taps (Obs.Anatomy). Pure observation: fired behind
-   one load-and-branch, never consume virtual time. *)
-
 type t = {
   machine : Sim.Machine.t;
   engine : Sim.Engine.t;
@@ -80,7 +72,6 @@ type t = {
       (* fired at outermost read-side entry/exit; lets epoch-based SMR
          schemes observe reader quiescence without touching the
          read-side fast path when unset *)
-  mutable obs : obs option;
   (* stats *)
   mutable s_gps_started : int;
   mutable s_gps_completed : int;
@@ -91,15 +82,14 @@ type t = {
   mutable s_expedited_transitions : int;
   mutable s_stall_warnings : int;
   mutable stall_log : stall_warning list; (* newest first *)
-  mutable s_cbs_lost : int;
   mutable lose_tick : int;
 }
 
 let machine t = t.machine
-let config t = t.cfg
 let tracer t = Sim.Machine.tracer t.machine
 let prof t = Sim.Machine.prof t.machine
 let now t = Sim.Engine.now t.engine
+let tap t = Sim.Engine.tap t.engine
 let completed t = t.completed_gps
 let pending_callbacks t = t.pending
 let expedited t = t.expedited_flag
@@ -128,7 +118,6 @@ let poll t cookie = t.completed_gps >= cookie
 let on_gp_complete t fn = t.gp_hooks <- t.gp_hooks @ [ fn ]
 
 let set_section_hooks t hooks = t.section_hooks <- hooks
-let set_obs t obs = t.obs <- obs
 
 let read_lock t (cpu : Sim.Machine.cpu) =
   (match t.section_hooks with
@@ -182,7 +171,7 @@ let rec start_gp t =
   t.gp_requested <- false;
   t.s_gps_started <- t.s_gps_started + 1;
   t.gp_started_at <- now t;
-  (match t.obs with Some o -> o.obs_start ~seq:t.s_gps_started | None -> ());
+  Trace.Tap.emit (tap t) Gp_start t.s_gps_started 0;
   (let tr = tracer t in
    if Trace.enabled tr then
      Trace.emit tr ~time:t.gp_started_at ~cpu:(-1) ~arg:t.s_gps_started
@@ -253,19 +242,17 @@ let quiescent_state t (cpu : Sim.Machine.cpu) =
   if t.gp_active && t.qs_needed.(cpu.id) then begin
     t.qs_needed.(cpu.id) <- false;
     t.qs_remaining <- t.qs_remaining - 1;
-    (match t.obs with
-    | Some o -> o.obs_qs ~cpu:cpu.id ~remaining:t.qs_remaining
-    | None -> ());
+    Trace.Tap.emit (tap t) Gp_qs cpu.id t.qs_remaining;
     if t.qs_remaining = 0 then complete_gp t
   end;
   Prof.exit (prof t) Prof.Span.Rcu_qs
 
 let request_gp t =
-  (match t.obs with Some o -> o.obs_request () | None -> ());
+  Trace.Tap.emit (tap t) Gp_request 0 0;
   if t.gp_active then t.gp_requested <- true else start_gp t
 
 let call_rcu t (cpu : Sim.Machine.cpu) fn =
-  (match t.obs with Some o -> o.obs_request () | None -> ());
+  Trace.Tap.emit (tap t) Gp_request 0 0;
   let cookie = snapshot t in
   let pc = t.percpu.(cpu.id) in
   let lost =
@@ -279,8 +266,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
      segmented list, exactly like a lost-cell race in a lockless cblist.
      Everything else (cost, pending, queued stats, trace) proceeds, so only
      a conservation check across the lists can tell. *)
-  if lost then t.s_cbs_lost <- t.s_cbs_lost + 1
-  else Cblist.enqueue pc.cbs ~cookie fn;
+  if not lost then Cblist.enqueue pc.cbs ~cookie fn;
   (let tr = tracer t in
    if Trace.enabled tr then
      Trace.emit tr ~time:(now t) ~cpu:cpu.id ~arg:cookie
@@ -358,16 +344,6 @@ let holdout_cpus t =
     !holdouts
   end
 let gp_seq t = t.s_gps_started
-let lost_callbacks t = t.s_cbs_lost
-
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "gps=%d/%d cbs=%d queued / %d invoked, softirq passes=%d, max backlog=%d, \
-     expedited transitions=%d%s"
-    s.gps_completed s.gps_started s.cbs_queued s.cbs_invoked s.softirq_passes
-    s.max_backlog s.expedited_transitions
-    (if s.stall_warnings = 0 then ""
-     else Printf.sprintf ", STALL WARNINGS=%d" s.stall_warnings)
 
 let create ?(config = default_config) machine =
   let ncpus = Sim.Machine.nr_cpus machine in
@@ -394,7 +370,6 @@ let create ?(config = default_config) machine =
       gp_cond = Sim.Process.Cond.create (Sim.Machine.engine machine);
       gp_hooks = [];
       section_hooks = None;
-      obs = None;
       s_gps_started = 0;
       s_gps_completed = 0;
       s_cbs_queued = 0;
@@ -404,7 +379,6 @@ let create ?(config = default_config) machine =
       s_expedited_transitions = 0;
       s_stall_warnings = 0;
       stall_log = [];
-      s_cbs_lost = 0;
       lose_tick = 0;
     }
   in

@@ -18,7 +18,13 @@
     (§4: "the synchronization mechanism is still responsible for computing
     the grace period"): {!snapshot} stamps a deferred object with the grace
     period it must wait for, {!poll} answers whether that grace period has
-    completed, and {!on_gp_complete} notifies the allocator. *)
+    completed, and {!on_gp_complete} notifies the allocator.
+
+    Grace-period detection is observable on the engine's reclamation
+    event tap ({!Sim.Engine.tap}): [Gp_request] from {!call_rcu} and
+    {!request_gp} (before the token is issued), [Gp_start] when a grace
+    period begins its quiescent-state sweep, and [Gp_qs] for each CPU's
+    report. *)
 
 type config = {
   blimit : int;
@@ -58,8 +64,6 @@ val create : ?config:config -> Sim.Machine.t -> t
     The machine's ticks must be started for grace periods to advance. *)
 
 val machine : t -> Sim.Machine.t
-val config : t -> config
-
 (** {1 Read side} *)
 
 val read_lock : t -> Sim.Machine.cpu -> unit
@@ -78,26 +82,6 @@ val set_section_hooks :
     sections opened directly via {!read_lock}, e.g. by the fault
     injector's stalled readers. [None] (the default) leaves the
     read-side fast path untouched. *)
-
-type obs = {
-  obs_request : unit -> unit;
-      (** Grace-period detection was requested ({!call_rcu} or
-          {!request_gp}); fires before the token is issued. *)
-  obs_start : seq:int -> unit;
-      (** Grace period [seq] (1-based start ordinal) began its QS sweep.
-          [seq] completes as frontier value [seq]. *)
-  obs_qs : cpu:int -> remaining:int -> unit;
-      (** [cpu] reported a quiescent state for the active grace period;
-          [remaining] CPUs are still holdouts ([0] = this report completes
-          the sweep). *)
-}
-(** Grace-period anatomy taps for the observability layer ([Obs.Anatomy]).
-    Must be pure observation: fired synchronously behind one
-    load-and-branch, never consuming virtual time, so an instrumented run
-    stays byte-identical to an uninstrumented one. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
 
 (** {1 Update side} *)
 
@@ -172,8 +156,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit
-
 type stall_warning = {
   at_ns : int;  (** Virtual time the warning fired. *)
   gp_seq : int;  (** Sequence number of the stalled grace period. *)
@@ -198,5 +180,3 @@ val gp_seq : t -> int
     (= started count); identifies the current grace period while
     {!gp_active}. *)
 
-val lost_callbacks : t -> int
-(** Callbacks dropped by [unsafe_lose_cb_every]; 0 on any real run. *)

@@ -5,7 +5,7 @@ type t = {
   mutable violation_log : string list; (* reversed; first K kept *)
   mutable logged : int;
   mutable dropped : int;
-  mutable access_hook : (cpu:int -> oid:int -> unit) option;
+  tap : Trace.Tap.t;
 }
 
 (* Bound the log so a badly mutated run inside a long fuzz session cannot
@@ -20,12 +20,8 @@ let create rcu =
     violation_log = [];
     logged = 0;
     dropped = 0;
-    access_hook = None;
+    tap = Sim.Engine.tap (Sim.Machine.engine (Gp.machine rcu));
   }
-
-let set_access_hook t hook = t.access_hook <- hook
-
-let rcu t = t.rcu
 
 let record_violation t msg =
   if t.logged < max_logged_violations then begin
@@ -57,9 +53,7 @@ let exit t (cpu : Sim.Machine.cpu) =
   Gp.read_unlock t.rcu cpu
 
 let hold t (cpu : Sim.Machine.cpu) ~oid =
-  (match t.access_hook with
-  | Some hook -> hook ~cpu:cpu.id ~oid
-  | None -> ());
+  Trace.Tap.emit t.tap Reader_access cpu.id oid;
   if cpu.rcu_nesting = 0 then
     record_violation t
       (Printf.sprintf "cpu%d held a reference to object %d outside a \
@@ -101,3 +95,7 @@ let check_reusable t ~oid ~where =
       (Printf.sprintf
          "%s: object %d reused while %d reader(s) still reference it" where
          oid n)
+
+let check_allocs t ~where =
+  Trace.Tap.subscribe t.tap (fun kind oid _ ->
+      match kind with Alloc -> check_reusable t ~oid ~where | _ -> ())

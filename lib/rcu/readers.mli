@@ -15,8 +15,6 @@ type t
 
 val create : Gp.t -> t
 
-val rcu : t -> Gp.t
-
 (** {1 Read-side sections} *)
 
 val enter : t -> Sim.Machine.cpu -> unit
@@ -28,7 +26,10 @@ val exit : t -> Sim.Machine.cpu -> unit
 
 val hold : t -> Sim.Machine.cpu -> oid:int -> unit
 (** Record that the current section on [cpu] references object [oid].
-    Recording outside a section is itself a violation. *)
+    Recording outside a section is itself a violation. Emits
+    [Reader_access] on the engine's tap ({!Sim.Engine.tap}) before any
+    bookkeeping; the shadow-heap oracle subscribes to flag readers
+    touching objects that were already reclaimed. *)
 
 val release : t -> Sim.Machine.cpu -> oid:int -> unit
 (** Drop one reference to [oid] from [cpu]'s current section. *)
@@ -45,6 +46,10 @@ val check_reusable : t -> oid:int -> where:string -> unit
 (** Assert [refcount oid = 0]; otherwise record a violation tagged
     [where]. Allocators call this when recycling an object's memory. *)
 
+val check_allocs : t -> where:string -> unit
+(** Subscribe {!check_reusable} to every [Alloc] on the engine's tap: the
+    premature-reuse checker for every object handed to a mutator. *)
+
 val record_violation : t -> string -> unit
 val violations : t -> string list
 (** Recorded violations, oldest first. Bounded: only the first
@@ -55,9 +60,3 @@ val dropped_violations : t -> int
 
 val max_logged_violations : int
 (** Log bound (first-K retention). *)
-
-val set_access_hook : t -> (cpu:int -> oid:int -> unit) option -> unit
-(** Install a probe fired on every {!hold} (a reader dereferencing object
-    [oid] on [cpu]) before any bookkeeping. The shadow-heap oracle uses it
-    to flag readers touching objects that have already been reclaimed.
-    [None] (default) disables it. *)

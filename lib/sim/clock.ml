@@ -1,4 +1,3 @@
-let ns t = t
 let us t = t * 1_000
 let ms t = t * 1_000_000
 let s t = t * 1_000_000_000

@@ -4,9 +4,6 @@
     ~292 years of virtual time). These helpers keep unit conversions explicit
     at call sites. *)
 
-val ns : int -> int
-(** Identity; marks a literal as nanoseconds. *)
-
 val us : int -> int
 (** [us n] is [n] microseconds in nanoseconds. *)
 

@@ -24,6 +24,7 @@ type t = {
   rng : Rng.t;
   mutable prof : Prof.t;
   mutable observer : (time:int -> unit) option;
+  tap : Trace.Tap.t;
   (* Wheel dispatch batch: the same-instant event list currently being
      executed, as slot indices. [batch_pos < batch_len] means active;
      entries before [batch_pos] are already dispatched (stale). *)
@@ -83,6 +84,7 @@ let create ?(seed = 42) ?(tiebreak = Fifo) () =
     rng = Rng.create ~seed;
     prof = Prof.null;
     observer = None;
+    tap = Trace.Tap.create ();
     batch = [||];
     scratch = [||];
     batch_len = 0;
@@ -95,6 +97,7 @@ let rng t = t.rng
 let tiebreak t = t.tiebreak
 let set_prof t prof = t.prof <- prof
 let set_observer t obs = t.observer <- obs
+let tap t = t.tap
 
 let batch_active t = t.batch_pos < t.batch_len
 

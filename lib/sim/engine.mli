@@ -65,6 +65,11 @@ val set_observer : t -> (time:int -> unit) option -> unit
     consumes no sequence numbers, and must not schedule events — so an
     observed run is event-for-event identical to an unobserved one. *)
 
+val tap : t -> Trace.Tap.t
+(** The reclamation event tap every subsystem on this engine emits its
+    object-lifecycle and grace-detection events through (see
+    {!Trace.Tap}); no subscriber until an observer subscribes. *)
+
 val schedule : ?daemon:bool -> t -> after:int -> (unit -> unit) -> handle
 (** [schedule t ~after fn] runs [fn] at time [now t + after].
     [after] must be non-negative. [daemon] (default false) marks

@@ -1,4 +1,4 @@
-type source = { name : string; unit_ : string; read : unit -> float }
+type source = { name : string; read : unit -> float }
 
 type t = {
   eng : Engine.t;
@@ -11,7 +11,6 @@ type t = {
   mutable len : int;
   mutable dropped : int;
   mutable running : bool;
-  mutable stopped : bool;
 }
 
 let create eng ?(capacity = 4096) ~period_ns () =
@@ -28,14 +27,13 @@ let create eng ?(capacity = 4096) ~period_ns () =
     len = 0;
     dropped = 0;
     running = false;
-    stopped = false;
   }
 
-let add_source t ~name ?(unit_ = "") read =
+let add_source t ~name read =
   if t.running then invalid_arg "Sampler.add_source: sampler already started";
   if List.exists (fun s -> s.name = name) t.sources then
     invalid_arg (Printf.sprintf "Sampler.add_source: duplicate source %S" name);
-  t.sources <- { name; unit_; read } :: t.sources;
+  t.sources <- { name; read } :: t.sources;
   t.n_sources <- t.n_sources + 1
 
 let ordered_sources t = List.rev t.sources
@@ -52,17 +50,11 @@ let start t =
   if not t.running then begin
     t.running <- true;
     Engine.every t.eng ~period:t.sample_period_ns (fun () ->
-        if t.stopped then false
-        else begin
-          sweep t;
-          true
-        end)
+        sweep t;
+        true)
   end
 
-let stop t = t.stopped <- true
-let period_ns t = t.sample_period_ns
 let source_names t = List.map (fun s -> s.name) (ordered_sources t)
-let source_units t = List.map (fun s -> (s.name, s.unit_)) (ordered_sources t)
 let rows t = t.len
 let dropped t = t.dropped
 

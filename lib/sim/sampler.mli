@@ -18,7 +18,7 @@ val create : Engine.t -> ?capacity:int -> period_ns:int -> unit -> t
     Raises [Invalid_argument] if [period_ns] or [capacity] is not
     positive. *)
 
-val add_source : t -> name:string -> ?unit_:string -> (unit -> float) -> unit
+val add_source : t -> name:string -> (unit -> float) -> unit
 (** Register a source column. Must be called before {!start}; raises
     [Invalid_argument] on duplicate names or after starting. *)
 
@@ -26,15 +26,8 @@ val start : t -> unit
 (** Begin sampling every [period_ns] (first sweep one period from now).
     Idempotent. *)
 
-val stop : t -> unit
-(** Stop future sweeps; retained rows stay readable. *)
-
-val period_ns : t -> int
 val source_names : t -> string list
 (** In registration order (the CSV column order). *)
-
-val source_units : t -> (string * string) list
-(** [(name, unit)] per source, registration order. *)
 
 val rows : t -> int
 (** Rows currently retained. *)

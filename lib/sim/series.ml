@@ -1,13 +1,10 @@
 type t = {
-  series_name : string;
   mutable rev_samples : (int * float) list;
   mutable n : int;
   mutable last_time : int;
 }
 
-let create ~name = { series_name = name; rev_samples = []; n = 0; last_time = min_int }
-
-let name s = s.series_name
+let create () = { rev_samples = []; n = 0; last_time = min_int }
 
 let push s ~time v =
   assert (time >= s.last_time);

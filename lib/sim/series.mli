@@ -3,8 +3,7 @@
 
 type t
 
-val create : name:string -> t
-val name : t -> string
+val create : unit -> t
 
 val push : t -> time:int -> float -> unit
 (** Append a sample. Times should be non-decreasing (asserted). *)

@@ -36,14 +36,6 @@ type config = {
 let default_config =
   { advance_every = 64; poll_period_ns = 100_000; unsafe_no_scan = false }
 
-type obs = {
-  obs_attempt : unit -> unit;
-  obs_blocked : cpu:int -> unit;
-}
-(* Anatomy taps (Obs.Anatomy): an advancement attempt while tokens are
-   outstanding, and the pinned CPUs whose stale announcements blocked a
-   failed scan. Pure observation, one load-and-branch when uninstalled. *)
-
 type t = {
   engine : Sim.Engine.t;
   cfg : config;
@@ -57,7 +49,6 @@ type t = {
   mutable backend_hooks : (int -> unit) list;
   mutable poller_armed : bool;
   cond : Sim.Process.Cond.t;
-  mutable obs : obs option;
 }
 
 let create ?(config = default_config) ~cpus engine =
@@ -74,26 +65,28 @@ let create ?(config = default_config) ~cpus engine =
     backend_hooks = [];
     poller_armed = false;
     cond = Sim.Process.Cond.create engine;
-    obs = None;
   }
 
-let set_obs t obs = t.obs <- obs
+let tap t = Sim.Engine.tap t.engine
 
 let frontier t = t.epoch - 2
 
 let backend_frontier t =
   if t.cfg.unsafe_no_scan then t.unsafe_epoch - 2 else frontier t
 
-let epoch t = t.epoch
-let last_issued t = t.last_issued
-
 (* Hooks fire in registration order. *)
 let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
 
+(* Every pinned CPU with a stale announcement blocks the scan and is
+   reported on the tap as an epoch-world holdout. *)
 let scan_clear t =
   let ok = ref true in
   Array.iteri
-    (fun i pinned -> if pinned && t.announced.(i) <> t.epoch then ok := false)
+    (fun i pinned ->
+      if pinned && t.announced.(i) <> t.epoch then begin
+        ok := false;
+        Trace.Tap.emit (tap t) Epoch_blocked i 0
+      end)
     t.pinned;
   !ok
 
@@ -105,15 +98,8 @@ let try_advance t =
   in
   if unsafe_adv then t.unsafe_epoch <- t.unsafe_epoch + 1;
   let want = frontier t < t.last_issued in
-  (match t.obs with Some o when want -> o.obs_attempt () | _ -> ());
+  if want then Trace.Tap.emit (tap t) Epoch_scan 0 0;
   let adv = want && scan_clear t in
-  (match t.obs with
-  | Some o when want && not adv ->
-      Array.iteri
-        (fun i pinned ->
-          if pinned && t.announced.(i) <> t.epoch then o.obs_blocked ~cpu:i)
-        t.pinned
-  | _ -> ());
   if adv then begin
     t.epoch <- t.epoch + 1;
     if not t.cfg.unsafe_no_scan then t.unsafe_epoch <- t.epoch
@@ -178,7 +164,10 @@ let view t ~frontierf ~register =
     defer = (fun ~cpu -> defer t ~cpu);
     ripe_upto = (fun () -> frontierf ());
     advance = (fun () -> try_advance t);
-    request = (fun () -> if outstanding t then arm_poller t);
+    request =
+      (fun () ->
+        Trace.Tap.emit (tap t) Epoch_request 0 0;
+        if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;
     reader_enter = Some (reader_enter t);

@@ -4,7 +4,14 @@
     ripens once the global epoch reaches [e + 2] (classic three-limbo-
     bag rotation). Advancement is amortized: attempted every
     [advance_every] defers per CPU, on every outermost reader exit, and
-    from a virtual-time poller armed while tokens are outstanding. *)
+    from a virtual-time poller armed while tokens are outstanding.
+
+    Detection is observable on the engine's reclamation event tap
+    ({!Sim.Engine.tap}): [Epoch_request] from the view's [request],
+    [Epoch_scan] for every advancement attempt made while tokens are
+    outstanding (a detection start for all open tokens at once), and
+    [Epoch_blocked] for each pinned CPU whose stale announcement failed
+    that scan. *)
 
 type config = {
   advance_every : int;
@@ -20,26 +27,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> cpus:int -> Sim.Engine.t -> t
-val epoch : t -> int
-val frontier : t -> int
-val backend_frontier : t -> int
-val last_issued : t -> int
-val try_advance : t -> unit
-
-type obs = {
-  obs_attempt : unit -> unit;
-      (** An advancement attempt ran while tokens were outstanding — the
-          start of an epoch-scan detection cycle. *)
-  obs_blocked : cpu:int -> unit;
-      (** [cpu] was pinned with a stale announcement in a failed scan —
-          the epoch-world holdout report. *)
-}
-(** Anatomy taps for the observability layer ([Obs.Anatomy]). Pure
-    observation behind one load-and-branch; never consumes virtual
-    time. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
 
 val smr : t -> Smr.t
 (** The allocator's view: honest unless [unsafe_no_scan]. *)

@@ -1,13 +1,5 @@
 type grow_retry_policy = { max_retries : int; base_backoff_ns : int }
 
-type probe = {
-  on_alloc : oid:int -> unit;
-  on_free : oid:int -> unit;
-  on_defer : oid:int -> cookie:int -> unit;
-  on_pool : oid:int -> cookie:int -> unit;
-  on_page_release : oids:(int * int) list -> unit;
-}
-
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
@@ -18,9 +10,7 @@ type env = {
          here (with a hold that grows with the slab order, modelling page
          zeroing and higher-order assembly). This is the contention that
          makes the baseline collapse at large object sizes (Fig. 6). *)
-  mutable reuse_check : (int -> unit) option;
-  mutable probe : probe option;
-  mutable obs_probe : probe option;
+  tap : Trace.Tap.t;
   mutable grow_retry : grow_retry_policy option;
   mutable debug_checks : bool;
   mutable unsafe_destroy_latent : bool;
@@ -36,9 +26,7 @@ let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
     pressure;
     costs;
     page_lock = Sim.Simlock.create ~name:"page-allocator";
-    reuse_check = None;
-    probe = None;
-    obs_probe = None;
+    tap = Sim.Engine.tap (Sim.Machine.engine machine);
     grow_retry = None;
     debug_checks;
     unsafe_destroy_latent = false;
@@ -348,24 +336,18 @@ let take_free_obj slab =
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
-let probe_pool env obj =
-  (match env.probe with
-  | Some p -> p.on_pool ~oid:obj.oid ~cookie:obj.gp_cookie
-  | None -> ());
-  match env.obs_probe with
-  | Some p -> p.on_pool ~oid:obj.oid ~cookie:obj.gp_cookie
-  | None -> ()
+let emit_pool env obj = Trace.Tap.emit env.tap Pool obj.oid obj.gp_cookie
 
 let put_free_obj slab obj =
   assert (obj.parent == slab);
-  probe_pool slab.cache.env obj;
+  emit_pool slab.cache.env obj;
   obj.ostate <- Free_in_slab;
   slab.free_objs <- obj :: slab.free_objs;
   slab.free_n <- slab.free_n + 1;
   slab.in_flight <- slab.in_flight - 1
 
 let push_ocache cache pc obj =
-  probe_pool cache.env obj;
+  emit_pool cache.env obj;
   obj.ostate <- In_object_cache;
   pc.ocache <- obj :: pc.ocache;
   pc.ocache_n <- pc.ocache_n + 1
@@ -404,15 +386,7 @@ let footprint_doublings cache =
   end
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
-  (match cache.env.reuse_check with
-  | Some check -> check obj.oid
-  | None -> ());
-  (match cache.env.probe with
-  | Some p -> p.on_alloc ~oid:obj.oid
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_alloc ~oid:obj.oid
-  | None -> ());
+  Trace.Tap.emit cache.env.tap Alloc obj.oid 0;
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -437,27 +411,17 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
   obj.ostate <- Allocated;
   cache.live_objs <- cache.live_objs + 1
 
-(* Probes fire before the state asserts so a deliberately broken caller
-   (mutation self-tests: double free, double defer) reaches the oracle
-   before the simulation aborts. *)
+(* Events go out before the state asserts so a deliberately broken
+   caller (mutation self-tests: double free, double defer) reaches the
+   oracle before the simulation aborts. *)
 let release_from_user cache obj =
-  (match cache.env.probe with
-  | Some p -> p.on_free ~oid:obj.oid
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_free ~oid:obj.oid
-  | None -> ());
+  Trace.Tap.emit cache.env.tap Free obj.oid 0;
   assert (obj.ostate = Allocated);
   cache.live_objs <- cache.live_objs - 1;
   ignore obj
 
 let stamp_deferred cache obj ~cookie =
-  (match cache.env.probe with
-  | Some p -> p.on_defer ~oid:obj.oid ~cookie
-  | None -> ());
-  (match cache.env.obs_probe with
-  | Some p -> p.on_defer ~oid:obj.oid ~cookie
-  | None -> ());
+  Trace.Tap.emit cache.env.tap Defer obj.oid cookie;
   assert (obj.ostate = Allocated);
   obj.gp_cookie <- cookie;
   if Trace.enabled (tracer cache) then obj.deferred_at <- now cache;
@@ -629,18 +593,14 @@ let destroy_slab cache slab =
   assert (truly_free slab
          || (cache.env.unsafe_destroy_latent && slab.in_flight = 0));
   (* The page-reuse boundary: report objects still deferred on this page
-     before it goes back to the buddy. Empty on every non-mutated run
-     (truly-free slabs have no latent objects). *)
-  (if slab.latent_n > 0 then
-     let fire p =
-       let oids = ref [] in
-       Latq.iter
-         (fun o -> oids := (o.oid, o.gp_cookie) :: !oids)
-         slab.latent_objs;
-       p.on_page_release ~oids:!oids
-     in
-     (match cache.env.probe with Some p -> fire p | None -> ());
-     match cache.env.obs_probe with Some p -> fire p | None -> ());
+     before it goes back to the buddy, newest first. Never fires on a
+     non-mutated run (truly-free slabs have no latent objects). *)
+  (if slab.latent_n > 0 && Trace.Tap.armed cache.env.tap then
+     let latent = ref [] in
+     Latq.iter (fun o -> latent := o :: !latent) slab.latent_objs;
+     List.iter
+       (fun o -> Trace.Tap.emit cache.env.tap Page_release o.oid o.gp_cookie)
+       !latent);
   (* Scrub the latent bookkeeping the mutated path orphans, so the cache
      counters stay conserved and only the page-level oracle can tell. *)
   if slab.latent_n > 0 then begin
@@ -848,11 +808,6 @@ let check_invariants cache =
           pc.latent)
       cache.pcpus
   end
-
-let pp_cache fmt cache =
-  Format.fprintf fmt "cache %s: obj=%dB order=%d objs/slab=%d ocache=%d slabs=%d live=%d latent=%d"
-    cache.name cache.obj_size cache.order cache.objs_per_slab cache.ocache_cap
-    cache.total_slabs cache.live_objs (latent_total cache)
 
 let set_preflush_scheduled pc v = pc.preflush_scheduled <- v
 let note_alloc pc = pc.recent_allocs <- pc.recent_allocs + 1

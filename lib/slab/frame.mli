@@ -21,31 +21,6 @@ type grow_retry_policy = {
     grow path (see {!grow}). Requires process context (the backoff sleeps);
     disabled by default. *)
 
-type probe = {
-  on_alloc : oid:int -> unit;
-      (** An object was handed to a mutator ({!hand_to_user}). *)
-  on_free : oid:int -> unit;
-      (** Immediate (non-deferred) release ({!release_from_user}); fires
-          before the state assert so broken callers reach the oracle. *)
-  on_defer : oid:int -> cookie:int -> unit;
-      (** Deferred free stamped with its grace-period cookie
-          ({!stamp_deferred}); fires before the state assert. *)
-  on_pool : oid:int -> cookie:int -> unit;
-      (** The object entered a free pool (object cache or slab freelist) —
-          the reuse boundary a deferred object must not cross before its
-          grace period completes. [cookie] is the object's current
-          grace-period stamp. *)
-  on_page_release : oids:(int * int) list -> unit;
-      (** The slab's page is about to return to the buddy allocator;
-          [oids] lists [(oid, gp_cookie)] for every object on the page
-          still in a latent (deferred) state. Empty on every legal
-          destroy — a non-empty list is the premature page-reuse bug
-          class the page-level oracle checks. *)
-}
-(** Verification probes for the shadow-heap safety oracle ([Check.Oracle]).
-    All off ([None]) by default: the probe record is consulted per event
-    but never allocated per event, so disabled probes cost one branch. *)
-
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
@@ -55,16 +30,13 @@ type env = {
       (** The page allocator's zone lock: slab grow/shrink serializes here
           with a hold that scales with slab order (page zeroing), the
           driver of the baseline's large-object collapse in Fig. 6. *)
-  mutable reuse_check : (int -> unit) option;
-      (** Safety hook: called with the object id whenever an object is
-          handed to a mutator; wired to {!Rcu.Readers.check_reusable}. *)
-  mutable probe : probe option;
-      (** Shadow-heap verification probes; see {!probe}. *)
-  mutable obs_probe : probe option;
-      (** Second, independent probe slot for the observability layer's
-          flight recorder ([Obs.Anatomy]) — fires at the same five
-          sites, after {!probe}, so the safety oracle and the lineage
-          recorder can coexist on one environment. *)
+  tap : Trace.Tap.t;
+      (** The engine's reclamation event tap ({!Sim.Engine.tap}). The
+          frame emits the object lifecycle on it: [Alloc] from
+          {!hand_to_user}, [Free] from {!release_from_user}, [Defer] from
+          {!stamp_deferred}, [Pool] on every free-pool entry and
+          [Page_release] from {!destroy_slab}. The shadow heap, the
+          anatomy recorder and the reader checker subscribe to it. *)
   mutable grow_retry : grow_retry_policy option;
       (** When set, {!grow} retries transient page-alloc failures (those
           {!Mem.Buddy.would_satisfy} proves injected, not genuine
@@ -78,7 +50,7 @@ type env = {
           destroy pre-moved slabs whose objects are all latent — returning
           a page to the buddy while objects on it may still be inside
           their grace period. The destroy path scrubs the latent counters,
-          so only the {!probe}'s [on_page_release] hook can tell. Never
+          so only the tap's [Page_release] events can tell. Never
           set outside [--mutate=free-latent-page] self-tests. *)
   mutable next_oid : int;
   mutable next_sid : int;
@@ -258,9 +230,6 @@ val truly_free : slab -> bool
     Each of these charges the caller CPU the configured lock hold plus any
     queueing delay, modelling node-lock contention. *)
 
-val lock_node : cache -> Sim.Machine.cpu -> node -> unit
-(** Charge one lock acquisition (wait + hold) to [cpu]. *)
-
 val relocate : cache -> slab -> bool
 (** Place [slab] on the node list its counters dictate. With
     [latent_aware]: a slab whose remaining objects are all free-or-latent
@@ -284,14 +253,16 @@ val pop_ocache_exn : pcpu -> objekt
 
 val hand_to_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark [objekt] allocated, bump live counters, charge the first-touch
-    cost if its memory was never used, run the reuse-safety hook. *)
+    cost if its memory was never used. Emits [Alloc] first. *)
 
 val release_from_user : cache -> objekt -> unit
-(** Mark a mutator release (immediate free path): decrements live count. *)
+(** Mark a mutator release (immediate free path): decrements live count.
+    Emits [Free] before the state assert. *)
 
 val stamp_deferred : cache -> objekt -> cookie:int -> unit
 (** Record the grace-period cookie and decrement the live count (the
-    mutator no longer holds the object). *)
+    mutator no longer holds the object). Emits [Defer] before the state
+    assert. *)
 
 val obj_to_latent_cache : cache -> pcpu -> objekt -> unit
 val obj_to_latent_slab : cache -> objekt -> unit
@@ -315,9 +286,6 @@ val slab_harvest_ripe : slab -> completed:int -> int
     without touching objects waiting on later grace periods. Caller
     relocates. *)
 
-val put_free_obj : slab -> objekt -> unit
-(** Return an object (from an object cache) to its slab freelist. *)
-
 (** {1 Slab lifecycle} *)
 
 val grow : cache -> Sim.Machine.cpu -> slab option
@@ -329,7 +297,9 @@ val grow : cache -> Sim.Machine.cpu -> slab option
     exhausted (or retries ran out). *)
 
 val destroy_slab : cache -> slab -> unit
-(** Unlink a {!truly_free} slab and return its pages. *)
+(** Unlink a {!truly_free} slab and return its pages. A slab destroyed
+    with latent objects (only under [unsafe_destroy_latent]) emits one
+    [Page_release] per latent object first. *)
 
 val shrink_node : ?keep:int -> cache -> Sim.Machine.cpu -> node -> int
 (** Destroy truly-free slabs while the node holds more than the policy's
@@ -375,8 +345,6 @@ val check_invariants : cache -> unit
     [on_list], object states match their container, global counts add up.
     For tests. The O(objects) sweep is gated on [env.debug_checks]
     (default on; benchmarks disable it). *)
-
-val pp_cache : Format.formatter -> cache -> unit
 
 (** {1 Per-CPU policy state helpers}
 

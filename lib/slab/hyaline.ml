@@ -34,15 +34,6 @@ let default_config =
 
 type batch = { id : int; mutable refs : int }
 
-type obs = {
-  obs_seal : batch:int -> refs:int -> unit;
-  obs_unref : batch:int -> cpu:int -> refs:int -> unit;
-}
-(* Anatomy taps (Obs.Anatomy): a batch sealing with its initial reader
-   credit, and each reader decrement — the last decrement to zero is the
-   batch's holdout. Pure observation, one load-and-branch when
-   uninstalled. *)
-
 type t = {
   engine : Sim.Engine.t;
   cfg : config;
@@ -58,7 +49,6 @@ type t = {
   mutable backend_hooks : (int -> unit) list;
   mutable poller_armed : bool;
   cond : Sim.Process.Cond.t;
-  mutable obs : obs option;
 }
 
 let create ?(config = default_config) ~cpus engine =
@@ -77,17 +67,15 @@ let create ?(config = default_config) ~cpus engine =
     backend_hooks = [];
     poller_armed = false;
     cond = Sim.Process.Cond.create engine;
-    obs = None;
   }
 
-let set_obs t obs = t.obs <- obs
+let tap t = Sim.Engine.tap t.engine
 
 let frontier t = t.frontier
 
 let backend_frontier t =
   if t.cfg.unsafe_drop_refs then t.sealed_upto else t.frontier
 
-let last_issued t = t.last_issued
 
 let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
 
@@ -119,9 +107,7 @@ let seal t =
           t.credited.(i) <- b :: t.credited.(i)
         end)
       t.active;
-    (match t.obs with
-    | Some o -> o.obs_seal ~batch:b.id ~refs:b.refs
-    | None -> ());
+    Trace.Tap.emit (tap t) Batch_seal b.id b.refs;
     Queue.push b t.sealed_q;
     t.sealed_upto <- b.id;
     t.open_id <- t.open_id + 1;
@@ -170,9 +156,7 @@ let reader_exit t (cpu : Sim.Machine.cpu) =
       List.iter
         (fun b ->
           b.refs <- b.refs - 1;
-          match t.obs with
-          | Some o -> o.obs_unref ~batch:b.id ~cpu:i ~refs:b.refs
-          | None -> ())
+          Trace.Tap.emit (tap t) Batch_unref i b.id)
         batches;
       t.credited.(i) <- [];
       advance_frontier t)
@@ -196,7 +180,10 @@ let view t ~frontierf ~register =
       (fun () ->
         seal t;
         advance_frontier t);
-    request = (fun () -> if outstanding t then arm_poller t);
+    request =
+      (fun () ->
+        Trace.Tap.emit (tap t) Batch_request 0 0;
+        if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;
     reader_enter = Some (reader_enter t);

@@ -4,7 +4,12 @@
     seals with one reference per reader active at that instant, each
     credited reader decrements at its outermost exit, and the frontier
     advances over consecutive zero-reference sealed batches. A slow
-    reader only pins the batches sealed during its own lifetime. *)
+    reader only pins the batches sealed during its own lifetime.
+
+    Detection is observable on the engine's reclamation event tap
+    ({!Sim.Engine.tap}): [Batch_request] from the view's [request],
+    [Batch_seal] when a batch seals with its reader credit, and
+    [Batch_unref] for each credited reader's decrement. *)
 
 type config = {
   batch_size : int;
@@ -20,26 +25,6 @@ val default_config : config
 type t
 
 val create : ?config:config -> cpus:int -> Sim.Engine.t -> t
-val frontier : t -> int
-val backend_frontier : t -> int
-val last_issued : t -> int
-val seal : t -> unit
-
-type obs = {
-  obs_seal : batch:int -> refs:int -> unit;
-      (** Batch [batch] sealed, credited with [refs] active readers —
-          the start of its settling cycle. *)
-  obs_unref : batch:int -> cpu:int -> refs:int -> unit;
-      (** Reader on [cpu] released its credit on [batch]; [refs] remain
-          ([0] = this decrement lets the frontier pass the batch — the
-          holdout report). *)
-}
-(** Anatomy taps for the observability layer ([Obs.Anatomy]). Pure
-    observation behind one load-and-branch; never consumes virtual
-    time. *)
-
-val set_obs : t -> obs option -> unit
-(** Install (or clear) the anatomy taps. At most one observer. *)
 
 val smr : t -> Smr.t
 (** The allocator's view: honest unless [unsafe_drop_refs]. *)

@@ -518,40 +518,41 @@ let register_env reg ?(prefix = "") (env : Workloads.Env.t) =
   (* Grace-period anatomy metrics. Registered only when the Obs recorder
      is armed, mirroring the profiler rule: recorder off means the
      registry output is byte-identical to a build without lib/obs. *)
-  let obs = env.Workloads.Env.obs in
-  if Obs.Anatomy.enabled obs then begin
-    let hist_metrics label h =
-      counter
-        (Printf.sprintf "obs.%s.count" label)
-        ~unit_:"objs" ~help:(Printf.sprintf "%s phase samples" label)
-        (fi (fun () -> Trace.Hist.count h));
-      derived
-        (Printf.sprintf "obs.%s.p50_ns" label)
-        ~unit_:"ns" ~help:(Printf.sprintf "%s latency median" label)
-        (fun () ->
-          match Trace.Hist.percentile_opt h 50. with
-          | None -> 0.
-          | Some v -> float_of_int v);
-      derived
-        (Printf.sprintf "obs.%s.p99_ns" label)
-        ~unit_:"ns"
-        ~help:(Printf.sprintf "%s latency 99th percentile" label)
-        (fun () ->
-          match Trace.Hist.percentile_opt h 99. with
-          | None -> 0.
-          | Some v -> float_of_int v)
-    in
-    List.iter
-      (fun p -> hist_metrics (Obs.Phase.name p) (Obs.Anatomy.phase_hist obs p))
-      Obs.Phase.all;
-    hist_metrics "total" (Obs.Anatomy.total_hist obs);
-    counter "obs.defers" ~unit_:"objs" ~help:"deferred frees observed"
-      (fi (fun () -> Obs.Anatomy.defers obs));
-    counter "obs.reuses" ~unit_:"objs" ~help:"deferred slots reused"
-      (fi (fun () -> Obs.Anatomy.reuses obs));
-    counter "obs.dropped" ~unit_:"objs"
-      ~help:"reuses whose token record was missing"
-      (fi (fun () -> Obs.Anatomy.dropped obs));
-    gauge "obs.frontier" ~help:"truthful reclamation frontier last observed"
-      (fi (fun () -> Obs.Anatomy.frontier obs))
-  end
+  match env.Workloads.Env.obs with
+  | None -> ()
+  | Some obs ->
+      let hist_metrics label h =
+        counter
+          (Printf.sprintf "obs.%s.count" label)
+          ~unit_:"objs" ~help:(Printf.sprintf "%s phase samples" label)
+          (fi (fun () -> Trace.Hist.count h));
+        derived
+          (Printf.sprintf "obs.%s.p50_ns" label)
+          ~unit_:"ns" ~help:(Printf.sprintf "%s latency median" label)
+          (fun () ->
+            match Trace.Hist.percentile_opt h 50. with
+            | None -> 0.
+            | Some v -> float_of_int v);
+        derived
+          (Printf.sprintf "obs.%s.p99_ns" label)
+          ~unit_:"ns"
+          ~help:(Printf.sprintf "%s latency 99th percentile" label)
+          (fun () ->
+            match Trace.Hist.percentile_opt h 99. with
+            | None -> 0.
+            | Some v -> float_of_int v)
+      in
+      List.iter
+        (fun p ->
+          hist_metrics (Obs.Phase.name p) (Obs.Anatomy.phase_hist obs p))
+        Obs.Phase.all;
+      hist_metrics "total" (Obs.Anatomy.total_hist obs);
+      counter "obs.defers" ~unit_:"objs" ~help:"deferred frees observed"
+        (fi (fun () -> Obs.Anatomy.defers obs));
+      counter "obs.reuses" ~unit_:"objs" ~help:"deferred slots reused"
+        (fi (fun () -> Obs.Anatomy.reuses obs));
+      counter "obs.dropped" ~unit_:"objs"
+        ~help:"reuses whose token record was missing"
+        (fi (fun () -> Obs.Anatomy.dropped obs));
+      gauge "obs.frontier" ~help:"truthful reclamation frontier last observed"
+        (fi (fun () -> Obs.Anatomy.frontier obs))

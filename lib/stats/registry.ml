@@ -60,7 +60,7 @@ let attach t ?(filter = fun _ -> true) sampler =
   List.fold_left
     (fun n m ->
       if filter m then begin
-        Sim.Sampler.add_source sampler ~name:m.name ~unit_:m.unit_ m.read;
+        Sim.Sampler.add_source sampler ~name:m.name m.read;
         n + 1
       end
       else n)

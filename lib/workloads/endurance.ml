@@ -36,7 +36,7 @@ let run (env : Env.t) (cfg : config) =
   let ncpus = Sim.Machine.nr_cpus env.Env.machine in
   let updates = ref 0 in
   (* Sample total used memory every 10 ms, like Fig. 3. *)
-  let series = Sim.Series.create ~name:"used-mib" in
+  let series = Sim.Series.create () in
   Sim.Series.sample_every env.Env.eng series ~period:cfg.sample_period_ns
     (fun () -> float_of_int (Env.used_bytes env) /. (1024. *. 1024.));
   (* Each CPU updates its own list (no list-lock contention, §3.5). *)

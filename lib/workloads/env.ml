@@ -70,7 +70,7 @@ type t = {
   rng : Sim.Rng.t;
   tracer : Trace.t;
   prof : Prof.t;
-  obs : Obs.Anatomy.t;
+  obs : Obs.Anatomy.t option;
 }
 
 let build cfg =
@@ -97,22 +97,7 @@ let build cfg =
       ~debug_checks:cfg.debug_checks machine buddy
   in
   let readers = Rcu.Readers.create rcu in
-  if cfg.track_readers then
-    fenv.Slab.Frame.reuse_check <-
-      Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"alloc");
-  (* The anatomy recorder observes the frame (lineages), the backend's
-     detection hooks (phase edges) and the truthful frontier. Pure
-     observation: deterministic counters are identical with it on or
-     off. *)
-  let obs =
-    if cfg.obs then
-      Obs.Anatomy.create ~scheme:(kind_label cfg.kind)
-        ~now:(fun () -> Sim.Engine.now eng)
-        ()
-    else Obs.Anatomy.null
-  in
-  if Obs.Anatomy.enabled obs then
-    fenv.Slab.Frame.obs_probe <- Some (Obs.Anatomy.probe obs);
+  if cfg.track_readers then Rcu.Readers.check_allocs readers ~where:"alloc";
   (* [smr] is the truthful reclamation view: identical to the
      allocator's view except under an unsafe (mutation) config, where
      the allocator consumes the corrupted frontier while oracles keep
@@ -123,7 +108,6 @@ let build cfg =
     with
     | Some enter, Some exit -> Rcu.set_section_hooks rcu (Some (enter, exit))
     | _ -> ());
-    let backend_smr = Obs.Anatomy.instrument_smr obs backend_smr in
     let p =
       Prudence.create_smr ~config:cfg.prudence_config ~label fenv backend_smr
     in
@@ -133,30 +117,33 @@ let build cfg =
   let backend, smr =
     match cfg.kind with
     | Baseline ->
-        Obs.Anatomy.install_rcu obs rcu;
         (Slab.Slub.backend (Slab.Slub.create fenv rcu), Slab.Smr.of_rcu rcu)
     | Prudence_alloc ->
-        Obs.Anatomy.install_rcu obs rcu;
         let p = Prudence.create ~config:cfg.prudence_config fenv rcu in
         (* No-op unless the config enables emergency_flush. *)
         Prudence.attach_pressure p pressure;
         (Prudence.backend p, Slab.Smr.of_rcu rcu)
     | Ebr_debra ->
         let e = Slab.Ebr.create ~config:cfg.ebr_config ~cpus:cfg.cpus eng in
-        Obs.Anatomy.install_ebr obs e;
         wire_epoch_prudence ~label:"ebr-debra" ~backend_smr:(Slab.Ebr.smr e)
           ~oracle_smr:(Slab.Ebr.oracle_smr e)
     | Hyaline_alloc ->
         let h =
           Slab.Hyaline.create ~config:cfg.hyaline_config ~cpus:cfg.cpus eng
         in
-        Obs.Anatomy.install_hyaline obs h;
         wire_epoch_prudence ~label:"hyaline" ~backend_smr:(Slab.Hyaline.smr h)
           ~oracle_smr:(Slab.Hyaline.oracle_smr h)
   in
-  (* Grace-period completion observed on the truthful view, so the
-     anatomy stays honest under frontier-corrupting mutations. *)
-  Obs.Anatomy.observe_frontier obs smr;
+  (* The anatomy recorder subscribes to the engine's tap (lineages and
+     the backend's detection events) and watches the truthful frontier,
+     so it stays honest under frontier-corrupting mutations. Pure
+     observation: deterministic counters are identical with it on or
+     off. *)
+  let obs =
+    if cfg.obs then
+      Some (Obs.Anatomy.create ~scheme:(kind_label cfg.kind) eng smr)
+    else None
+  in
   {
     cfg;
     eng;
@@ -175,6 +162,11 @@ let build cfg =
   }
 
 let cpu t i = Sim.Machine.cpu t.machine i
+
+let anatomy t =
+  match t.obs with
+  | Some a -> a
+  | None -> invalid_arg "Env.anatomy: recorder not armed (config.obs = false)"
 
 let used_bytes t = Mem.Buddy.used_bytes t.buddy
 

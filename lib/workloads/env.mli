@@ -33,7 +33,8 @@ type config = {
       (** Batch tuning for the [Hyaline_alloc] kind. *)
   costs : Slab.Costs.t;
   track_readers : bool;
-      (** Arm the premature-reuse safety checker (small overhead). *)
+      (** Arm the premature-reuse safety checker
+          ({!Rcu.Readers.check_allocs}; small overhead). *)
   trace : int option;
       (** [Some ring_capacity]: install a live {!Trace} tracer on the
           machine (per-CPU event rings of that capacity + latency
@@ -46,10 +47,10 @@ type config = {
           [true]; the wall-clock benchmark harness turns it off). *)
   obs : bool;
       (** Arm the {!Obs.Anatomy} grace-period anatomy tracer / flight
-          recorder (default [false]: the shared {!Obs.Anatomy.null}
-          instance, one load-and-branch per hook site). Pure
-          observation — deterministic counters are byte-identical with
-          it on or off. *)
+          recorder (default [false]: nothing subscribes, so each emission
+          site costs one load-and-branch). Pure observation —
+          deterministic counters are byte-identical with it on or
+          off. *)
 }
 
 val default_config : config
@@ -73,17 +74,21 @@ type t = {
   rng : Sim.Rng.t;
   tracer : Trace.t;  (** The machine's tracer; {!Trace.null} when off. *)
   prof : Prof.t;  (** The installed profiler; {!Prof.null} when off. *)
-  obs : Obs.Anatomy.t;
-      (** The anatomy recorder; {!Obs.Anatomy.null} when off. Observes
-          the frame's [obs_probe], the backend's detection taps, and the
-          truthful frontier ([smr]). *)
+  obs : Obs.Anatomy.t option;
+      (** The anatomy recorder when [config.obs]: a subscriber of the
+          engine's tap ({!Sim.Engine.tap}) that also watches the truthful
+          frontier ([smr]). *)
 }
 
 val build : config -> t
 (** Construct and start the stack (machine ticks running, RCU attached to
-    pressure, reuse check wired when [track_readers]). *)
+    pressure, reuse check subscribed when [track_readers]). *)
 
 val cpu : t -> int -> Sim.Machine.cpu
+
+val anatomy : t -> Obs.Anatomy.t
+(** The armed recorder. Raises [Invalid_argument] unless built with
+    [config.obs]. *)
 
 val used_bytes : t -> int
 (** Total used physical memory right now (the Fig. 3 y-axis). *)

@@ -78,6 +78,27 @@ let test_oracle_lifecycle () =
   Alcotest.(check int) "no violations" 0 (Shadow.violation_count oracle);
   Alcotest.(check bool) "probes fired" true (Shadow.events oracle > 0)
 
+(* Oracles do not displace each other: two shadow heaps on one
+   environment both subscribe to the tap and see every event, reader
+   accesses included. *)
+let test_two_oracles_one_env () =
+  let env = build ~kind:W.Env.Prudence_alloc () in
+  let first = Shadow.install env in
+  let second = Shadow.install env in
+  let backend = env.W.Env.backend in
+  let cache = backend.Slab.Backend.create_cache ~name:"two" ~obj_size:256 in
+  let c = W.Env.cpu env 0 in
+  let readers = env.W.Env.readers in
+  drive env (fun () ->
+      let obj = Option.get (backend.Slab.Backend.alloc cache c) in
+      Rcu.Readers.with_section readers c (fun () ->
+          Rcu.Readers.hold readers c ~oid:obj.Slab.Frame.oid);
+      backend.Slab.Backend.free_deferred cache c obj;
+      Rcu.synchronize env.W.Env.rcu);
+  Alcotest.(check bool) "first oracle saw events" true (Shadow.events first > 0);
+  Alcotest.(check int) "both saw the same events" (Shadow.events first)
+    (Shadow.events second)
+
 (* A reader derefencing an object after it returned to a free pool must be
    flagged, and only then. *)
 let test_oracle_use_after_reclaim () =
@@ -311,6 +332,8 @@ let suite =
   [
     Alcotest.test_case "oracle: legal lifecycle is silent" `Quick
       test_oracle_lifecycle;
+    Alcotest.test_case "oracle: two on one env both observe" `Quick
+      test_two_oracles_one_env;
     Alcotest.test_case "oracle: use after reclaim flagged" `Quick
       test_oracle_use_after_reclaim;
     Alcotest.test_case "mutation: double free flagged" `Quick

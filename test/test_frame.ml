@@ -81,11 +81,12 @@ let test_flush_returns_objects () =
     (Sim.Dlist.length node.Frame.free_slabs);
   Frame.check_invariants cache
 
-let test_hand_to_user_runs_reuse_check () =
+let test_hand_to_user_emits_alloc () =
   let env, cache = make_cache () in
   let c = cpu0 env in
   let checked = ref [] in
-  env.fenv.Frame.reuse_check <- Some (fun oid -> checked := oid :: !checked);
+  Trace.Tap.subscribe env.fenv.Frame.tap (fun kind oid _ ->
+      match kind with Alloc -> checked := oid :: !checked | _ -> ());
   ignore (Frame.grow cache c);
   ignore (Frame.refill_from_node cache c ~want:1 ~select:Frame.select_slub);
   let pc = Frame.pcpu_for cache c in
@@ -313,8 +314,8 @@ let suite =
     Alcotest.test_case "refill relocates" `Quick test_refill_and_relocate;
     Alcotest.test_case "refill to full" `Quick test_refill_exhausts_to_full;
     Alcotest.test_case "flush returns objects" `Quick test_flush_returns_objects;
-    Alcotest.test_case "reuse check hook" `Quick
-      test_hand_to_user_runs_reuse_check;
+    Alcotest.test_case "alloc event on the tap" `Quick
+      test_hand_to_user_emits_alloc;
     Alcotest.test_case "latent cache fifo/ripeness" `Quick
       test_latent_cache_fifo_ripeness;
     Alcotest.test_case "latent slab harvest" `Quick test_latent_slab_harvest;

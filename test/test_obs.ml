@@ -17,8 +17,6 @@ let test_anatomy_schema_all_backends () =
     (fun (r : Core.Anatomy.result) ->
       let label = W.Env.kind_label r.Core.Anatomy.kind in
       let obs = r.Core.Anatomy.obs in
-      Alcotest.(check bool) (label ^ ": recorder armed") true
-        (Obs.Anatomy.enabled obs);
       let reuses = Obs.Anatomy.reuses obs in
       Alcotest.(check bool) (label ^ ": observed reuses") true (reuses > 0);
       Alcotest.(check int) (label ^ ": no dropped tokens") 0
@@ -57,28 +55,91 @@ let test_worst_gp_names_holdout () =
             (g.Obs.Anatomy.complete_ns >= g.Obs.Anatomy.start_ns))
     results
 
-(* Pure observation: arming the recorder must not change any
-   deterministic outcome of the run. *)
-let test_recorder_off_identical_counters () =
-  let cfg = Core.Chaos.config_for small_params W.Chaos.Clean in
-  let on = W.Chaos.run_one { cfg with W.Chaos.obs = true } W.Env.Prudence_alloc
-  and off =
-    W.Chaos.run_one { cfg with W.Chaos.obs = false } W.Env.Prudence_alloc
+(* One stalled-reader run of [kind], with every reclamation tap
+   subscriber armed (shadow heap, pattern oracles, reader checker,
+   anatomy recorder) or none of them. *)
+let observed_run ~armed kind =
+  let chaos = Core.Chaos.config_for small_params W.Chaos.Stalled_reader in
+  let env =
+    W.Env.build
+      {
+        W.Env.default_config with
+        W.Env.kind;
+        cpus = chaos.W.Chaos.cpus;
+        seed = chaos.W.Chaos.seed;
+        total_pages = chaos.W.Chaos.total_pages;
+        rcu_config =
+          {
+            Rcu.default_config with
+            Rcu.stall_timeout_ns = Some chaos.W.Chaos.stall_timeout_ns;
+          };
+        track_readers = armed;
+        obs = armed;
+      }
   in
-  Alcotest.(check int) "updates" off.W.Chaos.updates on.W.Chaos.updates;
-  Alcotest.(check int) "gp p99" off.W.Chaos.gp_p99_ns on.W.Chaos.gp_p99_ns;
-  Alcotest.(check int) "stall warnings" off.W.Chaos.stall_warnings
-    on.W.Chaos.stall_warnings;
-  Alcotest.(check int) "safety violations" off.W.Chaos.safety_violations
-    on.W.Chaos.safety_violations;
-  Alcotest.(check (float 0.0)) "peak MiB" off.W.Chaos.peak_used_mib
-    on.W.Chaos.peak_used_mib;
-  Alcotest.(check (float 0.0)) "final MiB" off.W.Chaos.final_used_mib
-    on.W.Chaos.final_used_mib;
-  Alcotest.(check bool) "recorder off is null" false
-    (Obs.Anatomy.enabled off.W.Chaos.env.W.Env.obs);
-  Alcotest.(check bool) "recorder on saw traffic" true
-    (Obs.Anatomy.reuses on.W.Chaos.env.W.Env.obs > 0)
+  let shadow =
+    if armed then begin
+      let orc =
+        Check.Oracles.install
+          (Check.Oracles.default_config ~duration_ns:chaos.W.Chaos.duration_ns)
+          env
+      in
+      Sim.Engine.set_observer env.W.Env.eng
+        (Some (fun ~time:_ -> Check.Oracles.poll_stall orc));
+      Some (Check.Shadow.install env)
+    end
+    else None
+  in
+  ignore
+    (Faults.Injector.install ~pressure:env.W.Env.pressure
+       (W.Chaos.plan_for chaos) ~machine:env.W.Env.machine
+       ~buddy:env.W.Env.buddy ~rcu:env.W.Env.rcu);
+  let r =
+    W.Endurance.run env
+      { W.Endurance.default_config with
+        W.Endurance.duration_ns = chaos.W.Chaos.duration_ns }
+  in
+  (env, r, shadow)
+
+let deterministic_counters ((env : W.Env.t), (r : W.Endurance.result), _) =
+  let slab = ref [] in
+  env.W.Env.backend.Slab.Backend.iter_caches (fun c ->
+      let s = Slab.Slab_stats.snapshot c.Slab.Frame.stats in
+      slab :=
+        s.Slab.Slab_stats.allocs :: s.Slab.Slab_stats.frees
+        :: s.Slab.Slab_stats.deferred_frees :: s.Slab.Slab_stats.grows
+        :: Slab.Frame.latent_total c :: !slab);
+  let rcu = Rcu.stats env.W.Env.rcu in
+  [
+    r.W.Endurance.updates;
+    Option.value r.W.Endurance.oom_at_ns ~default:(-1);
+    Sim.Engine.executed env.W.Env.eng;
+    Sim.Engine.now env.W.Env.eng;
+    W.Env.used_bytes env;
+    rcu.Rcu.gps_completed;
+    rcu.Rcu.cbs_invoked;
+    rcu.Rcu.stall_warnings;
+    List.length (W.Env.safety_violations env);
+  ]
+  @ !slab
+
+(* Pure observation: arming every tap subscriber must not change any
+   deterministic outcome of the run, on any backend. *)
+let test_recorder_off_identical_counters () =
+  List.iter
+    (fun kind ->
+      let label = W.Env.kind_label kind in
+      let on = observed_run ~armed:true kind
+      and off = observed_run ~armed:false kind in
+      Alcotest.(check (list int))
+        (label ^ ": counters") (deterministic_counters off)
+        (deterministic_counters on);
+      let env, _, shadow = on in
+      Alcotest.(check bool) (label ^ ": shadow saw traffic") true
+        (Check.Shadow.events (Option.get shadow) > 0);
+      Alcotest.(check bool) (label ^ ": recorder saw traffic") true
+        (Obs.Anatomy.reuses (W.Env.anatomy env) > 0))
+    W.Env.all_kinds
 
 let bundle_case_config dir =
   {

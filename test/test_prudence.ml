@@ -267,8 +267,7 @@ let test_safety_checker_catches_unsafe_mode () =
   let config = { Prudence.default_config with unsafe_skip_gp = true } in
   let env, pr, cache = make ~config () in
   let readers = Rcu.Readers.create env.rcu in
-  env.fenv.Frame.reuse_check <-
-    Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"prudence");
+  Rcu.Readers.check_allocs readers ~where:"prudence";
   let c0 = cpu0 env and c1 = cpu env 1 in
   let obj = alloc_exn pr cache c0 in
   (* Drain cpu0's object cache so the deferred object is the only source. *)
@@ -298,8 +297,7 @@ let test_safe_mode_never_violates () =
      because the object only merges after the reader's grace period. *)
   let env, pr, cache = make () in
   let readers = Rcu.Readers.create env.rcu in
-  env.fenv.Frame.reuse_check <-
-    Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"prudence");
+  Rcu.Readers.check_allocs readers ~where:"prudence";
   let c0 = cpu0 env and c1 = cpu env 1 in
   let finished =
     run_process env (fun () ->

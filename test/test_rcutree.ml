@@ -4,8 +4,7 @@ module Frame = Slab.Frame
 let make_tree ?(total_pages = 16_384) ?config () =
   let env = make_env ~cpus:2 ~total_pages () in
   let readers = Rcu.Readers.create env.rcu in
-  env.fenv.Frame.reuse_check <-
-    Some (fun oid -> Rcu.Readers.check_reusable readers ~oid ~where:"tree");
+  Rcu.Readers.check_allocs readers ~where:"tree";
   let backend = Prudence.backend (Prudence.create ?config env.fenv env.rcu) in
   let cache = backend.Slab.Backend.create_cache ~name:"tnode" ~obj_size:64 in
   let tree =

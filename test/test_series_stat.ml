@@ -1,5 +1,5 @@
 let test_series_push_order () =
-  let s = Sim.Series.create ~name:"x" in
+  let s = Sim.Series.create () in
   Sim.Series.push s ~time:10 1.0;
   Sim.Series.push s ~time:20 2.0;
   Sim.Series.push s ~time:20 3.0;
@@ -11,7 +11,7 @@ let test_series_push_order () =
 
 let test_series_sampler () =
   let eng = Sim.Engine.create () in
-  let s = Sim.Series.create ~name:"mem" in
+  let s = Sim.Series.create () in
   let v = ref 0.0 in
   Sim.Series.sample_every eng s ~period:1_000 (fun () ->
       v := !v +. 1.0;
@@ -27,7 +27,7 @@ let test_series_sampler () =
   | None -> Alcotest.fail "no samples"
 
 let test_downsample () =
-  let s = Sim.Series.create ~name:"d" in
+  let s = Sim.Series.create () in
   for i = 0 to 99 do
     Sim.Series.push s ~time:i (float_of_int i)
   done;
