@@ -1,10 +1,15 @@
 /* Allocation-free probes for the profiler.
  *
  * The whole point of lib/prof's GC-delta accounting is that reading a
- * counter must not move the counter: the stock Gc.minor_words /
- * Gc.counters primitives box their results on the minor heap, so a
- * profiler built on them measures its own probes. These stubs are
- * [@@noalloc] + [@unboxed]: the values cross into OCaml in registers.
+ * counter must not move the counter, so every probe returns an
+ * [@unboxed] float: the value crosses into OCaml in a register and
+ * nothing is boxed. The minor-words probe is the runtime's own
+ * caml_gc_minor_words_unboxed, declared without [@@noalloc] on purpose:
+ * native code publishes its minor-heap pointer to the domain state only
+ * through caml_c_call or a GC entry, and a noalloc call skips both, so
+ * it would read a stale pointer. These two stubs read counters that no
+ * inline allocation touches (major words, the monotonic clock), so they
+ * stay [@@noalloc].
  *
  * Formulas mirror runtime/gc_ctrl.c (OCaml 5.1).
  */

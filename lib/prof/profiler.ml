@@ -46,10 +46,14 @@ type t = {
 (* Allocation-free probes (see prof_stubs.c). The native externals
    return unboxed floats in registers, so reading a GC counter does not
    move it; bytecode falls back to the boxed primitives, where the
-   calibration below absorbs the probe footprint. *)
+   calibration below absorbs the probe footprint. [minor_words] must not
+   be [@@noalloc]: native code keeps the minor-heap pointer in a
+   register and publishes it to the domain state only through
+   [caml_c_call] (or a GC entry), so a noalloc read sees a stale pointer
+   and charges a span's inline allocations to whichever span next makes
+   an allocating C call. *)
 external minor_words : unit -> (float [@unboxed])
   = "caml_gc_minor_words" "caml_gc_minor_words_unboxed"
-[@@noalloc]
 
 external major_words : unit -> (float [@unboxed])
   = "prof_major_words" "prof_major_words_unboxed"

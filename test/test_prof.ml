@@ -92,6 +92,42 @@ let test_alloc_exactness () =
   Alcotest.(check bool) "empty inner span sees ~0 words" true
     (Float.abs (words S.Buddy_free) < 1.)
 
+(* Native code keeps the minor-heap pointer in a register and writes it
+   back only on a C call or a GC entry, so a probe that reads it without
+   a real C call sees a stale value. Then a span that allocates inline
+   (no C call of its own) reads ~0 words, and the words land on the
+   next span that makes an allocating C call. Each span here must see
+   exactly its own allocation: 100 conses (300 words), and the 2-word
+   float the sibling boxes. *)
+let test_inline_alloc_attribution () =
+  let t = P.create ~ncpus:1 () in
+  let rec cons n acc = if n = 0 then acc else cons (n - 1) (n :: acc) in
+  let sink = ref [] and fsink = ref 0. in
+  for _ = 1 to 1_000 do
+    P.enter t ~cpu:0 S.Buddy_alloc;
+    sink := Sys.opaque_identity (cons 100 []);
+    P.exit t S.Buddy_alloc;
+    P.enter t ~cpu:0 S.Buddy_free;
+    fsink := Sys.opaque_identity (Gc.minor_words ());
+    P.exit t S.Buddy_free
+  done;
+  ignore (Sys.opaque_identity (!sink, !fsink));
+  let words span =
+    match cell_of t span with
+    | None -> Alcotest.failf "missing cell %s" (S.name span)
+    | Some c -> c.P.self_minor_words /. float_of_int c.P.calls
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "inline consing sees its 300 words (got %.1f)"
+       (words S.Buddy_alloc))
+    true
+    (Float.abs (words S.Buddy_alloc -. 300.) < 1.);
+  Alcotest.(check bool)
+    (Printf.sprintf "C-call sibling sees its 2-word float (got %.1f)"
+       (words S.Buddy_free))
+    true
+    (Float.abs (words S.Buddy_free -. 2.) < 1.)
+
 let test_unwind_and_orphan_exits () =
   let t = P.create ~ncpus:1 () in
   (* A suspended process abandons Slab_grow; the enclosing dispatch
@@ -205,6 +241,8 @@ let suite =
       test_nesting_and_rows;
     Alcotest.test_case "allocation attribution is word-exact" `Quick
       test_alloc_exactness;
+    Alcotest.test_case "inline allocation charged to its own span" `Quick
+      test_inline_alloc_attribution;
     Alcotest.test_case "unbalanced exits unwind safely" `Quick
       test_unwind_and_orphan_exits;
     Alcotest.test_case "reset" `Quick test_reset;
