@@ -13,8 +13,11 @@ val buddy : Mem.Buddy.t -> string list
     every block must be naturally aligned for its order, and the page
     totals must match the allocator's own counters. *)
 
-val slab : rcu:Rcu.t -> Slab.Frame.cache -> string list
-(** Slab accounting: per-slab occupancy ([free + latent + in_flight =
+val env : Workloads.Env.t -> string list
+(** {!buddy} plus, for every cache the backend knows, the slab and
+    latent-cache auditors, each failure prefixed with its layer.
+
+    Slab accounting: per-slab occupancy ([free + latent + in_flight =
     capacity]), list-membership tags, object-state tags vs. the structure
     each object actually sits in, cache-level counters ([total_slabs],
     [live_objs], [latent_count]) vs. a recount, and statistics identities
@@ -22,14 +25,10 @@ val slab : rcu:Rcu.t -> Slab.Frame.cache -> string list
     in-flight recount may exceed [live + cached] by objects defer-freed
     through [call_rcu] whose callbacks have not run yet (the baseline's
     extended-lifetime window); that surplus is bounded by the RCU
-    backlog, hence [rcu]. *)
+    backlog.
 
-val latent : smr:Slab.Smr.t -> Slab.Frame.cache -> string list
-(** Latent-cache accounting vs. reclamation-scheme state: every deferred
+    Latent-cache accounting vs. reclamation-scheme state: every deferred
     object's token must lie in the valid window — positive and no newer
-    than the next token the SMR state could issue. Pass the truthful
-    view so a frontier-corrupting mutation cannot fool the bound. *)
-
-val env : Workloads.Env.t -> string list
-(** All of the above over the environment: the buddy allocator plus every
-    cache the backend knows, each failure prefixed with its layer. *)
+    than the next token the SMR state could issue, judged against the
+    truthful view ([env.smr]) so a frontier-corrupting mutation cannot
+    fool the bound. *)

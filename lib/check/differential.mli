@@ -38,8 +38,6 @@ type outcome =
           free/defer was not performed. Any divergence here shows up as an
           outcome mismatch against the other stack. *)
 
-val outcome_name : outcome -> string
-
 type replay = {
   label : string;
   outcomes : outcome array;  (** One per op, in trace order. *)

@@ -16,14 +16,6 @@ type config = {
   stop_on_failure : bool;
 }
 
-let default_config =
-  {
-    base = Sweep.default_config;
-    budget = 100;
-    seed = 1;
-    stop_on_failure = true;
-  }
-
 type origin = Seed | Mutated of { parent : int; op : string }
 
 let origin_name = function

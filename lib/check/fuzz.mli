@@ -28,9 +28,6 @@ type config = {
   stop_on_failure : bool;  (** Stop at the first failing verdict. *)
 }
 
-val default_config : config
-(** [Sweep.default_config] base, budget 100, seed 1, stop on failure. *)
-
 type origin = Seed | Mutated of { parent : int; op : string }
 
 val origin_name : origin -> string
@@ -59,9 +56,6 @@ type result = {
 val concretize : config -> input -> Sweep.config * Sweep.case
 (** The exact single-case sweep an input denotes (also what its replay
     command describes). *)
-
-val seed_inputs : config -> input list
-(** The initial corpus: one input per (scenario, kind), base settings. *)
 
 val run : ?progress:(record -> unit) -> config -> result
 (** Run the campaign: execute the seed corpus, then mutate

@@ -38,9 +38,6 @@ type stall_violation = {
 
 type cb_violation = { at_ns : int; queued : int; invoked : int; in_list : int }
 
-val describe_stall : stall_violation -> string
-val describe_cb : cb_violation -> string
-
 type t
 
 val install : config -> Workloads.Env.t -> t

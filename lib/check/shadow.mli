@@ -24,9 +24,20 @@
     The oracle is pure observation: it never changes allocator behaviour,
     so a run with the oracle installed is byte-identical to one without.
     Violations are recorded (with virtual timestamps), never raised; the
-    log keeps the first {!max_logged_violations} and counts the rest, so
-    a badly mutated run cannot grow memory without bound during long fuzz
-    sessions. *)
+    log keeps the first 64 and counts the rest, so a badly mutated run
+    cannot grow memory without bound during long fuzz sessions.
+
+    {b Cost model.} Per-object state lives in a flat table indexed by oid
+    (frame oids are dense from 0 and never reused): one tag byte and one
+    token word per object, grown by doubling on demand. A tap event costs
+    O(1). Every defer also records its (token, oid) pair in a promotion
+    index kept sorted by token, so a frontier advance pops exactly the
+    entries at or below the new frontier: O(objects promoted), skipping
+    stale entries (objects since pooled, page-released or deferred
+    again), and never visiting an entry above the frontier. A token
+    below the newest one takes a sorted insert, O(entries above it). Once
+    the tables have grown, neither path allocates on the minor heap;
+    only a recorded violation does. *)
 
 type state =
   | Live  (** Held by a mutator. *)
@@ -52,7 +63,6 @@ type kind =
 type violation = { at_ns : int; oid : int; kind : kind }
 
 val describe : violation -> string
-val pp_violation : Format.formatter -> violation -> unit
 
 type t
 
@@ -74,25 +84,20 @@ val install :
     feeds it. *)
 
 val violations : t -> violation list
-(** Oldest first; at most {!max_logged_violations} entries. *)
+(** Oldest first; at most 64 entries. *)
 
 val violation_count : t -> int
-(** Logged violations (bounded by {!max_logged_violations}). *)
+(** Logged violations (at most 64). *)
 
 val dropped_violations : t -> int
 (** Violations recorded past the log bound and discarded. *)
 
-val max_logged_violations : int
-
 val state : t -> oid:int -> state option
-(** Current shadow state of object [oid]; [None] if never observed. *)
+(** Current shadow state of object [oid]; [None] if never observed (or
+    its page was released). *)
 
 val tracked : t -> int
-(** Objects currently tracked. *)
-
-val counts : t -> int * int * int * int
-(** (live, deferred, ripe, reclaimed) tracked-object totals — cheap
-    cross-check material for the auditors. *)
+(** Objects currently tracked: a counter, O(1). *)
 
 val events : t -> int
 (** Tap events handled (sanity: > 0 after any workload). *)

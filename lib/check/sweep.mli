@@ -87,14 +87,6 @@ val default_config : config
 (** All scenarios, both allocators, 20 sweeps, 4 CPUs, 50 ms virtual,
     32 MiB, no mutation, all oracles, no plan override. *)
 
-val stall_timeout_ns : config -> int
-(** The armed stall-detector timeout: duration/8, so it fires inside
-    short sweeps. *)
-
-val stall_bound_ns : config -> int
-(** The missed-QS oracle bound: twice {!stall_timeout_ns}, so on
-    unmutated runs the detector always warns first. *)
-
 type case = {
   scenario : Workloads.Chaos.scenario;
   kind : Workloads.Env.kind;

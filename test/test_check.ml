@@ -152,6 +152,251 @@ let test_oracle_double_free () =
          | _ -> false)
        (Shadow.violations oracle))
 
+(* A shadow heap driven by hand: events go straight onto the env's tap,
+   and the frontier is whatever the test says. The wrapped SMR view's
+   [on_ripen] captures the promotion hook and its [ripe_upto] reads the
+   test's frontier, so an advance is "set the frontier, call the hook". *)
+type harness = {
+  oracle : Shadow.t;
+  emit : Trace.Tap.kind -> int -> int -> unit;
+  advance : int -> unit;
+}
+
+let harness ?coverage () =
+  let env = build ~track_readers:false () in
+  let frontier = ref 0 and hook = ref ignore in
+  let smr =
+    {
+      env.W.Env.smr with
+      Slab.Smr.ripe_upto = (fun () -> !frontier);
+      on_ripen = (fun f -> hook := f);
+    }
+  in
+  let oracle = Shadow.install ?coverage { env with W.Env.smr } in
+  let tap = Sim.Engine.tap env.W.Env.eng in
+  {
+    oracle;
+    emit = (fun kind a b -> Trace.Tap.emit tap kind a b);
+    advance =
+      (fun f ->
+        frontier := f;
+        !hook f);
+  }
+
+(* The reference: the shadow heap as a hash table with a full scan of
+   every tracked object per frontier advance. *)
+module Model = struct
+  type t = {
+    states : (int, Shadow.state) Hashtbl.t;
+    cov : Check.Coverage.t;
+    mutable log : Shadow.violation list;  (* reversed, unbounded *)
+    mutable frontier : int;
+  }
+
+  let create () =
+    {
+      states = Hashtbl.create 64;
+      cov = Check.Coverage.create ();
+      log = [];
+      frontier = 0;
+    }
+
+  let tag = function
+    | None -> 0
+    | Some Shadow.Live -> 1
+    | Some (Shadow.Deferred _) -> 2
+    | Some Shadow.Ripe -> 3
+    | Some Shadow.Reclaimed -> 4
+
+  let state m oid = Hashtbl.find_opt m.states oid
+  let flag m oid kind = m.log <- { Shadow.at_ns = 0; oid; kind } :: m.log
+
+  let bad m oid event =
+    flag m oid (Shadow.Bad_transition { from = state m oid; event })
+
+  let set m oid st =
+    Check.Coverage.note_transition m.cov ~from_tag:(tag (state m oid))
+      ~to_tag:(tag (Some st));
+    Hashtbl.replace m.states oid st
+
+  let alloc m oid =
+    (match state m oid with
+    | Some (Shadow.Live | Shadow.Deferred _) -> bad m oid "allocated"
+    | _ -> ());
+    set m oid Shadow.Live
+
+  let free m oid = if state m oid <> Some Shadow.Live then bad m oid "freed"
+
+  let defer m oid cookie =
+    if state m oid <> Some Shadow.Live then bad m oid "defer-freed";
+    set m oid (Shadow.Deferred cookie)
+
+  let pool m oid =
+    (match state m oid with
+    | Some (Shadow.Deferred c) when c > m.frontier ->
+        flag m oid (Shadow.Early_reuse { cookie = c; completed = m.frontier })
+    | _ -> ());
+    set m oid Shadow.Reclaimed
+
+  let page_release m oid cookie =
+    (match state m oid with
+    | Some (Shadow.Deferred c) when c > m.frontier ->
+        flag m oid (Shadow.Page_reuse { cookie = c; completed = m.frontier })
+    | None when cookie > m.frontier ->
+        flag m oid (Shadow.Page_reuse { cookie; completed = m.frontier })
+    | _ -> ());
+    Check.Coverage.note_transition m.cov ~from_tag:(tag (state m oid))
+      ~to_tag:5;
+    Hashtbl.remove m.states oid
+
+  let reader_access m ~cpu oid =
+    if state m oid = Some Shadow.Reclaimed then
+      flag m oid (Shadow.Use_after_reclaim { cpu })
+
+  let advance m completed =
+    m.frontier <- completed;
+    let ripe =
+      Hashtbl.fold
+        (fun oid st acc ->
+          match st with
+          | Shadow.Deferred c when c <= completed -> oid :: acc
+          | _ -> acc)
+        m.states []
+    in
+    List.iter (fun oid -> set m oid Shadow.Ripe) ripe
+end
+
+(* One step of a random stream. Tokens are offsets from the frontier at
+   the time the step runs, so they land both above and below the newest
+   token issued, and some are already ripe. *)
+type op =
+  | Ev of Trace.Tap.kind * int * int  (* kind, oid, token offset or cpu *)
+  | Advance of int  (* frontier step *)
+
+let op_gen =
+  let open QCheck.Gen in
+  (* Mostly a small pool of oids so lifecycles collide; sometimes a far
+     one so the table grows mid-stream. *)
+  let oid = frequency [ (9, int_bound 11); (1, int_bound 700) ] in
+  let offset = int_range (-3) 6 in
+  let ev kind arg = map2 (fun o a -> Ev (kind, o, a)) oid arg in
+  frequency
+    [
+      (4, ev Trace.Tap.Alloc (return 0));
+      (1, ev Trace.Tap.Free (return 0));
+      (4, ev Trace.Tap.Defer offset);
+      (3, ev Trace.Tap.Pool (return 0));
+      (1, ev Trace.Tap.Page_release offset);
+      (1, ev Trace.Tap.Reader_access (int_bound 3));
+      (3, map (fun k -> Advance k) (int_bound 2));
+    ]
+
+let print_op = function
+  | Ev (kind, oid, arg) ->
+      let name =
+        match kind with
+        | Trace.Tap.Alloc -> "alloc"
+        | Free -> "free"
+        | Defer -> "defer"
+        | Pool -> "pool"
+        | Page_release -> "page-release"
+        | Reader_access -> "reader"
+        | _ -> "other"
+      in
+      Printf.sprintf "%s(%d,%d)" name oid arg
+  | Advance k -> Printf.sprintf "advance+%d" k
+
+let prop_shadow_matches_model =
+  QCheck.Test.make ~name:"shadow: flat table + index equal the full-scan model"
+    ~count:300
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat " " (List.map print_op ops))
+       QCheck.Gen.(list_size (int_range 1 160) op_gen))
+    (fun ops ->
+      let cov = Check.Coverage.create () in
+      let h = harness ~coverage:cov () in
+      let m = Model.create () in
+      let first_k k l = List.filteri (fun i _ -> i < k) l in
+      (* Every oid the stream touches, and one it never does. *)
+      let oids =
+        720
+        :: List.filter_map (function Ev (_, o, _) -> Some o | _ -> None) ops
+        |> List.sort_uniq compare
+      in
+      let agrees () =
+        let logged = List.rev m.Model.log in
+        let n = List.length logged in
+        List.for_all
+          (fun oid -> Shadow.state h.oracle ~oid = Model.state m oid)
+          oids
+        && Shadow.tracked h.oracle = Hashtbl.length m.Model.states
+        && Shadow.violations h.oracle = first_k 64 logged
+        && Shadow.violation_count h.oracle = min n 64
+        && Shadow.dropped_violations h.oracle = max 0 (n - 64)
+        && Check.Coverage.features cov
+           = Check.Coverage.features m.Model.cov
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Advance k ->
+              let f = m.Model.frontier + k in
+              Model.advance m f;
+              h.advance f
+          | Ev (kind, oid, arg) -> (
+              let cookie = m.Model.frontier + arg in
+              match kind with
+              | Trace.Tap.Alloc ->
+                  Model.alloc m oid;
+                  h.emit kind oid 0
+              | Free ->
+                  Model.free m oid;
+                  h.emit kind oid 0
+              | Defer ->
+                  Model.defer m oid cookie;
+                  h.emit kind oid cookie
+              | Pool ->
+                  Model.pool m oid;
+                  h.emit kind oid 0
+              | Page_release ->
+                  Model.page_release m oid cookie;
+                  h.emit kind oid cookie
+              | Reader_access ->
+                  Model.reader_access m ~cpu:arg oid;
+                  h.emit kind arg oid
+              | _ -> ()));
+          agrees ())
+        ops
+      && List.map Shadow.describe (Shadow.violations h.oracle)
+         = List.map Shadow.describe (first_k 64 (List.rev m.Model.log)))
+
+(* Once its tables have grown, the shadow heap allocates nothing per
+   event or per frontier advance. The frontier trails the newest token
+   by [lag], so the index always holds entries and slides them back to
+   its front in the steady state; each advance ripens the object the
+   pool step then takes. *)
+let test_shadow_allocation_free () =
+  let h = harness () in
+  let lag = 8 in
+  let cycle i =
+    let oid = i land 1023 and ripe = (i - lag) land 1023 in
+    h.emit Trace.Tap.Alloc oid 0;
+    h.emit Trace.Tap.Defer oid i;
+    h.advance (i - lag);
+    h.emit Trace.Tap.Pool ripe (i - lag)
+  in
+  for i = 0 to 2_047 do
+    cycle i
+  done;
+  let before = Gc.minor_words () in
+  for i = 2_048 to 12_047 do
+    cycle i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "10k cycles, 0 minor words" 0. words;
+  Alcotest.(check int) "no violations" 0 (Shadow.violation_count h.oracle);
+  Alcotest.(check int) "every object tracked" 1_024 (Shadow.tracked h.oracle)
+
 let small_sweep =
   {
     Sweep.default_config with
@@ -338,6 +583,9 @@ let suite =
       test_oracle_use_after_reclaim;
     Alcotest.test_case "mutation: double free flagged" `Quick
       test_oracle_double_free;
+    QCheck_alcotest.to_alcotest prop_shadow_matches_model;
+    Alcotest.test_case "shadow: allocation-free once grown" `Quick
+      test_shadow_allocation_free;
     Alcotest.test_case "sweep: smoke matrix clean" `Quick test_sweep_smoke;
     Alcotest.test_case "sweep: verdicts replay deterministically" `Quick
       test_sweep_deterministic_replay;
