@@ -5,7 +5,11 @@
     suspend on virtual time via {!sleep} or on conditions via {!Cond.wait}.
     Internally each process runs under an effect handler that converts
     suspensions into engine events, so all actors interleave
-    deterministically on the single real thread.
+    deterministically on the single real thread. Each process gets one
+    record at spawn holding its parked continuation, a resume closure
+    and the handler's sleep reply, so a sleep allocates only the
+    runtime's continuation and the effect value (5 words), and a wakeup
+    allocates nothing.
 
     Restrictions: {!sleep}, {!yield} and {!Cond.wait} may only be performed
     from code (transitively) called from a process body passed to {!spawn};
@@ -18,7 +22,9 @@ val spawn : Engine.t -> (unit -> unit) -> unit
 
 val sleep : Engine.t -> int -> unit
 (** [sleep eng ns] suspends the calling process for [ns] nanoseconds of
-    virtual time. [sleep eng 0] yields to other events at the same time. *)
+    virtual time. [sleep eng 0] yields to other events at the same time.
+    [eng] must be the engine the process was spawned on; the wakeup is
+    scheduled there. *)
 
 val yield : Engine.t -> unit
 (** [yield eng] is [sleep eng 0]. *)
@@ -36,11 +42,12 @@ module Cond : sig
       predicate in a loop, as with any condition variable. *)
 
   val broadcast : t -> unit
-  (** Wake every waiter at the current virtual time. May be called from any
-      context (process or plain event). *)
+  (** Wake every waiter at the current virtual time, in the order they
+      began waiting. May be called from any context (process or plain
+      event). *)
 
   val waiters : t -> int
-  (** Number of processes currently blocked on the condition. *)
+  (** Number of processes currently blocked on the condition (O(1)). *)
 end
 
 val wait_until : Engine.t -> Cond.t -> (unit -> bool) -> unit

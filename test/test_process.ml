@@ -47,11 +47,16 @@ let test_cond_broadcast () =
   let eng = Sim.Engine.create () in
   let cond = Sim.Process.Cond.create eng in
   let woken = ref 0 in
-  for _ = 1 to 3 do
-    Sim.Process.spawn eng (fun () ->
-        Sim.Process.Cond.wait cond;
-        incr woken)
-  done;
+  let order = ref [] in
+  (* Spawned at staggered times, so they wait in the order 3, 1, 2. *)
+  List.iter
+    (fun (id, delay) ->
+      Sim.Process.spawn eng (fun () ->
+          Sim.Process.sleep eng delay;
+          Sim.Process.Cond.wait cond;
+          order := id :: !order;
+          incr woken))
+    [ (1, 20); (2, 30); (3, 10) ];
   ignore
     (Sim.Engine.schedule eng ~after:500 (fun () ->
          Sim.Process.Cond.broadcast cond));
@@ -59,7 +64,10 @@ let test_cond_broadcast () =
   Alcotest.(check int) "no early wake" 0 !woken;
   Alcotest.(check int) "waiters queued" 3 (Sim.Process.Cond.waiters cond);
   Sim.Engine.run eng;
-  Alcotest.(check int) "all woken" 3 !woken
+  Alcotest.(check int) "all woken" 3 !woken;
+  Alcotest.(check (list int)) "woken in waiting order" [ 3; 1; 2 ]
+    (List.rev !order);
+  Alcotest.(check int) "queue empty" 0 (Sim.Process.Cond.waiters cond)
 
 let test_wait_until () =
   let eng = Sim.Engine.create () in
@@ -100,6 +108,28 @@ let test_many_processes () =
   Sim.Engine.run eng;
   Alcotest.(check int) "all processes completed" 500 !done_count
 
+(* A sleep allocates the runtime's continuation and the effect value
+   only: the process's resume closure and handler reply are made once,
+   at spawn. *)
+let test_sleep_allocation () =
+  let eng = Sim.Engine.create () in
+  let n = 10_000 in
+  let words = ref nan in
+  Sim.Process.spawn eng (fun () ->
+      for _ = 1 to 1_000 do
+        Sim.Process.sleep eng 5
+      done;
+      let before = Gc.minor_words () in
+      for _ = 1 to n do
+        Sim.Process.sleep eng 5
+      done;
+      words := Gc.minor_words () -. before);
+  Sim.Engine.run eng;
+  let per_sleep = !words /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per sleep <= 6" per_sleep)
+    true (per_sleep <= 6.)
+
 let suite =
   [
     Alcotest.test_case "sleep advances virtual time" `Quick
@@ -110,4 +140,5 @@ let suite =
     Alcotest.test_case "wait_until re-checks predicate" `Quick test_wait_until;
     Alcotest.test_case "wait_until immediate" `Quick test_wait_until_immediate;
     Alcotest.test_case "500 processes" `Quick test_many_processes;
+    Alcotest.test_case "sleep allocation" `Quick test_sleep_allocation;
   ]
