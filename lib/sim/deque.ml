@@ -1,67 +1,64 @@
-(* Two-stack deque with lazy rebalancing: [front] holds elements from the
-   front inward, [back] from the back inward. *)
+(* A power-of-two ring: pushes and pops at either end are index
+   arithmetic, allocation-free once the ring has grown. A popped slot
+   keeps its old element until a later push overwrites it. *)
 type 'a t = {
-  mutable front : 'a list;
-  mutable back : 'a list;
-  mutable size : int;
+  mutable arr : 'a array; (* capacity a power of two; [||] until used *)
+  mutable head : int; (* index of the front element *)
+  mutable n : int;
 }
 
-let create () = { front = []; back = []; size = 0 }
+let create () = { arr = [||]; head = 0; n = 0 }
 
-let length d = d.size
-let is_empty d = d.size = 0
+let length d = d.n
+let is_empty d = d.n = 0
 
-let push_front d x =
-  d.front <- x :: d.front;
-  d.size <- d.size + 1
+(* Make room for one more element; [x] fills the fresh slots. *)
+let reserve d x =
+  let cap = Array.length d.arr in
+  if cap = 0 then d.arr <- Array.make 16 x
+  else if d.n = cap then begin
+    let b = Array.make (2 * cap) x in
+    for i = 0 to d.n - 1 do
+      b.(i) <- d.arr.((d.head + i) land (cap - 1))
+    done;
+    d.arr <- b;
+    d.head <- 0
+  end
 
 let push_back d x =
-  d.back <- x :: d.back;
-  d.size <- d.size + 1
+  reserve d x;
+  d.arr.((d.head + d.n) land (Array.length d.arr - 1)) <- x;
+  d.n <- d.n + 1
 
-let pop_front d =
-  match d.front with
-  | x :: rest ->
-      d.front <- rest;
-      d.size <- d.size - 1;
-      Some x
-  | [] -> (
-      match List.rev d.back with
-      | [] -> None
-      | x :: rest ->
-          d.back <- [];
-          d.front <- rest;
-          d.size <- d.size - 1;
-          Some x)
+let push_front d x =
+  reserve d x;
+  d.head <- (d.head - 1) land (Array.length d.arr - 1);
+  d.arr.(d.head) <- x;
+  d.n <- d.n + 1
 
-let pop_back d =
-  match d.back with
-  | x :: rest ->
-      d.back <- rest;
-      d.size <- d.size - 1;
-      Some x
-  | [] -> (
-      match List.rev d.front with
-      | [] -> None
-      | x :: rest ->
-          d.front <- [];
-          d.back <- rest;
-          d.size <- d.size - 1;
-          Some x)
+let pop_front_exn d =
+  if d.n = 0 then invalid_arg "Deque.pop_front_exn: empty";
+  let x = d.arr.(d.head) in
+  d.head <- (d.head + 1) land (Array.length d.arr - 1);
+  d.n <- d.n - 1;
+  x
 
-let peek_front d =
-  match d.front with
-  | x :: _ -> Some x
-  | [] -> ( match List.rev d.back with [] -> None | x :: _ -> Some x)
+let pop_back_exn d =
+  if d.n = 0 then invalid_arg "Deque.pop_back_exn: empty";
+  d.n <- d.n - 1;
+  d.arr.((d.head + d.n) land (Array.length d.arr - 1))
+
+let pop_front d = if d.n = 0 then None else Some (pop_front_exn d)
+let pop_back d = if d.n = 0 then None else Some (pop_back_exn d)
+let peek_front d = if d.n = 0 then None else Some d.arr.(d.head)
 
 let peek_back d =
-  match d.back with
-  | x :: _ -> Some x
-  | [] -> ( match List.rev d.front with [] -> None | x :: _ -> Some x)
+  if d.n = 0 then None
+  else Some d.arr.((d.head + d.n - 1) land (Array.length d.arr - 1))
 
-let to_list d = d.front @ List.rev d.back
+let to_list d =
+  List.init d.n (fun i -> d.arr.((d.head + i) land (Array.length d.arr - 1)))
 
 let clear d =
-  d.front <- [];
-  d.back <- [];
-  d.size <- 0
+  d.head <- 0;
+  d.n <- 0

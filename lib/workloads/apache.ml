@@ -6,7 +6,7 @@ let caches =
     { Appmodel.cache_name = "kmalloc-64"; obj_size = 64 };
   ]
 
-let gen_txn _rng =
+let request_txn =
   let buffers n =
     List.init n (fun _ -> Appmodel.Acquire "kmalloc-64")
     @ [ Appmodel.Work 800 ]
@@ -34,7 +34,8 @@ let config ?(txns_per_cpu = 3_000) () =
     Appmodel.bench_name = "apache";
     caches;
     standing = [ ("filp", 80); ("eventpoll_epi", 80); ("selinux", 80); ("kmalloc-64", 40) ];
-    gen_txn;
+    txns = [| request_txn |];
+    next_txn = (fun _ -> 0);
     txns_per_cpu;
     think_ns_mean = 2_500.;
   }

@@ -1,9 +1,11 @@
-type op =
-  | Acquire of string
-  | Release of string
-  | Release_deferred of string
-  | Release_newest of string
+type 'cache step =
+  | Acquire of 'cache
+  | Release of 'cache
+  | Release_deferred of 'cache
+  | Release_newest of 'cache
   | Work of int
+
+type op = string step
 
 type cache_spec = { cache_name : string; obj_size : int }
 
@@ -14,7 +16,8 @@ type config = {
       (* Objects acquired per CPU at startup and held for the whole run:
          listening sockets, open connections, resident files. They make
          end-of-run "requested bytes" non-zero, as in the paper's runs. *)
-  gen_txn : Sim.Rng.t -> op list;
+  txns : op list array;
+  next_txn : Sim.Rng.t -> int;
   txns_per_cpu : int;
   think_ns_mean : float;
 }
@@ -44,47 +47,50 @@ type result = {
   safety_violations : int;
 }
 
-(* Per-CPU, per-cache pool of held objects: a deque so transactions can
-   release oldest-first (typical kernel lifetimes) or newest-first
-   (scratch buffers). *)
-type pool = (string, Slab.Frame.objekt Sim.Deque.t) Hashtbl.t
-
-let pool_for (pool : pool) name =
-  match Hashtbl.find_opt pool name with
-  | Some d -> d
-  | None ->
-      let d = Sim.Deque.create () in
-      Hashtbl.add pool name d;
-      d
-
 let run (env : Env.t) (cfg : config) =
+  (* Resolve every cache name once, before anything is created or run,
+     so the per-op path indexes arrays and never compares strings. *)
+  let index name =
+    let rec find i = function
+      | [] -> invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
+      | (spec : cache_spec) :: rest ->
+          if String.equal spec.cache_name name then i else find (i + 1) rest
+    in
+    find 0 cfg.caches
+  in
+  let compile = function
+    | Acquire name -> Acquire (index name)
+    | Release name -> Release (index name)
+    | Release_deferred name -> Release_deferred (index name)
+    | Release_newest name -> Release_newest (index name)
+    | Work ns -> Work ns
+  in
+  let shapes =
+    Array.map (fun ops -> Array.of_list (List.map compile ops)) cfg.txns
+  in
+  let standing =
+    List.map (fun (name, count) -> (index name, count)) cfg.standing
+  in
   let backend = env.Env.backend in
   let caches =
-    List.map
-      (fun (spec : cache_spec) ->
-        ( spec.cache_name,
-          backend.Slab.Backend.create_cache ~name:spec.cache_name
-            ~obj_size:spec.obj_size ))
-      cfg.caches
-  in
-  let cache_by_name name =
-    match List.assoc_opt name caches with
-    | Some c -> c
-    | None -> invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
+    Array.of_list
+      (List.map
+         (fun (spec : cache_spec) ->
+           backend.Slab.Backend.create_cache ~name:spec.cache_name
+             ~obj_size:spec.obj_size)
+         cfg.caches)
   in
   let ncpus = Sim.Machine.nr_cpus env.Env.machine in
   let txns = ref 0 in
   let oom = ref false in
   let finish_times = ref [] in
-  let frag_meters =
-    List.map (fun (name, _) -> (name, { sum = 0.; n = 0 })) caches
-  in
+  let frag_meters = Array.map (fun _ -> { sum = 0.; n = 0 }) caches in
   Sim.Engine.every env.Env.eng ~period:1_000_000 (fun () ->
-      List.iter
-        (fun (name, cache) ->
+      Array.iteri
+        (fun c cache ->
           let f = Slab.Frame.fragmentation cache in
           if not (Float.is_nan f) then begin
-            let m = List.assoc name frag_meters in
+            let m = frag_meters.(c) in
             m.sum <- m.sum +. f;
             m.n <- m.n + 1
           end)
@@ -94,49 +100,45 @@ let run (env : Env.t) (cfg : config) =
     let cpu = Env.cpu env i in
     let rng = Sim.Rng.split env.Env.rng in
     Sim.Process.spawn env.Env.eng (fun () ->
-        let pool : pool = Hashtbl.create 8 in
+        (* This CPU's held objects, one deque per cache, oldest first:
+           transactions release oldest-first (typical kernel lifetimes)
+           or newest-first (scratch buffers). *)
+        let pools = Array.map (fun _ -> Sim.Deque.create ()) caches in
         (try
            List.iter
-             (fun (name, count) ->
-               let cache = cache_by_name name in
+             (fun (c, count) ->
                for _ = 1 to count do
-                 match backend.Slab.Backend.alloc cache cpu with
+                 match backend.Slab.Backend.alloc caches.(c) cpu with
                  | Some _obj -> () (* held for the whole run *)
                  | None ->
                      oom := true;
                      raise Exit
                done)
-             cfg.standing;
+             standing;
            for _ = 1 to cfg.txns_per_cpu do
-             let ops = cfg.gen_txn rng in
-             List.iter
-               (fun op ->
-                 match op with
-                 | Acquire name -> (
-                     let cache = cache_by_name name in
-                     match backend.Slab.Backend.alloc cache cpu with
-                     | Some obj -> Sim.Deque.push_back (pool_for pool name) obj
-                     | None ->
-                         oom := true;
-                         raise Exit)
-                 | Release name -> (
-                     match Sim.Deque.pop_front (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free (cache_by_name name) cpu obj
-                     | None -> ())
-                 | Release_newest name -> (
-                     match Sim.Deque.pop_back (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free (cache_by_name name) cpu obj
-                     | None -> ())
-                 | Release_deferred name -> (
-                     match Sim.Deque.pop_front (pool_for pool name) with
-                     | Some obj ->
-                         backend.Slab.Backend.free_deferred (cache_by_name name)
-                           cpu obj
-                     | None -> ())
-                 | Work ns -> Sim.Machine.consume cpu ns)
-               ops;
+             let shape = shapes.(cfg.next_txn rng) in
+             for j = 0 to Array.length shape - 1 do
+               match shape.(j) with
+               | Acquire c -> (
+                   match backend.Slab.Backend.alloc caches.(c) cpu with
+                   | Some obj -> Sim.Deque.push_back pools.(c) obj
+                   | None ->
+                       oom := true;
+                       raise Exit)
+               | Release c ->
+                   if not (Sim.Deque.is_empty pools.(c)) then
+                     backend.Slab.Backend.free caches.(c) cpu
+                       (Sim.Deque.pop_front_exn pools.(c))
+               | Release_newest c ->
+                   if not (Sim.Deque.is_empty pools.(c)) then
+                     backend.Slab.Backend.free caches.(c) cpu
+                       (Sim.Deque.pop_back_exn pools.(c))
+               | Release_deferred c ->
+                   if not (Sim.Deque.is_empty pools.(c)) then
+                     backend.Slab.Backend.free_deferred caches.(c) cpu
+                       (Sim.Deque.pop_front_exn pools.(c))
+               | Work ns -> Sim.Machine.consume cpu ns
+             done;
              incr txns;
              (* Charge the transaction's accumulated cost, then think
                 (idle: pre-flush opportunity). *)
@@ -157,8 +159,8 @@ let run (env : Env.t) (cfg : config) =
   Sim.Process.spawn env.Env.eng (fun () -> backend.Slab.Backend.settle ());
   Sim.Engine.run_until_quiet env.Env.eng;
   let total_frees, total_deferred =
-    List.fold_left
-      (fun (f, d) (_, cache) ->
+    Array.fold_left
+      (fun (f, d) cache ->
         let s = Slab.Slab_stats.snapshot cache.Slab.Frame.stats in
         (f + s.Slab.Slab_stats.frees, d + s.Slab.Slab_stats.deferred_frees))
       (0, 0) caches
@@ -176,22 +178,23 @@ let run (env : Env.t) (cfg : config) =
          *. float_of_int total_deferred
          /. float_of_int (total_frees + total_deferred));
     caches =
-      List.map
-        (fun (name, cache) ->
+      List.mapi
+        (fun c (spec : cache_spec) ->
+          let cache = caches.(c) in
           let contended, wait = Env.node_lock_stats env cache in
-          let meter = List.assoc name frag_meters in
+          let meter = frag_meters.(c) in
           let sampled_frag =
             if meter.n = 0 then Slab.Frame.fragmentation cache
             else meter.sum /. float_of_int meter.n
           in
           {
-            cache_name = name;
+            cache_name = spec.cache_name;
             snap = Slab.Slab_stats.snapshot cache.Slab.Frame.stats;
             fragmentation = sampled_frag;
             lock_contended = contended;
             lock_wait_ns = wait;
           })
-        caches;
+        cfg.caches;
     oom = !oom;
     safety_violations = List.length (Env.safety_violations env);
   }

@@ -10,12 +10,17 @@
     kernel (an inode allocated at create is defer-freed at unlink much
     later). *)
 
-type op =
-  | Acquire of string  (** Allocate from the named cache into the pool. *)
-  | Release of string  (** Immediately free the pool's oldest object. *)
-  | Release_deferred of string  (** Defer-free the pool's oldest object. *)
-  | Release_newest of string  (** Immediately free the newest (LIFO). *)
+type 'cache step =
+  | Acquire of 'cache  (** Allocate from the cache into the pool. *)
+  | Release of 'cache  (** Immediately free the pool's oldest object. *)
+  | Release_deferred of 'cache  (** Defer-free the pool's oldest object. *)
+  | Release_newest of 'cache  (** Immediately free the newest (LIFO). *)
   | Work of int  (** Burn CPU ns (syscall work, copying, ...). *)
+(** One operation of a transaction. A release on an empty pool does
+    nothing. *)
+
+type op = string step
+(** An op as a model writes it, naming its cache. *)
 
 type cache_spec = { cache_name : string; obj_size : int }
 
@@ -26,7 +31,15 @@ type config = {
       (** Objects acquired per CPU at startup and held for the whole run
           (listening sockets, open connections, resident files); they give
           the end-of-run fragmentation ratio a non-zero denominator. *)
-  gen_txn : Sim.Rng.t -> op list;  (** One transaction. *)
+  txns : op list array;
+      (** The model's transaction shapes, declared once. {!run} resolves
+          their cache names up front and compiles each shape into an
+          array of ops over cache indices, so a transaction costs only
+          its slab calls: no name lookup, no allocation. *)
+  next_txn : Sim.Rng.t -> int;
+      (** Picks the next transaction: an index into [txns]. {!run}
+          calls it once per transaction, before the ops run, on that
+          CPU's RNG stream. *)
   txns_per_cpu : int;
   think_ns_mean : float;  (** Idle time between transactions. *)
 }
@@ -53,4 +66,7 @@ type result = {
 
 val run : Env.t -> config -> result
 (** Execute [txns_per_cpu] transactions on every CPU, settle, measure.
-    Throughput covers the transaction phase only. *)
+    Throughput covers the transaction phase only.
+    @raise Invalid_argument ["Appmodel: unknown cache <name>"] before any
+    process starts if [txns] or [standing] names a cache missing from
+    [caches]. *)

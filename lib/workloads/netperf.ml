@@ -8,7 +8,7 @@ let caches =
 (* One TCP_CRR transaction: handshake, one request/response, teardown.
    ~12 sk_buffs flow through kmalloc-256; the socket's filp and selinux
    objects are deferred at connection teardown. *)
-let gen_txn _rng =
+let crr_txn =
   let skb_burst n =
     List.concat
       (List.init n (fun _ ->
@@ -25,7 +25,8 @@ let config ?(txns_per_cpu = 3_000) () =
     Appmodel.bench_name = "netperf";
     caches;
     standing = [ ("filp", 80); ("selinux", 80); ("kmalloc-256", 40) ];
-    gen_txn;
+    txns = [| crr_txn |];
+    next_txn = (fun _ -> 0);
     txns_per_cpu;
     think_ns_mean = 2_500.;
   }

@@ -54,18 +54,19 @@ let delete_txn =
   in
   Appmodel.[ Work 600 ] @ one_file @ one_file
 
-let gen_txn rng =
+let txns = [| create_txn; readwrite_txn; delete_txn |]
+
+let next_txn rng =
   let p = Sim.Rng.float rng 1.0 in
-  if p < 0.30 then create_txn
-  else if p < 0.82 then readwrite_txn
-  else delete_txn
+  if p < 0.30 then 0 else if p < 0.82 then 1 else 2
 
 let config ?(txns_per_cpu = 3_000) () =
   {
     Appmodel.bench_name = "postmark";
     caches;
     standing = [ ("ext4_inode", 60); ("dentry", 60); ("filp", 20) ];
-    gen_txn;
+    txns;
+    next_txn;
     txns_per_cpu;
     think_ns_mean = 1_000.;
   }

@@ -40,37 +40,76 @@ let test_clear () =
   Sim.Deque.clear d;
   Alcotest.(check bool) "cleared" true (Sim.Deque.is_empty d)
 
+(* Once the ring has grown to its working size, pushes and the [_exn]
+   pops at both ends allocate nothing. *)
+let test_no_alloc_once_grown () =
+  let d = Sim.Deque.create () in
+  for i = 1 to 64 do
+    Sim.Deque.push_back d i
+  done;
+  Sim.Deque.clear d;
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Sim.Deque.push_back d i;
+    Sim.Deque.push_front d i;
+    Sim.Deque.push_back d i;
+    ignore (Sim.Deque.pop_front_exn d);
+    ignore (Sim.Deque.pop_back_exn d);
+    ignore (Sim.Deque.pop_back_exn d)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "10k cycles, 0 minor words" 0. words;
+  Alcotest.(check bool) "empty again" true (Sim.Deque.is_empty d)
+
+let test_exn_on_empty () =
+  let d = Sim.Deque.create () in
+  Alcotest.check_raises "pop_front_exn"
+    (Invalid_argument "Deque.pop_front_exn: empty") (fun () ->
+      ignore (Sim.Deque.pop_front_exn d));
+  Sim.Deque.push_front d 1;
+  ignore (Sim.Deque.pop_back_exn d);
+  Alcotest.check_raises "pop_back_exn"
+    (Invalid_argument "Deque.pop_back_exn: empty") (fun () ->
+      ignore (Sim.Deque.pop_back_exn d))
+
+(* Pushes outnumber pops 3:2, so runs of a few hundred ops grow the ring
+   past its initial 16 slots more than once, and push_front wraps the
+   head below slot 0 from the first op. *)
 let prop_deque_model =
   QCheck.Test.make ~name:"deque matches a list model" ~count:300
-    QCheck.(list (pair (int_bound 3) small_int))
+    QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_bound 9) small_int))
     (fun ops ->
       let d = Sim.Deque.create () in
       let model = ref [] in
+      let take_front () =
+        match !model with [] -> None | x :: rest -> model := rest; Some x
+      in
+      let take_back () =
+        match List.rev !model with
+        | [] -> None
+        | x :: rest ->
+            model := List.rev rest;
+            Some x
+      in
+      let exn pop = match pop d with x -> Some x | exception Invalid_argument _ -> None in
       List.for_all
         (fun (op, v) ->
-          match op with
-          | 0 ->
+          (match op with
+          | 0 | 1 | 2 | 3 ->
               Sim.Deque.push_back d v;
               model := !model @ [ v ];
               true
-          | 1 ->
+          | 4 | 5 ->
               Sim.Deque.push_front d v;
               model := v :: !model;
               true
-          | 2 -> (
-              let expect =
-                match !model with [] -> None | x :: rest -> model := rest; Some x
-              in
-              Sim.Deque.pop_front d = expect)
-          | _ -> (
-              let expect =
-                match List.rev !model with
-                | [] -> None
-                | x :: rest ->
-                    model := List.rev rest;
-                    Some x
-              in
-              Sim.Deque.pop_back d = expect))
+          | 6 -> Sim.Deque.pop_front d = take_front ()
+          | 7 -> Sim.Deque.pop_back d = take_back ()
+          | 8 -> exn Sim.Deque.pop_front_exn = take_front ()
+          | _ -> exn Sim.Deque.pop_back_exn = take_back ())
+          && Sim.Deque.length d = List.length !model
+          && Sim.Deque.peek_front d = List.nth_opt !model 0
+          && Sim.Deque.peek_back d = List.nth_opt (List.rev !model) 0)
         ops
       && Sim.Deque.to_list d = !model)
 
@@ -82,5 +121,8 @@ let suite =
     Alcotest.test_case "pop_back after front pushes" `Quick
       test_pop_back_after_front_pushes;
     Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "no allocation once grown" `Quick
+      test_no_alloc_once_grown;
+    Alcotest.test_case "_exn pops on empty" `Quick test_exn_on_empty;
     QCheck_alcotest.to_alcotest prop_deque_model;
   ]

@@ -134,15 +134,17 @@ let app_test_cfg =
           { cache_name = "kmalloc-64"; obj_size = 64 };
         ];
       standing = [ ("filp", 4) ];
-      gen_txn =
-        (fun _rng ->
+      txns =
+        [|
           [
             Acquire "filp";
             Acquire "kmalloc-64";
             Work 500;
             Release_newest "kmalloc-64";
             Release_deferred "filp";
-          ]);
+          ];
+        |];
+      next_txn = (fun _rng -> 0);
       txns_per_cpu = 1_000;
       think_ns_mean = 2_000.;
     }
@@ -178,12 +180,286 @@ let test_appmodel_standing_objects_live () =
 let test_appmodel_unknown_cache_rejected () =
   let env = W.Env.build (small_cfg W.Env.Baseline) in
   let bad =
-    { app_test_cfg with W.Appmodel.gen_txn = (fun _ -> [ W.Appmodel.Acquire "nope" ]) }
+    { app_test_cfg with W.Appmodel.txns = [| [ W.Appmodel.Acquire "nope" ] |] }
   in
   (try
      ignore (W.Appmodel.run env bad);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
+
+(* A release naming no cache would only ever meet an empty pool, so the
+   run must reject it up front rather than skip it on every
+   transaction; so must an unknown standing cache. Nothing runs first. *)
+let test_appmodel_unknown_release_rejected () =
+  let rejects what bad =
+    let env = W.Env.build (small_cfg W.Env.Baseline) in
+    (match W.Appmodel.run env bad with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what "Appmodel: unknown cache nope" msg);
+    Alcotest.(check int) (what ^ ": no event ran") 0
+      (Sim.Engine.executed env.W.Env.eng)
+  in
+  rejects "release"
+    { app_test_cfg with W.Appmodel.txns = [| [ W.Appmodel.Release "nope" ] |] };
+  rejects "standing"
+    { app_test_cfg with W.Appmodel.standing = [ ("nope", 1) ] }
+
+(* The list interpreter [Appmodel.run] replaced, kept as its model: it
+   looks every cache up by name on every op and keeps each pool as a
+   plain list, oldest first. *)
+module Model = struct
+  type frag_meter = { mutable sum : float; mutable n : int }
+
+  let run (env : W.Env.t) (cfg : W.Appmodel.config) : W.Appmodel.result =
+    let backend = env.W.Env.backend in
+    let caches =
+      List.map
+        (fun (spec : W.Appmodel.cache_spec) ->
+          ( spec.W.Appmodel.cache_name,
+            backend.Slab.Backend.create_cache ~name:spec.W.Appmodel.cache_name
+              ~obj_size:spec.W.Appmodel.obj_size ))
+        cfg.W.Appmodel.caches
+    in
+    let cache_by_name name =
+      match List.assoc_opt name caches with
+      | Some c -> c
+      | None -> invalid_arg (Printf.sprintf "Appmodel: unknown cache %s" name)
+    in
+    let ncpus = Sim.Machine.nr_cpus env.W.Env.machine in
+    let txns = ref 0 in
+    let oom = ref false in
+    let finish_times = ref [] in
+    let frag_meters =
+      List.map (fun (name, _) -> (name, { sum = 0.; n = 0 })) caches
+    in
+    Sim.Engine.every env.W.Env.eng ~period:1_000_000 (fun () ->
+        List.iter
+          (fun (name, cache) ->
+            let f = Slab.Frame.fragmentation cache in
+            if not (Float.is_nan f) then begin
+              let m = List.assoc name frag_meters in
+              m.sum <- m.sum +. f;
+              m.n <- m.n + 1
+            end)
+          caches;
+        true);
+    for i = 0 to ncpus - 1 do
+      let cpu = W.Env.cpu env i in
+      let rng = Sim.Rng.split env.W.Env.rng in
+      Sim.Process.spawn env.W.Env.eng (fun () ->
+          let pools : (string, Slab.Frame.objekt list) Hashtbl.t =
+            Hashtbl.create 8
+          in
+          let pool name = Option.value ~default:[] (Hashtbl.find_opt pools name) in
+          let release name ~newest =
+            match pool name with
+            | [] -> None
+            | objs when newest ->
+                let rev = List.rev objs in
+                Hashtbl.replace pools name (List.rev (List.tl rev));
+                Some (List.hd rev)
+            | obj :: rest ->
+                Hashtbl.replace pools name rest;
+                Some obj
+          in
+          (try
+             List.iter
+               (fun (name, count) ->
+                 let cache = cache_by_name name in
+                 for _ = 1 to count do
+                   match backend.Slab.Backend.alloc cache cpu with
+                   | Some _obj -> ()
+                   | None ->
+                       oom := true;
+                       raise Exit
+                 done)
+               cfg.W.Appmodel.standing;
+             for _ = 1 to cfg.W.Appmodel.txns_per_cpu do
+               let ops = cfg.W.Appmodel.txns.(cfg.W.Appmodel.next_txn rng) in
+               List.iter
+                 (fun (op : W.Appmodel.op) ->
+                   match op with
+                   | Acquire name -> (
+                       let cache = cache_by_name name in
+                       match backend.Slab.Backend.alloc cache cpu with
+                       | Some obj -> Hashtbl.replace pools name (pool name @ [ obj ])
+                       | None ->
+                           oom := true;
+                           raise Exit)
+                   | Release name -> (
+                       match release name ~newest:false with
+                       | Some obj ->
+                           backend.Slab.Backend.free (cache_by_name name) cpu obj
+                       | None -> ())
+                   | Release_newest name -> (
+                       match release name ~newest:true with
+                       | Some obj ->
+                           backend.Slab.Backend.free (cache_by_name name) cpu obj
+                       | None -> ())
+                   | Release_deferred name -> (
+                       match release name ~newest:false with
+                       | Some obj ->
+                           backend.Slab.Backend.free_deferred (cache_by_name name)
+                             cpu obj
+                       | None -> ())
+                   | Work ns -> Sim.Machine.consume cpu ns)
+                 ops;
+               incr txns;
+               Sim.Process.sleep env.W.Env.eng (Sim.Machine.drain cpu);
+               let think =
+                 int_of_float
+                   (Sim.Rng.exponential rng ~mean:cfg.W.Appmodel.think_ns_mean)
+               in
+               Sim.Machine.idle_sleep env.W.Env.machine cpu think
+             done
+           with Exit -> ());
+          finish_times := Sim.Engine.now env.W.Env.eng :: !finish_times)
+    done;
+    Sim.Engine.run_until_quiet env.W.Env.eng;
+    let duration = max 1 (List.fold_left max 0 !finish_times) in
+    Sim.Process.spawn env.W.Env.eng (fun () -> backend.Slab.Backend.settle ());
+    Sim.Engine.run_until_quiet env.W.Env.eng;
+    let total_frees, total_deferred =
+      List.fold_left
+        (fun (f, d) (_, cache) ->
+          let s = Slab.Slab_stats.snapshot cache.Slab.Frame.stats in
+          (f + s.Slab.Slab_stats.frees, d + s.Slab.Slab_stats.deferred_frees))
+        (0, 0) caches
+    in
+    {
+      W.Appmodel.label = backend.Slab.Backend.label;
+      bench_name = cfg.W.Appmodel.bench_name;
+      txns = !txns;
+      duration_ns = duration;
+      throughput = float_of_int !txns /. (float_of_int duration /. 1e9);
+      deferred_pct =
+        (if total_frees + total_deferred = 0 then 0.
+         else
+           100.
+           *. float_of_int total_deferred
+           /. float_of_int (total_frees + total_deferred));
+      caches =
+        List.map
+          (fun (name, cache) ->
+            let contended, wait = W.Env.node_lock_stats env cache in
+            let meter = List.assoc name frag_meters in
+            {
+              W.Appmodel.cache_name = name;
+              snap = Slab.Slab_stats.snapshot cache.Slab.Frame.stats;
+              fragmentation =
+                (if meter.n = 0 then Slab.Frame.fragmentation cache
+                 else meter.sum /. float_of_int meter.n);
+              lock_contended = contended;
+              lock_wait_ns = wait;
+            })
+          caches;
+      oom = !oom;
+      safety_violations = List.length (W.Env.safety_violations env);
+    }
+end
+
+(* Random shapes over two or three caches, every op kind, releases that
+   may meet empty pools. *)
+let gen_app_cfg =
+  let open QCheck.Gen in
+  let* ncaches = int_range 2 3 in
+  let name c = Printf.sprintf "c%d" c in
+  let op =
+    let* kind = int_bound 4 and* c = int_bound (ncaches - 1) in
+    let+ ns = int_bound 2_000 in
+    match kind with
+    | 0 -> W.Appmodel.Acquire (name c)
+    | 1 -> W.Appmodel.Release (name c)
+    | 2 -> W.Appmodel.Release_deferred (name c)
+    | 3 -> W.Appmodel.Release_newest (name c)
+    | _ -> W.Appmodel.Work ns
+  in
+  let* shapes = array_size (int_range 1 3) (list_size (int_range 1 12) op) in
+  let+ standing = list_repeat ncaches (int_bound 3) in
+  {
+    W.Appmodel.bench_name = "random";
+    caches =
+      List.init ncaches (fun c ->
+          { W.Appmodel.cache_name = name c; obj_size = 64 lsl (2 * c) });
+    standing = List.mapi (fun c n -> (name c, n)) standing;
+    txns = shapes;
+    next_txn = (fun rng -> Sim.Rng.int rng (Array.length shapes));
+    txns_per_cpu = 40;
+    think_ns_mean = 1_000.;
+  }
+
+let print_app_cfg (cfg : W.Appmodel.config) =
+  let op = function
+    | W.Appmodel.Acquire c -> "Acquire " ^ c
+    | Release c -> "Release " ^ c
+    | Release_deferred c -> "Release_deferred " ^ c
+    | Release_newest c -> "Release_newest " ^ c
+    | Work ns -> Printf.sprintf "Work %d" ns
+  in
+  String.concat "\n"
+    (List.map
+       (fun (c, n) -> Printf.sprintf "standing %s %d" c n)
+       cfg.W.Appmodel.standing
+    @ Array.to_list
+        (Array.map
+           (fun ops -> "[" ^ String.concat "; " (List.map op ops) ^ "]")
+           cfg.W.Appmodel.txns))
+
+let prop_appmodel_matches_model =
+  QCheck.Test.make ~name:"appmodel matches the list interpreter" ~count:25
+    (QCheck.make ~print:print_app_cfg gen_app_cfg)
+    (fun cfg ->
+      List.for_all
+        (fun kind ->
+          let observe run =
+            let env = W.Env.build (small_cfg kind) in
+            let r : W.Appmodel.result = run env cfg in
+            ( ( r.W.Appmodel.txns,
+                r.W.Appmodel.duration_ns,
+                r.W.Appmodel.deferred_pct,
+                r.W.Appmodel.oom ),
+              List.map
+                (fun (c : W.Appmodel.cache_result) ->
+                  (c.W.Appmodel.cache_name, c.W.Appmodel.snap))
+                r.W.Appmodel.caches,
+              Sim.Engine.executed env.W.Env.eng )
+          in
+          observe W.Appmodel.run = observe Model.run)
+        [ W.Env.Baseline; W.Env.Prudence_alloc ])
+
+(* With a backend whose alloc hands back one held object and whose frees
+   do nothing, what is left is Appmodel's own cost per transaction (plus
+   the engine's ticks): the ops themselves allocate nothing, and each
+   transaction's two sleeps allocate a few words each. *)
+let test_appmodel_allocation () =
+  let env = W.Env.build (small_cfg W.Env.Baseline) in
+  let real = env.W.Env.backend in
+  let held = ref None in
+  let stub =
+    {
+      real with
+      Slab.Backend.alloc =
+        (fun cache cpu ->
+          (match !held with
+          | None -> held := real.Slab.Backend.alloc cache cpu
+          | Some _ -> ());
+          !held);
+      free = (fun _ _ _ -> ());
+      free_deferred = (fun _ _ _ -> ());
+    }
+  in
+  let env = { env with W.Env.backend = stub } in
+  let cfg = W.Postgresql.config ~txns_per_cpu:5_000 () in
+  let before = Gc.minor_words () in
+  let r = W.Appmodel.run env cfg in
+  let per_txn =
+    (Gc.minor_words () -. before) /. float_of_int r.W.Appmodel.txns
+  in
+  Alcotest.(check int) "all txns" 10_000 r.W.Appmodel.txns;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per transaction <= 24" per_txn)
+    true (per_txn <= 24.)
 
 let paper_ratio name lo hi cfg =
   let env = W.Env.build { (small_cfg W.Env.Baseline) with W.Env.cpus = 2 } in
@@ -221,5 +497,9 @@ let suite =
       test_appmodel_standing_objects_live;
     Alcotest.test_case "appmodel unknown cache" `Quick
       test_appmodel_unknown_cache_rejected;
+    Alcotest.test_case "appmodel unknown release cache" `Quick
+      test_appmodel_unknown_release_rejected;
+    QCheck_alcotest.to_alcotest prop_appmodel_matches_model;
+    Alcotest.test_case "appmodel allocation" `Quick test_appmodel_allocation;
     Alcotest.test_case "fig12 deferred shares" `Slow test_fig12_ratios;
   ]
