@@ -161,15 +161,14 @@ let run_chaos scenarios alloc ring bundle_dir p =
 let run_anatomy name alloc ring json p =
   let scenario = chaos_lookup name in
   let kinds = parse_kinds ~both:Env.all_kinds alloc in
-  let results = Core.Anatomy.run ~kinds (chaos_params ring p) scenario in
-  if json then
-    print_string
-      (String.concat "\n" (Core.Anatomy.json_of_results scenario results)
-      ^ "\n")
+  let outcomes =
+    Core.Chaos.run ~obs:true ~kinds (chaos_params ring p) [ scenario ]
+  in
+  if json then print_string (Core.Chaos.anatomy_ndjson scenario outcomes)
   else
     Core.Metrics.Report.print Format.std_formatter
-      (Core.Anatomy.report_results scenario results);
-  if Core.Anatomy.sum_identity_ok results then 0 else 1
+      (Core.Chaos.anatomy_report scenario outcomes);
+  if Core.Chaos.anatomy_ok outcomes then 0 else 1
 
 let run_postmortem file =
   let read () = In_channel.with_open_bin file In_channel.input_all in
@@ -183,21 +182,17 @@ let run_postmortem file =
 let run_tournament scenarios alloc ring out p =
   let module T = Core.Tournament in
   let kinds = parse_kinds ~both:Env.all_kinds alloc in
-  let cells = T.run ~kinds (chaos_params ring p) scenarios in
-  Core.Metrics.Report.print Format.std_formatter (T.report_cells kinds cells);
+  let outcomes =
+    Core.Chaos.run ~obs:true ~kinds (chaos_params ring p) scenarios
+  in
+  Core.Metrics.Report.print Format.std_formatter (T.report kinds outcomes);
   (match out with
   | None -> ()
   | Some file ->
-      write_file file (T.to_ndjson kinds cells);
+      write_file file (T.to_ndjson kinds outcomes);
       Format.printf "wrote %s (%d scheme rows + summary)@." file
-        (List.length cells));
-  let violations =
-    List.fold_left
-      (fun acc (c : T.cell) ->
-        acc + c.T.outcome.Core.Workloads.Chaos.safety_violations)
-      0 cells
-  in
-  if violations = 0 then 0 else 1
+        (List.length outcomes));
+  if Core.Chaos.safety_violations outcomes = 0 then 0 else 1
 
 let run_stat alloc duration_ms sample_every capacity watch series format
     registry_table pages scale seed cpus =

@@ -131,6 +131,7 @@ let chaos_config cfg scenario =
     cpus = cfg.cpus;
     duration_ns = cfg.duration_ns;
     total_pages = cfg.total_pages;
+    stall_timeout_ns = stall_timeout_ns cfg;
   }
 
 let plan_for cfg case =
@@ -138,22 +139,12 @@ let plan_for cfg case =
   | Some p -> p
   | None -> W.Chaos.plan_for (chaos_config cfg case.scenario)
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 (* Everything in a bundle derives from virtual time and deterministic
    counters, so the same seed and the same violation reproduce it
    byte-for-byte (the bundle-determinism test's contract). The file name
    is the case coordinates, so a sweep directory maps one failing
    schedule to one bundle. *)
 let dump_bundle dir cfg env v =
-  mkdir_p dir;
   let reason =
     if v.oracle_violations <> [] then "oracle-violation"
     else if v.reader_violations <> [] then "reader-violation"
@@ -175,13 +166,6 @@ let dump_bundle dir cfg env v =
            else (viol.Shadow.oid, Shadow.describe viol) :: acc)
          [] v.oracle_violations)
   in
-  let metrics =
-    let reg = Stats.Registry.create () in
-    Stats.Providers.register_env reg env;
-    List.map
-      (fun ((m : Stats.Registry.metric), value) -> (m.Stats.Registry.name, value))
-      (Stats.Registry.read_all reg)
-  in
   let path =
     Filename.concat dir
       (Printf.sprintf "bundle-%s-%s-s%d%s.ndjson"
@@ -196,68 +180,58 @@ let dump_bundle dir cfg env v =
     ~scheme:(W.Env.kind_label v.case.kind)
     ~at_ns:(Sim.Engine.now env.W.Env.eng)
     ~tracer:env.W.Env.tracer ~anatomy:(W.Env.anatomy env) ~offenders
-    ~violations ~metrics ();
+    ~violations ~metrics:(Stats.Providers.metrics env) ();
   path
 
-(* Mirrors [Workloads.Chaos.run_one] — same fault plan, same mitigations —
-   but with the shuffled tie-break installed and the full verification
-   stack (shadow oracle + pattern oracles + auditors) armed. *)
+(* The chaos stack ([Workloads.Chaos.env_config]) with the shuffled
+   tie-break, the sweep's stall budget and the mutation's unsafe switch;
+   [run_case] arms the full verification stack (shadow oracle + pattern
+   oracles + auditors) on it. *)
+let env_config ?coverage cfg case =
+  let chaos = chaos_config cfg case.scenario in
+  let base = W.Chaos.env_config chaos case.kind in
+  {
+    base with
+    W.Env.tiebreak = Sim.Engine.Shuffle case.shuffle_seed;
+    (* Coverage's trace-adjacency feed needs a live tracer; the sink sees
+       every event regardless of ring retention, so the ring can stay
+       small. Bundling needs the flight-recorder window, so it arms the
+       tracer (and the anatomy recorder) too — both are pure
+       observation, so the verdict is identical either way. *)
+    trace =
+      (match (coverage, cfg.bundle_dir) with
+      | None, None -> None
+      | _ -> Some 1_024);
+    obs = cfg.bundle_dir <> None;
+    rcu_config =
+      {
+        base.W.Env.rcu_config with
+        Rcu.stall_timeout_ns =
+          (match cfg.mutation with
+          | Drop_stall -> None
+          | _ -> base.W.Env.rcu_config.Rcu.stall_timeout_ns);
+        unsafe_lose_cb_every =
+          (match cfg.mutation with Lose_cb -> Some 64 | _ -> None);
+      };
+    prudence_config =
+      {
+        base.W.Env.prudence_config with
+        Prudence.unsafe_skip_gp = cfg.mutation = Skip_gp;
+      };
+    ebr_config =
+      {
+        base.W.Env.ebr_config with
+        Slab.Ebr.unsafe_no_scan = cfg.mutation = Skip_epoch_advance;
+      };
+    hyaline_config =
+      {
+        base.W.Env.hyaline_config with
+        Slab.Hyaline.unsafe_drop_refs = cfg.mutation = Drop_retire_batch;
+      };
+  }
+
 let run_case ?coverage cfg case =
-  let env_cfg =
-    {
-      W.Env.default_config with
-      W.Env.kind = case.kind;
-      cpus = cfg.cpus;
-      seed = cfg.seed;
-      tiebreak = Sim.Engine.Shuffle case.shuffle_seed;
-      total_pages = cfg.total_pages;
-      (* Coverage's trace-adjacency feed needs a live tracer; the sink
-         sees every event regardless of ring retention, so the ring can
-         stay small. Bundling needs the flight-recorder window, so it
-         arms the tracer (and the anatomy recorder) too — both are pure
-         observation, so the verdict is identical either way. *)
-      trace =
-        (match (coverage, cfg.bundle_dir) with
-        | None, None -> None
-        | _ -> Some 1_024);
-      obs = cfg.bundle_dir <> None;
-      rcu_config =
-        {
-          Rcu.default_config with
-          Rcu.blimit = 100;
-          expedited_blimit = 300;
-          softirq_period_ns = 1_000_000;
-          qhimark = max_int;
-          stall_timeout_ns =
-            (match cfg.mutation with
-            | Drop_stall -> None
-            | _ -> Some (stall_timeout_ns cfg));
-          unsafe_lose_cb_every =
-            (match cfg.mutation with Lose_cb -> Some 64 | _ -> None);
-        };
-      prudence_config =
-        {
-          Prudence.default_config with
-          Prudence.emergency_flush = true;
-          unsafe_skip_gp = (cfg.mutation = Skip_gp);
-        };
-      ebr_config =
-        {
-          Slab.Ebr.default_config with
-          Slab.Ebr.unsafe_no_scan = (cfg.mutation = Skip_epoch_advance);
-        };
-      hyaline_config =
-        {
-          Slab.Hyaline.default_config with
-          Slab.Hyaline.unsafe_drop_refs = (cfg.mutation = Drop_retire_batch);
-        };
-      track_readers = true;
-      (* The sweep is a verification pass: force the frame's invariant
-         sweeps on regardless of the ambient default. *)
-      debug_checks = true;
-    }
-  in
-  let env = W.Env.build env_cfg in
+  let env = W.Env.build (env_config ?coverage cfg case) in
   let oracle =
     Shadow.install ~page_reuse:cfg.oracles.page_reuse
       ~early_reuse:cfg.oracles.early_reuse ?coverage env
@@ -271,8 +245,6 @@ let run_case ?coverage cfg case =
       }
       env
   in
-  env.W.Env.fenv.Slab.Frame.grow_retry <-
-    Some { Slab.Frame.max_retries = 6; base_backoff_ns = 10_000 };
   env.W.Env.fenv.Slab.Frame.unsafe_destroy_latent <-
     cfg.mutation = Free_latent_page;
   let engine = Sim.Machine.engine env.W.Env.machine in
@@ -292,13 +264,8 @@ let run_case ?coverage cfg case =
       if cfg.oracles.missed_qs then
         Sim.Engine.set_observer engine
           (Some (fun ~time:_ -> Oracles.poll_stall orc)));
-  ignore
-    (Faults.Injector.install ~pressure:env.W.Env.pressure (plan_for cfg case)
-       ~machine:env.W.Env.machine ~buddy:env.W.Env.buddy ~rcu:env.W.Env.rcu);
-  let r =
-    W.Endurance.run env
-      { W.Endurance.default_config with
-        W.Endurance.duration_ns = cfg.duration_ns }
+  let o =
+    W.Chaos.run_env ?plan:cfg.plan (chaos_config cfg case.scenario) env
   in
   Oracles.finalize orc;
   (match coverage with Some cov -> Coverage.finish cov | None -> ());
@@ -315,8 +282,8 @@ let run_case ?coverage cfg case =
         + Rcu.Readers.dropped_violations env.W.Env.readers
         + Oracles.dropped_violations orc;
       oracle_events = Shadow.events oracle;
-      updates = r.W.Endurance.updates;
-      survived = r.W.Endurance.oom_at_ns = None;
+      updates = o.W.Chaos.updates;
+      survived = o.W.Chaos.survived;
       replay = replay_command cfg case;
       features =
         (match coverage with Some cov -> Coverage.features cov | None -> []);

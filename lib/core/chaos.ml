@@ -1,7 +1,5 @@
 type params = { seed : int; cpus : int; scale : float; ring : int }
 
-let default_params = { seed = 42; cpus = 8; scale = 1.0; ring = 16_384 }
-
 let config_for p scenario =
   let base = Workloads.Chaos.default_config ~scenario in
   {
@@ -13,7 +11,32 @@ let config_for p scenario =
       int_of_float (float_of_int base.Workloads.Chaos.duration_ns *. p.scale);
   }
 
-let run_scenario p scenario = Workloads.Chaos.run_pair (config_for p scenario)
+let run ?(obs = false) ~kinds p scenarios =
+  List.concat_map
+    (fun s ->
+      let cfg = { (config_for p s) with Workloads.Chaos.obs } in
+      List.map (Workloads.Chaos.run_one cfg) kinds)
+    scenarios
+
+let safety_violations outcomes =
+  List.fold_left
+    (fun acc o -> acc + o.Workloads.Chaos.safety_violations)
+    0 outcomes
+
+let verdict kinds outcomes =
+  let survived label =
+    let mine =
+      List.filter (fun o -> o.Workloads.Chaos.label = label) outcomes
+    in
+    let n =
+      List.length (List.filter (fun o -> o.Workloads.Chaos.survived) mine)
+    in
+    Printf.sprintf "%s %d/%d" label n (List.length mine)
+  in
+  Printf.sprintf "survival: %s; safety violations: %d"
+    (String.concat ", "
+       (List.map (fun k -> survived (Workloads.Env.kind_label k)) kinds))
+    (safety_violations outcomes)
 
 let fmt_ms ns = Printf.sprintf "%.1fms" (float_of_int ns /. 1e6)
 
@@ -51,15 +74,6 @@ let header =
     "gp p99"; "retries"; "flush/objs"; "oom-delay"; "inj-fail"; "viol";
   ]
 
-let mkdir_p dir =
-  let rec go d =
-    if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
-      go (Filename.dirname d);
-      try Sys.mkdir d 0o755 with Sys_error _ -> ()
-    end
-  in
-  go dir
-
 (* A chaos run has no oracle verdict; what merits a forensic bundle is a
    mitigation firing (or an outright loss). Ordered by severity: the
    first matching reason names the bundle. *)
@@ -80,7 +94,6 @@ let chaos_replay p scenario label =
     label p.seed p.cpus p.scale p.ring
 
 let write_bundle dir p reason (o : Workloads.Chaos.outcome) =
-  mkdir_p dir;
   let env = o.Workloads.Chaos.env in
   let violations =
     List.map
@@ -88,14 +101,6 @@ let write_bundle dir p reason (o : Workloads.Chaos.outcome) =
         Printf.sprintf "stall warning at %d ns: holdouts %s" w.Rcu.at_ns
           (holdouts_cell w.Rcu.holdouts))
       (Rcu.stall_warnings env.Workloads.Env.rcu)
-  in
-  let metrics =
-    let reg = Stats.Registry.create () in
-    Stats.Providers.register_env reg env;
-    List.map
-      (fun ((m : Stats.Registry.metric), value) ->
-        (m.Stats.Registry.name, value))
-      (Stats.Registry.read_all reg)
   in
   let path =
     Filename.concat dir
@@ -108,22 +113,11 @@ let write_bundle dir p reason (o : Workloads.Chaos.outcome) =
     ~scheme:o.Workloads.Chaos.label
     ~at_ns:(Sim.Engine.now env.Workloads.Env.eng)
     ~tracer:env.Workloads.Env.tracer ~anatomy:(Workloads.Env.anatomy env)
-    ~offenders:[] ~violations ~metrics ();
+    ~offenders:[] ~violations ~metrics:(Stats.Providers.metrics env) ();
   path
 
-let report ?(kinds = [ Workloads.Env.Baseline; Workloads.Env.Prudence_alloc ])
-    ?bundle_dir p scenarios =
-  let outcomes =
-    List.concat_map
-      (fun s ->
-        let cfg = config_for p s in
-        let cfg =
-          if bundle_dir = None then cfg
-          else { cfg with Workloads.Chaos.obs = true }
-        in
-        List.map (fun k -> Workloads.Chaos.run_one cfg k) kinds)
-      scenarios
-  in
+let report ~kinds ?bundle_dir p scenarios =
+  let outcomes = run ~obs:(bundle_dir <> None) ~kinds p scenarios in
   let bundles =
     match bundle_dir with
     | None -> []
@@ -135,27 +129,6 @@ let report ?(kinds = [ Workloads.Env.Baseline; Workloads.Env.Prudence_alloc ])
               (mitigation_reason o))
           outcomes
   in
-  let rows = List.map row outcomes in
-  let survived label =
-    let mine =
-      List.filter (fun o -> o.Workloads.Chaos.label = label) outcomes
-    in
-    let n =
-      List.length (List.filter (fun o -> o.Workloads.Chaos.survived) mine)
-    in
-    Printf.sprintf "%s %d/%d" label n (List.length mine)
-  in
-  let violations =
-    List.fold_left
-      (fun acc o -> acc + o.Workloads.Chaos.safety_violations)
-      0 outcomes
-  in
-  let verdict =
-    Printf.sprintf "survival: %s; safety violations: %d"
-      (String.concat ", "
-         (List.map (fun k -> survived (Workloads.Env.kind_label k)) kinds))
-      violations
-  in
   Metrics.Report.make ~id:"chaos"
     ~title:"Chaos matrix: fault injection over both allocators"
     ~paper_claim:
@@ -163,11 +136,64 @@ let report ?(kinds = [ Workloads.Env.Baseline; Workloads.Env.Prudence_alloc ])
        fatal OOM -- emergency flush + OOM delay ride out callback floods and \
        pressure spikes; stalled readers are detected and named, never cause \
        premature reuse."
-    ~verdict
-    (Metrics.Table.render ~header rows
+    ~verdict:(verdict kinds outcomes)
+    (Metrics.Table.render ~header (List.map row outcomes)
     ^
     match bundles with
     | [] -> ""
     | paths ->
         "\nforensic bundles (mitigation triggered):\n"
         ^ String.concat "\n" (List.map (fun p -> "  " ^ p) paths))
+
+(* {1 Grace-period anatomy} *)
+
+let anatomies outcomes =
+  List.map (fun o -> Workloads.Env.anatomy o.Workloads.Chaos.env) outcomes
+
+let anatomy_ok outcomes =
+  List.for_all Obs.Anatomy.sum_identity_ok (anatomies outcomes)
+
+let anatomy_report scenario outcomes =
+  let recorders = anatomies outcomes in
+  let verdict =
+    Printf.sprintf
+      "scenario %s: %d backends, identical 5-phase schema, sum identity %s"
+      (Workloads.Chaos.scenario_name scenario)
+      (List.length recorders)
+      (if anatomy_ok outcomes then "exact on every backend" else "VIOLATED")
+  in
+  Metrics.Report.make ~id:"anatomy"
+    ~title:"Grace-period anatomy: phase-attributed reclamation latency"
+    ~paper_claim:
+      "Latency decomposition (Fig. 6 axes): where a deferred object's \
+       defer-to-reuse latency goes — waiting for a detection request, for \
+       the detection cycle to start, for the slowest CPU to pass a \
+       quiescent state, for the harvester, and for the allocator to hand \
+       the slot out again — reported on one schema across all four SMR \
+       backends."
+    ~verdict
+    (String.concat "\n" (List.map Obs.Anatomy.render recorders))
+
+let anatomy_ndjson scenario outcomes =
+  let module J = Metrics.Json in
+  let recorders = anatomies outcomes in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 recorders in
+  let ok = anatomy_ok outcomes in
+  let summary =
+    J.Obj
+      [
+        ("type", J.Str "summary");
+        ("scenario", J.Str (Workloads.Chaos.scenario_name scenario));
+        ( "schemes",
+          J.List (List.map (fun r -> J.Str (Obs.Anatomy.scheme r)) recorders)
+        );
+        ("phase_sum_ns", J.Int (sum Obs.Anatomy.phase_sum));
+        ( "total_sum_ns",
+          J.Int (sum (fun r -> Trace.Hist.sum (Obs.Anatomy.total_hist r))) );
+        ("sum_identity", J.Bool ok);
+        ("ok", J.Bool ok);
+      ]
+  in
+  String.concat "\n"
+    (List.map J.to_string (List.concat_map Obs.Anatomy.json recorders @ [ summary ]))
+  ^ "\n"

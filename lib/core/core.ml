@@ -22,6 +22,5 @@ module Stats = Stats
 module Experiments = Experiments
 module Chaos = Chaos
 module Tournament = Tournament
-module Anatomy = Anatomy
 
 let version = "1.0.0"

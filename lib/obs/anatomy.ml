@@ -286,3 +286,128 @@ let lineage_of t ~oid =
       !found
 
 let recent_lineages t n = Trace.Ring.recent t.recent_lineage n
+
+(* {1 Rendering} *)
+
+(* The sum identity's left side: equals [Trace.Hist.sum (total_hist t)]
+   by construction of the clamped decomposition. *)
+let phase_sum t =
+  List.fold_left
+    (fun acc p -> acc + Trace.Hist.sum (phase_hist t p))
+    0 Phase.all
+
+let sum_identity_ok t = phase_sum t = Trace.Hist.sum t.total
+
+let fmt_ns_opt = function
+  | None -> "-"
+  | Some ns when ns >= 1_000_000 ->
+      Printf.sprintf "%.2fms" (float_of_int ns /. 1e6)
+  | Some ns when ns >= 1_000 ->
+      Printf.sprintf "%.1fus" (float_of_int ns /. 1e3)
+  | Some ns -> Printf.sprintf "%dns" ns
+
+let fmt_ns ns = fmt_ns_opt (Some ns)
+
+let hist_row label h =
+  [
+    label;
+    Metrics.Table.fmt_i (Trace.Hist.count h);
+    fmt_ns_opt (Trace.Hist.percentile_opt h 50.);
+    fmt_ns_opt (Trace.Hist.percentile_opt h 99.);
+    (match Trace.Hist.mean_opt h with
+    | None -> "-"
+    | Some m -> fmt_ns (int_of_float m));
+    fmt_ns (Trace.Hist.sum h);
+  ]
+
+let worst_gp_line t =
+  match worst_gp t with
+  | None -> "worst gp: none completed inside the recorder window"
+  | Some r ->
+      let span = r.complete_ns - max 0 r.start_ns in
+      Printf.sprintf
+        "worst gp: cookie %d span %s (start %s -> complete %s), %d objects%s%s"
+        r.cookie (fmt_ns span) (fmt_ns r.start_ns) (fmt_ns r.complete_ns)
+        r.objects
+        (if r.holdout_cpu >= 0 then
+           Printf.sprintf ", holdout cpu %d @ %s" r.holdout_cpu
+             (fmt_ns r.holdout_ns)
+         else ", no holdout observed")
+        (if r.first_qs_cpu >= 0 then
+           Printf.sprintf ", first qs cpu %d @ %s" r.first_qs_cpu
+             (fmt_ns r.first_qs_ns)
+         else "")
+
+(* One recorder's text block: the phase table (count / p50 / p99 / mean
+   / sum per phase, then the total), the worst-GP line naming the
+   holdout CPU, and the sum-identity line. *)
+let render t =
+  let rows =
+    List.map (fun p -> hist_row (Phase.name p) (phase_hist t p)) Phase.all
+    @ [ hist_row "total" t.total ]
+  in
+  let identity =
+    let ps = phase_sum t and ts = Trace.Hist.sum t.total in
+    if ps = ts then Printf.sprintf "phase sums == total (%s): exact" (fmt_ns ts)
+    else
+      Printf.sprintf "SUM MISMATCH: phases %s vs total %s" (fmt_ns ps)
+        (fmt_ns ts)
+  in
+  Printf.sprintf "-- %s (%s: %d defers, %d reuses, %d dropped) --\n%s\n%s\n%s\n"
+    t.scheme t.scheme t.defers t.reuses t.dropped
+    (Metrics.Table.render
+       ~header:[ "phase"; "count"; "p50"; "p99"; "mean"; "sum" ]
+       rows)
+    (worst_gp_line t) identity
+
+(* One recorder's NDJSON objects: a [phase] line per phase, the [total]
+   line, and the [worst_gp] line when a grace period completed. *)
+let json t =
+  let module J = Metrics.Json in
+  let opt = function None -> J.Null | Some v -> J.Int v in
+  let hist_json h =
+    [
+      ("count", J.Int (Trace.Hist.count h));
+      ("p50_ns", opt (Trace.Hist.percentile_opt h 50.));
+      ("p99_ns", opt (Trace.Hist.percentile_opt h 99.));
+      ( "mean_ns",
+        match Trace.Hist.mean_opt h with None -> J.Null | Some m -> J.Float m );
+      ("sum_ns", J.Int (Trace.Hist.sum h));
+    ]
+  in
+  let scheme = ("scheme", J.Str t.scheme) in
+  let phases =
+    List.map
+      (fun p ->
+        J.Obj
+          (("type", J.Str "phase") :: scheme
+          :: ("phase", J.Str (Phase.name p))
+          :: hist_json (phase_hist t p)))
+      Phase.all
+  in
+  let total = J.Obj (("type", J.Str "total") :: scheme :: hist_json t.total) in
+  let worst =
+    match worst_gp t with
+    | None -> []
+    | Some g ->
+        let i v = if v < 0 then J.Null else J.Int v in
+        [
+          J.Obj
+            [
+              ("type", J.Str "worst_gp");
+              scheme;
+              ("cookie", J.Int g.cookie);
+              ("defer_ns", i g.defer_ns);
+              ("request_ns", i g.request_ns);
+              ("start_ns", i g.start_ns);
+              ("complete_ns", i g.complete_ns);
+              ("span_ns", J.Int (g.complete_ns - max 0 g.start_ns));
+              ("first_qs_cpu", i g.first_qs_cpu);
+              ("first_qs_ns", i g.first_qs_ns);
+              ("holdout_cpu", i g.holdout_cpu);
+              ("holdout_ns", i g.holdout_ns);
+              ("objects", J.Int g.objects);
+            ];
+        ]
+  in
+  phases @ (total :: worst)

@@ -167,6 +167,12 @@ let lines ?(window = default_window) ~reason ~replay ~scheme ~at_ns ~tracer
 let to_string lns =
   String.concat "" (List.map (fun l -> J.to_string l ^ "\n") lns)
 
+let rec mkdir_p d =
+  if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    try Sys.mkdir d 0o755 with Sys_error _ -> ()
+  end
+
 let write ?window ~path ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
     ~offenders ~violations ~metrics () =
   let body =
@@ -174,6 +180,7 @@ let write ?window ~path ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
       (lines ?window ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
          ~offenders ~violations ~metrics ())
   in
+  mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc body;
   close_out oc

@@ -327,20 +327,15 @@ let level_value = function
   | Mem.Pressure.Low -> 1.
   | Mem.Pressure.Critical -> 2.
 
-let register_env reg ?(prefix = "") (env : Workloads.Env.t) =
+let register_env reg (env : Workloads.Env.t) =
   let buddy = env.Workloads.Env.buddy in
   let pressure = env.Workloads.Env.pressure in
   let rcu = env.Workloads.Env.rcu in
   let backend = env.Workloads.Env.backend in
-  let n name = prefix ^ name in
   let fi f () = float_of_int (f ()) in
-  let gauge name ?unit_ ?help read = Registry.gauge reg ~name:(n name) ?unit_ ?help read in
-  let counter name ?unit_ ?help read =
-    Registry.counter reg ~name:(n name) ?unit_ ?help read
-  in
-  let derived name ?unit_ ?help read =
-    Registry.derived reg ~name:(n name) ?unit_ ?help read
-  in
+  let gauge name = Registry.gauge reg ~name in
+  let counter name = Registry.counter reg ~name in
+  let derived name = Registry.derived reg ~name in
   (* Engine / scheduler *)
   let eng = env.Workloads.Env.eng in
   gauge "engine.pending" ~unit_:"events"
@@ -462,62 +457,9 @@ let register_env reg ?(prefix = "") (env : Workloads.Env.t) =
     (sum_stats (fun s -> s.S.emergency_flushed_objs));
   counter "prudence.ooms_delayed" ~help:"OOM-delay activations"
     (sum_stats (fun s -> s.S.ooms_delayed));
-  (* Profiler-derived metrics. Registered only when a live profiler is
-     installed, so registry output with profiling off is byte-identical
-     to a build that never heard of lib/prof. *)
-  let prof = env.Workloads.Env.prof in
-  if Prof.enabled prof then begin
-    let eng = env.Workloads.Env.eng in
-    let events () = float_of_int (Sim.Engine.executed eng) in
-    let per_event total () =
-      let e = events () in
-      if e = 0. then 0. else total () /. e
-    in
-    derived "prof.allocs_per_event" ~unit_:"words"
-      ~help:"minor-heap words attributed to spans, per engine event"
-      (per_event (fun () -> Prof.total_minor_words prof));
-    derived "prof.ns_per_event" ~unit_:"ns"
-      ~help:"profiled self wall-time per engine event"
-      (per_event (fun () -> Prof.total_self_ns prof));
-    List.iter
-      (fun sub ->
-        let pick () =
-          List.find
-            (fun (s, _, _) -> String.equal s sub)
-            (Prof.subsystem_totals prof)
-        in
-        let share part total = if total <= 0. then 0. else 100. *. part /. total in
-        derived
-          (Printf.sprintf "prof.%s.time_share_pct" sub)
-          ~unit_:"%"
-          ~help:(Printf.sprintf "share of profiled self time in %s spans" sub)
-          (fun () ->
-            let _, ns, _ = pick () in
-            share ns (Prof.total_self_ns prof));
-        derived
-          (Printf.sprintf "prof.%s.alloc_share_pct" sub)
-          ~unit_:"%"
-          ~help:
-            (Printf.sprintf "share of profiled minor words in %s spans" sub)
-          (fun () ->
-            let _, _, words = pick () in
-            share words (Prof.total_minor_words prof)))
-      Prof.Span.subsystems;
-    List.iter
-      (fun span ->
-        counter
-          (Printf.sprintf "prof.%s.calls" (Prof.Span.name span))
-          ~help:"span entries"
-          (fun () ->
-            List.fold_left
-              (fun acc (c : Prof.cell) ->
-                if c.span = span then acc +. float_of_int c.calls else acc)
-              0. (Prof.totals prof)))
-      Prof.Span.all
-  end;
   (* Grace-period anatomy metrics. Registered only when the Obs recorder
-     is armed, mirroring the profiler rule: recorder off means the
-     registry output is byte-identical to a build without lib/obs. *)
+     is armed: recorder off means the registry output is byte-identical
+     to a build without lib/obs. *)
   match env.Workloads.Env.obs with
   | None -> ()
   | Some obs ->
@@ -556,3 +498,10 @@ let register_env reg ?(prefix = "") (env : Workloads.Env.t) =
         (fi (fun () -> Obs.Anatomy.dropped obs));
       gauge "obs.frontier" ~help:"truthful reclamation frontier last observed"
         (fi (fun () -> Obs.Anatomy.frontier obs))
+
+let metrics env =
+  let reg = Registry.create () in
+  register_env reg env;
+  List.map
+    (fun ((m : Registry.metric), value) -> (m.Registry.name, value))
+    (Registry.read_all reg)

@@ -106,16 +106,14 @@ val render_latent : latent_view list -> string
 val snapshot : ?watch:slabwatch -> Workloads.Env.t -> string
 (** All four sections rendered for one environment. *)
 
-val register_env : Registry.t -> ?prefix:string -> Workloads.Env.t -> unit
+val register_env : Registry.t -> Workloads.Env.t -> unit
 (** Register the samplable scalar metrics of every layer: buddy gauges
     and counters (including per-order free-block gauges), pressure
     level, RCU grace-period/backlog state, and slab/Prudence aggregates
     (summed over the backend's caches at read time, so caches created
-    after registration are included). [prefix] is prepended to every
-    metric name (default none).
+    after registration are included). When the environment carries an
+    armed {!Obs.Anatomy} recorder, also its [obs.*] phase metrics. *)
 
-    When the environment carries a live profiler ([cfg.prof] is not
-    {!Prof.null}), also registers [prof.*] derived metrics:
-    allocs-per-event, ns-per-event, per-subsystem time/alloc shares,
-    and per-span call counters. With profiling off, no [prof.*] names
-    appear, keeping registry output byte-identical. *)
+val metrics : Workloads.Env.t -> (string * float) list
+(** Every {!register_env} metric read once, as (name, value) in
+    registration order: the snapshot a forensic bundle carries. *)

@@ -126,47 +126,46 @@ type outcome = {
   final_used_mib : float;
 }
 
-(* Throttled callback processing in the Fig. 3 style (§3.5), but with a
-   budget the clean run can sustain: the baseline keeps up with the
-   workload's own frees, so whatever kills it in the other rows is the
-   injected fault, not the background leak. The stall detector is armed. *)
-let rcu_config_for cfg =
+(* The stack a chaos run builds. Throttled callback processing in the
+   Fig. 3 style (§3.5), but with a budget the clean run can sustain: the
+   baseline keeps up with the workload's own frees, so whatever kills it
+   in the other rows is the injected fault, not the background leak. The
+   stall detector is armed. *)
+let env_config cfg kind =
   {
-    Rcu.default_config with
-    Rcu.blimit = 100;
-    expedited_blimit = 300;
-    softirq_period_ns = 1_000_000;
-    qhimark = max_int;
-    stall_timeout_ns = Some cfg.stall_timeout_ns;
+    Env.default_config with
+    Env.kind;
+    cpus = cfg.cpus;
+    seed = cfg.seed;
+    total_pages = cfg.total_pages;
+    rcu_config =
+      {
+        Rcu.default_config with
+        Rcu.blimit = 100;
+        expedited_blimit = 300;
+        softirq_period_ns = 1_000_000;
+        qhimark = max_int;
+        stall_timeout_ns = Some cfg.stall_timeout_ns;
+      };
+    prudence_config =
+      { Prudence.default_config with Prudence.emergency_flush = true };
+    track_readers = true;
+    (* Tracing on: the report's GP-latency p99 comes from the tracer's
+       histogram. *)
+    trace = Some cfg.ring;
+    prof = cfg.prof;
+    debug_checks = cfg.debug_checks;
+    obs = cfg.obs;
   }
 
-let run_one cfg kind =
-  let env_cfg =
-    {
-      Env.default_config with
-      Env.kind;
-      cpus = cfg.cpus;
-      seed = cfg.seed;
-      total_pages = cfg.total_pages;
-      rcu_config = rcu_config_for cfg;
-      prudence_config =
-        { Prudence.default_config with Prudence.emergency_flush = true };
-      track_readers = true;
-      (* Tracing on: the report's GP-latency p99 comes from the tracer's
-         histogram. *)
-      trace = Some cfg.ring;
-      prof = cfg.prof;
-      debug_checks = cfg.debug_checks;
-      obs = cfg.obs;
-    }
-  in
-  let env = Env.build env_cfg in
+let run_env ?plan cfg env =
   (* Robustness mitigations under test: retry transient page-alloc
      failures with backoff instead of treating them as fatal. *)
   env.Env.fenv.Slab.Frame.grow_retry <-
     Some { Slab.Frame.max_retries = 6; base_backoff_ns = 10_000 };
   let injector =
-    Faults.Injector.install ~pressure:env.Env.pressure (plan_for cfg)
+    Faults.Injector.install ~pressure:env.Env.pressure
+      (match plan with Some p -> p | None -> plan_for cfg)
       ~machine:env.Env.machine ~buddy:env.Env.buddy ~rcu:env.Env.rcu
   in
   let r =
@@ -211,4 +210,5 @@ let run_one cfg kind =
     final_used_mib = r.Endurance.final_used_mib;
   }
 
+let run_one cfg kind = run_env cfg (Env.build (env_config cfg kind))
 let run_pair cfg = (run_one cfg Env.Baseline, run_one cfg Env.Prudence_alloc)

@@ -65,6 +65,18 @@ type outcome = {
   final_used_mib : float;
 }
 
+val env_config : config -> Env.kind -> Env.config
+(** The stack a chaos run builds: throttled RCU callback processing with
+    the stall detector armed, Prudence's emergency flush, reader
+    tracking and tracing. *)
+
+val run_env : ?plan:Faults.Plan.t -> config -> Env.t -> outcome
+(** Run the scenario on a built environment: arm the grow path's
+    retry-with-backoff, install [plan] (default {!plan_for}), run the
+    endurance workload for [duration_ns] and collect the outcome. *)
+
 val run_one : config -> Env.kind -> outcome
+(** [run_env cfg (Env.build (env_config cfg kind))]. *)
+
 val run_pair : config -> outcome * outcome
 (** Baseline then Prudence, same scenario and seed. *)

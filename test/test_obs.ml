@@ -11,12 +11,15 @@ let small_params =
    sample count equals the reuse count (minus drops), and the clamped
    edges make the phase sums add up exactly to the total. *)
 let test_anatomy_schema_all_backends () =
-  let results = Core.Anatomy.run small_params W.Chaos.Clean in
-  Alcotest.(check int) "four backends" 4 (List.length results);
+  let outcomes =
+    Core.Chaos.run ~obs:true ~kinds:W.Env.all_kinds small_params
+      [ W.Chaos.Clean ]
+  in
+  Alcotest.(check int) "four backends" 4 (List.length outcomes);
   List.iter
-    (fun (r : Core.Anatomy.result) ->
-      let label = W.Env.kind_label r.Core.Anatomy.kind in
-      let obs = r.Core.Anatomy.obs in
+    (fun (o : W.Chaos.outcome) ->
+      let label = o.W.Chaos.label in
+      let obs = W.Env.anatomy o.W.Chaos.env in
       let reuses = Obs.Anatomy.reuses obs in
       Alcotest.(check bool) (label ^ ": observed reuses") true (reuses > 0);
       Alcotest.(check int) (label ^ ": no dropped tokens") 0
@@ -32,28 +35,28 @@ let test_anatomy_schema_all_backends () =
       Alcotest.(check int)
         (label ^ ": phase sums == total, exactly")
         (Trace.Hist.sum total)
-        (Core.Anatomy.phase_sum obs))
-    results;
+        (Obs.Anatomy.phase_sum obs))
+    outcomes;
   Alcotest.(check bool) "sum identity verdict" true
-    (Core.Anatomy.sum_identity_ok results)
+    (Core.Chaos.anatomy_ok outcomes)
 
 (* The RCU-backed schemes must attribute QS collection to real grace
    periods: the worst completed GP names a holdout CPU. *)
 let test_worst_gp_names_holdout () =
-  let results =
-    Core.Anatomy.run ~kinds:[ W.Env.Baseline; W.Env.Prudence_alloc ]
-      small_params W.Chaos.Clean
+  let outcomes =
+    Core.Chaos.run ~obs:true ~kinds:[ W.Env.Baseline; W.Env.Prudence_alloc ]
+      small_params [ W.Chaos.Clean ]
   in
   List.iter
-    (fun (r : Core.Anatomy.result) ->
-      match Obs.Anatomy.worst_gp r.Core.Anatomy.obs with
+    (fun (o : W.Chaos.outcome) ->
+      match Obs.Anatomy.worst_gp (W.Env.anatomy o.W.Chaos.env) with
       | None -> Alcotest.fail "no completed grace period recorded"
       | Some g ->
           Alcotest.(check bool) "holdout cpu named" true
             (g.Obs.Anatomy.holdout_cpu >= 0);
           Alcotest.(check bool) "complete after start" true
             (g.Obs.Anatomy.complete_ns >= g.Obs.Anatomy.start_ns))
-    results
+    outcomes
 
 (* One stalled-reader run of [kind], with every reclamation tap
    subscriber armed (shadow heap, pattern oracles, reader checker,
@@ -233,15 +236,12 @@ let test_obs_metrics_gated () =
   let cfg = Core.Chaos.config_for small_params W.Chaos.Clean in
   let names on =
     let o = W.Chaos.run_one { cfg with W.Chaos.obs = on } W.Env.Prudence_alloc in
-    let reg = Stats.Registry.create () in
-    Stats.Providers.register_env reg o.W.Chaos.env;
     List.filter_map
-      (fun ((m : Stats.Registry.metric), _) ->
-        if String.length m.Stats.Registry.name >= 4
-           && String.sub m.Stats.Registry.name 0 4 = "obs."
-        then Some m.Stats.Registry.name
+      (fun (name, _) ->
+        if String.length name >= 4 && String.sub name 0 4 = "obs." then
+          Some name
         else None)
-      (Stats.Registry.read_all reg)
+      (Stats.Providers.metrics o.W.Chaos.env)
   in
   Alcotest.(check (list string)) "no obs.* metrics when off" [] (names false);
   let on = names true in

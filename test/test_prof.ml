@@ -207,33 +207,6 @@ let test_replay_identical () =
   Alcotest.(check bool) "prof-on counters equal prof-off" true
     (c_off1 = c_on)
 
-let contains_prof s =
-  let sub = "prof." in
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
-let test_registry_gains_prof_only_when_enabled () =
-  let run prof =
-    let env, _ =
-      Wallclock.run_once ~prof small_params Wallclock.Endurance
-        Workloads.Env.Prudence_alloc
-    in
-    let r = Stats.Registry.create () in
-    Stats.Providers.register_env r env;
-    Stats.Registry.names r
-  in
-  let off = run P.null in
-  let on = run (P.create ~ncpus:2 ()) in
-  let prof_names = List.filter (fun n -> contains_prof n) in
-  Alcotest.(check (list string)) "no prof.* rows when off" [] (prof_names off);
-  Alcotest.(check bool) "prof.* rows when on" true (prof_names on <> []);
-  Alcotest.(check bool) "allocs_per_event registered" true
-    (List.mem "prof.allocs_per_event" on);
-  (* Everything else is unchanged: the prof rows are a pure addition. *)
-  Alcotest.(check (list string)) "non-prof rows identical" off
-    (List.filter (fun n -> not (contains_prof n)) on)
-
 let suite =
   [
     Alcotest.test_case "null profiler is a no-op" `Quick test_null_noop;
@@ -250,6 +223,4 @@ let suite =
       test_span_enum;
     Alcotest.test_case "replay: prof off is byte-identical, prof on \
                         preserves counters" `Slow test_replay_identical;
-    Alcotest.test_case "registry gains prof.* only when enabled" `Slow
-      test_registry_gains_prof_only_when_enabled;
   ]
