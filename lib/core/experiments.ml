@@ -106,14 +106,26 @@ let run_fig3 params =
         ]
       [ row slub; row prud ]
   in
+  (* Each allocator's clause comes from its own result. *)
+  let pressure (r : W.Endurance.result) =
+    Printf.sprintf "peak %.0f MiB, backlog %s cbs" r.W.Endurance.peak_used_mib
+      (T.fmt_i r.W.Endurance.max_backlog)
+  in
+  let clause (r : W.Endurance.result) ~survived =
+    match r.W.Endurance.oom_at_ns with
+    | Some _ ->
+        Printf.sprintf "%s: OOM at %s (%s)" r.W.Endurance.label
+          (fmt_time_opt r.W.Endurance.oom_at_ns)
+          (pressure r)
+    | None -> Printf.sprintf "%s: no OOM, %s" r.W.Endurance.label survived
+  in
   let verdict =
-    Printf.sprintf
-      "slub: OOM at %s (peak %.0f MiB, backlog %s cbs); prudence: no OOM, \
-       flat at ~%.0f MiB after the initial grace periods"
-      (fmt_time_opt slub.W.Endurance.oom_at_ns)
-      slub.W.Endurance.peak_used_mib
-      (T.fmt_i slub.W.Endurance.max_backlog)
-      prud.W.Endurance.final_used_mib
+    clause slub ~survived:(pressure slub)
+    ^ "; "
+    ^ clause prud
+        ~survived:
+          (Printf.sprintf "flat at ~%.0f MiB after the initial grace periods"
+             prud.W.Endurance.final_used_mib)
   in
   let metrics =
     let m = Report.metric in

@@ -33,19 +33,12 @@ val find : string -> experiment option
 
 (** {1 Individual experiment entry points} (used by tests) *)
 
-val run_fig3 : params -> Metrics.Report.t list
 val run_costs : params -> Metrics.Report.t list
 val run_fig6 : params -> Metrics.Report.t list
 
 val run_apps : params -> Metrics.Report.t list
 (** Runs the four application benchmarks once per allocator and emits the
     Fig. 7-13 reports from the same pair of runs. *)
-
-val run_tree : params -> Metrics.Report.t list
-(** Extension (§3.1): path-copying BST updates defer several objects per
-    operation; compares both allocators under that burstier pattern. *)
-
-val run_ablations : params -> Metrics.Report.t list
 
 (** {1 Raw data access} (used by the CLI and tests) *)
 

@@ -56,6 +56,41 @@ let test_endurance_pair_shape () =
   Alcotest.(check int) "no violations" 0
     prud.Workloads.Endurance.safety_violations
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* At this scale SLUB survives too: each allocator's verdict clause must
+   come from its own result, never "OOM at never". *)
+let test_fig3_verdict_per_allocator () =
+  let p = { tiny with Core.Experiments.scale = 0.05 } in
+  let slub, prud = Core.Experiments.endurance_pair p in
+  Alcotest.(check bool) "slub survives at this scale" true
+    (slub.Workloads.Endurance.oom_at_ns = None);
+  let verdict =
+    match Core.Experiments.find "fig3" with
+    | Some e -> (
+        match e.Core.Experiments.run p with
+        | [ r ] -> r.Metrics.Report.verdict
+        | rs -> Alcotest.failf "expected one report, got %d" (List.length rs))
+    | None -> Alcotest.fail "fig3 missing"
+  in
+  List.iter
+    (fun (r : Workloads.Endurance.result) ->
+      let clause =
+        r.Workloads.Endurance.label
+        ^
+        match r.Workloads.Endurance.oom_at_ns with
+        | None -> ": no OOM"
+        | Some _ -> ": OOM at"
+      in
+      Alcotest.(check bool) (verdict ^ " has " ^ clause) true
+        (contains ~sub:clause verdict))
+    [ slub; prud ];
+  Alcotest.(check bool) "no OOM at never" false
+    (contains ~sub:"OOM at never" verdict)
+
 let test_run_apps_report_ids () =
   let reports = Core.Experiments.run_apps tiny in
   let ids = List.map (fun r -> r.Metrics.Report.id) reports in
@@ -84,6 +119,8 @@ let suite =
     Alcotest.test_case "costs report" `Quick test_costs_report;
     Alcotest.test_case "microbench pair shape" `Slow test_microbench_pair_shape;
     Alcotest.test_case "endurance pair shape" `Slow test_endurance_pair_shape;
+    Alcotest.test_case "fig3 verdict per allocator" `Slow
+      test_fig3_verdict_per_allocator;
     Alcotest.test_case "run_apps report ids" `Slow test_run_apps_report_ids;
     Alcotest.test_case "app_results benchmarks" `Slow test_app_results_benchmarks;
   ]
