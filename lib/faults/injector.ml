@@ -33,13 +33,6 @@ let stats (t : t) : stats =
     alloc_refusals = Mem.Buddy.injected_failures t.buddy;
   }
 
-let pp_stats fmt s =
-  Format.fprintf fmt
-    "faults=%d stalled readers=%d stall windows=%d flood cbs=%d seized \
-     pages (peak)=%d alloc refusals=%d"
-    s.faults_fired s.readers_stalled s.stall_windows s.flood_cbs
-    s.peak_pages_seized s.alloc_refusals
-
 let fire (t : t) spec ~cpu =
   t.faults_fired <- t.faults_fired + 1;
   let tr = Sim.Machine.tracer t.machine in

@@ -32,4 +32,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

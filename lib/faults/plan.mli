@@ -36,7 +36,6 @@ val make : seed:int -> spec list -> t
 val empty : t
 
 val spec_name : spec -> string
-val pp_spec : Format.formatter -> spec -> unit
 val pp : Format.formatter -> t -> unit
 
 val validate : cpus:int -> duration_ns:int -> t -> (unit, string) result

@@ -40,7 +40,6 @@ type t = {
   mutable own_minor : float;
   mutable pair_ns : float;  (* full enter+exit pair cost seen by parent *)
   mutable pair_minor : float;
-  mutable created_at : float;
 }
 
 (* Allocation-free probes (see prof_stubs.c). The native externals
@@ -100,7 +99,6 @@ let make ~enabled ~ncpus ~node_cap =
     own_minor = 0.;
     pair_ns = 0.;
     pair_minor = 0.;
-    created_at = 0.;
   }
 
 let null = make ~enabled:false ~ncpus:0 ~node_cap:0
@@ -333,7 +331,6 @@ let total_minor_words t =
 let total_major_words t =
   List.fold_left (fun a c -> a +. c.self_major_words) 0. (totals t)
 
-let elapsed_ns t = if t.enabled then now_ns () -. t.created_at else 0.
 let truncated t = t.truncated
 let dropped_exits t = t.dropped_exits
 
@@ -371,8 +368,7 @@ let reset t =
     t.truncated <- 0;
     t.dropped_exits <- 0;
     Array.fill t.node_child 0 (t.nnodes * nspans) (-1);
-    t.nnodes <- 0;
-    t.created_at <- now_ns ()
+    t.nnodes <- 0
   end
 
 (* -- calibration -- *)
@@ -412,5 +408,4 @@ let create ?(ncpus = 8) () =
   if ncpus < 0 then invalid_arg "Prof.create: ncpus < 0";
   let t = make ~enabled:true ~ncpus ~node_cap:64 in
   calibrate t;
-  t.created_at <- now_ns ();
   t

@@ -85,9 +85,6 @@ val total_self_ns : t -> float
 val total_minor_words : t -> float
 val total_major_words : t -> float
 
-val elapsed_ns : t -> float
-(** Wall ns since [create] (0 on {!null}). *)
-
 val truncated : t -> int
 (** Frames dropped to stack-depth overflow (calls still counted). *)
 

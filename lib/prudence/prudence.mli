@@ -91,23 +91,14 @@ val free_deferred :
 (** Algorithm 1 FREE_DEFERRED: Listing 2's turnkey replacement for
     [call_rcu]. *)
 
-val merge_caches : t -> Slab.Frame.cache -> Slab.Frame.pcpu -> int
-(** Algorithm 1 MERGE_CACHES: move ripe latent-cache objects into the
-    object cache until it is full; returns objects moved. Exposed for
-    tests. *)
-
-val emergency_reclaim : t -> int
-(** Reclaim without waiting: drain ripe latent-cache objects to their
-    slabs, harvest every ripe latent-slab object, eagerly shrink free
-    slabs to the floor. Returns latent objects freed. Safe outside process
-    context (never suspends). Counted as emergency flushes in the cache
-    stats and traced as [Emergency_flush]. *)
-
 val attach_pressure : t -> Mem.Pressure.t -> unit
-(** When [config.emergency_flush] is set, register {!emergency_reclaim} to
-    run on the transition to [Critical] pressure and as an OOM handler
-    (reporting progress so the failed allocation retries). No-op
-    otherwise. *)
+(** When [config.emergency_flush] is set, register an emergency reclaim
+    to run on the transition to [Critical] pressure and as an OOM handler
+    (reporting progress so the failed allocation retries). The reclaim
+    never waits: it drains ripe latent-cache objects to their slabs,
+    harvests every ripe latent-slab object and eagerly shrinks free slabs
+    to the floor; it is counted as emergency flushes in the cache stats
+    and traced as [Emergency_flush]. No-op otherwise. *)
 
 val settle : t -> unit
 (** Process-context helper: wait for grace periods and recycle every

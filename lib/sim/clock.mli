@@ -16,8 +16,5 @@ val s : int -> int
 val to_s : int -> float
 (** [to_s t] converts nanoseconds to (float) seconds. *)
 
-val to_ms : int -> float
-(** [to_ms t] converts nanoseconds to (float) milliseconds. *)
-
 val pp : Format.formatter -> int -> unit
 (** Pretty-print a time with an adaptive unit (ns/us/ms/s). *)

@@ -134,11 +134,6 @@ let hit_rate (s : snapshot) =
 let ocache_churns (s : snapshot) = min s.refills s.flushes
 let slab_churns (s : snapshot) = min s.grows s.shrinks
 
-let deferred_ratio (s : snapshot) =
-  let total = s.frees + s.deferred_frees in
-  if total = 0 then 0.
-  else 100. *. float_of_int s.deferred_frees /. float_of_int total
-
 let pp fmt (s : snapshot) =
   Format.fprintf fmt
     "allocs=%d hits=%d (%.1f%%) refills=%d flushes=%d grows=%d shrinks=%d \

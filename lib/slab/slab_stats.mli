@@ -75,7 +75,4 @@ val ocache_churns : snapshot -> int
 val slab_churns : snapshot -> int
 (** Grow/shrink pairs: [min grows shrinks] (Fig. 9's metric). *)
 
-val deferred_ratio : snapshot -> float
-(** Deferred frees as a percentage of all frees (Fig. 12's metric). *)
-
 val pp : Format.formatter -> snapshot -> unit

@@ -15,8 +15,6 @@ type t = {
   metrics : Metrics.Report.metric list;
 }
 
-val schema_version : string
-
 val make : config:config -> metrics:Metrics.Report.metric list -> t
 
 val to_json : t -> Metrics.Json.t

@@ -26,7 +26,6 @@ type buddy_view = {
 }
 
 val buddy_view : ?pressure:Mem.Pressure.t -> Mem.Buddy.t -> buddy_view
-val render_buddy : buddy_view -> string
 
 (** {1 Slab ([/proc/slabinfo] / [slabtop])} *)
 
@@ -52,24 +51,6 @@ type slab_row = {
 
 val slab_rows : ?watch:slabwatch -> Slab.Backend.t -> slab_row list
 (** One row per cache, in cache-creation order. *)
-
-val render_slabs : slab_row list -> string
-
-(** {1 RCU (debugfs [rcu/])} *)
-
-type rcu_view = {
-  gps_completed : int;
-  gp_active : bool;
-  gp_age_ns : int;
-  expedited : bool;
-  pending_cbs : int;
-  cpu_backlogs : (int * int * int) array;  (** (cpu, waiting, ready). *)
-  max_backlog : int;
-  stall_warnings : int;
-}
-
-val rcu_view : Rcu.t -> rcu_view
-val render_rcu : rcu_view -> string
 
 (** {1 Prudence latent state (the paper's §4 occupancy)} *)
 
@@ -98,8 +79,6 @@ type latent_view = {
 val latent_views : smr:Slab.Smr.t -> Slab.Backend.t -> latent_view list
 (** One view per cache that has seen deferred frees (others are
     omitted); empty for the SLUB baseline. *)
-
-val render_latent : latent_view list -> string
 
 (** {1 Composition} *)
 
