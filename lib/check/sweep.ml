@@ -187,8 +187,7 @@ let dump_bundle dir cfg env v =
    tie-break, the sweep's stall budget and the mutation's unsafe switch;
    [run_case] arms the full verification stack (shadow oracle + pattern
    oracles + auditors) on it. *)
-let env_config ?coverage cfg case =
-  let chaos = chaos_config cfg case.scenario in
+let env_config ?coverage cfg case chaos =
   let base = W.Chaos.env_config chaos case.kind in
   {
     base with
@@ -231,7 +230,8 @@ let env_config ?coverage cfg case =
   }
 
 let run_case ?coverage cfg case =
-  let env = W.Env.build (env_config ?coverage cfg case) in
+  let chaos = chaos_config cfg case.scenario in
+  let env = W.Env.build (env_config ?coverage cfg case chaos) in
   let oracle =
     Shadow.install ~page_reuse:cfg.oracles.page_reuse
       ~early_reuse:cfg.oracles.early_reuse ?coverage env
@@ -264,9 +264,7 @@ let run_case ?coverage cfg case =
       if cfg.oracles.missed_qs then
         Sim.Engine.set_observer engine
           (Some (fun ~time:_ -> Oracles.poll_stall orc)));
-  let o =
-    W.Chaos.run_env ?plan:cfg.plan (chaos_config cfg case.scenario) env
-  in
+  let o = W.Chaos.run_env ?plan:cfg.plan chaos env in
   Oracles.finalize orc;
   (match coverage with Some cov -> Coverage.finish cov | None -> ());
   let v =

@@ -194,6 +194,5 @@ let anatomy_ndjson scenario outcomes =
         ("ok", J.Bool ok);
       ]
   in
-  String.concat "\n"
-    (List.map J.to_string (List.concat_map Obs.Anatomy.json recorders @ [ summary ]))
-  ^ "\n"
+  let lines = List.concat_map Obs.Anatomy.json recorders @ [ summary ] in
+  String.concat "\n" (List.map J.to_string lines) ^ "\n"

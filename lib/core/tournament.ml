@@ -120,5 +120,5 @@ let to_ndjson kinds outcomes =
         ("ok", J.Bool (violations = 0));
       ]
   in
-  String.concat "\n" (List.map J.to_string (List.map json outcomes @ [ summary ]))
-  ^ "\n"
+  let lines = List.map json outcomes @ [ summary ] in
+  String.concat "\n" (List.map J.to_string lines) ^ "\n"

@@ -12,6 +12,7 @@
 val report :
   Workloads.Env.kind list -> Workloads.Chaos.outcome list -> Metrics.Report.t
 
-val to_ndjson : Workloads.Env.kind list -> Workloads.Chaos.outcome list -> string
+val to_ndjson :
+  Workloads.Env.kind list -> Workloads.Chaos.outcome list -> string
 (** One ["scheme"] object per outcome plus a trailing ["summary"] line
     ([ok] = zero safety violations across the table). *)
