@@ -76,14 +76,16 @@ let trace_section () =
   let t0 = Unix.gettimeofday () in
   match Core.Experiments.run_traced params "fig6" with
   | None -> assert false
-  | Some runs ->
+  | Some envs ->
+      let module Env = Workloads.Env in
       List.iter
-        (fun (label, tr) ->
+        (fun env ->
+          let label = Env.kind_label env.Env.cfg.Env.kind in
           Format.printf "%s@."
             (Core.Metrics.Histview.render
                ~title:(label ^ " defer->reuse lifetime")
-               (Core.Trace.lifetime tr)))
-        runs;
+               (Core.Obs.Anatomy.total_hist (Env.anatomy env))))
+        envs;
       Format.printf "(section trace took %.1fs of real time)@.@."
         (Unix.gettimeofday () -. t0)
 

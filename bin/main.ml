@@ -67,13 +67,18 @@ let trace_experiment id out want_hists ring p =
   | None ->
       die "experiment %S cannot be traced; traceable: %s" id
         (String.concat ", " Core.Experiments.traceable)
-  | Some runs ->
+  | Some envs ->
       let out =
         match out with Some f -> f | None -> Printf.sprintf "trace-%s.json" id
       in
-      Core.Trace.Chrome.write_file out runs;
+      let module Env = Core.Workloads.Env in
+      let label env = Env.kind_label env.Env.cfg.Env.kind in
+      let lifetime env = Core.Obs.Anatomy.total_hist (Env.anatomy env) in
+      Core.Trace.Chrome.write_file out
+        (List.map (fun env -> (label env, env.Env.tracer)) envs);
       List.iter
-        (fun (label, tr) ->
+        (fun env ->
+          let label = label env and tr = env.Env.tracer in
           Format.printf "== %s: %d events retained (%d dropped)@." label
             (Core.Trace.total_events tr)
             (Core.Trace.total_dropped tr);
@@ -81,15 +86,15 @@ let trace_experiment id out want_hists ring p =
             Format.printf "%s@."
               (Core.Metrics.Histview.render ~title:(label ^ " " ^ title) h)
           in
-          hist "defer->reuse lifetime" (Core.Trace.lifetime tr);
+          hist "defer->reuse lifetime" (lifetime env);
           if want_hists then begin
             hist "grace-period latency" (Core.Trace.gp_latency tr);
             hist "node-lock wait" (Core.Trace.lock_wait tr);
             hist "allocation-path cost" (Core.Trace.alloc_cost tr)
           end)
-        runs;
-      (let p50 (_, tr) = Core.Trace.Hist.percentile (Core.Trace.lifetime tr) 50. in
-       match runs with
+        envs;
+      (let p50 env = Core.Trace.Hist.percentile (lifetime env) 50. in
+       match envs with
        | [ slub; prud ] when p50 slub > 0 ->
            Format.printf
              "median defer->reuse lifetime: %s (slub) vs %s (prudence), %.1fx@."

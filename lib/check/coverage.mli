@@ -6,9 +6,9 @@
     - {e shadow transitions}: (from, to) pairs of shadow-heap object
       states, fed by {!Shadow} as objects move through
       [live -> deferred -> ripe -> reclaimed];
-    - {e trace adjacency}: per-CPU consecutive trace-event-kind pairs,
-      fed from the tracer's live sink — which fault/GP/allocator events
-      ran back-to-back on a CPU;
+    - {e trace adjacency}: per-CPU consecutive timeline-kind pairs, fed
+      by a subscriber of the engine's tap — which fault/GP/allocator
+      events ran back-to-back on a CPU;
     - {e schedule shape}: log2-bucketed lengths of same-instant event
       runs from the engine observer — how the shuffled tie-break
       serialized logically concurrent events.
@@ -26,7 +26,8 @@ val note_transition : t -> from_tag:int -> to_tag:int -> unit
 (** Record a shadow-state transition; tags are small ints (< 8). *)
 
 val note_trace : t -> cpu:int -> kind_index:int -> unit
-(** Record a trace event (from {!Trace.set_sink}); [cpu] may be [-1]. *)
+(** Record a timeline event ([kind_index] from {!Trace.Event.kind_index},
+    [>= 0]); [cpu] may be [-1]. *)
 
 val note_event : t -> time:int -> unit
 (** Record an executed engine event (from {!Sim.Engine.set_observer}). *)

@@ -232,7 +232,7 @@ let on_reader_access t ~cpu ~oid =
   t.events <- t.events + 1;
   if tag_of t oid = tag_reclaimed then flag t ~oid (Use_after_reclaim { cpu })
 
-let on_frame_event t (kind : Trace.Tap.kind) a b =
+let on_frame_event t (kind : Trace.Event.kind) a b =
   match kind with
   | Alloc -> on_alloc t ~oid:a
   | Free -> on_free t ~oid:a
@@ -278,7 +278,8 @@ let install ?(page_reuse = true) ?(early_reuse = true) ?coverage
      overhead shows up in the prof tables next to the paths it rides on;
      on [Prof.null] each enter/exit is one load and branch. *)
   let prof = t.prof in
-  Trace.Tap.subscribe (Sim.Engine.tap env.Workloads.Env.eng) (fun kind a b ->
+  Trace.Tap.subscribe (Sim.Engine.tap env.Workloads.Env.eng)
+    (fun kind ~cpu:_ ~label:_ a b ->
       match kind with
       | Alloc | Free | Defer | Pool | Page_release ->
           Prof.enter prof ~cpu:(-1) Prof.Span.Check_probe;

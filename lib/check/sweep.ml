@@ -187,20 +187,15 @@ let dump_bundle dir cfg env v =
    tie-break, the sweep's stall budget and the mutation's unsafe switch;
    [run_case] arms the full verification stack (shadow oracle + pattern
    oracles + auditors) on it. *)
-let env_config ?coverage cfg case chaos =
+let env_config cfg case chaos =
   let base = W.Chaos.env_config chaos case.kind in
   {
     base with
     W.Env.tiebreak = Sim.Engine.Shuffle case.shuffle_seed;
-    (* Coverage's trace-adjacency feed needs a live tracer; the sink sees
-       every event regardless of ring retention, so the ring can stay
-       small. Bundling needs the flight-recorder window, so it arms the
-       tracer (and the anatomy recorder) too — both are pure
-       observation, so the verdict is identical either way. *)
-    trace =
-      (match (coverage, cfg.bundle_dir) with
-      | None, None -> None
-      | _ -> Some 1_024);
+    (* Bundling needs the flight-recorder window, so it arms the tracer
+       and the anatomy recorder — both pure observation, so the verdict
+       is identical either way. *)
+    trace = (if cfg.bundle_dir = None then None else Some 1_024);
     obs = cfg.bundle_dir <> None;
     rcu_config =
       {
@@ -231,7 +226,7 @@ let env_config ?coverage cfg case chaos =
 
 let run_case ?coverage cfg case =
   let chaos = chaos_config cfg case.scenario in
-  let env = W.Env.build (env_config ?coverage cfg case chaos) in
+  let env = W.Env.build (env_config cfg case chaos) in
   let oracle =
     Shadow.install ~page_reuse:cfg.oracles.page_reuse
       ~early_reuse:cfg.oracles.early_reuse ?coverage env
@@ -250,11 +245,10 @@ let run_case ?coverage cfg case =
   let engine = Sim.Machine.engine env.W.Env.machine in
   (match coverage with
   | Some cov ->
-      Trace.set_sink env.W.Env.tracer
-        (Some
-           (fun ~cpu ~kind ->
-             Coverage.note_trace cov ~cpu
-               ~kind_index:(Trace.Event.kind_index kind)));
+      Trace.Tap.subscribe (Sim.Engine.tap env.W.Env.eng)
+        (fun kind ~cpu ~label:_ _ _ ->
+          let kind_index = Trace.Event.kind_index kind in
+          if kind_index >= 0 then Coverage.note_trace cov ~cpu ~kind_index);
       Sim.Engine.set_observer engine
         (Some
            (fun ~time ->

@@ -118,9 +118,10 @@ val ok : verdict -> bool
 (** No violations from any oracle, no audit failures, nothing dropped. *)
 
 val run_case : ?coverage:Coverage.t -> config -> case -> verdict
-(** Run one case. With [coverage], a live tracer (small ring) plus the
-    engine observer feed the set and the verdict carries the features;
-    virtual-time behaviour is identical either way. *)
+(** Run one case. With [coverage], a subscriber of the engine's tap (its
+    timeline events) plus the engine observer feed the set and the
+    verdict carries the features; virtual-time behaviour is identical
+    either way. *)
 
 val plan_for : config -> case -> Faults.Plan.t
 (** The fault plan the case will run: the override if set, else the

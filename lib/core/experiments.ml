@@ -995,7 +995,7 @@ let run_ablations params =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Traced runs: the same workloads with the Trace tracer armed          *)
+(* Traced runs: the same workloads with the tracer and recorder armed  *)
 (* ------------------------------------------------------------------ *)
 
 let traceable = [ "fig3"; "fig6" ]
@@ -1009,9 +1009,9 @@ let run_traced params id =
   let pair build run_workload =
     List.map
       (fun kind ->
-        let env = W.Env.build (build kind) in
+        let env = W.Env.build { (build kind) with W.Env.obs = true } in
         run_workload env;
-        (W.Env.kind_label kind, env.W.Env.tracer))
+        env)
       [ W.Env.Baseline; W.Env.Prudence_alloc ]
   in
   match id with

@@ -60,9 +60,10 @@ val app_results :
 val traceable : string list
 (** Experiment ids {!run_traced} accepts. *)
 
-val run_traced : params -> string -> (string * Trace.t) list option
+val run_traced : params -> string -> Workloads.Env.t list option
 (** [run_traced params id] reruns experiment [id]'s workload over both
-    allocators with tracing forced on (ring capacity from [params.trace],
-    default 65536) and returns [(allocator label, tracer)] per run — the
-    tracer holds the event rings and latency histograms. [None] if [id]
-    is not in {!traceable}. *)
+    allocators (slub, then prudence) with tracing forced on (ring
+    capacity from [params.trace], default 65536) and the anatomy
+    recorder armed, and returns each run's environment: its tracer holds
+    the event rings and latency histograms, its recorder the
+    defer->reuse lifetimes. [None] if [id] is not in {!traceable}. *)

@@ -9,16 +9,19 @@ let limbo (o : Workloads.Chaos.outcome) =
       latent := !latent + Slab.Frame.latent_total c);
   !latent + Rcu.pending_callbacks env.Workloads.Env.rcu
 
-let tracer (o : Workloads.Chaos.outcome) =
-  o.Workloads.Chaos.env.Workloads.Env.tracer
+let anatomy (o : Workloads.Chaos.outcome) =
+  Workloads.Env.anatomy o.Workloads.Chaos.env
 
-let reuse_p o q = Trace.Hist.percentile_opt (Trace.lifetime (tracer o)) q
-let gp_p99 o = Trace.Hist.percentile_opt (Trace.gp_latency (tracer o)) 99.
+let reuse_p o q =
+  Trace.Hist.percentile_opt (Obs.Anatomy.total_hist (anatomy o)) q
 
-let phase_p99 (o : Workloads.Chaos.outcome) p =
+let gp_p99 (o : Workloads.Chaos.outcome) =
   Trace.Hist.percentile_opt
-    (Obs.Anatomy.phase_hist (Workloads.Env.anatomy o.Workloads.Chaos.env) p)
+    (Trace.gp_latency o.Workloads.Chaos.env.Workloads.Env.tracer)
     99.
+
+let phase_p99 o p =
+  Trace.Hist.percentile_opt (Obs.Anatomy.phase_hist (anatomy o) p) 99.
 
 let fmt_ms_opt = function
   | None -> "-"

@@ -35,11 +35,8 @@ let stats (t : t) : stats =
 
 let fire (t : t) spec ~cpu =
   t.faults_fired <- t.faults_fired + 1;
-  let tr = Sim.Machine.tracer t.machine in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(Sim.Engine.now t.engine) ~cpu
-      ~label:(Plan.spec_name spec) ~arg:t.faults_fired
-      Trace.Event.Fault_inject
+  Trace.Tap.emit (Sim.Engine.tap t.engine) Fault_inject ~cpu
+    ~label:(Plan.spec_name spec) t.faults_fired 0
 
 let at t time fn =
   ignore (Sim.Engine.schedule_at ~daemon:true t.engine ~time fn)

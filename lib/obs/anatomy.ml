@@ -230,7 +230,7 @@ let detector_of (smr : Slab.Smr.t) =
   | "hyaline" -> Batch
   | _ -> Rcu_gp
 
-let on_event t detector (kind : Trace.Tap.kind) a b =
+let on_event t detector (kind : Trace.Event.kind) ~cpu:_ ~label:_ a b =
   match (kind, detector) with
   | Defer, _ -> note_defer t ~oid:a ~cookie:b
   | Pool, _ -> note_pool t ~oid:a

@@ -86,7 +86,7 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
   in
   if moved > 0 then begin
     Stats.merge cache.Frame.stats ~n:moved;
-    Frame.trace_event cache pc.Frame.cpu ~arg:moved Trace.Event.Latent_merge;
+    Frame.event cache pc.Frame.cpu Latent_merge moved;
     charge pc.Frame.cpu
       (t.env.Frame.costs.Costs.merge
       + (moved * t.env.Frame.costs.Costs.merge_per_obj))
@@ -104,11 +104,10 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
   (* Pre-movement needs the node-list lock only when the list changes. *)
   if Frame.relocate cache slab then begin
     Stats.premove cache.Frame.stats;
-    Frame.trace_event cache pc.Frame.cpu Trace.Event.Premove;
+    Frame.event cache pc.Frame.cpu Premove 0;
     let node = cache.Frame.nodes.(slab.Frame.node_id) in
     let delay =
-      Sim.Simlock.acquire ~tracer:(Frame.tracer cache)
-        ~cpu:pc.Frame.cpu.Sim.Machine.id node.Frame.lock
+      Sim.Simlock.acquire node.Frame.lock ~cpu:pc.Frame.cpu.Sim.Machine.id
         ~now:(Sim.Engine.now (Sim.Machine.engine t.env.Frame.machine))
         ~hold:costs.Costs.node_lock_hold
     in
@@ -165,8 +164,8 @@ let emergency_reclaim t =
         cache.Frame.nodes;
       if !freed > 0 then begin
         Stats.emergency_flush cache.Frame.stats ~n:!freed;
-        Frame.trace_event cache cache.Frame.pcpus.(0).Frame.cpu ~arg:!freed
-          Trace.Event.Emergency_flush
+        Frame.event cache cache.Frame.pcpus.(0).Frame.cpu Emergency_flush
+          !freed
       end;
       total := !total + !freed)
     t.caches;
@@ -213,7 +212,7 @@ let rec preflush_pass t (cache : Frame.cache) (pc : Frame.pcpu) =
     done;
     if !moved > 0 then begin
       Stats.preflush_pass cache.Frame.stats ~n:!moved;
-      Frame.trace_event cache pc.Frame.cpu ~arg:!moved Trace.Event.Preflush
+      Frame.event cache pc.Frame.cpu Preflush !moved
     end;
     (* If work remains and the CPU is still idle, continue in a later
        chunk; otherwise re-arm for the next idle window. *)
@@ -253,7 +252,7 @@ let rec alloc_inner t ~may_wait (cache : Frame.cache) cpu =
   if pc.Frame.ocache_n > 0 then begin
     let obj = Frame.pop_ocache_exn pc in
     Stats.hit cache.Frame.stats;
-    Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+    Frame.event cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
     Some obj
   end
@@ -267,12 +266,12 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
   match Frame.pop_ocache pc with
   | Some obj ->
       Stats.hit cache.Frame.stats;
-      Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+      Frame.event cache cpu Alloc_hit 0;
       Frame.hand_to_user cache cpu obj;
       Some obj
   | None -> (
       Stats.miss cache.Frame.stats;
-      Frame.trace_event cache cpu Trace.Event.Alloc_miss;
+      Frame.event cache cpu Alloc_miss 0;
       (* l.13-25: partial refill, leaving room for the latent objects that
          will merge after the grace period. The paper subtracts the whole
          latent count; we subtract only the ripe prefix (the merge is
@@ -345,16 +344,9 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
    Prof.exit's unwind semantics keep the span stack consistent. *)
 let alloc t ?(may_wait = true) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
-  let tr = Frame.tracer cache in
-  let result =
-    if not (Trace.enabled tr) then alloc_inner t ~may_wait cache cpu
-    else begin
-      let pend0 = cpu.Sim.Machine.pending_ns in
-      let result = alloc_inner t ~may_wait cache cpu in
-      Trace.record_alloc_cost tr (cpu.Sim.Machine.pending_ns - pend0);
-      result
-    end
-  in
+  let pend0 = cpu.Sim.Machine.pending_ns in
+  let result = alloc_inner t ~may_wait cache cpu in
+  Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
   result
 
@@ -369,8 +361,7 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   (* l.35: capture the reclamation-scheme state (under RCU: the
      grace-period cookie from [Rcu.snapshot]). *)
   let cookie = t.smr.Smr.defer ~cpu:cpu.Sim.Machine.id in
-  Frame.trace_event_arg cache cpu ~arg:cookie Trace.Event.Defer_free;
-  Frame.stamp_deferred cache obj ~cookie;
+  Frame.stamp_deferred cache cpu obj ~cookie;
   t.smr.Smr.request ();
   charge cpu costs.Costs.defer_enqueue;
   let latent_n = Latq.Fifo.length pc.Frame.latent in
@@ -409,7 +400,7 @@ let free t (cache : Frame.cache) cpu obj =
   let pc = Frame.pcpu_for cache cpu in
   Stats.free cache.Frame.stats;
   Frame.note_release pc;
-  Frame.release_from_user cache obj;
+  Frame.release_from_user cache cpu obj;
   charge cpu costs.Costs.free_to_cache;
   Frame.push_ocache cache pc obj;
   (if pc.Frame.ocache_n > cache.Frame.ocache_cap then begin

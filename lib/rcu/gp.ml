@@ -86,10 +86,10 @@ type t = {
 }
 
 let machine t = t.machine
-let tracer t = Sim.Machine.tracer t.machine
 let prof t = Sim.Machine.prof t.machine
 let now t = Sim.Engine.now t.engine
-let tap t = Sim.Engine.tap t.engine
+let emit t kind ~cpu a b =
+  Trace.Tap.emit (Sim.Engine.tap t.engine) kind ~cpu ~label:"" a b
 let completed t = t.completed_gps
 let pending_callbacks t = t.pending
 let expedited t = t.expedited_flag
@@ -154,10 +154,7 @@ and softirq_pass t (pc : pcpu) =
     Sim.Machine.consume pc.cpu (n * t.cfg.invoke_cost_ns);
     t.pending <- t.pending - n;
     t.s_cbs_invoked <- t.s_cbs_invoked + n;
-    let tr = tracer t in
-    if Trace.enabled tr then
-      Trace.emit tr ~time:(now t) ~cpu:pc.cpu.Sim.Machine.id ~arg:n
-        Trace.Event.Cb_invoke;
+    emit t Cb_invoke ~cpu:pc.cpu.Sim.Machine.id n 0;
     let drained = Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ()) in
     assert (drained = n)
   end;
@@ -171,11 +168,7 @@ let rec start_gp t =
   t.gp_requested <- false;
   t.s_gps_started <- t.s_gps_started + 1;
   t.gp_started_at <- now t;
-  Trace.Tap.emit (tap t) Gp_start t.s_gps_started 0;
-  (let tr = tracer t in
-   if Trace.enabled tr then
-     Trace.emit tr ~time:t.gp_started_at ~cpu:(-1) ~arg:t.s_gps_started
-       Trace.Event.Gp_start);
+  emit t Gp_start ~cpu:(-1) t.s_gps_started 0;
   Array.fill t.qs_needed 0 (Array.length t.qs_needed) true;
   t.qs_remaining <- Array.length t.qs_needed;
   arm_stall_check t t.s_gps_started;
@@ -201,13 +194,7 @@ and arm_stall_check t seq =
                t.stall_log <-
                  { at_ns = now t; gp_seq = seq; holdouts = !holdouts }
                  :: t.stall_log;
-               (let tr = tracer t in
-                if Trace.enabled tr then
-                  List.iter
-                    (fun cpu ->
-                      Trace.emit tr ~time:(now t) ~cpu ~arg:seq
-                        Trace.Event.Rcu_stall)
-                    !holdouts);
+               List.iter (fun cpu -> emit t Rcu_stall ~cpu seq 0) !holdouts;
                arm_stall_check t seq
              end))
 
@@ -217,12 +204,7 @@ and complete_gp t =
   t.gp_active <- false;
   t.completed_gps <- t.completed_gps + 1;
   t.s_gps_completed <- t.s_gps_completed + 1;
-  (let tr = tracer t in
-   if Trace.enabled tr then begin
-     Trace.emit tr ~time:(now t) ~cpu:(-1) ~arg:t.s_gps_completed
-       Trace.Event.Gp_end;
-     Trace.record_gp_latency tr (now t - t.gp_started_at)
-   end);
+  emit t Gp_end ~cpu:(-1) t.s_gps_completed (now t - t.gp_started_at);
   let waiting_remain = ref false in
   Array.iter
     (fun pc ->
@@ -242,17 +224,17 @@ let quiescent_state t (cpu : Sim.Machine.cpu) =
   if t.gp_active && t.qs_needed.(cpu.id) then begin
     t.qs_needed.(cpu.id) <- false;
     t.qs_remaining <- t.qs_remaining - 1;
-    Trace.Tap.emit (tap t) Gp_qs cpu.id t.qs_remaining;
+    emit t Gp_qs ~cpu:cpu.id cpu.id t.qs_remaining;
     if t.qs_remaining = 0 then complete_gp t
   end;
   Prof.exit (prof t) Prof.Span.Rcu_qs
 
 let request_gp t =
-  Trace.Tap.emit (tap t) Gp_request 0 0;
+  emit t Gp_request ~cpu:(-1) 0 0;
   if t.gp_active then t.gp_requested <- true else start_gp t
 
 let call_rcu t (cpu : Sim.Machine.cpu) fn =
-  Trace.Tap.emit (tap t) Gp_request 0 0;
+  emit t Gp_request ~cpu:cpu.id 0 0;
   let cookie = snapshot t in
   let pc = t.percpu.(cpu.id) in
   let lost =
@@ -267,10 +249,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
      Everything else (cost, pending, queued stats, trace) proceeds, so only
      a conservation check across the lists can tell. *)
   if not lost then Cblist.enqueue pc.cbs ~cookie fn;
-  (let tr = tracer t in
-   if Trace.enabled tr then
-     Trace.emit tr ~time:(now t) ~cpu:cpu.id ~arg:cookie
-       Trace.Event.Cb_enqueue);
+  emit t Cb_enqueue ~cpu:cpu.id cookie 0;
   Sim.Machine.consume cpu t.cfg.enqueue_cost_ns;
   t.pending <- t.pending + 1;
   t.s_cbs_queued <- t.s_cbs_queued + 1;

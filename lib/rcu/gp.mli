@@ -20,11 +20,12 @@
     period it must wait for, {!poll} answers whether that grace period has
     completed, and {!on_gp_complete} notifies the allocator.
 
-    Grace-period detection is observable on the engine's reclamation
-    event tap ({!Sim.Engine.tap}): [Gp_request] from {!call_rcu} and
-    {!request_gp} (before the token is issued), [Gp_start] when a grace
-    period begins its quiescent-state sweep, and [Gp_qs] for each CPU's
-    report. *)
+    Grace-period detection is observable on the engine's event tap
+    ({!Sim.Engine.tap}): [Gp_request] from {!call_rcu} and {!request_gp}
+    (before the token is issued), [Gp_start] when a grace period begins
+    its quiescent-state sweep, [Gp_qs] for each CPU's report and [Gp_end]
+    with the grace period's latency; callbacks emit [Cb_enqueue] and
+    [Cb_invoke], and the stall detector [Rcu_stall] per holdout CPU. *)
 
 type config = {
   blimit : int;

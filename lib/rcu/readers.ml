@@ -53,7 +53,7 @@ let exit t (cpu : Sim.Machine.cpu) =
   Gp.read_unlock t.rcu cpu
 
 let hold t (cpu : Sim.Machine.cpu) ~oid =
-  Trace.Tap.emit t.tap Reader_access cpu.id oid;
+  Trace.Tap.emit t.tap Reader_access ~cpu:cpu.id ~label:"" cpu.id oid;
   if cpu.rcu_nesting = 0 then
     record_violation t
       (Printf.sprintf "cpu%d held a reference to object %d outside a \
@@ -97,5 +97,5 @@ let check_reusable t ~oid ~where =
          oid n)
 
 let check_allocs t ~where =
-  Trace.Tap.subscribe t.tap (fun kind oid _ ->
+  Trace.Tap.subscribe t.tap (fun kind ~cpu:_ ~label:_ oid _ ->
       match kind with Alloc -> check_reusable t ~oid ~where | _ -> ())

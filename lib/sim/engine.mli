@@ -66,8 +66,7 @@ val set_observer : t -> (time:int -> unit) option -> unit
     observed run is event-for-event identical to an unobserved one. *)
 
 val tap : t -> Trace.Tap.t
-(** The reclamation event tap every subsystem on this engine emits its
-    object-lifecycle and grace-detection events through (see
+(** The event tap every subsystem on this engine emits through (see
     {!Trace.Tap}); no subscriber until an observer subscribes. *)
 
 val schedule : ?daemon:bool -> t -> after:int -> (unit -> unit) -> handle

@@ -17,7 +17,6 @@ type t = {
   tick : int;
   mutable hooks : (cpu -> unit) list;
   mutable started : bool;
-  mutable tracer : Trace.t;
   mutable prof : Prof.t;
 }
 
@@ -46,7 +45,6 @@ let create engine ~cpus ?(nodes = 1) ?(tick_ns = 1_000_000) () =
     tick = tick_ns;
     hooks = [];
     started = false;
-    tracer = Trace.null;
     prof = Prof.null;
   }
 
@@ -60,8 +58,6 @@ let tick_ns t = t.tick
 
 let on_context_switch t hook = t.hooks <- hook :: t.hooks
 
-let tracer t = t.tracer
-let set_tracer t tracer = t.tracer <- tracer
 let prof t = t.prof
 
 let set_prof t prof =
@@ -70,9 +66,7 @@ let set_prof t prof =
 
 let context_switch t c =
   c.ctx_switches <- c.ctx_switches + 1;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Ctx_switch;
+  Trace.Tap.emit (Engine.tap t.engine) Ctx_switch ~cpu:c.id ~label:"" 0 0;
   List.iter (fun hook -> hook c) t.hooks
 
 let start t =
@@ -110,12 +104,8 @@ let is_idle c = c.idle
 
 let idle_sleep t c ns =
   c.idle <- true;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Idle_start;
+  Trace.Tap.emit (Engine.tap t.engine) Idle_start ~cpu:c.id ~label:"" 0 0;
   run_idle_work c;
   Process.sleep t.engine ns;
-  if Trace.enabled t.tracer then
-    Trace.emit t.tracer ~time:(Engine.now t.engine) ~cpu:c.id
-      Trace.Event.Idle_end;
+  Trace.Tap.emit (Engine.tap t.engine) Idle_end ~cpu:c.id ~label:"" 0 0;
   c.idle <- false

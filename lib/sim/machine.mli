@@ -60,15 +60,6 @@ val on_context_switch : t -> (cpu -> unit) -> unit
 (** Register a hook invoked at every context switch (tick outside a
     read-side critical section) with the switching CPU. *)
 
-val tracer : t -> Trace.t
-(** The machine's tracer; {!Trace.null} (disabled) unless {!set_tracer}
-    was called. Subsystems running on the machine emit their events
-    through it. *)
-
-val set_tracer : t -> Trace.t -> unit
-(** Install a tracer. The machine emits context-switch and idle-window
-    events; RCU and the allocators emit through the same tracer. *)
-
 val prof : t -> Prof.t
 (** The machine's profiler; {!Prof.null} (disabled) unless {!set_prof}
     was called. Subsystems running on the machine (RCU, the allocators)

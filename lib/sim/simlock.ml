@@ -1,5 +1,6 @@
 type t = {
   lock_name : string;
+  tap : Trace.Tap.t;
   mutable free_at : int;
   mutable acquisitions : int;
   mutable contended : int;
@@ -7,9 +8,10 @@ type t = {
   mutable total_hold : int;
 }
 
-let create ~name =
+let create ~name tap =
   {
     lock_name = name;
+    tap;
     free_at = 0;
     acquisitions = 0;
     contended = 0;
@@ -17,7 +19,7 @@ let create ~name =
     total_hold = 0;
   }
 
-let acquire ?(tracer = Trace.null) ?(cpu = -1) l ~now ~hold =
+let acquire l ~cpu ~now ~hold =
   if hold < 0 then invalid_arg "Simlock.acquire: negative hold";
   let start = if now >= l.free_at then now else l.free_at in
   let wait = start - now in
@@ -26,15 +28,9 @@ let acquire ?(tracer = Trace.null) ?(cpu = -1) l ~now ~hold =
   if wait > 0 then l.contended <- l.contended + 1;
   l.total_wait <- l.total_wait + wait;
   l.total_hold <- l.total_hold + hold;
-  if Trace.enabled tracer then begin
-    Trace.emit tracer ~time:now ~cpu ~label:l.lock_name
-      Trace.Event.Lock_acquire;
-    if wait > 0 then begin
-      Trace.emit tracer ~time:now ~cpu ~label:l.lock_name ~arg:wait
-        Trace.Event.Lock_contended;
-      Trace.record_lock_wait tracer wait
-    end
-  end;
+  Trace.Tap.emit l.tap Lock_acquire ~cpu ~label:l.lock_name 0 0;
+  if wait > 0 then
+    Trace.Tap.emit l.tap Lock_contended ~cpu ~label:l.lock_name wait 0;
   wait + hold
 
 let acquisitions l = l.acquisitions

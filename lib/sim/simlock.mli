@@ -12,18 +12,16 @@
 
 type t
 
-val create : name:string -> t
-(** [create ~name] is a fresh, uncontended lock. [name] labels stats. *)
+val create : name:string -> Trace.Tap.t -> t
+(** [create ~name tap] is a fresh, uncontended lock that emits on [tap].
+    [name] labels stats and events. *)
 
-val acquire :
-  ?tracer:Trace.t -> ?cpu:int -> t -> now:int -> hold:int -> int
-(** [acquire l ~now ~hold] simulates acquiring [l] at time [now] and holding
-    it for [hold] ns. Returns the total delay (queueing wait + hold) the
-    caller experiences; 0 wait when uncontended.
-
-    When a live [tracer] is passed, the acquisition emits a lock-acquire
-    event on [cpu] (and a lock-contended event plus a lock-wait histogram
-    sample if it had to wait), labelled with the lock's name. *)
+val acquire : t -> cpu:int -> now:int -> hold:int -> int
+(** [acquire l ~cpu ~now ~hold] simulates [cpu] acquiring [l] at time
+    [now] and holding it for [hold] ns. Returns the total delay (queueing
+    wait + hold) the caller experiences; 0 wait when uncontended. Emits
+    [Lock_acquire] on the lock's tap, then [Lock_contended] with the wait
+    if it had to wait, labelled with the lock's name. *)
 
 val acquisitions : t -> int
 (** Total number of acquisitions so far. *)

@@ -67,7 +67,8 @@ let create ?(config = default_config) ~cpus engine =
     cond = Sim.Process.Cond.create engine;
   }
 
-let tap t = Sim.Engine.tap t.engine
+let emit t kind ~cpu a =
+  Trace.Tap.emit (Sim.Engine.tap t.engine) kind ~cpu ~label:"" a 0
 
 let frontier t = t.epoch - 2
 
@@ -85,7 +86,7 @@ let scan_clear t =
     (fun i pinned ->
       if pinned && t.announced.(i) <> t.epoch then begin
         ok := false;
-        Trace.Tap.emit (tap t) Epoch_blocked i 0
+        emit t Epoch_blocked ~cpu:i i
       end)
     t.pinned;
   !ok
@@ -98,7 +99,7 @@ let try_advance t =
   in
   if unsafe_adv then t.unsafe_epoch <- t.unsafe_epoch + 1;
   let want = frontier t < t.last_issued in
-  if want then Trace.Tap.emit (tap t) Epoch_scan 0 0;
+  if want then emit t Epoch_scan ~cpu:(-1) 0;
   let adv = want && scan_clear t in
   if adv then begin
     t.epoch <- t.epoch + 1;
@@ -166,7 +167,7 @@ let view t ~frontierf ~register =
     advance = (fun () -> try_advance t);
     request =
       (fun () ->
-        Trace.Tap.emit (tap t) Epoch_request 0 0;
+        emit t Epoch_request ~cpu:(-1) 0;
         if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;

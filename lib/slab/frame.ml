@@ -20,13 +20,14 @@ type env = {
 
 let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
     buddy =
+  let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
   {
     machine;
     buddy;
     pressure;
     costs;
-    page_lock = Sim.Simlock.create ~name:"page-allocator";
-    tap = Sim.Engine.tap (Sim.Machine.engine machine);
+    page_lock = Sim.Simlock.create ~name:"page-allocator" tap;
+    tap;
     grow_retry = None;
     debug_checks;
     unsafe_destroy_latent = false;
@@ -66,10 +67,6 @@ type objekt = {
   mutable ostate : ostate;
   mutable gp_cookie : int;
   mutable touched : bool;
-  mutable deferred_at : int;
-      (* Virtual time of the deferred free that last retired this object,
-         -1 when not deferred (or tracing is off): drives the defer->reuse
-         lifetime histogram. *)
 }
 
 and slab = {
@@ -141,7 +138,9 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
     Array.init (Sim.Machine.nr_nodes env.machine) (fun nid ->
         {
           nid;
-          lock = Sim.Simlock.create ~name:(Printf.sprintf "%s/node%d" name nid);
+          lock =
+            Sim.Simlock.create ~name:(Printf.sprintf "%s/node%d" name nid)
+              env.tap;
           full = Sim.Dlist.create ();
           partial = Sim.Dlist.create ();
           free_slabs = Sim.Dlist.create ();
@@ -225,26 +224,18 @@ let fragmentation cache =
 let truly_free slab = slab.free_n = slab.capacity
 
 let now cache = Sim.Engine.now (Sim.Machine.engine cache.env.machine)
-let tracer cache = Sim.Machine.tracer cache.env.machine
 let prof cache = Sim.Machine.prof cache.env.machine
 
-let trace_event cache (cpu : Sim.Machine.cpu) ?arg kind =
-  let tr = tracer cache in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name ?arg kind
+let emit cache ~cpu kind a b =
+  Trace.Tap.emit cache.env.tap kind ~cpu ~label:cache.name a b
 
-(* Like [trace_event ~arg], but the option is only built once the tracer
-   is known to be live — the deferred-free path calls this per object, and
-   the [Some] box was measurable when tracing was off. *)
-let trace_event_arg cache (cpu : Sim.Machine.cpu) ~arg kind =
-  let tr = tracer cache in
-  if Trace.enabled tr then
-    Trace.emit tr ~time:(now cache) ~cpu:cpu.id ~label:cache.name ~arg kind
+let event cache (cpu : Sim.Machine.cpu) kind arg =
+  emit cache ~cpu:cpu.id kind arg 0
 
 let lock_node cache (cpu : Sim.Machine.cpu) node =
   let delay =
-    Sim.Simlock.acquire ~tracer:(tracer cache) ~cpu:cpu.id node.lock
-      ~now:(now cache) ~hold:cache.env.costs.node_lock_hold
+    Sim.Simlock.acquire node.lock ~cpu:cpu.id ~now:(now cache)
+      ~hold:cache.env.costs.node_lock_hold
   in
   Sim.Machine.consume cpu delay
 
@@ -260,8 +251,7 @@ let lock_pages cache (cpu : Sim.Machine.cpu) =
     costs.page_lock_hold + (costs.page_zero_per_page * pages * max 1 (pages / 2))
   in
   let delay =
-    Sim.Simlock.acquire ~tracer:(tracer cache) ~cpu:cpu.id cache.env.page_lock
-      ~now:(now cache) ~hold
+    Sim.Simlock.acquire cache.env.page_lock ~cpu:cpu.id ~now:(now cache) ~hold
   in
   Sim.Machine.consume cpu delay
 
@@ -336,18 +326,18 @@ let take_free_obj slab =
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
-let emit_pool env obj = Trace.Tap.emit env.tap Pool obj.oid obj.gp_cookie
+let emit_pool cache ~cpu obj = emit cache ~cpu Pool obj.oid obj.gp_cookie
 
 let put_free_obj slab obj =
   assert (obj.parent == slab);
-  emit_pool slab.cache.env obj;
+  emit_pool slab.cache ~cpu:(-1) obj;
   obj.ostate <- Free_in_slab;
   slab.free_objs <- obj :: slab.free_objs;
   slab.free_n <- slab.free_n + 1;
   slab.in_flight <- slab.in_flight - 1
 
 let push_ocache cache pc obj =
-  emit_pool cache.env obj;
+  emit_pool cache ~cpu:pc.cpu.id obj;
   obj.ostate <- In_object_cache;
   pc.ocache <- obj :: pc.ocache;
   pc.ocache_n <- pc.ocache_n + 1
@@ -386,7 +376,7 @@ let footprint_doublings cache =
   end
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
-  Trace.Tap.emit cache.env.tap Alloc obj.oid 0;
+  event cache cpu Alloc obj.oid;
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -402,29 +392,21 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
       (costs.Costs.cold_touch
       + (cache.obj_size / 256 * costs.Costs.cold_touch_per_256b))
   end;
-  (* deferred_at is only ever set while tracing: close the defer->reuse
-     lifetime sample now that the object is being handed out again. *)
-  if obj.deferred_at >= 0 then begin
-    Trace.record_lifetime (tracer cache) (now cache - obj.deferred_at);
-    obj.deferred_at <- -1
-  end;
   obj.ostate <- Allocated;
   cache.live_objs <- cache.live_objs + 1
 
 (* Events go out before the state asserts so a deliberately broken
    caller (mutation self-tests: double free, double defer) reaches the
    oracle before the simulation aborts. *)
-let release_from_user cache obj =
-  Trace.Tap.emit cache.env.tap Free obj.oid 0;
+let release_from_user cache cpu obj =
+  event cache cpu Free obj.oid;
   assert (obj.ostate = Allocated);
-  cache.live_objs <- cache.live_objs - 1;
-  ignore obj
+  cache.live_objs <- cache.live_objs - 1
 
-let stamp_deferred cache obj ~cookie =
-  Trace.Tap.emit cache.env.tap Defer obj.oid cookie;
+let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
+  emit cache ~cpu:cpu.id Defer obj.oid cookie;
   assert (obj.ostate = Allocated);
   obj.gp_cookie <- cookie;
-  if Trace.enabled (tracer cache) then obj.deferred_at <- now cache;
   cache.live_objs <- cache.live_objs - 1
 
 let obj_to_latent_cache cache pc obj =
@@ -519,7 +501,7 @@ let rec grow_attempt cache (cpu : Sim.Machine.cpu) ~tries ~backoff =
         when tries < p.max_retries
              && Mem.Buddy.would_satisfy cache.env.buddy ~order:cache.order ->
           Slab_stats.grow_retry cache.stats;
-          trace_event cache cpu ~arg:(tries + 1) Trace.Event.Grow_retry;
+          event cache cpu Grow_retry (tries + 1);
           Sim.Process.sleep (Sim.Machine.engine cache.env.machine) backoff;
           grow_attempt cache cpu ~tries:(tries + 1) ~backoff:(2 * backoff)
       | _ -> None)
@@ -532,7 +514,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
   in
   match grow_attempt cache cpu ~tries:0 ~backoff with
   | None ->
-      trace_event cache cpu Trace.Event.Oom;
+      event cache cpu Oom 0;
       None
   | Some block ->
       let env = cache.env in
@@ -567,7 +549,6 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
           ostate = Free_in_slab;
           gp_cookie = 0;
           touched = false;
-          deferred_at = -1;
         }
       in
       slab.free_objs <- List.init cache.objs_per_slab mk;
@@ -575,7 +556,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
       cache.total_slabs <- cache.total_slabs + 1;
       Slab_stats.set_current_slabs cache.stats cache.total_slabs;
       Slab_stats.grow cache.stats;
-      trace_event cache cpu ~arg:cache.total_slabs Trace.Event.Grow;
+      event cache cpu Grow cache.total_slabs;
       Sim.Machine.consume cpu env.costs.grow;
       lock_pages cache cpu;
       poll_pressure cache;
@@ -599,7 +580,7 @@ let destroy_slab cache slab =
      let latent = ref [] in
      Latq.iter (fun o -> latent := o :: !latent) slab.latent_objs;
      List.iter
-       (fun o -> Trace.Tap.emit cache.env.tap Page_release o.oid o.gp_cookie)
+       (fun o -> emit cache ~cpu:(-1) Page_release o.oid o.gp_cookie)
        !latent);
   (* Scrub the latent bookkeeping the mutated path orphans, so the cache
      counters stay conserved and only the page-level oracle can tell. *)
@@ -654,8 +635,7 @@ let shrink_node ?keep cache (cpu : Sim.Machine.cpu) node =
     (* Oldest (closest to the back) first. *)
     destroy !candidates
   end;
-  if !destroyed > 0 then
-    trace_event cache cpu ~arg:!destroyed Trace.Event.Shrink;
+  if !destroyed > 0 then event cache cpu Shrink !destroyed;
   !destroyed
 
 let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
@@ -687,7 +667,7 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
     done;
     if !moved > 0 then begin
       Slab_stats.refill cache.stats;
-      trace_event cache cpu ~arg:!moved Trace.Event.Refill;
+      event cache cpu Refill !moved;
       Sim.Machine.consume cpu
         (cache.env.costs.refill + (!moved * cache.env.costs.refill_per_obj))
     end;
@@ -721,7 +701,7 @@ let flush_to_node cache (cpu : Sim.Machine.cpu) ~count =
             ignore (relocate cache obj.parent))
           objs;
         Slab_stats.flush cache.stats;
-        trace_event cache cpu ~arg:moved Trace.Event.Flush;
+        event cache cpu Flush moved;
         Sim.Machine.consume cpu
           (cache.env.costs.flush + (moved * cache.env.costs.flush_per_obj));
         List.iter (fun node -> ignore (shrink_node cache cpu node)) !touched_nodes

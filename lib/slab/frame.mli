@@ -31,12 +31,14 @@ type env = {
           with a hold that scales with slab order (page zeroing), the
           driver of the baseline's large-object collapse in Fig. 6. *)
   tap : Trace.Tap.t;
-      (** The engine's reclamation event tap ({!Sim.Engine.tap}). The
-          frame emits the object lifecycle on it: [Alloc] from
-          {!hand_to_user}, [Free] from {!release_from_user}, [Defer] from
+      (** The engine's event tap ({!Sim.Engine.tap}). The frame emits
+          the object lifecycle on it: [Alloc] from {!hand_to_user},
+          [Free] from {!release_from_user}, [Defer] from
           {!stamp_deferred}, [Pool] on every free-pool entry and
-          [Page_release] from {!destroy_slab}. The shadow heap, the
-          anatomy recorder and the reader checker subscribe to it. *)
+          [Page_release] from {!destroy_slab}; plus its timeline events
+          (refill, flush, grow, shrink, OOM) and, through the locks,
+          lock events. The tracer, the shadow heap, the anatomy recorder
+          and the reader checker subscribe to it. *)
   mutable grow_retry : grow_retry_policy option;
       (** When set, {!grow} retries transient page-alloc failures (those
           {!Mem.Buddy.would_satisfy} proves injected, not genuine
@@ -86,10 +88,6 @@ type objekt = private {
   mutable touched : bool;
       (** Whether a mutator has ever used this object's memory (first
           touch is charged cold-miss cost). *)
-  mutable deferred_at : int;
-      (** Virtual time of the deferred free that retired this object; [-1]
-          when not deferred or tracing is off. {!hand_to_user} closes the
-          defer->reuse lifetime histogram sample from it. *)
 }
 
 and slab = private {
@@ -202,25 +200,16 @@ val fragmentation : cache -> float
 (** Total fragmentation [f_t = allocated bytes / requested bytes] (paper
     §4.2). Returns [nan] when no objects are live. *)
 
-val tracer : cache -> Trace.t
-(** The machine's tracer ({!Trace.null} when tracing is off). *)
-
 val prof : cache -> Prof.t
 (** The machine's profiler ({!Prof.null} when profiling is off). The
     frame opens [slab.grow] / [slab.latq_push] / [slab.latq_harvest]
     spans; backends open the alloc/free/defer spans. *)
 
-val trace_event :
-  cache -> Sim.Machine.cpu -> ?arg:int -> Trace.Event.kind -> unit
-(** Emit an event labelled with the cache name at the current virtual time
-    on [cpu]; no-op when tracing is off. The frame itself emits refill,
-    flush, grow, shrink, lock and OOM events; allocator policies emit
-    their own (hit/miss, merge, pre-flush, defer). *)
-
-val trace_event_arg :
-  cache -> Sim.Machine.cpu -> arg:int -> Trace.Event.kind -> unit
-(** [trace_event ~arg] for per-object hot paths: defers boxing the
-    argument until the tracer is known to be live. *)
+val event : cache -> Sim.Machine.cpu -> Trace.Event.kind -> int -> unit
+(** [event cache cpu kind a] emits [kind] on the tap from [cpu], labelled
+    with the cache name, with payloads [a] and 0. The frame itself emits
+    refill, flush, grow, shrink and OOM events; allocator policies emit
+    their own (hit/miss, merge, pre-flush, allocation cost). *)
 
 val truly_free : slab -> bool
 (** All objects back on the freelist: the slab's pages may be returned. *)
@@ -255,14 +244,14 @@ val hand_to_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark [objekt] allocated, bump live counters, charge the first-touch
     cost if its memory was never used. Emits [Alloc] first. *)
 
-val release_from_user : cache -> objekt -> unit
+val release_from_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark a mutator release (immediate free path): decrements live count.
     Emits [Free] before the state assert. *)
 
-val stamp_deferred : cache -> objekt -> cookie:int -> unit
+val stamp_deferred : cache -> Sim.Machine.cpu -> objekt -> cookie:int -> unit
 (** Record the grace-period cookie and decrement the live count (the
-    mutator no longer holds the object). Emits [Defer] before the state
-    assert. *)
+    mutator no longer holds the object). Emits [Defer] from [cpu] before
+    the state assert. *)
 
 val obj_to_latent_cache : cache -> pcpu -> objekt -> unit
 val obj_to_latent_slab : cache -> objekt -> unit

@@ -69,7 +69,8 @@ let create ?(config = default_config) ~cpus engine =
     cond = Sim.Process.Cond.create engine;
   }
 
-let tap t = Sim.Engine.tap t.engine
+let emit t kind ~cpu a b =
+  Trace.Tap.emit (Sim.Engine.tap t.engine) kind ~cpu ~label:"" a b
 
 let frontier t = t.frontier
 
@@ -107,7 +108,7 @@ let seal t =
           t.credited.(i) <- b :: t.credited.(i)
         end)
       t.active;
-    Trace.Tap.emit (tap t) Batch_seal b.id b.refs;
+    emit t Batch_seal ~cpu:(-1) b.id b.refs;
     Queue.push b t.sealed_q;
     t.sealed_upto <- b.id;
     t.open_id <- t.open_id + 1;
@@ -156,7 +157,7 @@ let reader_exit t (cpu : Sim.Machine.cpu) =
       List.iter
         (fun b ->
           b.refs <- b.refs - 1;
-          Trace.Tap.emit (tap t) Batch_unref i b.id)
+          emit t Batch_unref ~cpu:i i b.id)
         batches;
       t.credited.(i) <- [];
       advance_frontier t)
@@ -182,7 +183,7 @@ let view t ~frontierf ~register =
         advance_frontier t);
     request =
       (fun () ->
-        Trace.Tap.emit (tap t) Batch_request 0 0;
+        emit t Batch_request ~cpu:(-1) 0 0;
         if outstanding t then arm_poller t);
     wait = wait_view t frontierf;
     on_ripen = register;

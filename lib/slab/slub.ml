@@ -29,13 +29,13 @@ let alloc_inner t (cache : Frame.cache) cpu =
   if pc.Frame.ocache_n > 0 then begin
     let obj = Frame.pop_ocache_exn pc in
     Slab_stats.hit cache.Frame.stats;
-    Frame.trace_event cache cpu Trace.Event.Alloc_hit;
+    Frame.event cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
     Some obj
   end
   else begin
       Slab_stats.miss cache.Frame.stats;
-      Frame.trace_event cache cpu Trace.Event.Alloc_miss;
+      Frame.event cache cpu Alloc_miss 0;
       let got =
         Frame.refill_from_node cache cpu ~want:cache.Frame.batch
           ~select:Frame.select_slub
@@ -60,16 +60,9 @@ let alloc_inner t (cache : Frame.cache) cpu =
 
 let alloc t (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
-  let tr = Frame.tracer cache in
-  let result =
-    if not (Trace.enabled tr) then alloc_inner t cache cpu
-    else begin
-      let pend0 = cpu.Sim.Machine.pending_ns in
-      let result = alloc_inner t cache cpu in
-      Trace.record_alloc_cost tr (cpu.Sim.Machine.pending_ns - pend0);
-      result
-    end
-  in
+  let pend0 = cpu.Sim.Machine.pending_ns in
+  let result = alloc_inner t cache cpu in
+  Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
   result
 
@@ -87,7 +80,7 @@ let release t (cache : Frame.cache) cpu obj =
 let free t cache cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_free;
   Slab_stats.free cache.Frame.stats;
-  Frame.release_from_user cache obj;
+  Frame.release_from_user cache cpu obj;
   release t cache cpu obj;
   Prof.exit (Frame.prof cache) Prof.Span.Slab_free
 
@@ -96,8 +89,7 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   let costs = t.env.Frame.costs in
   Slab_stats.deferred_free cache.Frame.stats;
   let cookie = Rcu.snapshot t.rcu in
-  Frame.trace_event_arg cache cpu ~arg:cookie Trace.Event.Defer_free;
-  Frame.stamp_deferred cache obj ~cookie;
+  Frame.stamp_deferred cache cpu obj ~cookie;
   charge cpu costs.Costs.defer_enqueue;
   (* Listing 1: the allocator never sees the object until RCU invokes the
      callback, possibly long after the grace period. *)

@@ -1,9 +1,10 @@
 (** Event tracing and latency histograms for the simulated stack.
 
-    [Trace] is the tracer itself (see {!Tracer}); submodules hold the
+    [Trace] is the tracer itself (see {!Tracer}), one subscriber of the
+    event {!Tap} every instrumented site emits on; submodules hold the
     building blocks: typed {!Event}s, bounded per-CPU {!Ring} buffers,
-    log-bucketed {!Hist} latency histograms, the {!Chrome} trace-event
-    exporter and the reclamation event {!Tap}. *)
+    log-bucketed {!Hist} latency histograms and the {!Chrome}
+    trace-event exporter. *)
 
 module Event = Event
 module Ring = Ring

@@ -1,67 +1,47 @@
 type t = {
-  enabled : bool;
   ncpus : int;
+  now : unit -> int;
   rings : Event.t Ring.t array;
       (* one ring per CPU plus a final ring for machine-global events
          (cpu = -1): grace-period bookkeeping has no owning CPU. *)
-  lifetime : Hist.t;
   gp_latency : Hist.t;
   lock_wait : Hist.t;
   alloc_cost : Hist.t;
-  mutable sink : (cpu:int -> kind:Event.kind -> unit) option;
-      (* live tap on the event stream, independent of ring retention *)
 }
 
-let default_ring_capacity = 65_536
-
-let create ?(ring_capacity = default_ring_capacity) ~ncpus () =
-  if ncpus <= 0 then invalid_arg "Tracer.create: ncpus must be positive";
+let make ~ring_capacity ~ncpus ~now =
   {
-    enabled = true;
     ncpus;
-    rings = Array.init (ncpus + 1) (fun _ -> Ring.create ~capacity:ring_capacity);
-    lifetime = Hist.create ();
+    now;
+    rings =
+      Array.init (ncpus + 1) (fun _ -> Ring.create ~capacity:ring_capacity);
     gp_latency = Hist.create ();
     lock_wait = Hist.create ();
     alloc_cost = Hist.create ();
-    sink = None;
   }
 
-let null =
-  {
-    enabled = false;
-    ncpus = 0;
-    rings = [||];
-    lifetime = Hist.create ();
-    gp_latency = Hist.create ();
-    lock_wait = Hist.create ();
-    alloc_cost = Hist.create ();
-    sink = None;
-  }
+let ring t cpu =
+  if cpu >= 0 && cpu < t.ncpus then t.rings.(cpu) else t.rings.(t.ncpus)
 
-let enabled t = t.enabled
+let on_event t kind ~cpu ~label a b =
+  (match (kind : Event.kind) with
+  | Gp_end -> Hist.record t.gp_latency b
+  | Lock_contended -> Hist.record t.lock_wait a
+  | Alloc_cost -> Hist.record t.alloc_cost a
+  | _ -> ());
+  if Event.kind_index kind >= 0 then
+    let arg = match kind with Defer -> b | _ -> a in
+    Ring.push (ring t cpu) { Event.time = t.now (); cpu; kind; label; arg }
+
+let create ~ring_capacity ~ncpus ~now tap =
+  if ncpus <= 0 then invalid_arg "Tracer.create: ncpus must be positive";
+  let t = make ~ring_capacity ~ncpus ~now in
+  Tap.subscribe tap (on_event t);
+  t
+
+let null = make ~ring_capacity:1 ~ncpus:0 ~now:(fun () -> 0)
+
 let ncpus t = t.ncpus
-
-let set_sink t sink =
-  if not t.enabled then
-    invalid_arg "Tracer.set_sink: cannot attach a sink to the null tracer";
-  t.sink <- sink
-
-let emit t ~time ~cpu ?(label = "") ?(arg = 0) kind =
-  if t.enabled then begin
-    (match t.sink with None -> () | Some f -> f ~cpu ~kind);
-    let ring =
-      if cpu >= 0 && cpu < t.ncpus then t.rings.(cpu) else t.rings.(t.ncpus)
-    in
-    Ring.push ring { Event.time; cpu; kind; label; arg }
-  end
-
-let record_lifetime t ns = if t.enabled then Hist.record t.lifetime ns
-let record_gp_latency t ns = if t.enabled then Hist.record t.gp_latency ns
-let record_lock_wait t ns = if t.enabled then Hist.record t.lock_wait ns
-let record_alloc_cost t ns = if t.enabled then Hist.record t.alloc_cost ns
-
-let lifetime t = t.lifetime
 let gp_latency t = t.gp_latency
 let lock_wait t = t.lock_wait
 let alloc_cost t = t.alloc_cost
@@ -76,11 +56,8 @@ let events t =
     (fun (a : Event.t) (b : Event.t) -> compare a.Event.time b.Event.time)
     (List.rev all)
 
-let recent_events t ~cpu n =
-  if not t.enabled then []
-  else
-    let idx = if cpu >= 0 && cpu < t.ncpus then cpu else t.ncpus in
-    Ring.recent t.rings.(idx) n
+let recent_events t ~cpu n = Ring.recent (ring t cpu) n
 
-let total_events t = Array.fold_left (fun acc r -> acc + Ring.length r) 0 t.rings
-let total_dropped t = Array.fold_left (fun acc r -> acc + Ring.dropped r) 0 t.rings
+let total f t = Array.fold_left (fun acc r -> acc + f r) 0 t.rings
+let total_events = total Ring.length
+let total_dropped = total Ring.dropped

@@ -1,48 +1,30 @@
-(** The tracer: per-CPU bounded event rings plus the four latency
-    histograms of the paper's timing phenomena (deferred-object lifetime,
-    grace-period latency, lock wait, allocation-path cost).
+(** The tracer: a subscriber of an engine's {!Tap} that keeps per-CPU
+    bounded rings of the timeline events ({!Event.kind_index} [>= 0])
+    plus three latency histograms of the paper's timing phenomena
+    (grace-period latency, lock wait, allocation-path cost). The
+    deferred-object lifetime is the anatomy recorder's defer->reuse
+    total.
 
-    A tracer is either live ({!create}) or the shared no-op {!null} sink:
-    every emission entry point checks {!enabled} first, so an untraced run
-    pays one branch and allocates nothing. Emission never charges virtual
-    time — tracing is pure observation and cannot perturb experiment
-    results. *)
+    Tracing is pure observation: the tracer reads the virtual clock and
+    never charges virtual time, so it cannot perturb experiment
+    results. An untraced run has no tracer subscribed and pays one
+    branch per emission. *)
 
 type t
 
-val create : ?ring_capacity:int -> ncpus:int -> unit -> t
-(** [create ~ncpus ()] builds a live tracer with one ring per CPU (plus one
-    for machine-global events) of [ring_capacity] events each (default
-    65536). On overflow the oldest events are dropped. *)
+val create : ring_capacity:int -> ncpus:int -> now:(unit -> int) -> Tap.t -> t
+(** [create ~ring_capacity ~ncpus ~now tap] subscribes a tracer to [tap]
+    with one ring per CPU (plus one for machine-global events) of
+    [ring_capacity] events each, stamped by [now]. On overflow the
+    oldest events are dropped. *)
 
 val null : t
-(** The disabled sink: {!enabled} is [false], all operations are no-ops. *)
+(** A tracer subscribed to nothing: no events, empty histograms. *)
 
-val enabled : t -> bool
 val ncpus : t -> int
-
-val emit :
-  t -> time:int -> cpu:int -> ?label:string -> ?arg:int -> Event.kind -> unit
-(** Append an event stamped with virtual [time] on [cpu] ([-1] for
-    machine-global events). No-op when disabled. *)
-
-val set_sink : t -> (cpu:int -> kind:Event.kind -> unit) option -> unit
-(** Install (or clear) a live tap called on every emitted event before it
-    is pushed to a ring — independent of ring retention, so the coverage
-    signal sees the full stream even with a tiny ring. The sink must be
-    pure observation. Raises [Invalid_argument] on the {!null} tracer
-    (it is a shared global and never emits anyway). *)
 
 (** {1 Histograms} *)
 
-val record_lifetime : t -> int -> unit
-(** Deferred-object lifetime: defer to reuse, virtual ns. *)
-
-val record_gp_latency : t -> int -> unit
-val record_lock_wait : t -> int -> unit
-val record_alloc_cost : t -> int -> unit
-
-val lifetime : t -> Hist.t
 val gp_latency : t -> Hist.t
 val lock_wait : t -> Hist.t
 val alloc_cost : t -> Hist.t
@@ -55,8 +37,7 @@ val events : t -> Event.t list
 val recent_events : t -> cpu:int -> int -> Event.t list
 (** [recent_events t ~cpu n]: the newest [n] retained events of one CPU's
     ring ([-1] for the machine-global ring), oldest first — the bounded
-    flight-recorder window; allocation is O(n) regardless of ring size.
-    Empty on the {!null} tracer. *)
+    flight-recorder window; allocation is O(n) regardless of ring size. *)
 
 val total_events : t -> int
 val total_dropped : t -> int

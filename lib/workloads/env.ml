@@ -82,9 +82,11 @@ let build cfg =
   let tracer =
     match cfg.trace with
     | None -> Trace.null
-    | Some ring_capacity -> Trace.create ~ring_capacity ~ncpus:cfg.cpus ()
+    | Some ring_capacity ->
+        Trace.create ~ring_capacity ~ncpus:cfg.cpus
+          ~now:(fun () -> Sim.Engine.now eng)
+          (Sim.Engine.tap eng)
   in
-  Sim.Machine.set_tracer machine tracer;
   Sim.Machine.set_prof machine cfg.prof;
   Sim.Machine.start machine;
   let buddy = Mem.Buddy.create ~total_pages:cfg.total_pages () in

@@ -36,9 +36,10 @@ type config = {
       (** Arm the premature-reuse safety checker
           ({!Rcu.Readers.check_allocs}; small overhead). *)
   trace : int option;
-      (** [Some ring_capacity]: install a live {!Trace} tracer on the
-          machine (per-CPU event rings of that capacity + latency
-          histograms). [None] (default): tracing disabled, zero overhead. *)
+      (** [Some ring_capacity]: subscribe a {!Trace} tracer to the
+          engine's tap (per-CPU event rings of that capacity + latency
+          histograms). [None] (default): no tracer, so each emission
+          site costs one load-and-branch. *)
   prof : Prof.t;
       (** Profiler installed on the engine, machine, and buddy allocator;
           {!Prof.null} (default): profiling disabled, zero overhead. *)
@@ -72,7 +73,7 @@ type t = {
           configs, where the allocator consumes a corrupted frontier
           and this one stays honest. *)
   rng : Sim.Rng.t;
-  tracer : Trace.t;  (** The machine's tracer; {!Trace.null} when off. *)
+  tracer : Trace.t;  (** The tap's tracer; {!Trace.null} when off. *)
   prof : Prof.t;  (** The installed profiler; {!Prof.null} when off. *)
   obs : Obs.Anatomy.t option;
       (** The anatomy recorder when [config.obs]: a subscriber of the

@@ -158,7 +158,7 @@ let test_oracle_double_free () =
    test's frontier, so an advance is "set the frontier, call the hook". *)
 type harness = {
   oracle : Shadow.t;
-  emit : Trace.Tap.kind -> int -> int -> unit;
+  emit : Trace.Event.kind -> int -> int -> unit;
   advance : int -> unit;
 }
 
@@ -176,7 +176,7 @@ let harness ?coverage () =
   let tap = Sim.Engine.tap env.W.Env.eng in
   {
     oracle;
-    emit = (fun kind a b -> Trace.Tap.emit tap kind a b);
+    emit = (fun kind a b -> Trace.Tap.emit tap kind ~cpu:(-1) ~label:"" a b);
     advance =
       (fun f ->
         frontier := f;
@@ -270,7 +270,7 @@ end
    the time the step runs, so they land both above and below the newest
    token issued, and some are already ripe. *)
 type op =
-  | Ev of Trace.Tap.kind * int * int  (* kind, oid, token offset or cpu *)
+  | Ev of Trace.Event.kind * int * int  (* kind, oid, token offset or cpu *)
   | Advance of int  (* frontier step *)
 
 let op_gen =
@@ -282,12 +282,12 @@ let op_gen =
   let ev kind arg = map2 (fun o a -> Ev (kind, o, a)) oid arg in
   frequency
     [
-      (4, ev Trace.Tap.Alloc (return 0));
-      (1, ev Trace.Tap.Free (return 0));
-      (4, ev Trace.Tap.Defer offset);
-      (3, ev Trace.Tap.Pool (return 0));
-      (1, ev Trace.Tap.Page_release offset);
-      (1, ev Trace.Tap.Reader_access (int_bound 3));
+      (4, ev Trace.Event.Alloc (return 0));
+      (1, ev Trace.Event.Free (return 0));
+      (4, ev Trace.Event.Defer offset);
+      (3, ev Trace.Event.Pool (return 0));
+      (1, ev Trace.Event.Page_release offset);
+      (1, ev Trace.Event.Reader_access (int_bound 3));
       (3, map (fun k -> Advance k) (int_bound 2));
     ]
 
@@ -295,7 +295,7 @@ let print_op = function
   | Ev (kind, oid, arg) ->
       let name =
         match kind with
-        | Trace.Tap.Alloc -> "alloc"
+        | Trace.Event.Alloc -> "alloc"
         | Free -> "free"
         | Defer -> "defer"
         | Pool -> "pool"
@@ -346,7 +346,7 @@ let prop_shadow_matches_model =
           | Ev (kind, oid, arg) -> (
               let cookie = m.Model.frontier + arg in
               match kind with
-              | Trace.Tap.Alloc ->
+              | Trace.Event.Alloc ->
                   Model.alloc m oid;
                   h.emit kind oid 0
               | Free ->
@@ -380,10 +380,10 @@ let test_shadow_allocation_free () =
   let lag = 8 in
   let cycle i =
     let oid = i land 1023 and ripe = (i - lag) land 1023 in
-    h.emit Trace.Tap.Alloc oid 0;
-    h.emit Trace.Tap.Defer oid i;
+    h.emit Trace.Event.Alloc oid 0;
+    h.emit Trace.Event.Defer oid i;
     h.advance (i - lag);
-    h.emit Trace.Tap.Pool ripe (i - lag)
+    h.emit Trace.Event.Pool ripe (i - lag)
   in
   for i = 0 to 2_047 do
     cycle i

@@ -85,7 +85,7 @@ let test_hand_to_user_emits_alloc () =
   let env, cache = make_cache () in
   let c = cpu0 env in
   let checked = ref [] in
-  Trace.Tap.subscribe env.fenv.Frame.tap (fun kind oid _ ->
+  Trace.Tap.subscribe env.fenv.Frame.tap (fun kind ~cpu:_ ~label:_ oid _ ->
       match kind with Alloc -> checked := oid :: !checked | _ -> ());
   ignore (Frame.grow cache c);
   ignore (Frame.refill_from_node cache c ~want:1 ~select:Frame.select_slub);
@@ -109,9 +109,9 @@ let test_latent_cache_fifo_ripeness () =
   let pc = Frame.pcpu_for cache c in
   let o1 = take_one env cache in
   let o2 = take_one env cache in
-  Frame.stamp_deferred cache o1 ~cookie:1;
+  Frame.stamp_deferred cache (cpu0 env) o1 ~cookie:1;
   Frame.obj_to_latent_cache cache pc o1;
-  Frame.stamp_deferred cache o2 ~cookie:3;
+  Frame.stamp_deferred cache (cpu0 env) o2 ~cookie:3;
   Frame.obj_to_latent_cache cache pc o2;
   Alcotest.(check bool) "nothing ripe at 0" true
     (Frame.latent_cache_pop_ripe cache pc ~completed:0 = None);
@@ -129,9 +129,9 @@ let test_latent_slab_harvest () =
   let o1 = take_one env cache in
   let o2 = take_one env cache in
   let slab = o1.Frame.parent in
-  Frame.stamp_deferred cache o1 ~cookie:1;
+  Frame.stamp_deferred cache (cpu0 env) o1 ~cookie:1;
   Frame.obj_to_latent_slab cache o1;
-  Frame.stamp_deferred cache o2 ~cookie:2;
+  Frame.stamp_deferred cache (cpu0 env) o2 ~cookie:2;
   Frame.obj_to_latent_slab cache o2;
   Alcotest.(check int) "two latent" 2 slab.Frame.latent_n;
   Alcotest.(check int) "harvest at 1" 1 (Frame.slab_harvest_ripe slab ~completed:1);
@@ -159,7 +159,7 @@ let test_premove_full_to_partial () =
   let slab = (List.hd objs).Frame.parent in
   Alcotest.(check bool) "slab full" true (slab.Frame.on_list = Frame.L_full);
   let victim = List.hd objs in
-  Frame.stamp_deferred cache victim ~cookie:1;
+  Frame.stamp_deferred cache (cpu0 env) victim ~cookie:1;
   Frame.obj_to_latent_slab cache victim;
   Alcotest.(check bool) "pre-moved" true (Frame.relocate cache slab);
   Alcotest.(check bool) "now partial" true
@@ -168,7 +168,7 @@ let test_premove_full_to_partial () =
   List.iter
     (fun o ->
       if o != victim then begin
-        Frame.stamp_deferred cache o ~cookie:1;
+        Frame.stamp_deferred cache (cpu0 env) o ~cookie:1;
         Frame.obj_to_latent_slab cache o
       end)
     objs;
@@ -193,7 +193,7 @@ let test_premove_all_deferred_to_free () =
   let slab = (List.hd objs).Frame.parent in
   List.iter
     (fun o ->
-      Frame.stamp_deferred cache o ~cookie:1;
+      Frame.stamp_deferred cache (cpu0 env) o ~cookie:1;
       Frame.obj_to_latent_slab cache o)
     objs;
   ignore (Frame.relocate cache slab);
@@ -219,7 +219,7 @@ let test_shrink_skips_pre_moved_slabs () =
     | Some o ->
         (* hand + stamp to latent *)
         Frame.hand_to_user cache c o;
-        Frame.stamp_deferred cache o ~cookie:99;
+        Frame.stamp_deferred cache (cpu0 env) o ~cookie:99;
         Frame.obj_to_latent_slab cache o;
         take_all ()
     | None -> ()
@@ -263,9 +263,9 @@ let test_select_prudence_avoids_mostly_deferred () =
     Frame.hand_to_user cache c o2;
     ignore (Frame.relocate cache slab);
     if deferred then begin
-      Frame.stamp_deferred cache o1 ~cookie:50;
+      Frame.stamp_deferred cache (cpu0 env) o1 ~cookie:50;
       Frame.obj_to_latent_slab cache o1;
-      Frame.stamp_deferred cache o2 ~cookie:50;
+      Frame.stamp_deferred cache (cpu0 env) o2 ~cookie:50;
       Frame.obj_to_latent_slab cache o2;
       ignore (Frame.relocate cache slab)
     end;

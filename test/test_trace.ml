@@ -1,6 +1,6 @@
-(* The trace library: bounded rings, HDR histograms, the null sink,
-   Chrome export well-formedness, and a traced mini-run whose grace
-   periods must pair up in virtual-time order. *)
+(* The trace library: bounded rings, HDR histograms, the tracer as a tap
+   subscriber, Chrome export well-formedness, and a traced mini-run whose
+   grace periods must pair up in virtual-time order. *)
 
 (* ---------------- ring buffer ---------------- *)
 
@@ -139,25 +139,60 @@ let prop_ring_rev_recent_model =
              = List.filteri (fun i _ -> i >= List.length kept - keep) kept)
            [ -1; 0; 1; (cap / 2) + 1; cap; cap + 3 ])
 
-(* ---------------- null sink ---------------- *)
+(* ---------------- the tracer on a tap ---------------- *)
 
-let test_null_sink () =
-  Alcotest.(check bool) "disabled" false (Trace.enabled Trace.null);
-  Trace.emit Trace.null ~time:1 ~cpu:0 Trace.Event.Alloc_hit;
-  Trace.record_lifetime Trace.null 42;
-  Alcotest.(check int) "no events" 0 (Trace.total_events Trace.null);
-  Alcotest.(check int) "no samples" 0
-    (Trace.Hist.count (Trace.lifetime Trace.null))
+(* A tracer on a bare tap with a hand-set clock. *)
+let tapped ?(ring_capacity = 8) ncpus =
+  let tap = Trace.Tap.create () and clock = ref 0 in
+  let tr = Trace.create ~ring_capacity ~ncpus ~now:(fun () -> !clock) tap in
+  let emit time kind ~cpu ?(label = "") a b =
+    clock := time;
+    Trace.Tap.emit tap kind ~cpu ~label a b
+  in
+  (tr, emit)
 
 let test_emit_merge_order () =
-  let tr = Trace.create ~ring_capacity:8 ~ncpus:2 () in
-  Trace.emit tr ~time:30 ~cpu:1 Trace.Event.Alloc_hit;
-  Trace.emit tr ~time:10 ~cpu:0 Trace.Event.Alloc_miss;
-  Trace.emit tr ~time:20 ~cpu:(-1) ~arg:7 Trace.Event.Gp_start;
+  let tr, emit = tapped 2 in
+  emit 30 Alloc_hit ~cpu:1 0 0;
+  emit 10 Alloc_miss ~cpu:0 0 0;
+  emit 20 Gp_start ~cpu:(-1) 7 0;
   let times = List.map (fun (e : Trace.Event.t) -> e.Trace.Event.time)
       (Trace.events tr) in
   Alcotest.(check (list int)) "merged by time" [ 10; 20; 30 ] times;
   Alcotest.(check int) "total" 3 (Trace.total_events tr)
+
+(* Only timeline kinds reach the rings, with payload [a] (the token for
+   a deferred free); the histograms read Gp_end's latency, the
+   contended wait and the allocation cost. *)
+let test_rings_and_histograms () =
+  let tr, emit = tapped 1 in
+  emit 1 Alloc ~cpu:0 ~label:"c" 5 0;
+  emit 2 Defer ~cpu:0 ~label:"c" 5 9;
+  emit 3 Alloc_cost ~cpu:0 ~label:"c" 40 0;
+  emit 4 Lock_contended ~cpu:0 ~label:"c/node0" 60 0;
+  emit 5 Gp_end ~cpu:(-1) 2 1_000;
+  Alcotest.(check (list (pair string int)))
+    "timeline events with their arg"
+    [ ("defer-free", 9); ("lock-contended", 60); ("gp-end", 2) ]
+    (List.map
+       (fun (e : Trace.Event.t) ->
+         (Trace.Event.kind_name e.Trace.Event.kind, e.Trace.Event.arg))
+       (Trace.events tr));
+  let one h = (Trace.Hist.count h, Trace.Hist.sum h) in
+  Alcotest.(check (pair int int)) "gp latency" (1, 1_000)
+    (one (Trace.gp_latency tr));
+  Alcotest.(check (pair int int)) "lock wait" (1, 60) (one (Trace.lock_wait tr));
+  Alcotest.(check (pair int int)) "alloc cost" (1, 40)
+    (one (Trace.alloc_cost tr))
+
+(* The coverage feature ids number the timeline kinds 0..23. *)
+let test_kind_index () =
+  Alcotest.(check int) "defer keeps defer-free's index" 6
+    (Trace.Event.kind_index Defer);
+  Alcotest.(check int) "last timeline kind" (Trace.Event.kind_count - 1)
+    (Trace.Event.kind_index Emergency_flush);
+  Alcotest.(check int) "lifecycle kinds have none" (-1)
+    (Trace.Event.kind_index Alloc_cost)
 
 (* ---------------- traced mini-run ---------------- *)
 
@@ -176,9 +211,13 @@ let traced_runs = lazy (
 (* Grace periods are strictly sequential: starts and ends must alternate,
    every end matches the latest start's cookie, and virtual time never
    goes backwards across the pairs. *)
+let label (env : Workloads.Env.t) =
+  Workloads.Env.kind_label env.Workloads.Env.cfg.Workloads.Env.kind
+
 let test_gp_pairs_nest () =
   List.iter
-    (fun (label, tr) ->
+    (fun env ->
+      let label = label env and tr = env.Workloads.Env.tracer in
       let gps =
         List.filter
           (fun (e : Trace.Event.t) ->
@@ -213,9 +252,14 @@ let test_gp_pairs_nest () =
         gps)
     (Lazy.force traced_runs)
 
+(* The defer->reuse lifetimes come from the anatomy recorder the traced
+   runs arm. *)
 let test_traced_lifetimes () =
   let runs = Lazy.force traced_runs in
-  let hist label = Trace.lifetime (List.assoc label runs) in
+  let hist l =
+    Obs.Anatomy.total_hist
+      (Workloads.Env.anatomy (List.find (fun env -> label env = l) runs))
+  in
   Alcotest.(check bool) "prudence reuses deferred objects" true
     (Trace.Hist.count (hist "prudence") > 0);
   (* The headline acceptance shape: deferred objects wait longer under
@@ -268,7 +312,12 @@ let contains ~sub s =
   go 0
 
 let test_chrome_export () =
-  let json = Trace.Chrome.to_string (Lazy.force traced_runs) in
+  let json =
+    Trace.Chrome.to_string
+      (List.map
+         (fun env -> (label env, env.Workloads.Env.tracer))
+         (Lazy.force traced_runs))
+  in
   Alcotest.(check bool) "balanced" true (json_balanced json);
   Alcotest.(check bool) "traceEvents" true (contains ~sub:"\"traceEvents\"" json);
   Alcotest.(check bool) "metadata" true (contains ~sub:"process_name" json);
@@ -276,8 +325,8 @@ let test_chrome_export () =
   Alcotest.(check bool) "instants" true (contains ~sub:"\"ph\":\"i\"" json)
 
 let test_chrome_escape () =
-  let tr = Trace.create ~ring_capacity:8 ~ncpus:1 () in
-  Trace.emit tr ~time:1 ~cpu:0 ~label:"we\"ird\\cache\n" Trace.Event.Alloc_hit;
+  let tr, emit = tapped 1 in
+  emit 1 Alloc_hit ~cpu:0 ~label:"we\"ird\\cache\n" 0 0;
   let json = Trace.Chrome.to_string [ ("r", tr) ] in
   Alcotest.(check bool) "escaped label balanced" true (json_balanced json)
 
@@ -315,12 +364,15 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hist_roundtrip;
     QCheck_alcotest.to_alcotest prop_hist_percentile_monotonic;
     QCheck_alcotest.to_alcotest prop_hist_mean_bounded;
-    Alcotest.test_case "null sink is inert" `Quick test_null_sink;
     Alcotest.test_case "emit: events merge in time order" `Quick
       test_emit_merge_order;
+    Alcotest.test_case "tracer: timeline kinds to rings, samples to hists"
+      `Quick test_rings_and_histograms;
+    Alcotest.test_case "event: timeline kinds keep their index" `Quick
+      test_kind_index;
     Alcotest.test_case "traced run: GP start/end pairs nest" `Slow
       test_gp_pairs_nest;
-    Alcotest.test_case "traced run: lifetime histograms populated" `Slow
+    Alcotest.test_case "traced run: recorder lifetimes populated" `Slow
       test_traced_lifetimes;
     Alcotest.test_case "tracing is pure observation" `Slow
       test_tracing_is_pure_observation;
