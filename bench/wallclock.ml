@@ -48,18 +48,6 @@ type params = { scale : float; seed : int; cpus : int; runs : int }
 
 let default_params = { scale = 1.0; seed = 42; cpus = 8; runs = 1 }
 
-(* The throttled-callback RCU config of the Fig. 3 endurance family
-   (lib/core/experiments.ml): the regime where deferred frees pile up,
-   which is exactly what stresses the latent-bookkeeping hot paths. *)
-let throttled_rcu =
-  {
-    Rcu.default_config with
-    Rcu.blimit = 10;
-    expedited_blimit = 30;
-    softirq_period_ns = 1_000_000;
-    qhimark = max_int;
-  }
-
 let scaled_ns scale ns = max 1 (int_of_float (float_of_int ns *. scale))
 
 (* One run of a pinned scenario. Returns the environment (for post-run
@@ -78,9 +66,8 @@ let run_once ?(prof = Prof.null) p scenario kind =
             cpus = p.cpus;
             seed = p.seed;
             total_pages = 65_536;
-            rcu_config = throttled_rcu;
+            rcu_config = W.Endurance.throttled_rcu;
             prof;
-            debug_checks = false;
           }
       in
       let r =
@@ -101,9 +88,8 @@ let run_once ?(prof = Prof.null) p scenario kind =
             cpus = p.cpus;
             seed = p.seed;
             total_pages = 262_144;
-            rcu_config = throttled_rcu;
+            rcu_config = W.Endurance.throttled_rcu;
             prof;
-            debug_checks = false;
           }
       in
       let r =
@@ -127,7 +113,6 @@ let run_once ?(prof = Prof.null) p scenario kind =
             cpus = p.cpus;
             duration_ns = scaled_ns p.scale base.W.Chaos.duration_ns;
             prof;
-            debug_checks = false;
           }
           kind
       in
@@ -149,12 +134,11 @@ let run_once ?(prof = Prof.null) p scenario kind =
             total_pages = 65_536;
             rcu_config =
               {
-                throttled_rcu with
+                W.Endurance.throttled_rcu with
                 Rcu.stall_timeout_ns = Some (max 1 (duration_ns / 8));
               };
             prof;
             track_readers = true;
-            debug_checks = false;
           }
       in
       let oracle = Check.Shadow.install env in

@@ -21,14 +21,7 @@ let run kind =
         seed = 3;
         total_pages = 32_768 (* 128 MiB *);
         (* The throttled callback processing of §3.5. *)
-        rcu_config =
-          {
-            Rcu.default_config with
-            Rcu.blimit = 10;
-            expedited_blimit = 30;
-            softirq_period_ns = 1_000_000;
-            qhimark = max_int;
-          };
+        rcu_config = W.Endurance.throttled_rcu;
       }
   in
   let backend = env.W.Env.backend in

@@ -2,7 +2,7 @@
 
     Re-exports every layer plus the {!Experiments} registry that
     regenerates each table/figure of the paper. Open nothing; use
-    qualified paths ([Core.Experiments.run_fig6], [Core.Prudence.alloc],
+    qualified paths ([Core.Experiments.run_costs], [Core.Prudence.alloc],
     ...). *)
 
 module Trace = Trace

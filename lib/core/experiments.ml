@@ -35,24 +35,14 @@ let base_env_config params kind =
 (* Fig. 3: endurance / DoS — used memory over time, OOM on the baseline *)
 (* ------------------------------------------------------------------ *)
 
-(* Callback invocation is throttled per softirq pass as in §3.5's kernel:
-   expediting under memory pressure raises the batch but still cannot match
-   the offered deferred-free rate, so the baseline leaks towards OOM. The
-   knee comes from the pressure notifier, not the backlog threshold. *)
-let fig3_rcu_config =
-  {
-    Rcu.default_config with
-    Rcu.blimit = 10;
-    expedited_blimit = 30;
-    softirq_period_ns = 1_000_000;
-    qhimark = max_int;
-  }
-
+(* Callback invocation is throttled per softirq pass as in §3.5's kernel
+   ([W.Endurance.throttled_rcu]). The knee comes from the pressure
+   notifier, not the backlog threshold. *)
 let endurance_env params kind =
   {
     (base_env_config params kind) with
     W.Env.total_pages = 262_144 (* 1 GiB *);
-    rcu_config = fig3_rcu_config;
+    rcu_config = W.Endurance.throttled_rcu;
   }
 
 let endurance_config params =
@@ -951,7 +941,7 @@ let ablation_blimit params =
   let run blimit expedited =
     let rcu_config =
       {
-        fig3_rcu_config with
+        W.Endurance.throttled_rcu with
         Rcu.blimit;
         expedited_blimit = expedited;
       }

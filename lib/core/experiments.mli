@@ -34,7 +34,6 @@ val find : string -> experiment option
 (** {1 Individual experiment entry points} (used by tests) *)
 
 val run_costs : params -> Metrics.Report.t list
-val run_fig6 : params -> Metrics.Report.t list
 
 val run_apps : params -> Metrics.Report.t list
 (** Runs the four application benchmarks once per allocator and emits the

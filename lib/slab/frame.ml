@@ -742,9 +742,8 @@ let select_prudence ~scan_depth node =
   | Some s -> Some s
   | None -> first_with_free ~depth:scan_depth node.free_slabs
 
-(* The O(objects) sweep below only runs with [env.debug_checks] set: the
-   default for tests and check sweeps, off for the wall-clock benchmark
-   harness so the measured paths are the production ones. *)
+(* The O(objects) sweep below only runs with [env.debug_checks] set (the
+   default). Only tests call this. *)
 let check_invariants cache =
   if cache.env.debug_checks then begin
     let seen_slabs = ref 0 in

@@ -45,8 +45,8 @@ type env = {
           exhaustion) with bounded exponential virtual-time backoff. *)
   mutable debug_checks : bool;
       (** Whether {!check_invariants}' O(objects) sweep runs (default
-          [true]; benchmarks turn it off so the measured hot paths are
-          the production ones). *)
+          [true]). Only tests call {!check_invariants}, so no run's hot
+          path depends on it. *)
   mutable unsafe_destroy_latent : bool;
       (** Checker mutation knob (default [false]): lets {!shrink_node}
           destroy pre-moved slabs whose objects are all latent — returning
@@ -333,7 +333,7 @@ val check_invariants : cache -> unit
     [free + latent + in_flight = capacity], list membership matches
     [on_list], object states match their container, global counts add up.
     For tests. The O(objects) sweep is gated on [env.debug_checks]
-    (default on; benchmarks disable it). *)
+    (default on). *)
 
 (** {1 Per-CPU policy state helpers}
 

@@ -31,18 +31,6 @@ type result = {
   oom_at_ns : int option;
 }
 
-(* The throttled-callback RCU config of the Fig. 3 endurance runs: on the
-   baseline it produces the climbing backlog and occupancy the stat views
-   exist to show; Prudence stays flat under the same load. *)
-let live_rcu_config =
-  {
-    Rcu.default_config with
-    Rcu.blimit = 10;
-    expedited_blimit = 30;
-    softirq_period_ns = 1_000_000;
-    qhimark = max_int;
-  }
-
 let run ?on_watch ?watch_every_ns cfg =
   let scaled_duration =
     max 1 (int_of_float (float_of_int cfg.duration_ns *. cfg.scale))
@@ -55,7 +43,9 @@ let run ?on_watch ?watch_every_ns cfg =
         cpus = cfg.cpus;
         seed = cfg.seed;
         total_pages = cfg.total_pages;
-        rcu_config = live_rcu_config;
+        (* The Fig. 3 throttled callbacks: on the baseline they produce the
+           climbing backlog and occupancy the stat views exist to show. *)
+        rcu_config = Workloads.Endurance.throttled_rcu;
       }
   in
   let registry = Registry.create () in

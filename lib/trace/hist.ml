@@ -97,10 +97,3 @@ let fold t f acc =
     end
   done;
   !acc
-
-let clear t =
-  Array.fill t.buckets 0 nbuckets 0;
-  t.count <- 0;
-  t.sum <- 0;
-  t.min_v <- max_int;
-  t.max_v <- 0

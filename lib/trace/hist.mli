@@ -39,5 +39,3 @@ val fold :
   t -> ('a -> low:int -> high:int -> count:int -> 'a) -> 'a -> 'a
 (** Fold over non-empty buckets in increasing value order; each bucket
     covers [low, high). *)
-
-val clear : t -> unit

@@ -7,7 +7,6 @@ val create : capacity:int -> 'a t
 (** [create ~capacity] is an empty ring holding at most [capacity]
     elements. Raises [Invalid_argument] if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 
 val dropped : 'a t -> int

@@ -32,7 +32,6 @@ type config = {
   stall_timeout_ns : int;
   ring : int;
   prof : Prof.t;
-  debug_checks : bool;
   obs : bool;
 }
 
@@ -48,7 +47,6 @@ let default_config ~scenario =
     stall_timeout_ns = Sim.Clock.ms 200;
     ring = 16_384;
     prof = Prof.null;
-    debug_checks = true;
     obs = false;
   }
 
@@ -154,7 +152,6 @@ let env_config cfg kind =
        histogram. *)
     trace = Some cfg.ring;
     prof = cfg.prof;
-    debug_checks = cfg.debug_checks;
     obs = cfg.obs;
   }
 

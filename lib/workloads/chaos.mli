@@ -28,9 +28,6 @@ type config = {
   stall_timeout_ns : int;  (** RCU stall-detector budget. *)
   ring : int;  (** Trace ring capacity (tracing is always armed). *)
   prof : Prof.t;  (** Profiler for the run; {!Prof.null} (default) = off. *)
-  debug_checks : bool;
-      (** Arm the frame's O(objects) invariant sweeps (default [true];
-          the wall-clock benchmark harness turns it off). *)
   obs : bool;
       (** Arm the {!Obs.Anatomy} recorder on the built environment
           (default [false]). Pure observation — outcomes are identical

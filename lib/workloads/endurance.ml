@@ -6,6 +6,15 @@ type config = {
   list_len : int;
 }
 
+let throttled_rcu =
+  {
+    Rcu.default_config with
+    Rcu.blimit = 10;
+    expedited_blimit = 30;
+    softirq_period_ns = 1_000_000;
+    qhimark = max_int;
+  }
+
 let default_config =
   {
     duration_ns = Sim.Clock.s 20;

@@ -17,6 +17,14 @@ type config = {
 
 val default_config : config
 
+val throttled_rcu : Rcu.config
+(** The throttled callback processing of §3.5 (blimit 10, 30 expedited,
+    a 1 ms softirq period, no backlog threshold): expediting under memory
+    pressure raises the batch but still cannot match the offered
+    deferred-free rate, so the baseline leaks towards OOM while Prudence
+    stays flat. The Fig. 3 runs, the live stat views, the wall-clock
+    benchmark and the DoS example use it. *)
+
 type result = {
   label : string;
   series : (int * float) array;  (** (time ns, used MiB) samples. *)

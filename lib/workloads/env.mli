@@ -45,7 +45,8 @@ type config = {
           {!Prof.null} (default): profiling disabled, zero overhead. *)
   debug_checks : bool;
       (** Arm {!Slab.Frame.check_invariants}' O(objects) sweeps (default
-          [true]; the wall-clock benchmark harness turns it off). *)
+          [true]). Only tests call that check, so no run's hot path
+          depends on this. *)
   obs : bool;
       (** Arm the {!Obs.Anatomy} grace-period anatomy tracer / flight
           recorder (default [false]: nothing subscribes, so each emission
