@@ -15,12 +15,11 @@
 
 type t
 
-type subscriber = Event.kind -> cpu:int -> label:string -> int -> int -> unit
-
 val create : unit -> t
 (** A tap with no subscriber. *)
 
-val subscribe : t -> subscriber -> unit
+val subscribe :
+  t -> (Event.kind -> cpu:int -> label:string -> int -> int -> unit) -> unit
 (** Add a subscriber, called after every earlier one. *)
 
 val armed : t -> bool

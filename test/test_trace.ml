@@ -181,9 +181,14 @@ let test_rings_and_histograms () =
   let one h = (Trace.Hist.count h, Trace.Hist.sum h) in
   Alcotest.(check (pair int int)) "gp latency" (1, 1_000)
     (one (Trace.gp_latency tr));
-  Alcotest.(check (pair int int)) "lock wait" (1, 60) (one (Trace.lock_wait tr));
+  Alcotest.(check (pair int int)) "lock wait" (1, 60)
+    (one (Trace.lock_wait tr));
   Alcotest.(check (pair int int)) "alloc cost" (1, 40)
-    (one (Trace.alloc_cost tr))
+    (one (Trace.alloc_cost tr));
+  let null = Trace.null in
+  Alcotest.(check (pair int int)) "the null tracer subscribes to nothing"
+    (0, 0)
+    (Trace.total_events null, Trace.Hist.count (Trace.gp_latency null))
 
 (* The coverage feature ids number the timeline kinds 0..23. *)
 let test_kind_index () =
