@@ -36,26 +36,23 @@ let alloc_inner t (cache : Frame.cache) cpu =
   else begin
       Slab_stats.miss cache.Frame.stats;
       Frame.event cache cpu Alloc_miss 0;
-      let got =
+      if
         Frame.refill_from_node cache cpu ~want:cache.Frame.batch
           ~select:Frame.select_slub
-      in
-      let got =
-        if got > 0 then got
-        else
-          match Frame.grow cache cpu with
+        = 0
+      then
+        ignore
+          (match Frame.grow cache cpu with
           | Some _slab ->
               Frame.refill_from_node cache cpu ~want:cache.Frame.batch
                 ~select:Frame.select_slub
-          | None -> 0
-      in
-      if got = 0 then None
-      else
-        match Frame.pop_ocache pc with
-        | Some obj ->
-            Frame.hand_to_user cache cpu obj;
-            Some obj
-        | None -> None
+          | None -> 0);
+      if pc.Frame.ocache_n > 0 then begin
+        let obj = Frame.pop_ocache_exn pc in
+        Frame.hand_to_user cache cpu obj;
+        Some obj
+      end
+      else None
   end
 
 let alloc t (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
