@@ -3,7 +3,7 @@
     - {!Size_class}: kmalloc classes and sizing heuristics
     - {!Costs}: the virtual-time cost model (hit / 4x refill / 14x grow)
     - {!Slab_stats}: per-cache statistics behind Figs. 7-11
-    - {!Latq}: grace-period-cookie-bucketed latent-object queues
+    - {!Latq}: latent-object queues keyed by grace-period cookie
     - {!Frame}: shared cache/slab/node machinery
     - {!Smr}: pluggable safe-memory-reclamation backend interface
     - {!Ebr}: epoch-based reclamation (DEBRA-amortized advancement)

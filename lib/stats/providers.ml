@@ -237,14 +237,11 @@ let latent_views ~smr (backend : Slab.Backend.t) =
               pc.Slab.Frame.latent)
           c.Slab.Frame.pcpus;
         Array.iter
-          (fun (n : Slab.Frame.node) ->
-            Sim.Dlist.iter
-              (fun (s : Slab.Frame.slab) ->
-                Slab.Latq.iter
-                  (fun (o : Slab.Frame.objekt) ->
-                    bump ~slab_side:true o.Slab.Frame.gp_cookie)
-                  s.Slab.Frame.latent_objs)
-              n.Slab.Frame.latent_slabs)
+          (Slab.Frame.iter_latent (fun (s : Slab.Frame.slab) ->
+               Slab.Latq.iter
+                 (fun (o : Slab.Frame.objekt) ->
+                   bump ~slab_side:true o.Slab.Frame.gp_cookie)
+                 s.Slab.Frame.latent_objs))
           c.Slab.Frame.nodes;
         let rows =
           Hashtbl.fold

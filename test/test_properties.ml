@@ -134,9 +134,9 @@ let test_numa_objects_return_home () =
   Slab.Frame.check_invariants cache;
   let node0 = cache.Slab.Frame.nodes.(0) and node1 = cache.Slab.Frame.nodes.(1) in
   let slabs_on n =
-    Sim.Dlist.length n.Slab.Frame.full
-    + Sim.Dlist.length n.Slab.Frame.partial
-    + Sim.Dlist.length n.Slab.Frame.free_slabs
+    n.Slab.Frame.full.Slab.Frame.len
+    + n.Slab.Frame.partial.Slab.Frame.len
+    + n.Slab.Frame.free_slabs.Slab.Frame.len
   in
   Alcotest.(check bool) "node0 owns the slabs" true (slabs_on node0 > 0);
   Alcotest.(check int) "node1 owns none" 0 (slabs_on node1);
@@ -169,7 +169,7 @@ let test_numa_prudence_latent_per_node () =
   List.iter (Prudence.free_deferred pr cache c3) b;
   Slab.Frame.check_invariants cache;
   let lat n =
-    Sim.Dlist.length cache.Slab.Frame.nodes.(n).Slab.Frame.latent_slabs
+    cache.Slab.Frame.nodes.(n).Slab.Frame.latent_slabs.Slab.Frame.len
   in
   Alcotest.(check bool) "latent slabs on both nodes" true
     (lat 0 > 0 && lat 1 > 0);
