@@ -123,6 +123,8 @@ let slab ~rcu (cache : Slab.Frame.cache) =
             if latent_rc <> s.latent_n then
               err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
                 name s.sid latent_rc s.latent_n;
+            if s.in_flight < 0 then
+              err errs "%s: slab %d has in_flight = %d" name s.sid s.in_flight;
             if s.free_n + s.latent_n + s.in_flight <> s.capacity then
               err errs
                 "%s: slab %d accounting leak: free %d + latent %d + \
@@ -131,6 +133,13 @@ let slab ~rcu (cache : Slab.Frame.cache) =
             if s.on_list <> tag then
               err errs "%s: slab %d tagged %a but found on the %a list" name s.sid
                 pp_list_id s.on_list pp_list_id tag;
+            let desired = desired_list s in
+            if desired <> tag then
+              err errs
+                "%s: slab %d sits on the %a list, but free %d, latent %d and \
+                 in-flight %d put it on the %a list"
+                name s.sid pp_list_id tag s.free_n s.latent_n s.in_flight
+                pp_list_id desired;
             let where = Printf.sprintf "slab %d's free stack" s.sid in
             for i = 0 to min s.free_n (Array.length s.free_objs) - 1 do
               let o = s.free_objs.(i) in

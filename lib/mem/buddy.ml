@@ -221,20 +221,3 @@ let free t { page; order } =
   in
   coalesce page order;
   Prof.exit t.prof Prof.Span.Buddy_free
-
-let check_invariants t =
-  let free_total = ref 0 in
-  Array.iteri
-    (fun order tbl ->
-      Hashtbl.iter
-        (fun page () ->
-          assert (page land ((1 lsl order) - 1) = 0);
-          assert (page + (1 lsl order) <= t.total_pages);
-          free_total := !free_total + (1 lsl order))
-        tbl)
-    t.free;
-  let alloc_total =
-    Hashtbl.fold (fun _ order acc -> acc + (1 lsl order)) t.allocated 0
-  in
-  assert (alloc_total = t.used);
-  assert (!free_total + t.used = t.total_pages)

@@ -77,7 +77,3 @@ val free_blocks : t -> (int * int) list
 
 val allocated_blocks : t -> (int * int) list
 (** Every allocated block as [(start_page, order)], sorted by start page. *)
-
-val check_invariants : t -> unit
-(** Asserts internal consistency: used + free page counts add up, free lists
-    contain properly aligned disjoint blocks. For tests. *)

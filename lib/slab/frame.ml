@@ -12,14 +12,12 @@ type env = {
          makes the baseline collapse at large object sizes (Fig. 6). *)
   tap : Trace.Tap.t;
   mutable grow_retry : grow_retry_policy option;
-  mutable debug_checks : bool;
   mutable unsafe_destroy_latent : bool;
   mutable next_oid : int;
   mutable next_sid : int;
 }
 
-let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
-    buddy =
+let make_env ?pressure ?(costs = Costs.default) machine buddy =
   let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
   {
     machine;
@@ -29,7 +27,6 @@ let make_env ?pressure ?(costs = Costs.default) ?(debug_checks = true) machine
     page_lock = Sim.Simlock.create ~name:"page-allocator" tap;
     tap;
     grow_retry = None;
-    debug_checks;
     unsafe_destroy_latent = false;
     next_oid = 0;
     next_sid = 0;
@@ -792,81 +789,6 @@ let select_prudence ~scan_depth node =
   match best_partial None scan_depth node.partial.head with
   | Some _ as s -> s
   | None -> first_with_free scan_depth node.free_slabs.head
-
-(* The O(objects) sweep below only runs with [env.debug_checks] set (the
-   default). Only tests call this. *)
-let check_invariants cache =
-  if cache.env.debug_checks then begin
-    (* Every object sits in at most one container. *)
-    let placed = Hashtbl.create 64 in
-    let place o =
-      assert (not (Hashtbl.mem placed o.oid));
-      Hashtbl.replace placed o.oid ()
-    in
-    let seen_slabs = ref 0 and latent = ref 0 in
-    Array.iter
-      (fun node ->
-        (* The latent-slab list holds exactly the slabs with latent
-           objects, each once. *)
-        let on_latent = Hashtbl.create 8 in
-        iter_latent
-          (fun slab ->
-            assert (slab.latent_n > 0 && slab.node_id = node.nid);
-            assert (not (Hashtbl.mem on_latent slab.sid));
-            Hashtbl.replace on_latent slab.sid ())
-          node;
-        assert (Hashtbl.length on_latent = node.latent_slabs.len);
-        let check_list list_id l =
-          let n = ref 0 in
-          iter_list
-            (fun slab ->
-              incr n;
-              incr seen_slabs;
-              latent := !latent + slab.latent_n;
-              assert (slab.on_list = list_id);
-              assert (slab.free_n <= Array.length slab.free_objs);
-              assert (slab.latent_n = Latq.length slab.latent_objs);
-              assert (
-                slab.free_n + slab.latent_n + slab.in_flight = slab.capacity);
-              assert (
-                slab.free_n >= 0 && slab.latent_n >= 0 && slab.in_flight >= 0);
-              assert ((slab.latent_n > 0) = Hashtbl.mem on_latent slab.sid);
-              for i = 0 to slab.free_n - 1 do
-                let o = slab.free_objs.(i) in
-                place o;
-                assert (o.parent == slab && o.ostate = Free_in_slab)
-              done;
-              Latq.iter
-                (fun o ->
-                  place o;
-                  assert (o.ostate = In_latent_slab))
-                slab.latent_objs;
-              assert (desired_list slab = slab.on_list))
-            l;
-          assert (!n = l.len)
-        in
-        check_list L_full node.full;
-        check_list L_partial node.partial;
-        check_list L_free node.free_slabs)
-      cache.nodes;
-    assert (!seen_slabs = cache.total_slabs);
-    Array.iter
-      (fun pc ->
-        latent := !latent + Latq.Fifo.length pc.latent;
-        assert (pc.ocache_n <= Array.length pc.ocache);
-        for i = 0 to pc.ocache_n - 1 do
-          let o = pc.ocache.(i) in
-          place o;
-          assert (o.ostate = In_object_cache)
-        done;
-        Latq.Fifo.iter
-          (fun o ->
-            place o;
-            assert (o.ostate = In_latent_cache))
-          pc.latent)
-      cache.pcpus;
-    assert (cache.latent_count = !latent)
-  end
 
 let set_preflush_scheduled pc v = pc.preflush_scheduled <- v
 let note_alloc pc = pc.recent_allocs <- pc.recent_allocs + 1

@@ -43,10 +43,6 @@ type env = {
       (** When set, {!grow} retries transient page-alloc failures (those
           {!Mem.Buddy.would_satisfy} proves injected, not genuine
           exhaustion) with bounded exponential virtual-time backoff. *)
-  mutable debug_checks : bool;
-      (** Whether {!check_invariants}' O(objects) sweep runs (default
-          [true]). Only tests call {!check_invariants}, so no run's hot
-          path depends on it. *)
   mutable unsafe_destroy_latent : bool;
       (** Checker mutation knob (default [false]): lets {!shrink_node}
           destroy pre-moved slabs whose objects are all latent — returning
@@ -61,7 +57,6 @@ type env = {
 val make_env :
   ?pressure:Mem.Pressure.t ->
   ?costs:Costs.t ->
-  ?debug_checks:bool ->
   Sim.Machine.t ->
   Mem.Buddy.t ->
   env
@@ -250,18 +245,21 @@ val event : cache -> Sim.Machine.cpu -> Trace.Event.kind -> int -> unit
 val truly_free : slab -> bool
 (** All objects back on the freelist: the slab's pages may be returned. *)
 
+val desired_list : slab -> list_id
+(** The node list [slab]'s counters dictate. With [latent_aware]: a slab
+    whose remaining objects are all free-or-latent pre-moves to the free
+    list, and a full slab with latent objects pre-moves to the partial
+    list (paper, "slab pre-movement"). *)
+
 (** {1 Locked node-list operations}
 
     Each of these charges the caller CPU the configured lock hold plus any
     queueing delay, modelling node-lock contention. *)
 
 val relocate : cache -> slab -> bool
-(** Place [slab] on the node list its counters dictate. With
-    [latent_aware]: a slab whose remaining objects are all free-or-latent
-    pre-moves to the free list, and a full slab with latent objects
-    pre-moves to the partial list (paper, "slab pre-movement"). Returns
-    [true] if the slab changed lists. Does not itself charge lock time
-    (callers batch it under one acquisition). *)
+(** Place [slab] on its {!desired_list}. Returns [true] if the slab
+    changed lists. Does not itself charge lock time (callers batch it
+    under one acquisition). *)
 
 (** {1 Object movement} *)
 
@@ -373,17 +371,6 @@ val select_prudence : scan_depth:int -> node -> slab option
     first of the first [scan_depth] free slabs with a free object, and
     returns [None] when neither list offers one. The relaxed pick is
     {!select_slub}, which Prudence uses after a failed grow. *)
-
-(** {1 Consistency} *)
-
-val check_invariants : cache -> unit
-(** Assert the full accounting story: per-slab
-    [free + latent + in_flight = capacity], list membership and lengths
-    match [on_list] and [len], object states match their container, no
-    object sits in two containers, the latent-slab list holds exactly
-    the slabs with latent objects, each once, and global counts add up.
-    For tests. The O(objects) sweep is gated on [env.debug_checks]
-    (default on). *)
 
 (** {1 Per-CPU policy state helpers}
 

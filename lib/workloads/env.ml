@@ -95,8 +95,7 @@ let build cfg =
   let rcu = Rcu.create ~config:cfg.rcu_config machine in
   Rcu.attach_pressure rcu pressure;
   let fenv =
-    Slab.Frame.make_env ~pressure ~costs:cfg.costs
-      ~debug_checks:cfg.debug_checks machine buddy
+    Slab.Frame.make_env ~pressure ~costs:cfg.costs machine buddy
   in
   let readers = Rcu.Readers.create rcu in
   if cfg.track_readers then Rcu.Readers.check_allocs readers ~where:"alloc";

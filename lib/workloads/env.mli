@@ -44,9 +44,10 @@ type config = {
       (** Profiler installed on the engine, machine, and buddy allocator;
           {!Prof.null} (default): profiling disabled, zero overhead. *)
   debug_checks : bool;
-      (** Arm {!Slab.Frame.check_invariants}' O(objects) sweeps (default
-          [true]). Only tests call that check, so no run's hot path
-          depends on this. *)
+      (** Read by nothing. The slab and buddy invariants are checked by
+          [Check.Audit] alone, which no run's hot path calls; the field
+          stays because the end-to-end benchmark's configuration sets
+          it. *)
   obs : bool;
       (** Arm the {!Obs.Anatomy} grace-period anatomy tracer / flight
           recorder (default [false]: nothing subscribes, so each emission

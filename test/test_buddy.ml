@@ -4,7 +4,7 @@ let test_initial_state () =
   Alcotest.(check int) "used" 0 (Mem.Buddy.used_pages b);
   Alcotest.(check int) "free" 1024 (Mem.Buddy.free_pages b);
   Alcotest.(check int) "page size" 4096 (Mem.Buddy.page_size b);
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_alloc_free_roundtrip () =
   let b = Mem.Buddy.create ~total_pages:1024 () in
@@ -13,7 +13,7 @@ let test_alloc_free_roundtrip () =
   Alcotest.(check int) "aligned" 0 (blk.Mem.Buddy.page land 7);
   Mem.Buddy.free b blk;
   Alcotest.(check int) "all free again" 0 (Mem.Buddy.used_pages b);
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_no_overlap () =
   let b = Mem.Buddy.create ~total_pages:256 () in
@@ -32,7 +32,7 @@ let test_no_overlap () =
   Alcotest.(check int) "all pages handed out" 256 (Hashtbl.length seen);
   List.iter (Mem.Buddy.free b) !blocks;
   Alcotest.(check int) "all returned" 0 (Mem.Buddy.used_pages b);
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_coalescing () =
   let b = Mem.Buddy.create ~total_pages:16 ~max_order:4 () in
@@ -44,15 +44,15 @@ let test_coalescing () =
   let big = Mem.Buddy.alloc_exn b ~order:4 in
   Alcotest.(check int) "coalesced to max order" 0 big.Mem.Buddy.page;
   Mem.Buddy.free b big;
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_split_accounting () =
   let b = Mem.Buddy.create ~total_pages:16 ~max_order:4 () in
   let blk = Mem.Buddy.alloc_exn b ~order:0 in
   Alcotest.(check int) "one page used" 1 (Mem.Buddy.used_pages b);
-  Mem.Buddy.check_invariants b;
+  Test_util.audit_clean (Check.Audit.buddy b);
   Mem.Buddy.free b blk;
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_oom () =
   let b = Mem.Buddy.create ~total_pages:8 ~max_order:3 () in
@@ -85,7 +85,7 @@ let test_peak_tracking () =
 
 let test_non_power_of_two_total () =
   let b = Mem.Buddy.create ~total_pages:1000 () in
-  Mem.Buddy.check_invariants b;
+  Test_util.audit_clean (Check.Audit.buddy b);
   let blocks = ref [] in
   (try
      while true do
@@ -94,7 +94,7 @@ let test_non_power_of_two_total () =
    with Mem.Buddy.Out_of_memory -> ());
   Alcotest.(check int) "all 1000 pages usable" 1000 (List.length !blocks);
   List.iter (Mem.Buddy.free b) !blocks;
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_largest_free_order () =
   let b = Mem.Buddy.create ~total_pages:16 ~max_order:4 () in
@@ -125,7 +125,7 @@ let test_injected_vs_genuine_failures () =
   Alcotest.(check bool) "nothing would satisfy" false
     (Mem.Buddy.would_satisfy b ~order:0);
   Mem.Buddy.free b blk;
-  Mem.Buddy.check_invariants b
+  Test_util.audit_clean (Check.Audit.buddy b)
 
 let test_would_satisfy_orders () =
   let b = Mem.Buddy.create ~total_pages:16 ~max_order:4 () in
@@ -159,9 +159,9 @@ let prop_random_alloc_free =
             | Some blk -> held := blk :: !held
             | None -> ())
         ops;
-      Mem.Buddy.check_invariants b;
+      Test_util.audit_clean (Check.Audit.buddy b);
       List.iter (Mem.Buddy.free b) !held;
-      Mem.Buddy.check_invariants b;
+      Test_util.audit_clean (Check.Audit.buddy b);
       Mem.Buddy.used_pages b = 0)
 
 let suite =

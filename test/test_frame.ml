@@ -29,7 +29,7 @@ let test_grow_creates_free_slab () =
       Alcotest.(check int) "one slab" 1 (Frame.total_slabs cache);
       Alcotest.(check bool) "pages charged" true
         (Mem.Buddy.used_pages env.buddy > 0);
-      Frame.check_invariants cache
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_destroy_slab () =
   let env, cache = make_cache () in
@@ -55,7 +55,7 @@ let test_refill_and_relocate () =
   Alcotest.(check int) "slab now partial" 1 node.Frame.partial.Frame.len;
   Alcotest.(check int) "free list empty" 0
     node.Frame.free_slabs.Frame.len;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_refill_exhausts_to_full () =
   let env, cache = make_cache () in
@@ -66,7 +66,7 @@ let test_refill_exhausts_to_full () =
   Alcotest.(check int) "whole slab taken" want got;
   let node = Frame.node_for cache c in
   Alcotest.(check int) "slab on full list" 1 node.Frame.full.Frame.len;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_flush_returns_objects () =
   let env, cache = make_cache () in
@@ -79,7 +79,7 @@ let test_flush_returns_objects () =
   let node = Frame.node_for cache c in
   Alcotest.(check int) "slab free again" 1
     node.Frame.free_slabs.Frame.len;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_hand_to_user_emits_alloc () =
   let env, cache = make_cache () in
@@ -139,7 +139,7 @@ let test_latent_slab_harvest () =
     (Frame.slab_harvest_ripe slab ~completed:5);
   Alcotest.(check int) "none left" 0 slab.Frame.latent_n;
   ignore (Frame.relocate cache slab);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_premove_full_to_partial () =
   (* Paper l.54: a full slab with a deferred object pre-moves to partial. *)
@@ -172,7 +172,7 @@ let test_premove_full_to_partial () =
       end)
     objs;
   ignore (Frame.relocate cache slab);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_premove_all_deferred_to_free () =
   (* Paper l.56: allocated = deferred -> free list, but not reclaimable
@@ -202,7 +202,7 @@ let test_premove_all_deferred_to_free () =
   (* Harvest at grace-period completion makes it reclaimable. *)
   ignore (Frame.slab_harvest_ripe slab ~completed:1);
   Alcotest.(check bool) "truly free after harvest" true (Frame.truly_free slab);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_shrink_skips_pre_moved_slabs () =
   let env, cache = make_cache ~latent_aware:true ~obj_size:4096 () in
@@ -228,7 +228,7 @@ let test_shrink_skips_pre_moved_slabs () =
   Alcotest.(check bool) "destroyed some" true (destroyed > 0);
   Alcotest.(check bool) "pre-moved slab survived" true
     (first.Frame.on_list = Frame.L_free);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_select_slub_prefers_partial () =
   let env, cache = make_cache () in
@@ -277,7 +277,7 @@ let test_select_prudence_avoids_mostly_deferred () =
       Alcotest.(check int) "Fig. 5: picks slab A (no deferred)"
         slab_a.Frame.sid s.Frame.sid
   | None -> Alcotest.fail "selector found nothing");
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let sids l =
   let out = ref [] in
@@ -321,7 +321,7 @@ let test_list_link_order () =
     (sids node.Frame.partial);
   Alcotest.(check int) "length" 3 node.Frame.partial.Frame.len;
   Alcotest.(check (list int)) "full list empty" [] (sids node.Frame.full);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_list_walk_survives_relocation () =
   (* A walk may move the slab it visits to another list: it still visits
@@ -350,7 +350,7 @@ let test_list_walk_survives_relocation () =
     (List.rev !visited);
   Alcotest.(check int) "partial emptied" 0 node.Frame.partial.Frame.len;
   Alcotest.(check int) "all free" 3 node.Frame.free_slabs.Frame.len;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_latent_list_membership () =
   (* A slab is on the latent-slab list, oldest first, exactly while it
@@ -384,7 +384,7 @@ let test_latent_list_membership () =
   Alcotest.(check (list int)) "re-parked: back of the list"
     [ s2.Frame.sid; s1.Frame.sid ] (latent_sids node);
   Alcotest.(check int) "length" 2 node.Frame.latent_slabs.Frame.len;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_fragmentation_formula () =
   let env, cache = make_cache ~obj_size:512 () in

@@ -60,7 +60,7 @@ let torture kind =
   Alcotest.(check bool) "lookups happened" true (!lookups > 1_000);
   Alcotest.(check (list string)) "no safety violations" []
     (W.Env.safety_violations env);
-  Slab.Frame.check_invariants cache;
+  Test_util.audit_clean (Check.Audit.slab ~rcu:env.W.Env.rcu cache);
   Alcotest.(check int) "no leftover rcu callbacks" 0
     (Rcu.pending_callbacks env.W.Env.rcu);
   (* Everything still in the table is live; everything else reclaimed. *)

@@ -33,7 +33,7 @@ let test_free_finds_owner_cache () =
   Slab.Kmalloc.free km c big;
   Slab.Kmalloc.free km c small;
   Slab.Kmalloc.iter_caches km (fun cache ->
-      Frame.check_invariants cache;
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
       Alcotest.(check int)
         (cache.Frame.name ^ " live")
         0

@@ -131,7 +131,7 @@ let test_numa_objects_return_home () =
   (* Free them all from a node-1 CPU: flushes must route each object back
      to its node-0 slab. *)
   List.iter (Slab.Slub.free slub cache c_node1) objs;
-  Slab.Frame.check_invariants cache;
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   let node0 = cache.Slab.Frame.nodes.(0) and node1 = cache.Slab.Frame.nodes.(1) in
   let slabs_on n =
     n.Slab.Frame.full.Slab.Frame.len
@@ -152,7 +152,7 @@ let test_numa_objects_return_home () =
   let last = List.nth later leftovers in
   Alcotest.(check int) "new slab homed on node1" 1
     last.Slab.Frame.parent.Slab.Frame.node_id;
-  Slab.Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_numa_prudence_latent_per_node () =
   let env = make_env ~cpus:4 ~nodes:2 () in
@@ -167,7 +167,7 @@ let test_numa_prudence_latent_per_node () =
   let a = alloc_on c0 80 and b = alloc_on c3 80 in
   List.iter (Prudence.free_deferred pr cache c0) a;
   List.iter (Prudence.free_deferred pr cache c3) b;
-  Slab.Frame.check_invariants cache;
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   let lat n =
     cache.Slab.Frame.nodes.(n).Slab.Frame.latent_slabs.Slab.Frame.len
   in
@@ -177,7 +177,7 @@ let test_numa_prudence_latent_per_node () =
   let finished = run_process env (fun () -> Prudence.settle pr) in
   check_completed "settle" finished;
   Alcotest.(check int) "all recycled" 0 (Prudence.latent_outstanding pr);
-  Slab.Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Buddy allocator: any interleaving of alloc / free / would_satisfy
    keeps the block sets tiling the arena exactly (coverage, no overlap,

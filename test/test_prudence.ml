@@ -23,7 +23,7 @@ let test_alloc_free_roundtrip () =
   let obj = alloc_exn pr cache c in
   Prudence.free pr cache c obj;
   Alcotest.(check int) "live zero" 0 (Frame.live_objects cache);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_free_deferred_goes_latent () =
   let env, pr, cache = make () in
@@ -35,7 +35,7 @@ let test_free_deferred_goes_latent () =
   Alcotest.(check int) "no rcu callback enqueued" 0
     (Rcu.pending_callbacks env.rcu);
   Alcotest.(check int) "one latent" 1 (Prudence.latent_outstanding pr);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_not_reusable_before_gp () =
   let env, pr, cache = make () in
@@ -59,7 +59,7 @@ let test_not_reusable_before_gp () =
   Alcotest.(check bool) "deferred object not handed out before gp" true
     (next.Frame.oid <> obj.Frame.oid);
   List.iter (fun o -> Prudence.free pr cache c o) (next :: rest);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_reusable_after_gp () =
   let env, pr, cache = make () in
@@ -86,7 +86,7 @@ let test_reusable_after_gp () =
   let s = Stats.snapshot cache.Frame.stats in
   Alcotest.(check bool) "merge counted" true (s.Stats.merges >= 1);
   List.iter (fun o -> Prudence.free pr cache c o) (next :: held);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_latent_cache_bounded () =
   let env, pr, cache = make () in
@@ -103,7 +103,7 @@ let test_latent_cache_bounded () =
   let s = Stats.snapshot cache.Frame.stats in
   Alcotest.(check bool) "overflow went to latent slabs" true
     (s.Stats.latent_overflows > 0);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_no_growth_in_steady_state () =
   (* The headline behaviour: with alloc rate = defer rate, Prudence reaches
@@ -137,7 +137,7 @@ let test_no_growth_in_steady_state () =
   Alcotest.(check bool)
     (Printf.sprintf "peak slabs bounded (%d)" s.Stats.peak_slabs)
     true (s.Stats.peak_slabs < 110);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_partial_refill_leaves_room () =
   let env, pr, cache = make () in
@@ -168,7 +168,7 @@ let test_partial_refill_leaves_room () =
     true
     (pc.Frame.ocache_n + latent_n <= cache.Frame.ocache_cap);
   List.iter (fun o -> Prudence.free pr cache c o) held;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_oom_delayed_when_latent () =
   (* Exhaust memory with deferred objects outstanding: alloc must wait a
@@ -229,7 +229,7 @@ let test_preflush_runs_on_idle () =
   Alcotest.(check bool) "room restored" true
     (pc.Frame.ocache_n + Slab.Latq.Fifo.length pc.Frame.latent
     <= cache.Frame.ocache_cap);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_preflush_disabled_config () =
   let config = { Prudence.default_config with preflush_enabled = false } in
@@ -259,7 +259,7 @@ let test_settle_recycles_everything () =
   check_completed "settle" finished;
   Alcotest.(check int) "nothing latent" 0 (Prudence.latent_outstanding pr);
   Alcotest.(check int) "nothing live" 0 (Frame.live_objects cache);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_safety_checker_catches_unsafe_mode () =
   (* Fault injection: unsafe_skip_gp reuses objects before the grace
@@ -346,9 +346,9 @@ let prop_random_ops_keep_invariants =
                   held := rest
               | [] -> ()))
         ops;
-      Frame.check_invariants cache;
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
       Sim.Engine.run ~until:Sim.(Clock.ms 50) env.eng;
-      Frame.check_invariants cache;
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
       true)
 
 let prop_deferred_never_reused_early =

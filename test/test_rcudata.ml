@@ -91,7 +91,7 @@ let test_reader_never_sees_reused_object () =
   Sim.Engine.run ~until:(stop_at + Sim.(Clock.ms 20)) s.env.eng;
   Alcotest.(check (list string)) "no safety violations" []
     (Rcu.Readers.violations s.readers);
-  Frame.check_invariants s.cache
+  audit_clean (Check.Audit.slab ~rcu:s.env.rcu s.cache)
 
 let test_read_iter () =
   let s, l = make_list () in

@@ -94,7 +94,7 @@ let test_live_accounting_settles () =
   (* Every deferred path node eventually reclaims: live = tree size. *)
   Alcotest.(check int) "live = size" (Rcudata.Rcutree.size t)
     (Frame.live_objects cache);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_oom_rollback () =
   (* wait_on_oom off: exhaustion must fail cleanly outside process
@@ -140,7 +140,7 @@ let test_concurrent_readers_safe () =
   Alcotest.(check (list string)) "no violations" []
     (Rcu.Readers.violations readers);
   Rcudata.Rcutree.check_bst_invariant t;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let prop_tree_matches_model =
   QCheck.Test.make ~name:"rcutree behaves like a map" ~count:60

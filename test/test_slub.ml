@@ -22,7 +22,7 @@ let test_alloc_free_roundtrip () =
   Alcotest.(check int) "live" 1 (Frame.live_objects cache);
   Slab.Slub.free slub cache c obj;
   Alcotest.(check int) "live zero" 0 (Frame.live_objects cache);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_first_alloc_misses_then_hits () =
   let env, slub, cache = make () in
@@ -37,7 +37,7 @@ let test_first_alloc_misses_then_hits () =
   Alcotest.(check int) "second is a hit" 1 s.Stats.hits;
   Slab.Slub.free slub cache c o1;
   Slab.Slub.free slub cache c o2;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_batch_refill_amount () =
   let env, slub, cache = make () in
@@ -60,7 +60,7 @@ let test_overflow_flushes_half () =
     pc.Frame.ocache_n;
   let s = Stats.snapshot cache.Frame.stats in
   Alcotest.(check bool) "flush happened" true (s.Stats.flushes >= 1);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_allocs_spread_slabs () =
   let env, slub, cache = make ~obj_size:4096 () in
@@ -70,7 +70,7 @@ let test_allocs_spread_slabs () =
   Alcotest.(check bool) "several slabs" true (Frame.total_slabs cache > 1);
   Alcotest.(check int) "live" n (Frame.live_objects cache);
   List.iter (Slab.Slub.free slub cache c) objs;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_shrink_returns_pages () =
   let env, slub, cache = make ~obj_size:4096 () in
@@ -88,7 +88,7 @@ let test_shrink_returns_pages () =
   Alcotest.(check bool) "bounded free slabs" true
     (Frame.total_slabs cache
     <= Slab.Size_class.min_free_slabs + 2 (* per node margins *));
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_free_deferred_goes_through_rcu () =
   let env, slub, cache = make () in
@@ -106,7 +106,7 @@ let test_free_deferred_goes_through_rcu () =
   Alcotest.(check bool) "object back in a cache or slab" true
     (obj.Frame.ostate = Frame.In_object_cache
     || obj.Frame.ostate = Frame.Free_in_slab);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_deferred_free_extended_lifetime () =
   (* Objects deferred during a burst stay unavailable until callbacks run:
@@ -124,7 +124,7 @@ let test_deferred_free_extended_lifetime () =
   List.iter (Slab.Slub.free slub cache c) objs2;
   Sim.Engine.run ~until:Sim.(Clock.ms 50) env.eng;
   Alcotest.(check int) "drained" 0 (Rcu.pending_callbacks env.rcu);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_settle () =
   let env, slub, cache = make () in
@@ -166,7 +166,7 @@ let test_oom_recovers_via_pressure_handler () =
   let obj = Slab.Slub.alloc slub cache c in
   Alcotest.(check bool) "alloc succeeded after oom-driven drain" true
     (obj <> None);
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_multi_cpu_caches_independent () =
   let env, slub, cache = make ~cpus:2 () in
@@ -184,7 +184,7 @@ let test_multi_cpu_caches_independent () =
   let n1 = pc1.Frame.ocache_n in
   Slab.Slub.free slub cache c1 o0;
   Alcotest.(check int) "freed into c1's cache" (n1 + 1) pc1.Frame.ocache_n;
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_double_free_detected () =
   let env, slub, cache = make () in
@@ -225,9 +225,9 @@ let prop_random_ops_keep_invariants =
                   held := rest
               | [] -> ()))
         ops;
-      Frame.check_invariants cache;
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
       Sim.Engine.run ~until:Sim.(Clock.ms 100) env.eng;
-      Frame.check_invariants cache;
+      audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
       Rcu.pending_callbacks env.rcu = 0)
 
 let suite =

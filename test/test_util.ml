@@ -40,3 +40,7 @@ let run_process ?(horizon = 10_000_000_000) env body =
 
 let check_completed what finished =
   if not finished then Alcotest.failf "%s: process did not finish" what
+
+(* An invariant audit ({!Check.Audit}) must come back empty; a failure
+   names each broken invariant. *)
+let audit_clean errs = Alcotest.(check (list string)) "audit" [] errs

@@ -33,7 +33,7 @@ let test_free_stack () =
   let slab = Option.get (Frame.grow cache (cpu0 env)) in
   pin "take_free_obj_exn + put_free_obj" (fun _ ->
       Frame.put_free_obj slab (Frame.take_free_obj_exn slab));
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_object_cache () =
   let env, cache = make_cache () in
@@ -43,7 +43,7 @@ let test_object_cache () =
   let pc = Frame.pcpu_for cache c in
   pin "pop_ocache_exn + push_ocache" (fun _ ->
       Frame.push_ocache cache pc (Frame.pop_ocache_exn pc));
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_latent_slab_cycle () =
   let env, cache = make_cache ~latent_aware:true () in
@@ -58,7 +58,7 @@ let test_latent_slab_cycle () =
       ignore (Frame.relocate cache slab);
       ignore (Frame.slab_harvest_ripe slab ~completed:(i + 1));
       ignore (Frame.relocate cache slab));
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_relocate () =
   let env, cache = make_cache () in
@@ -69,7 +69,7 @@ let test_relocate () =
       assert (Frame.relocate cache slab);
       Frame.put_free_obj slab o;
       assert (Frame.relocate cache slab));
-  Frame.check_invariants cache
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Minor words spent in refills and in flushes, over 10k rounds of a
    refill that crosses slabs and the flush that returns its objects. *)
@@ -96,7 +96,7 @@ let refill_flush_words () =
     refill_words := !refill_words +. r;
     flush_words := !flush_words +. f
   done;
-  Frame.check_invariants cache;
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   (!refill_words, !flush_words)
 
 let test_refill () =
@@ -135,7 +135,7 @@ let slub_alloc_free_words () =
       free_words := !free_words +. (e -. b)
     end
   done;
-  Frame.check_invariants cache;
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   (!alloc_words, !free_words)
 
 let test_slub_free () =
