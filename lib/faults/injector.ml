@@ -3,7 +3,7 @@ type t = {
   engine : Sim.Engine.t;
   buddy : Mem.Buddy.t;
   rcu : Rcu.t;
-  pressure : Mem.Pressure.t option;
+  pressure : Mem.Pressure.t;
   rng : Sim.Rng.t;
   plan : Plan.t;
   mutable readers_stalled : int;
@@ -40,9 +40,6 @@ let fire (t : t) spec ~cpu =
 
 let at t time fn =
   ignore (Sim.Engine.schedule_at ~daemon:true t.engine ~time fn)
-
-let poll_pressure t =
-  match t.pressure with None -> () | Some p -> Mem.Pressure.poll p
 
 let install_spec t spec =
   match spec with
@@ -100,11 +97,11 @@ let install_spec t spec =
           t.pages_seized <- t.pages_seized + !got;
           if t.pages_seized > t.peak_pages_seized then
             t.peak_pages_seized <- t.pages_seized;
-          poll_pressure t;
+          Mem.Pressure.poll t.pressure;
           at t (at_ns + duration_ns) (fun () ->
               List.iter (Mem.Buddy.free t.buddy) !blocks;
               t.pages_seized <- t.pages_seized - !got;
-              poll_pressure t))
+              Mem.Pressure.poll t.pressure))
   | Plan.Cb_flood { cpu; at_ns; duration_ns; per_ms } ->
       let until = at_ns + duration_ns in
       let rec tick () =
@@ -122,7 +119,7 @@ let install_spec t spec =
           fire t spec ~cpu;
           tick ())
 
-let install ?pressure plan ~machine ~buddy ~rcu =
+let install ~pressure plan ~machine ~buddy ~rcu =
   let t =
     {
       machine;

@@ -9,7 +9,7 @@
 type t
 
 val install :
-  ?pressure:Mem.Pressure.t ->
+  pressure:Mem.Pressure.t ->
   Plan.t ->
   machine:Sim.Machine.t ->
   buddy:Mem.Buddy.t ->

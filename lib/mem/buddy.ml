@@ -30,8 +30,9 @@ module Pstack = struct
     end
 end
 
+let page_size = 4096
+
 type t = {
-  page_size : int;
   total_pages : int;
   max_order : int;
   (* free.(o) maps start-page -> unit for each free block of order o *)
@@ -54,12 +55,11 @@ type t = {
   mutable prof : Prof.t;
 }
 
-let create ?(page_size = 4096) ?(max_order = 10) ~total_pages () =
+let create ?(max_order = 10) ~total_pages () =
   if total_pages <= 0 then invalid_arg "Buddy.create: total_pages";
   if max_order < 0 || max_order > 30 then invalid_arg "Buddy.create: max_order";
   let t =
     {
-      page_size;
       total_pages;
       max_order;
       free = Array.init (max_order + 1) (fun _ -> Hashtbl.create 64);
@@ -99,12 +99,11 @@ let insert_free t order page =
   Hashtbl.replace t.free.(order) page ();
   Pstack.push t.stacks.(order) page
 
-let page_size t = t.page_size
 let max_order t = t.max_order
 let total_pages t = t.total_pages
 let used_pages t = t.used
 let free_pages t = t.total_pages - t.used
-let used_bytes t = t.used * t.page_size
+let used_bytes t = t.used * page_size
 let peak_used_pages t = t.peak_used
 let alloc_count t = t.allocs
 let free_count t = t.frees

@@ -16,10 +16,13 @@ type block = private { page : int; order : int }
 exception Out_of_memory
 (** Raised by {!alloc_exn} when the request cannot be satisfied. *)
 
-val create : ?page_size:int -> ?max_order:int -> total_pages:int -> unit -> t
+val page_size : int
+(** Bytes per page: 4096. *)
+
+val create : ?max_order:int -> total_pages:int -> unit -> t
 (** [create ~total_pages ()] builds an allocator over [total_pages] pages of
-    [page_size] bytes (default 4096) with largest block order [max_order]
-    (default 10, i.e. 4 MiB blocks). *)
+    {!page_size} bytes with largest block order [max_order] (default 10,
+    i.e. 4 MiB blocks). *)
 
 val alloc : t -> order:int -> block option
 (** [alloc t ~order] allocates [2^order] contiguous pages, splitting larger
@@ -32,7 +35,6 @@ val free : t -> block -> unit
 (** Return a block; coalesces with its buddy recursively. Raises
     [Invalid_argument] on double free or foreign blocks. *)
 
-val page_size : t -> int
 val max_order : t -> int
 val total_pages : t -> int
 val used_pages : t -> int

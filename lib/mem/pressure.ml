@@ -15,7 +15,11 @@ type t = {
   mutable oom_at : int option;
 }
 
-let create buddy ?(low_ratio = 0.25) ?(critical_ratio = 0.10) () =
+(* The watermarks, as shares of total pages free. *)
+let low_ratio = 0.25
+let critical_ratio = 0.10
+
+let create buddy =
   let total = Buddy.total_pages buddy in
   {
     buddy;

@@ -16,10 +16,9 @@ val pp_level : Format.formatter -> level -> unit
 
 type t
 
-val create :
-  Buddy.t -> ?low_ratio:float -> ?critical_ratio:float -> unit -> t
-(** [create buddy ()] watches [buddy]. Watermarks default to 25% (low) and
-    10% (critical) of total pages free. *)
+val create : Buddy.t -> t
+(** [create buddy] watches [buddy]. The watermarks are 25% (low) and 10%
+    (critical) of total pages free. *)
 
 val level : t -> level
 (** Current pressure level, computed from the buddy's free-page count. *)

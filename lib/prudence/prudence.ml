@@ -100,8 +100,7 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
     Stats.merge cache.Frame.stats ~n:moved;
     Frame.event cache pc.Frame.cpu Latent_merge moved;
     charge pc.Frame.cpu
-      (t.env.Frame.costs.Costs.merge
-      + (moved * t.env.Frame.costs.Costs.merge_per_obj))
+      (Costs.default.merge + (moved * Costs.default.merge_per_obj))
   end;
   moved
 
@@ -111,7 +110,7 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
 let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
   Frame.obj_to_latent_slab cache obj;
   let slab = obj.Frame.parent in
-  let costs = t.env.Frame.costs in
+  let costs = Costs.default in
   let cost = ref costs.Costs.latent_put in
   (* Pre-movement needs the node-list lock only when the list changes. *)
   if Frame.relocate cache slab then begin
@@ -248,7 +247,7 @@ and schedule_preflush t cache (pc : Frame.pcpu) =
 
 (* Algorithm 1 MALLOC (l.1-12) + REFILL_OBJECT_CACHE (l.13-33). *)
 let rec alloc_inner t ~may_wait (cache : Frame.cache) cpu =
-  let costs = t.env.Frame.costs in
+  let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   Stats.alloc cache.Frame.stats;
   Frame.note_alloc pc;
@@ -346,7 +345,7 @@ let alloc t ?(may_wait = true) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
 let free_deferred t (cache : Frame.cache) cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id
     Prof.Span.Prudence_defer;
-  let costs = t.env.Frame.costs in
+  let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   Stats.deferred_free cache.Frame.stats;
   Frame.note_release pc;
@@ -386,9 +385,9 @@ let free_deferred t (cache : Frame.cache) cpu obj =
 (* Regular free: like the baseline, but the overflow flush accounts for the
    latent objects that will need object-cache room after the grace period
    (§4.2 "object cache flush"). *)
-let free t (cache : Frame.cache) cpu obj =
+let free (_ : t) (cache : Frame.cache) cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_free;
-  let costs = t.env.Frame.costs in
+  let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   Stats.free cache.Frame.stats;
   Frame.note_release pc;

@@ -44,28 +44,3 @@ let default =
     llc_bytes = 2 * 1024 * 1024;
     llc_pressure = 100;
   }
-
-let scaled f =
-  let s x = int_of_float (float_of_int x *. f) in
-  {
-    hit = s default.hit;
-    free_to_cache = s default.free_to_cache;
-    refill = s default.refill;
-    refill_per_obj = s default.refill_per_obj;
-    flush = s default.flush;
-    flush_per_obj = s default.flush_per_obj;
-    grow = s default.grow;
-    shrink = s default.shrink;
-    node_lock_hold = s default.node_lock_hold;
-    defer_enqueue = s default.defer_enqueue;
-    latent_put = s default.latent_put;
-    merge = s default.merge;
-    merge_per_obj = s default.merge_per_obj;
-    premove = s default.premove;
-    page_lock_hold = s default.page_lock_hold;
-    page_zero_per_page = s default.page_zero_per_page;
-    cold_touch = s default.cold_touch;
-    cold_touch_per_256b = s default.cold_touch_per_256b;
-    llc_bytes = default.llc_bytes;
-    llc_pressure = s default.llc_pressure;
-  }

@@ -47,6 +47,3 @@ val default : t
 (** hit = 40 ns; the full refill path (hit + refill = 160 ns) is 4x a hit
     and the full grow path (hit + refill + grow = 560 ns) is 14x, matching
     the paper's measurements. *)
-
-val scaled : float -> t
-(** [scaled f] multiplies every cost by [f] (for sensitivity ablations). *)

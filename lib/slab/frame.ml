@@ -3,8 +3,7 @@ type grow_retry_policy = { max_retries : int; base_backoff_ns : int }
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
-  pressure : Mem.Pressure.t option;
-  costs : Costs.t;
+  pressure : Mem.Pressure.t;
   page_lock : Sim.Simlock.t;
       (* The page allocator's zone lock: every slab grow/shrink serializes
          here (with a hold that grows with the slab order, modelling page
@@ -17,13 +16,12 @@ type env = {
   mutable next_sid : int;
 }
 
-let make_env ?pressure ?(costs = Costs.default) machine buddy =
+let make_env ~pressure machine buddy =
   let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
   {
     machine;
     buddy;
     pressure;
-    costs;
     page_lock = Sim.Simlock.create ~name:"page-allocator" tap;
     tap;
     grow_retry = None;
@@ -195,7 +193,7 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
   (* Flushes track the nodes they touch in an int bitmask. *)
   if Sim.Machine.nr_nodes env.machine >= Sys.int_size then
     invalid_arg "Frame.create_cache: too many NUMA nodes";
-  let page_size = Mem.Buddy.page_size env.buddy in
+  let page_size = Mem.Buddy.page_size in
   let order = Size_class.slab_order ~obj_size ~page_size in
   let capacity = Size_class.object_cache_capacity ~obj_size in
   let nodes =
@@ -245,7 +243,7 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
     free_target = None;
   }
 
-let slab_bytes cache = Mem.Buddy.page_size cache.env.buddy lsl cache.order
+let slab_bytes cache = Mem.Buddy.page_size lsl cache.order
 let node_for cache (cpu : Sim.Machine.cpu) = cache.nodes.(cpu.node)
 let pcpu_for cache (cpu : Sim.Machine.cpu) = cache.pcpus.(cpu.id)
 
@@ -283,12 +281,12 @@ let event cache (cpu : Sim.Machine.cpu) kind arg =
 let lock_node cache (cpu : Sim.Machine.cpu) node =
   let delay =
     Sim.Simlock.acquire node.lock ~cpu:cpu.id ~now:(now cache)
-      ~hold:cache.env.costs.node_lock_hold
+      ~hold:Costs.default.node_lock_hold
   in
   Sim.Machine.consume cpu delay
 
 let lock_pages cache (cpu : Sim.Machine.cpu) =
-  let costs = cache.env.costs in
+  let costs = Costs.default in
   (* Higher-order page allocations cost superlinearly more: zeroing is
      linear in pages, but assembling/splitting large contiguous blocks
      under load (buddy traversal, compaction, reclaim) grows with the
@@ -406,7 +404,7 @@ let pop_ocache pc = if pc.ocache_n = 0 then None else Some (pop_ocache_exn pc)
 (* ceil(log2(used/llc)), capped: how many times the resident footprint has
    doubled past the last-level cache. *)
 let footprint_doublings cache =
-  let costs = cache.env.costs in
+  let costs = Costs.default in
   let used = Mem.Buddy.used_bytes cache.env.buddy in
   if used <= costs.Costs.llc_bytes then 0
   else begin
@@ -426,12 +424,12 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
      allocation. *)
   let doublings = footprint_doublings cache in
   if doublings > 0 then
-    Sim.Machine.consume cpu (doublings * cache.env.costs.Costs.llc_pressure);
+    Sim.Machine.consume cpu (doublings * Costs.default.llc_pressure);
   (* First use of this object's memory: the mutator takes cache/TLB misses
      writing it. Recycled objects are hot. *)
   if not obj.touched then begin
     obj.touched <- true;
-    let costs = cache.env.costs in
+    let costs = Costs.default in
     Sim.Machine.consume cpu
       (costs.Costs.cold_touch
       + (cache.obj_size / 256 * costs.Costs.cold_touch_per_256b))
@@ -519,14 +517,10 @@ let alloc_pages cache =
   let buddy = cache.env.buddy in
   match Mem.Buddy.alloc buddy ~order:cache.order with
   | Some b -> Some b
-  | None -> (
-      match cache.env.pressure with
-      | Some p when Mem.Pressure.handle_alloc_failure p ->
-          Mem.Buddy.alloc buddy ~order:cache.order
-      | _ -> None)
-
-let poll_pressure cache =
-  match cache.env.pressure with None -> () | Some p -> Mem.Pressure.poll p
+  | None ->
+      if Mem.Pressure.handle_alloc_failure cache.env.pressure then
+        Mem.Buddy.alloc buddy ~order:cache.order
+      else None
 
 (* Retry a transiently failed page allocation with exponential virtual-time
    backoff. Only failures that [Buddy.would_satisfy] proves non-genuine
@@ -607,9 +601,9 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
       Slab_stats.set_current_slabs cache.stats cache.total_slabs;
       Slab_stats.grow cache.stats;
       event cache cpu Grow cache.total_slabs;
-      Sim.Machine.consume cpu env.costs.grow;
+      Sim.Machine.consume cpu Costs.default.grow;
       lock_pages cache cpu;
-      poll_pressure cache;
+      Mem.Pressure.poll env.pressure;
       Some slab
 
 (* May suspend mid-span when the grow-retry policy sleeps; Prof.exit's
@@ -644,7 +638,7 @@ let destroy_slab cache slab =
   cache.total_slabs <- cache.total_slabs - 1;
   Slab_stats.set_current_slabs cache.stats cache.total_slabs;
   Slab_stats.shrink cache.stats;
-  poll_pressure cache
+  Mem.Pressure.poll cache.env.pressure
 
 (* Incremental shrinking, like kernel shrinkers: at most a few slabs per
    invocation, so reclaim is spread over time rather than bursty. *)
@@ -663,7 +657,7 @@ let rec shrink_from cache cpu free ~keep destroyed = function
           && s.latent_n > 0)
       then begin
         destroy_slab cache s;
-        Sim.Machine.consume cpu cache.env.costs.shrink;
+        Sim.Machine.consume cpu Costs.default.shrink;
         lock_pages cache cpu;
         shrink_from cache cpu free ~keep (destroyed + 1) prev
       end
@@ -702,7 +696,7 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
       Slab_stats.refill cache.stats;
       event cache cpu Refill !moved;
       Sim.Machine.consume cpu
-        (cache.env.costs.refill + (!moved * cache.env.costs.refill_per_obj))
+        (Costs.default.refill + (!moved * Costs.default.refill_per_obj))
     end;
     !moved
   end
@@ -746,7 +740,7 @@ let flush_to_node cache (cpu : Sim.Machine.cpu) ~count =
     Slab_stats.flush cache.stats;
     event cache cpu Flush moved;
     Sim.Machine.consume cpu
-      (cache.env.costs.flush + (moved * cache.env.costs.flush_per_obj));
+      (Costs.default.flush + (moved * Costs.default.flush_per_obj));
     shrink_touched cache cpu objs first last 0
   end
 

@@ -24,8 +24,7 @@ type grow_retry_policy = {
 type env = {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
-  pressure : Mem.Pressure.t option;
-  costs : Costs.t;
+  pressure : Mem.Pressure.t;
   page_lock : Sim.Simlock.t;
       (** The page allocator's zone lock: slab grow/shrink serializes here
           with a hold that scales with slab order (page zeroing), the
@@ -54,12 +53,7 @@ type env = {
   mutable next_sid : int;
 }
 
-val make_env :
-  ?pressure:Mem.Pressure.t ->
-  ?costs:Costs.t ->
-  Sim.Machine.t ->
-  Mem.Buddy.t ->
-  env
+val make_env : pressure:Mem.Pressure.t -> Sim.Machine.t -> Mem.Buddy.t -> env
 
 type ostate =
   | Free_in_slab  (** On its slab's freelist. *)

@@ -21,8 +21,8 @@ let create_cache t ~name ~obj_size =
 
 let charge (cpu : Sim.Machine.cpu) ns = Sim.Machine.consume cpu ns
 
-let alloc_inner t (cache : Frame.cache) cpu =
-  let costs = t.env.Frame.costs in
+let alloc_inner (cache : Frame.cache) cpu =
+  let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   Slab_stats.alloc cache.Frame.stats;
   charge cpu costs.Costs.hit;
@@ -55,17 +55,20 @@ let alloc_inner t (cache : Frame.cache) cpu =
       else None
   end
 
-let alloc t (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
+let alloc (_ : t) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
   let pend0 = cpu.Sim.Machine.pending_ns in
-  let result = alloc_inner t cache cpu in
+  let result = alloc_inner cache cpu in
   Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
   result
 
-(* The reclamation path shared by immediate frees and RCU callbacks. *)
-let release t (cache : Frame.cache) cpu obj =
-  let costs = t.env.Frame.costs in
+(* The reclamation path shared by immediate frees and RCU callbacks. It
+   needs nothing from [t], but the [call_rcu] closure in [free_deferred]
+   captures it; shrinking that per-deferred-free allocation is its own
+   change. *)
+let release _t (cache : Frame.cache) cpu obj =
+  let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   charge cpu costs.Costs.free_to_cache;
   Frame.push_ocache cache pc obj;
@@ -83,7 +86,7 @@ let free t cache cpu obj =
 
 let free_deferred t (cache : Frame.cache) cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_defer;
-  let costs = t.env.Frame.costs in
+  let costs = Costs.default in
   Slab_stats.deferred_free cache.Frame.stats;
   let cookie = Rcu.snapshot t.rcu in
   Frame.stamp_deferred cache cpu obj ~cookie;

@@ -8,13 +8,13 @@ type buddy_view = {
   free_pages : int;
   free_blocks_per_order : int array;
   largest_free_order : int;
-  watermark : Mem.Pressure.level option;
+  watermark : Mem.Pressure.level;
   allocs : int;
   frees : int;
   failed_allocs : int;
 }
 
-let buddy_view ?pressure buddy =
+let buddy_view ~pressure buddy =
   let per_order = Array.make (Mem.Buddy.max_order buddy + 1) 0 in
   List.iter
     (fun (_page, order) -> per_order.(order) <- per_order.(order) + 1)
@@ -25,7 +25,7 @@ let buddy_view ?pressure buddy =
     free_pages = Mem.Buddy.free_pages buddy;
     free_blocks_per_order = per_order;
     largest_free_order = Mem.Buddy.largest_free_order buddy;
-    watermark = Option.map Mem.Pressure.level pressure;
+    watermark = Mem.Pressure.level pressure;
     allocs = Mem.Buddy.alloc_count buddy;
     frees = Mem.Buddy.free_count buddy;
     failed_allocs = Mem.Buddy.failed_allocs buddy;
@@ -51,7 +51,7 @@ let render_buddy v =
     "buddy: %d/%d pages used (%.1f/%.1f MiB), watermark %s, largest free \
      order %d, %s allocs / %s frees / %d failed\n%s"
     v.used_pages v.total_pages (mib v.used_pages) (mib v.total_pages)
-    (match v.watermark with None -> "-" | Some l -> level_name l)
+    (level_name v.watermark)
     v.largest_free_order (T.fmt_i v.allocs) (T.fmt_i v.frees) v.failed_allocs
     (T.render ~header [ row ])
 

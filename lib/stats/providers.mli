@@ -19,13 +19,13 @@ type buddy_view = {
   free_pages : int;
   free_blocks_per_order : int array;  (** Index = order, 0..max_order. *)
   largest_free_order : int;  (** -1 when memory is exhausted. *)
-  watermark : Mem.Pressure.level option;
+  watermark : Mem.Pressure.level;
   allocs : int;
   frees : int;
   failed_allocs : int;
 }
 
-val buddy_view : ?pressure:Mem.Pressure.t -> Mem.Buddy.t -> buddy_view
+val buddy_view : pressure:Mem.Pressure.t -> Mem.Buddy.t -> buddy_view
 
 (** {1 Slab ([/proc/slabinfo] / [slabtop])} *)
 

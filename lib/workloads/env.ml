@@ -27,7 +27,6 @@ type config = {
   prudence_config : Prudence.config;
   ebr_config : Slab.Ebr.config;
   hyaline_config : Slab.Hyaline.config;
-  costs : Slab.Costs.t;
   track_readers : bool;
   trace : int option;
   prof : Prof.t;
@@ -48,7 +47,6 @@ let default_config =
     prudence_config = Prudence.default_config;
     ebr_config = Slab.Ebr.default_config;
     hyaline_config = Slab.Hyaline.default_config;
-    costs = Slab.Costs.default;
     track_readers = false;
     trace = None;
     prof = Prof.null;
@@ -91,11 +89,11 @@ let build cfg =
   Sim.Machine.start machine;
   let buddy = Mem.Buddy.create ~total_pages:cfg.total_pages () in
   Mem.Buddy.set_prof buddy cfg.prof;
-  let pressure = Mem.Pressure.create buddy () in
+  let pressure = Mem.Pressure.create buddy in
   let rcu = Rcu.create ~config:cfg.rcu_config machine in
   Rcu.attach_pressure rcu pressure;
   let fenv =
-    Slab.Frame.make_env ~pressure ~costs:cfg.costs machine buddy
+    Slab.Frame.make_env ~pressure machine buddy
   in
   let readers = Rcu.Readers.create rcu in
   if cfg.track_readers then Rcu.Readers.check_allocs readers ~where:"alloc";

@@ -31,7 +31,6 @@ type config = {
       (** Epoch advancement tuning for the [Ebr_debra] kind. *)
   hyaline_config : Slab.Hyaline.config;
       (** Batch tuning for the [Hyaline_alloc] kind. *)
-  costs : Slab.Costs.t;
   track_readers : bool;
       (** Arm the premature-reuse safety checker
           ({!Rcu.Readers.check_allocs}; small overhead). *)

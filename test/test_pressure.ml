@@ -1,6 +1,6 @@
 let make () =
   let b = Mem.Buddy.create ~total_pages:100 () in
-  let p = Mem.Pressure.create b ~low_ratio:0.25 ~critical_ratio:0.10 () in
+  let p = Mem.Pressure.create b in
   (b, p)
 
 let test_levels () =

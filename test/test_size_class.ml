@@ -85,11 +85,6 @@ let test_costs_ratios () =
     true
     (gratio >= 10.0 && gratio <= 20.0)
 
-let test_costs_scaled () =
-  let s = Slab.Costs.scaled 2.0 in
-  Alcotest.(check int) "hit doubled" (2 * Slab.Costs.default.Slab.Costs.hit)
-    s.Slab.Costs.hit
-
 let suite =
   [
     Alcotest.test_case "kmalloc class rounds up" `Quick
@@ -104,5 +99,4 @@ let suite =
       test_object_cache_capacity_decreasing;
     Alcotest.test_case "batch count" `Quick test_batch_count;
     Alcotest.test_case "cost model ratios (4x / 14x)" `Quick test_costs_ratios;
-    Alcotest.test_case "cost scaling" `Quick test_costs_scaled;
   ]

@@ -19,7 +19,7 @@ let make_env ?(cpus = 4) ?(nodes = 1) ?(seed = 1) ?(tick_ns = 1_000_000)
     ?(total_pages = 65536) ?rcu_config () =
   let eng, machine = make_sim ~cpus ~nodes ~seed ~tick_ns () in
   let buddy = Mem.Buddy.create ~total_pages () in
-  let pressure = Mem.Pressure.create buddy () in
+  let pressure = Mem.Pressure.create buddy in
   let rcu = Rcu.create ?config:rcu_config machine in
   Rcu.attach_pressure rcu pressure;
   let fenv = Slab.Frame.make_env ~pressure machine buddy in
