@@ -130,7 +130,6 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
       && node.Frame.free_slabs.Frame.len > Slab.Size_class.min_free_slabs
     then ignore (Frame.shrink_node cache pc.Frame.cpu node)
   end;
-  ignore pc;
   !cost
 
 (* Push every ripe latent-cache object of [pc] down to its slab. *)

@@ -259,7 +259,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
 let synchronize t =
   let cookie = snapshot t in
   request_gp t;
-  Sim.Process.wait_until t.engine t.gp_cond (fun () -> poll t cookie)
+  Sim.Process.wait_until t.gp_cond (fun () -> poll t cookie)
 
 let barrier_drain t =
   Prof.enter (prof t) ~cpu:(-1) Prof.Span.Rcu_cb_drain;

@@ -105,8 +105,7 @@ let spawn eng body =
   in
   ignore (Engine.schedule eng ~after:0 (fun () -> match_with body () handler))
 
-let wait_until eng c pred =
-  ignore eng;
+let wait_until c pred =
   let rec loop () =
     if not (pred ()) then begin
       Cond.wait c;

@@ -50,6 +50,6 @@ module Cond : sig
   (** Number of processes currently blocked on the condition (O(1)). *)
 end
 
-val wait_until : Engine.t -> Cond.t -> (unit -> bool) -> unit
-(** [wait_until eng c pred] returns immediately if [pred ()]; otherwise
+val wait_until : Cond.t -> (unit -> bool) -> unit
+(** [wait_until c pred] returns immediately if [pred ()]; otherwise
     blocks on [c] until a broadcast after which [pred ()] holds. *)

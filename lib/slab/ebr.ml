@@ -155,7 +155,7 @@ let wait_view t readf () =
   try_advance t;
   if readf () < target then begin
     arm_poller t;
-    Sim.Process.wait_until t.engine t.cond (fun () -> readf () >= target)
+    Sim.Process.wait_until t.cond (fun () -> readf () >= target)
   end
 
 let view t ~frontierf ~register =

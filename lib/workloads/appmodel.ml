@@ -181,7 +181,7 @@ let run (env : Env.t) (cfg : config) =
       List.mapi
         (fun c (spec : cache_spec) ->
           let cache = caches.(c) in
-          let contended, wait = Env.node_lock_stats env cache in
+          let contended, wait = Env.node_lock_stats cache in
           let meter = frag_meters.(c) in
           let sampled_frag =
             if meter.n = 0 then Slab.Frame.fragmentation cache

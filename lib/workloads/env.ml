@@ -169,7 +169,7 @@ let anatomy t =
 
 let used_bytes t = Mem.Buddy.used_bytes t.buddy
 
-let node_lock_stats _t (cache : Slab.Frame.cache) =
+let node_lock_stats (cache : Slab.Frame.cache) =
   Array.fold_left
     (fun (c, w) (node : Slab.Frame.node) ->
       ( c + Sim.Simlock.contended node.Slab.Frame.lock,

@@ -95,7 +95,7 @@ val anatomy : t -> Obs.Anatomy.t
 val used_bytes : t -> int
 (** Total used physical memory right now (the Fig. 3 y-axis). *)
 
-val node_lock_stats : t -> Slab.Frame.cache -> int * int
+val node_lock_stats : Slab.Frame.cache -> int * int
 (** (contended acquisitions, total wait ns) summed over the cache's nodes. *)
 
 val safety_violations : t -> string list

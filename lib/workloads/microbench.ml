@@ -64,7 +64,7 @@ let run (env : Env.t) (cfg : config) =
   (* Settle deferred objects outside the timed region, as the paper does. *)
   Sim.Process.spawn env.Env.eng (fun () -> backend.Slab.Backend.settle ());
   Sim.Engine.run_until_quiet env.Env.eng;
-  let contended, wait = Env.node_lock_stats env cache in
+  let contended, wait = Env.node_lock_stats cache in
   {
     label = backend.Slab.Backend.label;
     obj_size = cfg.obj_size;

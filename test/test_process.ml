@@ -75,7 +75,7 @@ let test_wait_until () =
   let flag = ref false in
   let finished_at = ref (-1) in
   Sim.Process.spawn eng (fun () ->
-      Sim.Process.wait_until eng cond (fun () -> !flag);
+      Sim.Process.wait_until cond (fun () -> !flag);
       finished_at := Sim.Engine.now eng);
   (* Spurious broadcast with predicate still false. *)
   ignore (Sim.Engine.schedule eng ~after:100 (fun () -> Sim.Process.Cond.broadcast cond));
@@ -91,7 +91,7 @@ let test_wait_until_immediate () =
   let cond = Sim.Process.Cond.create eng in
   let ran = ref false in
   Sim.Process.spawn eng (fun () ->
-      Sim.Process.wait_until eng cond (fun () -> true);
+      Sim.Process.wait_until cond (fun () -> true);
       ran := true);
   Sim.Engine.run eng;
   Alcotest.(check bool) "no block when predicate already true" true !ran

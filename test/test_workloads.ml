@@ -342,7 +342,7 @@ module Model = struct
       caches =
         List.map
           (fun (name, cache) ->
-            let contended, wait = W.Env.node_lock_stats env cache in
+            let contended, wait = W.Env.node_lock_stats cache in
             let meter = List.assoc name frag_meters in
             {
               W.Appmodel.cache_name = name;
