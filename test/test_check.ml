@@ -546,6 +546,116 @@ let test_audit_clean () =
       backend.Slab.Backend.settle ());
   Alcotest.(check (list string)) "after settle" [] (Audit.env env)
 
+(* The frame's records are private, so a teeth case corrupts a field
+   through [Obj]. [field] is the field's position in its record
+   declaration; [was], read through the typed accessor, must be what that
+   position holds, so a reordered declaration fails here instead of
+   corrupting another field. *)
+let poke r ~field ~was v =
+  let r = Obj.repr r in
+  if Obj.field r field != Obj.repr was then
+    Alcotest.failf "field %d does not hold the value its accessor read" field;
+  Obj.set_field r field (Obj.repr v)
+
+(* A latent-aware cache with one partial slab [s]: both CPUs' object
+   caches hold objects from it, two objects are live, one waits in
+   cpu0's latent cache and one on [s]'s latent list. *)
+let teeth_fixture () =
+  let module F = Slab.Frame in
+  let env = Test_util.make_env ~cpus:2 ~total_pages:1024 () in
+  let cache =
+    F.create_cache env.Test_util.fenv ~name:"teeth" ~obj_size:512
+      ~latent_aware:true ()
+  in
+  let c0 = Test_util.cpu env 0 and c1 = Test_util.cpu env 1 in
+  let s = Option.get (F.grow cache c0) in
+  ignore (F.refill_from_node cache c0 ~want:5 ~select:F.select_slub);
+  ignore (F.refill_from_node cache c1 ~want:5 ~select:F.select_slub);
+  let pc0 = F.pcpu_for cache c0 and pc1 = F.pcpu_for cache c1 in
+  let take pc =
+    let o = F.pop_ocache_exn pc in
+    F.hand_to_user cache pc.F.cpu o;
+    o
+  in
+  ignore (take pc0);
+  ignore (take pc0);
+  let o = take pc0 in
+  F.stamp_deferred cache c0 o ~cookie:1;
+  F.obj_to_latent_cache cache pc0 o;
+  let o = take pc1 in
+  F.stamp_deferred cache c1 o ~cookie:1;
+  F.obj_to_latent_slab cache o;
+  ignore (F.relocate cache s);
+  (env, cache, s)
+
+(* Each case breaks one invariant of the fixture and returns the report
+   line, naming its slab or object, that the slab audit must print. *)
+let teeth_cases =
+  let module F = Slab.Frame in
+  let node (c : F.cache) = c.F.nodes.(0) in
+  [
+    ( "one object in two containers",
+      fun _env (c : F.cache) _s ->
+        let pc0 = c.F.pcpus.(0) and pc1 = c.F.pcpus.(1) in
+        let o = pc1.F.ocache.(0) in
+        pc0.F.ocache.(0) <- o;
+        Printf.sprintf
+          "object %d is in cpu0's object cache and again in cpu1's object \
+           cache"
+          o.F.oid );
+    ( "wrong on_list tag",
+      fun _env _c (s : F.slab) ->
+        poke s ~field:11 ~was:s.F.on_list F.L_full;
+        Printf.sprintf "slab %d tagged full but found on the partial list"
+          s.F.sid );
+    ( "list len off by one",
+      fun _env c _s ->
+        let l = (node c).F.partial in
+        poke l ~field:2 ~was:l.F.len (l.F.len + 1);
+        "node 0's partial list links 1 slabs but len = 2" );
+    ( "slab on the wrong list for its counts",
+      fun env c _s ->
+        (* A fresh free slab loses an object to cpu0's object cache, and
+           nobody relocates it. *)
+        let c0 = Test_util.cpu env 0 in
+        let s = Option.get (F.grow c c0) in
+        F.push_ocache c (F.pcpu_for c c0) (F.take_free_obj_exn s);
+        Printf.sprintf
+          "slab %d sits on the free list, but free %d, latent 0 and \
+           in-flight 1 put it on the partial list"
+          s.F.sid s.F.free_n );
+    ( "negative in_flight",
+      fun _env _c (s : F.slab) ->
+        poke s ~field:10 ~was:s.F.in_flight (-1);
+        Printf.sprintf "slab %d has in_flight = -1" s.F.sid );
+    ( "latent slab missing from the latent-slab list",
+      fun _env c (s : F.slab) ->
+        let l = (node c).F.latent_slabs in
+        poke l ~field:0 ~was:l.F.head None;
+        poke l ~field:1 ~was:l.F.tail None;
+        poke l ~field:2 ~was:l.F.len 0;
+        Printf.sprintf
+          "slab %d holds 1 latent objects but is not on node 0's \
+           latent-slab list"
+          s.F.sid );
+    ( "latent_count off by one",
+      fun _env (c : F.cache) _s ->
+        poke c ~field:15 ~was:c.F.latent_count (c.F.latent_count + 1);
+        "latent_count = 3 but latent slabs hold 1 + latent caches 1" );
+  ]
+
+(* The slab audit has teeth: on a clean fixture it reports nothing, and
+   a corruption is reported with the slab or object it concerns. *)
+let audit_teeth corrupt () =
+  let env, cache, s = teeth_fixture () in
+  let audit () = Audit.slab ~rcu:env.Test_util.rcu cache in
+  Alcotest.(check (list string)) "clean before" [] (audit ());
+  let expect = corrupt env cache s in
+  let report = audit () in
+  if not (List.exists (contains ~affix:expect) report) then
+    Alcotest.failf "no report line contains %S; report:\n%s" expect
+      (String.concat "\n" report)
+
 let test_differential_identical () =
   let trace = Diff.gen ~n_ops:800 ~seed:5 () in
   let r = Diff.run ~seed:5 trace in
@@ -604,3 +714,8 @@ let suite =
     Alcotest.test_case "differential: trace generation deterministic" `Quick
       test_differential_trace_deterministic;
   ]
+  @ List.map
+      (fun (case, corrupt) ->
+        Alcotest.test_case ("audit teeth: " ^ case) `Quick
+          (audit_teeth corrupt))
+      teeth_cases
