@@ -92,9 +92,7 @@ let build cfg =
   let pressure = Mem.Pressure.create buddy in
   let rcu = Rcu.create ~config:cfg.rcu_config machine in
   Rcu.attach_pressure rcu pressure;
-  let fenv =
-    Slab.Frame.make_env ~pressure machine buddy
-  in
+  let fenv = Slab.Frame.make_env ~pressure machine buddy in
   let readers = Rcu.Readers.create rcu in
   if cfg.track_readers then Rcu.Readers.check_allocs readers ~where:"alloc";
   (* [smr] is the truthful reclamation view: identical to the
