@@ -132,7 +132,7 @@ let make_prudence_pair () =
 let make_engine_event () =
   let eng = Sim.Engine.create () in
   fun () ->
-    ignore (Sim.Engine.schedule eng ~after:1 (fun () -> ()));
+    Sim.Engine.schedule eng ~after:1 (fun () -> ());
     ignore (Sim.Engine.step eng)
 
 let make_rng () =

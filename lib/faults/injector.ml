@@ -39,7 +39,7 @@ let fire (t : t) spec ~cpu =
     ~label:(Plan.spec_name spec) t.faults_fired 0
 
 let at t time fn =
-  ignore (Sim.Engine.schedule_at ~daemon:true t.engine ~time fn)
+  Sim.Engine.schedule_at ~daemon:true t.engine ~time fn
 
 let install_spec t spec =
   match spec with
@@ -111,8 +111,7 @@ let install_spec t spec =
             Rcu.call_rcu t.rcu c (fun () -> ())
           done;
           t.flood_cbs <- t.flood_cbs + per_ms;
-          ignore
-            (Sim.Engine.schedule ~daemon:true t.engine ~after:1_000_000 tick)
+          Sim.Engine.schedule ~daemon:true t.engine ~after:1_000_000 tick
         end
       in
       at t at_ns (fun () ->

@@ -18,11 +18,6 @@
 type t
 (** An engine: clock + event scheduler + root RNG. *)
 
-type handle
-(** Cancellation handle for a scheduled event. Generation-tagged: a
-    handle to an event that already ran (or was cancelled and its slot
-    reused) is stale, and cancelling it is a no-op. *)
-
 type tiebreak =
   | Fifo  (** Same-instant events run in scheduling order (default). *)
   | Shuffle of int
@@ -69,23 +64,14 @@ val tap : t -> Trace.Tap.t
 (** The event tap every subsystem on this engine emits through (see
     {!Trace.Tap}); no subscriber until an observer subscribes. *)
 
-val schedule : ?daemon:bool -> t -> after:int -> (unit -> unit) -> handle
+val schedule : ?daemon:bool -> t -> after:int -> (unit -> unit) -> unit
 (** [schedule t ~after fn] runs [fn] at time [now t + after].
     [after] must be non-negative. [daemon] (default false) marks
     housekeeping events (scheduler ticks, samplers) that should not keep
     {!run_until_quiet} alive. *)
 
-val schedule_at : ?daemon:bool -> t -> time:int -> (unit -> unit) -> handle
+val schedule_at : ?daemon:bool -> t -> time:int -> (unit -> unit) -> unit
 (** [schedule_at t ~time fn] runs [fn] at absolute [time] (>= [now t]). *)
-
-val cancel : t -> handle -> unit
-(** [cancel t h] prevents the event from running if it has not run yet.
-    The event immediately stops counting as pending or live work;
-    its slot stays queued as a tombstone until its deadline reaps it or
-    a compaction sweep drops it (the queue compacts in one O(n) pass
-    whenever tombstones outnumber live events, so cancel-heavy fault
-    plans cannot grow it without bound). Stale handles — the event
-    already ran, or was already cancelled — are ignored. *)
 
 val run : ?until:int -> t -> unit
 (** [run ?until t] executes events in time order. Stops when the queue is
@@ -94,8 +80,8 @@ val run : ?until:int -> t -> unit
     (unless stopped earlier). *)
 
 val step : t -> bool
-(** [step t] executes the single next live event; [false] if no live
-    event remained or the engine is stopped. *)
+(** [step t] executes the single next event; [false] if no event
+    remained or the engine is stopped. *)
 
 val stop : t -> unit
 (** Halt the run loop after the current event; used e.g. on simulated OOM. *)
@@ -104,19 +90,15 @@ val stopped : t -> bool
 (** Whether [stop] has been called. *)
 
 val pending : t -> int
-(** Number of queued live events (O(1) counter). Cancelled handles may
-    stay queued until their scheduled time but are not counted. *)
+(** Number of events scheduled but not yet run, including the rest of
+    the same-instant batch being dispatched. O(1). *)
 
 val executed : t -> int
 (** Total number of events executed so far (diagnostic). *)
 
-val compactions : t -> int
-(** Number of tombstone-compaction sweeps performed (diagnostic). *)
-
 val wheel_occupancy : t -> int
 (** Events currently held by the timer wheel (buckets + overflow +
-    front heap, tombstones included). Diagnostic gauge; excludes the
-    active dispatch batch. *)
+    front heap). Diagnostic gauge; excludes the active dispatch batch. *)
 
 val cascades : t -> int
 (** Timer-wheel buckets cascaded down a level so far. *)

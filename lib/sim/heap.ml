@@ -74,32 +74,3 @@ let pop_exn h =
   end
 
 let pop h = if h.size = 0 then None else Some (pop_exn h)
-
-let iter f h =
-  for i = 0 to h.size - 1 do
-    f h.data.(i)
-  done
-
-let filter_in_place keep h =
-  (* Compact survivors to a prefix, then restore the heap property
-     bottom-up (Floyd): O(n) total, no allocation beyond the swaps. *)
-  let kept = ref 0 in
-  for i = 0 to h.size - 1 do
-    let x = h.data.(i) in
-    if keep x then begin
-      h.data.(!kept) <- x;
-      incr kept
-    end
-  done;
-  (* Clear the tail so the GC can reclaim dropped elements. *)
-  if !kept > 0 then
-    for i = !kept to h.size - 1 do
-      h.data.(i) <- h.data.(!kept - 1)
-    done
-  else begin
-    h.data <- [||]
-  end;
-  h.size <- !kept;
-  for i = (h.size - 2) / 4 downto 0 do
-    sift_down h i
-  done

@@ -28,12 +28,3 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** Like {!pop} but raises [Invalid_argument] on an empty heap;
     allocation-free. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** [iter f h] applies [f] to every element in unspecified order. *)
-
-val filter_in_place : ('a -> bool) -> 'a t -> unit
-(** [filter_in_place keep h] drops every element for which [keep] is
-    [false] and re-establishes the heap property bottom-up. O(n),
-    allocation-free. The wheel uses it to compact cancelled-event
-    tombstones out of its overflow and front queues. *)

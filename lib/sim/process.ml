@@ -57,7 +57,7 @@ module Cond = struct
       | Some p ->
           let next = p.next in
           Engine.decr_waiters c.engine;
-          ignore (Engine.schedule c.engine ~after:0 p.resume);
+          Engine.schedule c.engine ~after:0 p.resume;
           wake next
     in
     let first = c.head in
@@ -82,7 +82,7 @@ let spawn eng body =
         Some
           (fun k ->
             park p k;
-            ignore (Engine.schedule p.eng ~after:p.delay p.resume));
+            Engine.schedule p.eng ~after:p.delay p.resume);
     }
   in
   let handler =
@@ -103,7 +103,7 @@ let spawn eng body =
           | _ -> None);
     }
   in
-  ignore (Engine.schedule eng ~after:0 (fun () -> match_with body () handler))
+  Engine.schedule eng ~after:0 (fun () -> match_with body () handler)
 
 let wait_until c pred =
   let rec loop () =

@@ -2,10 +2,10 @@
 
    The engine's hot-path event representation is a structure-of-arrays
    pool: every event is an integer slot indexing parallel int arrays
-   (time, tie key, sequence number, intrusive next link, flags,
-   generation) plus one closure array. Scheduling, cancelling and
-   dispatching move integers between singly-linked bucket lists — zero
-   words allocated in steady state.
+   (time, tie key, sequence number, intrusive next link) plus a daemon
+   flag array and one closure array. Scheduling and dispatching move
+   integers between singly-linked bucket lists — zero words allocated
+   in steady state.
 
    Geometry: three levels of 2^16 one-nanosecond-grained buckets.
    Level 0 spans 65 us of virtual time at single-instant resolution
@@ -48,21 +48,11 @@ type pool = {
   mutable ties : int array;
   mutable seqs : int array;
   mutable nexts : int array;  (* free list and bucket chains share this *)
-  mutable flags : int array;
-  mutable gens : int array;
+  mutable daemons : bool array;
   mutable fns : (unit -> unit) array;
   mutable free : int;  (* free-list head; -1 = exhausted *)
   mutable cap : int;
 }
-
-let flag_daemon = 1
-let flag_live = 2
-
-(* Handles pack (generation, slot) into one int; 25 slot bits bound the
-   pool at 33M concurrently scheduled events, far beyond any workload. *)
-let slot_bits = 25
-let slot_mask = (1 lsl slot_bits) - 1
-let gen_mask = (1 lsl 36) - 1
 
 let dummy_fn = ignore
 
@@ -72,8 +62,7 @@ let create_pool () =
     ties = [||];
     seqs = [||];
     nexts = [||];
-    flags = [||];
-    gens = [||];
+    daemons = [||];
     fns = [||];
     free = -1;
     cap = 0;
@@ -81,8 +70,6 @@ let create_pool () =
 
 let grow_pool p =
   let cap' = if p.cap = 0 then 1024 else p.cap * 2 in
-  if cap' > slot_mask + 1 then
-    failwith "Sim.Wheel: event pool exceeds 2^25 slots";
   let extend a fill =
     let a' = Array.make cap' fill in
     Array.blit a 0 a' 0 p.cap;
@@ -92,8 +79,7 @@ let grow_pool p =
   p.ties <- extend p.ties 0;
   p.seqs <- extend p.seqs 0;
   p.nexts <- extend p.nexts (-1);
-  p.flags <- extend p.flags 0;
-  p.gens <- extend p.gens 0;
+  p.daemons <- extend p.daemons false;
   p.fns <- extend p.fns dummy_fn;
   (* Chain the new slots so the free list pops ascending indices. *)
   for i = cap' - 1 downto p.cap do
@@ -108,12 +94,9 @@ let alloc_slot p =
   p.free <- p.nexts.(s);
   s
 
-(* Bump the generation so stale handles to this slot stop matching, and
-   drop the closure so the GC can reclaim its environment. *)
+(* Drop the closure so the GC can reclaim its environment. *)
 let free_slot p s =
   p.fns.(s) <- dummy_fn;
-  p.flags.(s) <- 0;
-  p.gens.(s) <- (p.gens.(s) + 1) land gen_mask;
   p.nexts.(s) <- p.free;
   p.free <- s
 
@@ -393,59 +376,3 @@ let pop_bucket w =
       w.pool.nexts.(!tail) <- -1;
       head
   end
-
-(* Tombstone compaction support: drop every slot [keep] rejects from the
-   bucket lists and both heaps, handing each dropped slot to [drop]
-   after it is unlinked. *)
-let purge w ~keep ~drop =
-  let pool = w.pool in
-  let dropped = ref 0 in
-  let filter_list head =
-    (* Rebuild keeping prepend order. *)
-    let kept_head = ref (-1) in
-    let kept_tail = ref (-1) in
-    let cur = ref head in
-    while !cur >= 0 do
-      let nx = pool.nexts.(!cur) in
-      if keep !cur then begin
-        if !kept_tail < 0 then kept_head := !cur
-        else pool.nexts.(!kept_tail) <- !cur;
-        kept_tail := !cur
-      end
-      else begin
-        incr dropped;
-        drop !cur
-      end;
-      cur := nx
-    done;
-    if !kept_tail >= 0 then pool.nexts.(!kept_tail) <- -1;
-    !kept_head
-  in
-  for l = 0 to levels - 1 do
-    let bm = w.bitmaps.(l) in
-    for wi = 0 to words - 1 do
-      let m = ref bm.(wi) in
-      while !m <> 0 do
-        let idx = (wi lsl 5) lor ctz !m in
-        m := !m land (!m - 1);
-        let head' = filter_list w.heads.(l).(idx) in
-        w.heads.(l).(idx) <- head';
-        if head' < 0 then clear_bit w l idx
-      done
-    done
-  done;
-  let filter_heap h =
-    let dead = ref [] in
-    Heap.iter (fun s -> if not (keep s) then dead := s :: !dead) h;
-    if !dead <> [] then begin
-      Heap.filter_in_place keep h;
-      List.iter
-        (fun s ->
-          incr dropped;
-          drop s)
-        !dead
-    end
-  in
-  filter_heap w.overflow;
-  filter_heap w.front;
-  w.occupancy <- w.occupancy - !dropped

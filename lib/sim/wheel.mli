@@ -1,7 +1,7 @@
 (** Hierarchical timer wheel over a flat structure-of-arrays event pool.
 
     The wheel owns no policy: the engine allocates slots in the shared
-    {!pool}, fills in time/tie/seq/flags, and hands the slot index to
+    {!pool}, fills in time/tie/seq/daemon, and hands the slot index to
     {!add}. Extraction returns whole same-instant batches as intrusive
     singly-linked slot lists (via the pool's [nexts] array) in
     ascending-sequence order — FIFO dispatch order; the engine layers
@@ -21,20 +21,12 @@ type pool = {
   mutable seqs : int array;
   mutable nexts : int array;
       (** intrusive link: free list and bucket chains; -1 terminates *)
-  mutable flags : int array;
-  mutable gens : int array;  (** bumped on free; stale-handle detection *)
+  mutable daemons : bool array;
+      (** housekeeping events that do not keep the engine busy *)
   mutable fns : (unit -> unit) array;
   mutable free : int;
   mutable cap : int;
 }
-
-val flag_daemon : int
-val flag_live : int
-
-val slot_bits : int
-(** Handles pack [(gen lsl slot_bits) lor slot]. *)
-
-val slot_mask : int
 
 val create_pool : unit -> pool
 val alloc_slot : pool -> int
@@ -56,10 +48,6 @@ val peek_time : t -> int
 val pop_bucket : t -> int
 (** Detach the earliest same-instant slot list (linked via [nexts],
     ascending seq); -1 when empty. *)
-
-val purge : t -> keep:(int -> bool) -> drop:(int -> unit) -> unit
-(** Drop every slot [keep] rejects from buckets and both heaps,
-    calling [drop] on each after unlinking. *)
 
 (** {1 Gauges} *)
 

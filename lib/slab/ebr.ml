@@ -120,11 +120,10 @@ let outstanding t =
 let rec arm_poller t =
   if not t.poller_armed then begin
     t.poller_armed <- true;
-    ignore
-      (Sim.Engine.schedule t.engine ~after:t.cfg.poll_period_ns (fun () ->
-           t.poller_armed <- false;
-           try_advance t;
-           if outstanding t then arm_poller t))
+    Sim.Engine.schedule t.engine ~after:t.cfg.poll_period_ns (fun () ->
+        t.poller_armed <- false;
+        try_advance t;
+        if outstanding t then arm_poller t)
   end
 
 let defer t ~cpu =

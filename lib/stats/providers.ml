@@ -336,12 +336,12 @@ let register_env reg (env : Workloads.Env.t) =
   (* Engine / scheduler *)
   let eng = env.Workloads.Env.eng in
   gauge "engine.pending" ~unit_:"events"
-    ~help:"live (non-cancelled) events queued in the scheduler"
+    ~help:"events queued in the scheduler"
     (fi (fun () -> Sim.Engine.pending eng));
   counter "engine.executed" ~unit_:"events" ~help:"events dispatched so far"
     (fi (fun () -> Sim.Engine.executed eng));
   gauge "engine.wheel_occupancy" ~unit_:"events"
-    ~help:"events held by the scheduler structure, incl. tombstones"
+    ~help:"events held by the scheduler structure"
     (fi (fun () -> Sim.Engine.wheel_occupancy eng));
   counter "engine.cascades" ~unit_:"buckets"
     ~help:"timer-wheel buckets cascaded down a level"
@@ -349,9 +349,6 @@ let register_env reg (env : Workloads.Env.t) =
   counter "engine.spills" ~unit_:"events"
     ~help:"events spilled to the out-of-horizon overflow heap"
     (fi (fun () -> Sim.Engine.spills eng));
-  counter "engine.compactions" ~unit_:"sweeps"
-    ~help:"tombstone-compaction sweeps of the scheduler"
-    (fi (fun () -> Sim.Engine.compactions eng));
   (* Buddy / pressure *)
   gauge "buddy.used_pages" ~unit_:"pages"
     ~help:"pages allocated from the buddy allocator"

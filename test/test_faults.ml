@@ -40,8 +40,7 @@ let test_cpu_stall_pins_gp () =
   in
   ignore (install env plan);
   Sim.Engine.schedule_at ~daemon:true env.eng ~time:(Sim.Clock.ms 2)
-    (fun () -> Rcu.request_gp env.rcu)
-  |> ignore;
+    (fun () -> Rcu.request_gp env.rcu);
   Sim.Engine.run ~until:Sim.(Clock.ms 15) env.eng;
   Alcotest.(check int) "gp pinned by the stalled cpu" 0
     (Rcu.completed env.rcu);
@@ -74,8 +73,7 @@ let test_stalled_reader_holdout_named () =
   in
   let inj = install env plan in
   Sim.Engine.schedule_at ~daemon:true env.eng ~time:(Sim.Clock.ms 2)
-    (fun () -> Rcu.request_gp env.rcu)
-  |> ignore;
+    (fun () -> Rcu.request_gp env.rcu);
   Sim.Engine.run ~until:Sim.(Clock.ms 30) env.eng;
   let s = Rcu.stats env.rcu in
   Alcotest.(check bool) "warnings recorded" true (s.Rcu.stall_warnings >= 1);
@@ -119,11 +117,9 @@ let test_alloc_fault_window () =
   ignore (install env plan);
   let inside = ref None and after = ref None in
   Sim.Engine.schedule_at ~daemon:true env.eng ~time:(Sim.Clock.ms 2)
-    (fun () -> inside := Some (Mem.Buddy.alloc env.buddy ~order:0))
-  |> ignore;
+    (fun () -> inside := Some (Mem.Buddy.alloc env.buddy ~order:0));
   Sim.Engine.schedule_at ~daemon:true env.eng ~time:(Sim.Clock.ms 5)
-    (fun () -> after := Some (Mem.Buddy.alloc env.buddy ~order:0))
-  |> ignore;
+    (fun () -> after := Some (Mem.Buddy.alloc env.buddy ~order:0));
   Sim.Engine.run ~until:Sim.(Clock.ms 10) env.eng;
   Alcotest.(check bool) "refused inside the window" true
     (!inside = Some None);
@@ -205,7 +201,6 @@ let test_injection_deterministic () =
           match Mem.Buddy.alloc env.buddy ~order:0 with
           | None -> incr refused
           | Some b -> Mem.Buddy.free env.buddy b)
-      |> ignore
     done;
     Sim.Engine.run ~until:Sim.(Clock.ms 20) env.eng;
     (!refused, Mem.Buddy.injected_failures env.buddy)

@@ -33,25 +33,6 @@ let test_pop_exn () =
   Sim.Heap.push h 7;
   Alcotest.(check int) "pop_exn" 7 (Sim.Heap.pop_exn h)
 
-let test_iter_counts () =
-  let h = int_heap () in
-  List.iter (Sim.Heap.push h) [ 4; 8; 15; 16; 23; 42 ];
-  let sum = ref 0 in
-  Sim.Heap.iter (fun x -> sum := !sum + x) h;
-  Alcotest.(check int) "iter sums all" 108 !sum
-
-(* The wheel compacts cancelled events out of its queues with it. *)
-let test_filter_in_place () =
-  let h = int_heap () in
-  List.iter (Sim.Heap.push h) [ 9; 2; 7; 4; 1; 8; 3; 6; 5; 0 ];
-  Sim.Heap.filter_in_place (fun x -> x mod 2 = 0) h;
-  Alcotest.(check (list int)) "evens, sorted" [ 0; 2; 4; 6; 8 ] (drain h);
-  List.iter (Sim.Heap.push h) [ 3; 1 ];
-  Sim.Heap.filter_in_place (fun _ -> false) h;
-  Alcotest.(check bool) "all dropped" true (Sim.Heap.is_empty h);
-  Sim.Heap.push h 42;
-  Alcotest.(check (option int)) "usable after emptying" (Some 42) (Sim.Heap.pop h)
-
 let test_custom_order () =
   let h = Sim.Heap.create ~cmp:(fun a b -> compare b a) () in
   List.iter (Sim.Heap.push h) [ 1; 3; 2 ];
@@ -106,8 +87,6 @@ let suite =
     Alcotest.test_case "push/pop ordering" `Quick test_push_pop_ordering;
     Alcotest.test_case "peek does not remove" `Quick test_peek_does_not_remove;
     Alcotest.test_case "pop_exn" `Quick test_pop_exn;
-    Alcotest.test_case "iter visits all" `Quick test_iter_counts;
-    Alcotest.test_case "filter_in_place" `Quick test_filter_in_place;
     Alcotest.test_case "custom comparison" `Quick test_custom_order;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     QCheck_alcotest.to_alcotest prop_interleaved_push_pop;

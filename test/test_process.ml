@@ -57,9 +57,8 @@ let test_cond_broadcast () =
           order := id :: !order;
           incr woken))
     [ (1, 20); (2, 30); (3, 10) ];
-  ignore
-    (Sim.Engine.schedule eng ~after:500 (fun () ->
-         Sim.Process.Cond.broadcast cond));
+  Sim.Engine.schedule eng ~after:500 (fun () ->
+      Sim.Process.Cond.broadcast cond);
   Sim.Engine.run ~until:400 eng;
   Alcotest.(check int) "no early wake" 0 !woken;
   Alcotest.(check int) "waiters queued" 3 (Sim.Process.Cond.waiters cond);
@@ -78,11 +77,10 @@ let test_wait_until () =
       Sim.Process.wait_until cond (fun () -> !flag);
       finished_at := Sim.Engine.now eng);
   (* Spurious broadcast with predicate still false. *)
-  ignore (Sim.Engine.schedule eng ~after:100 (fun () -> Sim.Process.Cond.broadcast cond));
-  ignore
-    (Sim.Engine.schedule eng ~after:200 (fun () ->
-         flag := true;
-         Sim.Process.Cond.broadcast cond));
+  Sim.Engine.schedule eng ~after:100 (fun () -> Sim.Process.Cond.broadcast cond);
+  Sim.Engine.schedule eng ~after:200 (fun () ->
+      flag := true;
+      Sim.Process.Cond.broadcast cond);
   Sim.Engine.run eng;
   Alcotest.(check int) "woken only when predicate holds" 200 !finished_at
 

@@ -32,10 +32,9 @@ let prop_callback_waits_for_overlapping_readers =
                 (entered, Sim.Engine.now env.eng) :: !reader_windows))
         readers;
       let invoked_at = ref None in
-      ignore
-        (Sim.Engine.schedule env.eng ~after:enqueue_at (fun () ->
-             Rcu.call_rcu env.rcu (cpu0 env) (fun () ->
-                 invoked_at := Some (Sim.Engine.now env.eng))));
+      Sim.Engine.schedule env.eng ~after:enqueue_at (fun () ->
+          Rcu.call_rcu env.rcu (cpu0 env) (fun () ->
+              invoked_at := Some (Sim.Engine.now env.eng)));
       Sim.Engine.run_until_quiet ~horizon:(Sim.Clock.s 2) env.eng;
       Sim.Engine.run ~until:(Sim.Clock.s 2) env.eng;
       (match !invoked_at with

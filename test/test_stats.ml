@@ -128,7 +128,7 @@ let test_sampler_rings_and_export () =
      with Invalid_argument _ -> true);
   Sim.Sampler.start s;
   (* Keep the engine alive past the daemon sampler with a real event. *)
-  ignore (Sim.Engine.schedule eng ~after:200 (fun () -> ()));
+  Sim.Engine.schedule eng ~after:200 (fun () -> ());
   Sim.Engine.run_until_quiet eng;
   Alcotest.(check int) "ring bounded" 8 (Sim.Sampler.rows s);
   Alcotest.(check bool) "oldest rows dropped" true (Sim.Sampler.dropped s > 0);
@@ -172,7 +172,7 @@ let test_sampler_wraparound_keeps_newest () =
   Sim.Sampler.start s;
   (* One tick past the last sweep so the t = sweeps*period daemon event
      runs before the engine quiesces. *)
-  ignore (Sim.Engine.schedule eng ~after:((period * sweeps) + 1) (fun () -> ()));
+  Sim.Engine.schedule eng ~after:((period * sweeps) + 1) (fun () -> ());
   Sim.Engine.run_until_quiet eng;
   Alcotest.(check int) "all sweeps fired" sweeps !n;
   Alcotest.(check int) "rows capped at capacity" capacity
