@@ -65,9 +65,7 @@ let fmt_time_opt = function
 let run_fig3 params =
   let slub, prud = endurance_pair params in
   let thin (r : W.Endurance.result) =
-    let s = Sim.Series.create () in
-    Array.iter (fun (t, v) -> Sim.Series.push s ~time:t v) r.W.Endurance.series;
-    Sim.Series.downsample s ~max_points:68
+    Metrics.Ascii_chart.downsample r.W.Endurance.series ~max_points:68
   in
   let chart =
     Metrics.Ascii_chart.line

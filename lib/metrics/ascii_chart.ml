@@ -54,3 +54,9 @@ let line ?(width = 72) ?(height = 16) ~series () =
                name))
         series;
       Buffer.contents buf
+
+let downsample points ~max_points =
+  let n = Array.length points in
+  if n <= max_points || max_points <= 1 then points
+  else
+    Array.init max_points (fun i -> points.(i * (n - 1) / (max_points - 1)))

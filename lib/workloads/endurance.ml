@@ -45,9 +45,11 @@ let run (env : Env.t) (cfg : config) =
   let ncpus = Sim.Machine.nr_cpus env.Env.machine in
   let updates = ref 0 in
   (* Sample total used memory every 10 ms, like Fig. 3. *)
-  let series = Sim.Series.create () in
-  Sim.Series.sample_every env.Env.eng series ~period:cfg.sample_period_ns
-    (fun () -> float_of_int (Env.used_bytes env) /. (1024. *. 1024.));
+  let samples = ref [] in
+  Sim.Engine.every env.Env.eng ~period:cfg.sample_period_ns (fun () ->
+      let mib = float_of_int (Env.used_bytes env) /. (1024. *. 1024.) in
+      samples := (Sim.Engine.now env.Env.eng, mib) :: !samples;
+      true);
   (* Each CPU updates its own list (no list-lock contention, §3.5). *)
   for i = 0 to ncpus - 1 do
     let cpu = Env.cpu env i in
@@ -84,13 +86,14 @@ let run (env : Env.t) (cfg : config) =
          with Exit -> ()))
   done;
   Sim.Engine.run ~until:cfg.duration_ns env.Env.eng;
-  let arr = Sim.Series.to_array series in
-  let peak = Sim.Series.max_value series in
-  let final = match Sim.Series.last series with Some (_, v) -> v | None -> 0. in
+  let peak =
+    List.fold_left (fun acc (_, v) -> if v > acc then v else acc) 0. !samples
+  in
+  let final = match !samples with (_, v) :: _ -> v | [] -> 0. in
   let rcu_stats = Rcu.stats env.Env.rcu in
   {
     label = backend.Slab.Backend.label;
-    series = arr;
+    series = Array.of_list (List.rev !samples);
     oom_at_ns = Mem.Pressure.oom_time env.Env.pressure;
     peak_used_mib = peak;
     final_used_mib = final;
