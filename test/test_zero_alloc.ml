@@ -1,8 +1,9 @@
 (* Allocation pins for the slab frame's containers: once the per-slab
    and per-CPU arrays have grown, moving an object between them
    allocates nothing on the OCaml heap, and a SLUB allocation allocates
-   exactly the [Some] it returns. Each case warms up first, then counts
-   minor words over 10k iterations. *)
+   exactly the [Some] it returns. The engine's schedule/dispatch cycle
+   allocates nothing either, under both tie-break policies. Each case
+   warms up first, then counts minor words over 10k iterations. *)
 
 open Test_util
 module Frame = Slab.Frame
@@ -147,6 +148,23 @@ let test_slub_alloc () =
     (float_of_int (2 * iterations))
     (fst (slub_alloc_free_words ()))
 
+(* Each cycle schedules two same-instant events and one 70 us away,
+   which lands on wheel level 1 and cascades down before it runs, then
+   steps all three. The handler closure is allocated once, up front. *)
+let test_engine_cycle tiebreak () =
+  let eng = Sim.Engine.create ~tiebreak () in
+  let fn () = () in
+  pin "schedule x3 + step x3" (fun _ ->
+      Sim.Engine.schedule eng ~after:0 fn;
+      Sim.Engine.schedule eng ~after:0 fn;
+      Sim.Engine.schedule eng ~after:70_000 fn;
+      for _ = 1 to 3 do
+        assert (Sim.Engine.step eng)
+      done);
+  Alcotest.(check int) "every event ran" 0 (Sim.Engine.pending eng);
+  Alcotest.(check bool) "the far events cascaded" true
+    (Sim.Engine.cascades eng > iterations)
+
 let suite =
   [
     Alcotest.test_case "free stack take/put allocate nothing" `Quick
@@ -162,4 +180,9 @@ let suite =
     Alcotest.test_case "SLUB free allocates nothing" `Quick test_slub_free;
     Alcotest.test_case "SLUB alloc allocates only its Some" `Quick
       test_slub_alloc;
+    Alcotest.test_case "engine schedule/step allocate nothing (Fifo)" `Quick
+      (test_engine_cycle Sim.Engine.Fifo);
+    Alcotest.test_case "engine schedule/step allocate nothing (Shuffle)"
+      `Quick
+      (test_engine_cycle (Sim.Engine.Shuffle 3));
   ]
