@@ -29,10 +29,9 @@
 type config = {
   scan_depth : int;
       (** Partial slabs examined during slab selection (paper: 10). *)
-  preflush_enabled : bool;  (** Idle-time latent-cache pre-flush. *)
-  preflush_chunk : int;
-      (** Objects migrated per idle pass in the less aggressive mode. *)
-  preflush_interval_ns : int;  (** Gap between idle passes. *)
+  preflush_enabled : bool;
+      (** Idle-time latent-cache pre-flush: passes 5 us apart, each
+          migrating up to 8 objects in the less aggressive mode. *)
   latent_cap : int option;
       (** Override for the latent-cache bound (default: object-cache
           capacity, §4.1). [Some 0] disables the latent cache entirely

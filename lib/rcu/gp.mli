@@ -38,8 +38,6 @@ type config = {
   softirq_period_ns : int;
       (** Delay between consecutive softirq passes on a CPU with ready
           callbacks. *)
-  enqueue_cost_ns : int;  (** CPU cost charged by {!call_rcu}. *)
-  invoke_cost_ns : int;  (** CPU cost charged per invoked callback. *)
   stall_timeout_ns : int option;
       (** Grace-period budget for the stall detector (the kernel's
           [CONFIG_RCU_CPU_STALL_TIMEOUT], typically 21 s). When a grace
@@ -89,7 +87,8 @@ val set_section_hooks :
 val call_rcu : t -> Sim.Machine.cpu -> (unit -> unit) -> unit
 (** [call_rcu t cpu fn] defers [fn] until after a grace period; [fn] runs on
     [cpu] during a later softirq pass (batched and throttled). This is the
-    baseline (SLUB) reclamation path from Listing 1 of the paper. *)
+    baseline (SLUB) reclamation path from Listing 1 of the paper. The
+    enqueue charges [cpu] 25 ns; each invocation charges it 150 ns. *)
 
 val synchronize : t -> unit
 (** Block the calling process until a full grace period elapses. *)
