@@ -251,9 +251,9 @@ let words_per_update m =
 let allocs_per_event m =
   if m.c.events = 0 then 0. else m.minor_words /. float_of_int m.c.events
 
-(* 15% historically; tightened to 10% once the timer-wheel scheduler's
-   allocation-free hot path cut the steady-state figure (the per-event
-   heap record is gone, so there is headroom below the baseline). *)
+(* 10%: the timer-wheel scheduler's hot path allocates no per-event
+   record, so the steady-state figure leaves headroom below the
+   baseline. *)
 let allocs_per_event_tolerance_pct = 10.
 
 let run_all ?(scenarios = all_scenarios) p =
