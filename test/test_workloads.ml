@@ -90,6 +90,35 @@ let test_endurance_prudence_flat () =
     true
     (last < 3. *. Float.max early 0.5)
 
+(* Endurance samples used memory once per sample period up to the end
+   of the run; its peak and final figures are read off those samples. *)
+let test_endurance_sampling () =
+  let env = W.Env.build (small_cfg W.Env.Prudence_alloc) in
+  let period = Sim.Clock.ms 1 in
+  let r =
+    W.Endurance.run env
+      {
+        W.Endurance.default_config with
+        W.Endurance.duration_ns = Sim.Clock.ms 20;
+        sample_period_ns = period;
+        update_interval_ns = 20_000;
+        list_len = 16;
+      }
+  in
+  let series = r.W.Endurance.series in
+  Alcotest.(check (list int))
+    "one sample per period"
+    (List.init 20 (fun k -> (k + 1) * period))
+    (Array.to_list (Array.map fst series));
+  let values = Array.map snd series in
+  Alcotest.(check (float 0.))
+    "peak is the largest sample"
+    (Array.fold_left Float.max 0. values)
+    r.W.Endurance.peak_used_mib;
+  Alcotest.(check (float 0.))
+    "final is the last sample" values.(19) r.W.Endurance.final_used_mib;
+  Alcotest.(check bool) "memory in use" true (r.W.Endurance.peak_used_mib > 0.)
+
 let test_endurance_baseline_grows () =
   let cfg =
     {
@@ -492,6 +521,8 @@ let suite =
       test_endurance_prudence_flat;
     Alcotest.test_case "endurance: baseline grows" `Slow
       test_endurance_baseline_grows;
+    Alcotest.test_case "endurance: samples per period" `Quick
+      test_endurance_sampling;
     Alcotest.test_case "appmodel runs" `Quick test_appmodel_runs;
     Alcotest.test_case "appmodel standing objects" `Quick
       test_appmodel_standing_objects_live;
