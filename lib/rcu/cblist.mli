@@ -1,10 +1,12 @@
-(** Segmented RCU callback list (one per CPU).
+(** RCU callback list (one per CPU): a flat ring of callbacks.
 
     Callbacks are enqueued with the grace-period cookie they must wait for
     (cookies are non-decreasing in enqueue order, as in Linux's
-    [rcu_segcblist]), sit in the waiting segment until that grace period
-    completes, and are then advanced to the done segment from which the
-    softirq-style invoker drains them in throttled batches. *)
+    [rcu_segcblist]), wait until that grace period completes, and are then
+    advanced to the done part of the ring, from which the softirq-style
+    invoker drains them in throttled batches, oldest first. Once the ring
+    has grown to the backlog, enqueue, advance and drain allocate
+    nothing. *)
 
 type t
 
@@ -16,16 +18,16 @@ val enqueue : t -> cookie:int -> (unit -> unit) -> unit
     >= every previously enqueued cookie (asserted). *)
 
 val advance : t -> completed:int -> int
-(** [advance cbl ~completed] moves every waiting callback whose cookie is
-    [<= completed] to the done segment; returns how many moved. *)
+(** [advance cbl ~completed] makes every waiting callback whose cookie is
+    [<= completed] invocable; returns how many moved. *)
 
 val drain : t -> max:int -> f:((unit -> unit) -> unit) -> int
 (** [drain cbl ~max ~f] removes up to [max] invocable callbacks, oldest
     first, applying [f] to each; returns how many were drained (the count
     the list already maintains — no [List.length] walk, no intermediate
     list). The batch size is fixed before the first invocation:
-    callbacks advanced to the done segment by [f]'s side effects are not
-    drained until the next pass. *)
+    callbacks that [f]'s side effects enqueue or advance are not drained
+    until the next pass. *)
 
 val waiting : t -> int
 (** Callbacks still waiting for their grace period. *)

@@ -50,6 +50,9 @@ type pcpu = {
   cpu : Sim.Machine.cpu;
   cbs : Cblist.t;
   mutable softirq_scheduled : bool;
+  mutable softirq : unit -> unit;
+      (* This CPU's softirq pass, made once in [create] so arming it
+         allocates nothing. *)
 }
 
 type t = {
@@ -137,14 +140,13 @@ let batch_size t (pc : pcpu) =
     t.cfg.expedited_blimit
   else t.cfg.blimit
 
-let rec raise_softirq t (pc : pcpu) =
+let raise_softirq t (pc : pcpu) =
   if not pc.softirq_scheduled then begin
     pc.softirq_scheduled <- true;
-    Sim.Engine.schedule t.engine ~after:t.cfg.softirq_period_ns (fun () ->
-        softirq_pass t pc)
+    Sim.Engine.schedule t.engine ~after:t.cfg.softirq_period_ns pc.softirq
   end
 
-and softirq_pass t (pc : pcpu) =
+let softirq_pass t (pc : pcpu) =
   Prof.enter (prof t) ~cpu:pc.cpu.Sim.Machine.id Prof.Span.Rcu_cb_drain;
   pc.softirq_scheduled <- false;
   t.s_softirq_passes <- t.s_softirq_passes + 1;
@@ -243,7 +245,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
         t.lose_tick mod n = 0
   in
   (* The injected bug: the callback vanishes between the accounting and the
-     segmented list, exactly like a lost-cell race in a lockless cblist.
+     callback list, exactly like a lost-cell race in a lockless cblist.
      Everything else (cost, pending, queued stats, trace) proceeds, so only
      a conservation check across the lists can tell. *)
   if not lost then Cblist.enqueue pc.cbs ~cookie fn;
@@ -335,6 +337,7 @@ let create ?(config = default_config) machine =
               cpu = Sim.Machine.cpu machine i;
               cbs = Cblist.create ();
               softirq_scheduled = false;
+              softirq = ignore;
             });
       qs_needed = Array.make ncpus false;
       qs_remaining = 0;
@@ -359,5 +362,6 @@ let create ?(config = default_config) machine =
       lose_tick = 0;
     }
   in
+  Array.iter (fun pc -> pc.softirq <- (fun () -> softirq_pass t pc)) t.percpu;
   Sim.Machine.on_context_switch machine (fun cpu -> quiescent_state t cpu);
   t
