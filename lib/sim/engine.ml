@@ -8,7 +8,6 @@ type t = {
   pool : Wheel.pool;
   mutable now : int;
   mutable next_seq : int;
-  mutable running : bool;
   mutable stop_requested : bool;
   mutable executed : int;
   mutable busy : int; (* queued non-daemon events *)
@@ -66,7 +65,6 @@ let create ?(seed = 42) ?(tiebreak = Fifo) () =
     pool;
     now = 0;
     next_seq = 0;
-    running = false;
     stop_requested = false;
     executed = 0;
     busy = 0;
@@ -281,10 +279,8 @@ let dispatch t ~horizon ~quiet =
   done
 
 let run ?until t =
-  t.running <- true;
   let horizon = match until with None -> max_int | Some u -> u in
   dispatch t ~horizon ~quiet:false;
-  t.running <- false;
   match until with
   | Some u when (not t.stop_requested) && u > t.now -> t.now <- u
   | _ -> ()
