@@ -105,9 +105,7 @@ let make_slub_pair () =
   let cpu = Workloads.Env.cpu env 0 in
   let backend = env.Workloads.Env.backend in
   fun () ->
-    match backend.Slab.Backend.alloc cache cpu with
-    | Some obj -> backend.Slab.Backend.free cache cpu obj
-    | None -> failwith "oom"
+    backend.Slab.Backend.free cache cpu (backend.Slab.Backend.alloc cache cpu)
 
 let make_prudence_pair () =
   let env =
@@ -125,9 +123,7 @@ let make_prudence_pair () =
   let cpu = Workloads.Env.cpu env 0 in
   let backend = env.Workloads.Env.backend in
   fun () ->
-    match backend.Slab.Backend.alloc cache cpu with
-    | Some obj -> backend.Slab.Backend.free cache cpu obj
-    | None -> failwith "oom"
+    backend.Slab.Backend.free cache cpu (backend.Slab.Backend.alloc cache cpu)
 
 let make_engine_event () =
   let eng = Sim.Engine.create () in

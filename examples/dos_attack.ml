@@ -38,10 +38,10 @@ let run kind =
             (* open(): allocate the file object; close(): defer-free it
                (fput goes through RCU). *)
             (match backend.Slab.Backend.alloc cache cpu with
-            | Some obj ->
+            | obj ->
                 incr opens;
                 backend.Slab.Backend.free_deferred cache cpu obj
-            | None ->
+            | exception Slab.Frame.Oom ->
                 Mem.Pressure.declare_oom env.W.Env.pressure
                   ~now:(Sim.Engine.now env.W.Env.eng);
                 Sim.Engine.stop env.W.Env.eng;

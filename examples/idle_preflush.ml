@@ -30,10 +30,7 @@ let run ~preflush =
            up). Cache + latent now exceed the object-cache capacity: an
            overflow flush is foreseeable (§4.2)... *)
         let objs =
-          List.init 40 (fun _ ->
-              match backend.Slab.Backend.alloc cache cpu with
-              | Some o -> o
-              | None -> failwith "oom")
+          List.init 40 (fun _ -> backend.Slab.Backend.alloc cache cpu)
         in
         List.iteri
           (fun i o ->

@@ -29,10 +29,7 @@ let () =
   Sim.Process.spawn env.W.Env.eng (fun () ->
       (* Allocate a batch of objects. *)
       let objs =
-        List.init 10 (fun _ ->
-            match backend.Slab.Backend.alloc cache cpu with
-            | Some o -> o
-            | None -> failwith "out of memory")
+        List.init 10 (fun _ -> backend.Slab.Backend.alloc cache cpu)
       in
       Format.printf "t=%a  allocated 10 objects (live=%d, slabs=%d)@."
         Sim.Clock.pp
@@ -59,10 +56,7 @@ let () =
       (* The deferred objects are now merged back on demand: the very next
          allocations reuse their memory with no callback processing. *)
       let reused =
-        List.init 10 (fun _ ->
-            match backend.Slab.Backend.alloc cache cpu with
-            | Some o -> o
-            | None -> failwith "out of memory")
+        List.init 10 (fun _ -> backend.Slab.Backend.alloc cache cpu)
       in
       let reused_ids = List.map (fun (o : Slab.Frame.objekt) -> o.Slab.Frame.oid) reused in
       let original_ids = List.map (fun (o : Slab.Frame.objekt) -> o.Slab.Frame.oid) objs in

@@ -92,10 +92,10 @@ let replay ?(seed = 42) ?(total_pages = 16_384) trace kind =
           (match op with
           | Alloc slot -> (
               match backend.Slab.Backend.alloc cache cpu with
-              | Some obj ->
+              | obj ->
                   slots.(slot) <- Some obj;
                   outcomes.(i) <- Alloc_ok
-              | None -> outcomes.(i) <- Alloc_failed)
+              | exception Slab.Frame.Oom -> outcomes.(i) <- Alloc_failed)
           | Free slot -> (
               match slots.(slot) with
               | Some obj ->

@@ -165,11 +165,11 @@ let run_costs params =
       let measure () =
         ignore (Sim.Machine.drain cpu);
         match backend.Slab.Backend.alloc cache cpu with
-        | Some obj ->
+        | obj ->
             let cost = Sim.Machine.drain cpu in
             Sim.Process.sleep env.W.Env.eng cost;
             (obj, cost)
-        | None -> failwith "costs probe: unexpected OOM"
+        | exception Slab.Frame.Oom -> failwith "costs probe: unexpected OOM"
       in
       let pc = Slab.Frame.pcpu_for cache cpu in
       let stats () = Slab.Slab_stats.snapshot cache.Slab.Frame.stats in

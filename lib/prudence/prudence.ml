@@ -255,7 +255,7 @@ let rec alloc_inner t ~may_wait (cache : Frame.cache) cpu =
     Stats.hit cache.Frame.stats;
     Frame.event cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
-    Some obj
+    obj
   end
   else alloc_slow t ~may_wait cache cpu pc
 
@@ -269,7 +269,7 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
     Stats.hit cache.Frame.stats;
     Frame.event cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
-    Some obj
+    obj
   end
   else begin
       Stats.miss cache.Frame.stats;
@@ -315,7 +315,7 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
       then begin
         let obj = Frame.pop_ocache_exn pc in
         Frame.hand_to_user cache cpu obj;
-        Some obj
+        obj
       end
       else if
         (* l.31-33: delay OOM if deferred objects will become free. *)
@@ -326,18 +326,25 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
         t.smr.Smr.wait ();
         alloc_inner t ~may_wait:false cache cpu
       end
-      else None
+      else raise_notrace Frame.Oom
   end
 
 (* May suspend mid-span on the wait-on-OOM path (Rcu.synchronize);
-   Prof.exit's unwind semantics keep the span stack consistent. *)
+   Prof.exit's unwind semantics keep the span stack consistent, and the
+   suspended continuation keeps the [Oom] handler. A failed allocation
+   is priced and its span closed like a successful one. *)
 let alloc t ?(may_wait = true) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
   let pend0 = cpu.Sim.Machine.pending_ns in
-  let result = alloc_inner t ~may_wait cache cpu in
-  Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
-  Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
-  result
+  match alloc_inner t ~may_wait cache cpu with
+  | obj ->
+      Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
+      Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
+      obj
+  | exception Frame.Oom ->
+      Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
+      Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
+      raise_notrace Frame.Oom
 
 (* Algorithm 1 FREE_DEFERRED (l.34-51). *)
 let free_deferred t (cache : Frame.cache) cpu obj =

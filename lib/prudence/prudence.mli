@@ -76,10 +76,11 @@ val create_cache : t -> name:string -> obj_size:int -> Slab.Frame.cache
 
 val alloc :
   t -> ?may_wait:bool -> Slab.Frame.cache -> Sim.Machine.cpu ->
-  Slab.Frame.objekt option
+  Slab.Frame.objekt
 (** Algorithm 1 MALLOC. [may_wait] (default true) permits the OOM-delay
     path, which suspends the calling process for a grace period; pass
-    [false] outside process context. *)
+    [false] outside process context. Raises {!Slab.Frame.Oom} when no
+    object can be had, the OOM delay included. *)
 
 val free : t -> Slab.Frame.cache -> Sim.Machine.cpu -> Slab.Frame.objekt -> unit
 (** Regular free. The overflow flush size accounts for latent objects

@@ -45,8 +45,8 @@ let find t key =
 
 let insert t cpu ~key ~value =
   match t.backend.Slab.Backend.alloc t.cache cpu with
-  | None -> false
-  | Some obj ->
+  | exception Slab.Frame.Oom -> false
+  | obj ->
       let n = Array.length t.entries in
       let e = { key; value; obj } in
       let a = Array.make (n + 1) e in
@@ -63,8 +63,8 @@ let update t cpu ~key ~value =
   else
     let old = t.entries.(i) in
     match t.backend.Slab.Backend.alloc t.cache cpu with
-    | None -> `Oom
-    | Some obj ->
+    | exception Slab.Frame.Oom -> `Oom
+    | obj ->
         (* Publish the new version, then defer the old one: pre-existing
            readers may still hold it (Fig. 1). *)
         let old_obj = old.obj in

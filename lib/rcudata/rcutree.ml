@@ -27,18 +27,14 @@ let rec node_depth = function
 
 let depth t = node_depth t.root
 
-exception Oom
-
 (* Fresh nodes are tracked per operation so that an out-of-memory failure
    midway through a path copy can roll back: unpublished nodes are freed
    immediately (no reader can hold them). *)
 let fresh t cpu scratch ~key ~value ~left ~right =
-  match t.backend.Slab.Backend.alloc t.cache cpu with
-  | Some obj ->
-      let n = { key; value; left; right; obj } in
-      scratch := n :: !scratch;
-      n
-  | None -> raise Oom
+  let obj = t.backend.Slab.Backend.alloc t.cache cpu in
+  let n = { key; value; left; right; obj } in
+  scratch := n :: !scratch;
+  n
 
 let rollback t cpu scratch =
   List.iter
@@ -78,7 +74,7 @@ let insert t cpu ~key ~value =
       List.iter (defer t cpu) replaced;
       if added then t.count <- t.count + 1;
       true
-  | exception Oom ->
+  | exception Slab.Frame.Oom ->
       rollback t cpu scratch;
       false
 
@@ -138,7 +134,7 @@ let delete t cpu ~key =
       List.iter (defer t cpu) replaced;
       t.count <- t.count - 1;
       true
-  | exception Oom ->
+  | exception Slab.Frame.Oom ->
       rollback t cpu scratch;
       false
 

@@ -5,11 +5,13 @@
     Prudence — the comparison the whole evaluation depends on. *)
 
 type t = {
-  label : string;  (** "slub" or "prudence". *)
+  label : string;
+      (** The allocator stack's name: "slub", "prudence", "ebr-debra" or
+          "hyaline". *)
   create_cache : name:string -> obj_size:int -> Frame.cache;
       (** Create (or reuse) a named slab cache. *)
-  alloc : Frame.cache -> Sim.Machine.cpu -> Frame.objekt option;
-      (** Allocate one object; [None] on out-of-memory. *)
+  alloc : Frame.cache -> Sim.Machine.cpu -> Frame.objekt;
+      (** Allocate one object. Raises {!Frame.Oom} on out-of-memory. *)
   free : Frame.cache -> Sim.Machine.cpu -> Frame.objekt -> unit;
       (** Immediate free (the mutator knows no readers can hold it). *)
   free_deferred : Frame.cache -> Sim.Machine.cpu -> Frame.objekt -> unit;

@@ -138,7 +138,7 @@ and cache = {
   mutable free_target : (unit -> int) option;
 }
 
-exception Slab_oom of string
+exception Oom
 
 let empty_list () = { head = None; tail = None; len = 0 }
 

@@ -171,8 +171,11 @@ and cache = private {
           allocation rate — a "hint about the future"). *)
 }
 
-exception Slab_oom of string
-(** Raised when a cache cannot grow and the policy cannot wait. *)
+exception Oom
+(** The slab API's out-of-memory report: an allocator's [alloc] returns
+    the object itself or raises [Oom], after its OOM handling (the
+    pressure watcher's handler chain, and Prudence's OOM delay) has
+    failed. One constant exception, so neither outcome allocates. *)
 
 (** {1 Slab lists}
 

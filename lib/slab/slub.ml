@@ -31,7 +31,7 @@ let alloc_inner (cache : Frame.cache) cpu =
     Slab_stats.hit cache.Frame.stats;
     Frame.event cache cpu Alloc_hit 0;
     Frame.hand_to_user cache cpu obj;
-    Some obj
+    obj
   end
   else begin
       Slab_stats.miss cache.Frame.stats;
@@ -50,24 +50,28 @@ let alloc_inner (cache : Frame.cache) cpu =
       if pc.Frame.ocache_n > 0 then begin
         let obj = Frame.pop_ocache_exn pc in
         Frame.hand_to_user cache cpu obj;
-        Some obj
+        obj
       end
-      else None
+      else raise_notrace Frame.Oom
   end
 
+(* A failed allocation is priced and its span closed like a successful
+   one; the handler only does that, then passes [Oom] on. *)
 let alloc (_ : t) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_alloc;
   let pend0 = cpu.Sim.Machine.pending_ns in
-  let result = alloc_inner cache cpu in
-  Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
-  Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
-  result
+  match alloc_inner cache cpu with
+  | obj ->
+      Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
+      Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
+      obj
+  | exception Frame.Oom ->
+      Frame.event cache cpu Alloc_cost (cpu.Sim.Machine.pending_ns - pend0);
+      Prof.exit (Frame.prof cache) Prof.Span.Slab_alloc;
+      raise_notrace Frame.Oom
 
-(* The reclamation path shared by immediate frees and RCU callbacks. It
-   needs nothing from [t], but the [call_rcu] closure in [free_deferred]
-   captures it; shrinking that per-deferred-free allocation is its own
-   change. *)
-let release _t (cache : Frame.cache) cpu obj =
+(* The reclamation path shared by immediate frees and RCU callbacks. *)
+let release (cache : Frame.cache) cpu obj =
   let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   charge cpu costs.Costs.free_to_cache;
@@ -77,11 +81,11 @@ let release _t (cache : Frame.cache) cpu obj =
     Frame.flush_to_node cache cpu
       ~count:(pc.Frame.ocache_n - (cache.Frame.ocache_cap / 2))
 
-let free t cache cpu obj =
+let free (_ : t) cache cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_free;
   Slab_stats.free cache.Frame.stats;
   Frame.release_from_user cache cpu obj;
-  release t cache cpu obj;
+  release cache cpu obj;
   Prof.exit (Frame.prof cache) Prof.Span.Slab_free
 
 let free_deferred t (cache : Frame.cache) cpu obj =
@@ -92,8 +96,10 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   Frame.stamp_deferred cache cpu obj ~cookie;
   charge cpu costs.Costs.defer_enqueue;
   (* Listing 1: the allocator never sees the object until RCU invokes the
-     callback, possibly long after the grace period. *)
-  Rcu.call_rcu t.rcu cpu (fun () -> release t cache cpu obj);
+     callback, possibly long after the grace period. The closure holds
+     only [cpu] and [obj] (5 words); the object knows its cache. *)
+  Rcu.call_rcu t.rcu cpu (fun () ->
+      release obj.Frame.parent.Frame.cache cpu obj);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_defer
 
 let settle t =

@@ -23,9 +23,9 @@ val rcu : t -> Rcu.t
 val create_cache : t -> name:string -> obj_size:int -> Frame.cache
 (** Create a named slab cache (or return the existing one by name). *)
 
-val alloc : t -> Frame.cache -> Sim.Machine.cpu -> Frame.objekt option
-(** Allocate an object; [None] when the page allocator is exhausted even
-    after running the OOM handler chain. *)
+val alloc : t -> Frame.cache -> Sim.Machine.cpu -> Frame.objekt
+(** Allocate an object. Raises {!Frame.Oom} when the page allocator is
+    exhausted even after running the OOM handler chain. *)
 
 val free : t -> Frame.cache -> Sim.Machine.cpu -> Frame.objekt -> unit
 (** Immediate free into the object cache (with overflow flushing). *)

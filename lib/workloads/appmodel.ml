@@ -109,8 +109,8 @@ let run (env : Env.t) (cfg : config) =
              (fun (c, count) ->
                for _ = 1 to count do
                  match backend.Slab.Backend.alloc caches.(c) cpu with
-                 | Some _obj -> () (* held for the whole run *)
-                 | None ->
+                 | _obj -> () (* held for the whole run *)
+                 | exception Slab.Frame.Oom ->
                      oom := true;
                      raise Exit
                done)
@@ -121,8 +121,8 @@ let run (env : Env.t) (cfg : config) =
                match shape.(j) with
                | Acquire c -> (
                    match backend.Slab.Backend.alloc caches.(c) cpu with
-                   | Some obj -> Sim.Deque.push_back pools.(c) obj
-                   | None ->
+                   | obj -> Sim.Deque.push_back pools.(c) obj
+                   | exception Slab.Frame.Oom ->
                        oom := true;
                        raise Exit)
                | Release c ->

@@ -41,12 +41,12 @@ let run (env : Env.t) (cfg : config) =
              let quantum = min cfg.ops_per_quantum (cfg.pairs_per_cpu - !pairs_done) in
              for _ = 1 to quantum do
                match backend.Slab.Backend.alloc cache cpu with
-               | Some obj ->
+               | obj ->
                    (* the "list update" the pair models *)
                    Sim.Machine.consume cpu cfg.op_work_ns;
                    backend.Slab.Backend.free_deferred cache cpu obj;
                    incr pairs_done
-               | None ->
+               | exception Slab.Frame.Oom ->
                    oom := true;
                    raise Exit
              done;

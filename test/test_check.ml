@@ -52,7 +52,7 @@ let test_oracle_lifecycle () =
   let cache = backend.Slab.Backend.create_cache ~name:"lc" ~obj_size:256 in
   let c = W.Env.cpu env 0 in
   drive env (fun () ->
-      let obj = Option.get (backend.Slab.Backend.alloc cache c) in
+      let obj = backend.Slab.Backend.alloc cache c in
       let oid = obj.Slab.Frame.oid in
       check_state oracle ~oid "live";
       backend.Slab.Backend.free_deferred cache c obj;
@@ -66,10 +66,7 @@ let test_oracle_lifecycle () =
       let churn =
         List.init 200 (fun _ -> backend.Slab.Backend.alloc cache c)
       in
-      List.iter
-        (function
-          | Some o -> backend.Slab.Backend.free cache c o | None -> ())
-        churn;
+      List.iter (fun o -> backend.Slab.Backend.free cache c o) churn;
       match Shadow.state oracle ~oid with
       | Some (Shadow.Live | Shadow.Reclaimed) -> ()
       | other ->
@@ -90,7 +87,7 @@ let test_two_oracles_one_env () =
   let c = W.Env.cpu env 0 in
   let readers = env.W.Env.readers in
   drive env (fun () ->
-      let obj = Option.get (backend.Slab.Backend.alloc cache c) in
+      let obj = backend.Slab.Backend.alloc cache c in
       Rcu.Readers.with_section readers c (fun () ->
           Rcu.Readers.hold readers c ~oid:obj.Slab.Frame.oid);
       backend.Slab.Backend.free_deferred cache c obj;
@@ -109,7 +106,7 @@ let test_oracle_use_after_reclaim () =
   let c = W.Env.cpu env 0 in
   let readers = env.W.Env.readers in
   drive env (fun () ->
-      let obj = Option.get (backend.Slab.Backend.alloc cache c) in
+      let obj = backend.Slab.Backend.alloc cache c in
       let oid = obj.Slab.Frame.oid in
       (* Legal: reading a live object. *)
       Rcu.Readers.with_section readers c (fun () ->
@@ -139,7 +136,7 @@ let test_oracle_double_free () =
   let cache = backend.Slab.Backend.create_cache ~name:"df" ~obj_size:256 in
   let c = W.Env.cpu env 0 in
   drive env (fun () ->
-      let obj = Option.get (backend.Slab.Backend.alloc cache c) in
+      let obj = backend.Slab.Backend.alloc cache c in
       backend.Slab.Backend.free cache c obj;
       match backend.Slab.Backend.free cache c obj with
       | () -> Alcotest.fail "double free was not rejected"
@@ -531,11 +528,7 @@ let test_audit_clean () =
   let cache = backend.Slab.Backend.create_cache ~name:"aud" ~obj_size:512 in
   let c = W.Env.cpu env 0 in
   drive env (fun () ->
-      let objs =
-        List.filter_map
-          (fun _ -> backend.Slab.Backend.alloc cache c)
-          (List.init 300 Fun.id)
-      in
+      let objs = List.init 300 (fun _ -> backend.Slab.Backend.alloc cache c) in
       List.iteri
         (fun i o ->
           if i mod 2 = 0 then backend.Slab.Backend.free cache c o

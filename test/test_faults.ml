@@ -232,11 +232,7 @@ let test_stalled_reader_catches_unsafe_skip_gp () =
   let c0 = cpu0 env and c1 = cpu env 1 in
   Alcotest.(check bool) "reader section open on cpu 1" true
     (c1.Sim.Machine.rcu_nesting > 0);
-  let obj =
-    match Prudence.alloc pr cache c0 with
-    | Some o -> o
-    | None -> Alcotest.fail "alloc failed"
-  in
+  let obj = Prudence.alloc pr cache c0 in
   (* Drain the per-cpu object cache so the deferred object is the only
      source for the next allocation. *)
   let pc = Slab.Frame.pcpu_for cache c0 in
@@ -253,11 +249,7 @@ let test_stalled_reader_catches_unsafe_skip_gp () =
   (* ...while the writer defers it and unsafe_skip_gp recycles it without
      waiting for the (pinned) grace period. *)
   Prudence.free_deferred pr cache c0 obj;
-  let next =
-    match Prudence.alloc pr cache c0 with
-    | Some o -> o
-    | None -> Alcotest.fail "realloc failed"
-  in
+  let next = Prudence.alloc pr cache c0 in
   Alcotest.(check int) "object recycled under the reader" obj.Slab.Frame.oid
     next.Slab.Frame.oid;
   Alcotest.(check bool) "premature reuse flagged" true

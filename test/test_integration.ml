@@ -86,11 +86,7 @@ let gp_stall kind =
   let backend = env.W.Env.backend in
   let cache = backend.Slab.Backend.create_cache ~name:"stall" ~obj_size:256 in
   let c0 = W.Env.cpu env 0 and c1 = W.Env.cpu env 1 in
-  let obj =
-    match backend.Slab.Backend.alloc cache c0 with
-    | Some o -> o
-    | None -> Alcotest.fail "oom"
-  in
+  let obj = backend.Slab.Backend.alloc cache c0 in
   let oid = obj.Slab.Frame.oid in
   (* Reader enters and holds the object. *)
   Rcu.Readers.enter env.W.Env.readers c1;
@@ -115,6 +111,48 @@ let gp_stall kind =
 let test_gp_stall_slub () = gp_stall W.Env.Baseline
 let test_gp_stall_prudence () = gp_stall W.Env.Prudence_alloc
 
+(* Out of memory, an allocation raises [Slab.Frame.Oom] only after
+   pricing itself (one [Alloc_cost] on the tap, as a success emits) and
+   closing its profiler span: every allocation, the failed ones
+   included, is a root [slab.alloc] frame, and a span the caller opens
+   next is a root too, not a child of the failed call. *)
+let oom_is_priced_and_closed kind () =
+  let prof = Prof.create ~ncpus:2 () in
+  let env =
+    W.Env.build
+      { W.Env.default_config with W.Env.kind; cpus = 2; total_pages = 64; prof }
+  in
+  let backend = env.W.Env.backend in
+  let cache = backend.Slab.Backend.create_cache ~name:"oom" ~obj_size:4096 in
+  let c = W.Env.cpu env 0 in
+  let costs = ref 0 in
+  Trace.Tap.subscribe (Sim.Engine.tap env.W.Env.eng)
+    (fun kind ~cpu:_ ~label:_ _ _ ->
+      match kind with Trace.Event.Alloc_cost -> incr costs | _ -> ());
+  let held = ref 0 in
+  let rec exhaust () =
+    match backend.Slab.Backend.alloc cache c with
+    | _ ->
+        incr held;
+        exhaust ()
+    | exception Slab.Frame.Oom -> ()
+  in
+  exhaust ();
+  Alcotest.(check bool) "objects were handed out first" true (!held > 0);
+  Alcotest.(check int) "one Alloc_cost per call" (!held + 1) !costs;
+  Alcotest.check_raises "still out of memory" Slab.Frame.Oom (fun () ->
+      ignore (backend.Slab.Backend.alloc cache c));
+  Alcotest.(check int) "the failed call was priced" (!held + 2) !costs;
+  Prof.enter prof ~cpu:0 Prof.Span.Check_probe;
+  Prof.exit prof Prof.Span.Check_probe;
+  let folded = Prof.folded prof in
+  Alcotest.(check (option int)) "every allocation a root frame"
+    (Some (!held + 2))
+    (List.assoc_opt "slab.alloc" folded);
+  Alcotest.(check (option int)) "the caller's next span is a root" (Some 1)
+    (List.assoc_opt "check.probe" folded);
+  Alcotest.(check int) "no orphan exits" 0 (Prof.dropped_exits prof)
+
 (* Determinism across the whole stack: identical seeds -> identical
    simulations, different seeds -> different interleavings. *)
 let test_cross_stack_determinism () =
@@ -138,6 +176,11 @@ let suite =
       test_gp_stall_slub;
     Alcotest.test_case "reader stalls reclamation (prudence)" `Quick
       test_gp_stall_prudence;
+    Alcotest.test_case "OOM raises, priced and its span closed (slub)" `Quick
+      (oom_is_priced_and_closed W.Env.Baseline);
+    Alcotest.test_case "OOM raises, priced and its span closed (prudence)"
+      `Quick
+      (oom_is_priced_and_closed W.Env.Prudence_alloc);
     Alcotest.test_case "cross-stack determinism" `Slow
       test_cross_stack_determinism;
   ]

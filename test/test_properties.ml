@@ -121,7 +121,7 @@ let test_numa_objects_return_home () =
   (* Allocate enough on node 0 to go through several slabs. *)
   let objs =
     List.init 100 (fun _ ->
-        Option.get (Slab.Slub.alloc slub cache c_node0))
+        Slab.Slub.alloc slub cache c_node0)
   in
   List.iter
     (fun (o : Slab.Frame.objekt) ->
@@ -146,7 +146,7 @@ let test_numa_objects_return_home () =
   let leftovers = pc.Slab.Frame.ocache_n in
   let later =
     List.init (leftovers + 1) (fun _ ->
-        Option.get (Slab.Slub.alloc slub cache c_node1))
+        Slab.Slub.alloc slub cache c_node1)
   in
   let last = List.nth later leftovers in
   Alcotest.(check int) "new slab homed on node1" 1
@@ -161,7 +161,7 @@ let test_numa_prudence_latent_per_node () =
   (* Push deferred objects past the latent-cache bound so they land in
      latent slabs; the latent-slab lists are per node. *)
   let alloc_on c n =
-    List.init n (fun _ -> Option.get (Prudence.alloc pr ~may_wait:false cache c))
+    List.init n (fun _ -> Prudence.alloc pr ~may_wait:false cache c)
   in
   let a = alloc_on c0 80 and b = alloc_on c3 80 in
   List.iter (Prudence.free_deferred pr cache c0) a;
@@ -217,41 +217,78 @@ let prop_buddy_coverage_and_conservation =
         && Mem.Buddy.would_satisfy b ~order:(Mem.Buddy.largest_free_order b)
       end)
 
-(* Segmented callback list: segment counts always sum, and no callback is
-   ever lost or double-invoked across random enqueue / advance / drain
-   interleavings. *)
+(* The callback ring against a list model: random enqueue bursts,
+   advances, drains and drains whose callbacks enqueue more. Bursts of up
+   to 8 grow the ring past 16 and 32 while it holds entries, usually
+   wrapped. Every callback runs exactly once, in enqueue order; a drain
+   invokes exactly the model's ready prefix, capped by its [max], so
+   callbacks enqueued from inside a drain wait for a later pass; the
+   ready and waiting counts match the model after every step. *)
 let prop_cblist_conserves_callbacks =
   QCheck.Test.make ~name:"cblist: no callback lost across GP advance"
-    ~count:100
-    QCheck.(list_of_size Gen.(1 -- 50) (pair (int_bound 2) (int_bound 3)))
+    ~count:200
+    QCheck.(list_of_size Gen.(1 -- 60) (pair (int_bound 3) (int_bound 7)))
     (fun ops ->
       let cbl = Rcu.Cblist.create () in
-      let enqueued = ref 0 and invoked = ref 0 and taken = ref 0 in
+      (* The model: (id, cookie) in enqueue order, the first [ready] of
+         them invocable. *)
+      let model = Queue.create () and ready = ref 0 in
+      let ran = ref [] and next_id = ref 0 in
       let cookie = ref 1 and completed = ref 0 in
+      let rec enqueue ~nested =
+        let id = !next_id in
+        incr next_id;
+        Queue.push (id, !cookie) model;
+        Rcu.Cblist.enqueue cbl ~cookie:!cookie (fun () ->
+            ran := id :: !ran;
+            if nested then enqueue ~nested:false)
+      in
+      let drain ~max =
+        let n = min max !ready in
+        let expected = List.init n (fun _ -> fst (Queue.pop model)) in
+        ready := !ready - n;
+        ran := [];
+        let drained = Rcu.Cblist.drain cbl ~max ~f:(fun f -> f ()) in
+        drained = n && List.rev !ran = expected
+      in
       let step (op, arg) =
-        (match op with
-        | 0 ->
-            (* Enqueue with a non-decreasing cookie. *)
-            cookie := !cookie + arg;
-            incr enqueued;
-            Rcu.Cblist.enqueue cbl ~cookie:!cookie (fun () -> incr invoked)
-        | 1 ->
-            completed := !completed + arg;
-            ignore (Rcu.Cblist.advance cbl ~completed:!completed)
-        | _ ->
-            let n = Rcu.Cblist.drain cbl ~max:(1 + arg) ~f:(fun f -> f ()) in
-            taken := !taken + n);
-        Rcu.Cblist.waiting cbl + Rcu.Cblist.ready cbl = Rcu.Cblist.total cbl
-        && Rcu.Cblist.total cbl + !taken = !enqueued
-        && !invoked = !taken
+        let ok =
+          match op with
+          | 0 | 3 ->
+              (* A burst with a non-decreasing cookie. *)
+              cookie := !cookie + (arg mod 3);
+              for _ = 0 to arg do
+                enqueue ~nested:(arg mod 2 = 1)
+              done;
+              true
+          | 1 ->
+              completed := !completed + (arg mod 3);
+              let moved = Rcu.Cblist.advance cbl ~completed:!completed in
+              let before = !ready and i = ref 0 in
+              Queue.iter
+                (fun (_, c) ->
+                  if !i = !ready && c <= !completed then incr ready;
+                  incr i)
+                model;
+              moved = !ready - before
+          | _ -> drain ~max:(1 + arg)
+        in
+        ok
+        && Rcu.Cblist.ready cbl = !ready
+        && Rcu.Cblist.total cbl = Queue.length model
+        && Rcu.Cblist.waiting cbl + Rcu.Cblist.ready cbl = Rcu.Cblist.total cbl
       in
       List.for_all step ops
       &&
       begin
-        (* Drain completely: everything enqueued must run exactly once. *)
-        ignore (Rcu.Cblist.advance cbl ~completed:max_int);
-        ignore (Rcu.Cblist.drain cbl ~max:max_int ~f:(fun f -> f ()));
-        !invoked = !enqueued && Rcu.Cblist.total cbl = 0
+        (* Drain completely: what is left runs once, in enqueue order,
+           and nested enqueues run on the next pass. *)
+        let rec flush () =
+          ignore (Rcu.Cblist.advance cbl ~completed:max_int);
+          ready := Queue.length model;
+          Queue.is_empty model || (drain ~max:max_int && flush ())
+        in
+        flush () && Rcu.Cblist.total cbl = 0
       end)
 
 let suite =

@@ -10,8 +10,8 @@ let make ?(cpus = 2) ?(total_pages = 4096) ?(obj_size = 512) ?config () =
 
 let alloc_exn ?(may_wait = false) pr cache cpu =
   match Prudence.alloc pr ~may_wait cache cpu with
-  | Some o -> o
-  | None -> Alcotest.fail "unexpected OOM"
+  | o -> o
+  | exception Frame.Oom -> Alcotest.fail "unexpected OOM"
 
 let test_cache_is_latent_aware () =
   let _env, _pr, cache = make () in
@@ -116,8 +116,8 @@ let test_no_growth_in_steady_state () =
         let window = ref [] in
         for i = 0 to 2_000 do
           (match Prudence.alloc pr cache c with
-          | Some o -> window := o :: !window
-          | None -> Alcotest.fail "oom in steady state");
+          | o -> window := o :: !window
+          | exception Frame.Oom -> Alcotest.fail "oom in steady state");
           (* keep ~50 objects alive, defer the rest *)
           (match !window with
           | o :: rest when List.length !window > 50 ->
@@ -180,16 +180,16 @@ let test_oom_delayed_when_latent () =
         let objs =
           let rec go acc =
             match Prudence.alloc pr cache c with
-            | Some o -> go (o :: acc)
-            | None -> acc
+            | o -> go (o :: acc)
+            | exception Frame.Oom -> acc
           in
           go []
         in
         Alcotest.(check bool) "memory exhausted" true (List.length objs > 40);
         List.iter (Prudence.free_deferred pr cache c) objs;
         match Prudence.alloc pr ~may_wait:true cache c with
-        | Some _ -> ()
-        | None -> Alcotest.fail "oom despite deferred objects")
+        | _ -> ()
+        | exception Frame.Oom -> Alcotest.fail "oom despite deferred objects")
   in
   check_completed "oom delay" finished;
   let s = Stats.snapshot cache.Frame.stats in
@@ -200,12 +200,12 @@ let test_oom_immediate_without_latent () =
   let c = cpu0 env in
   let rec exhaust () =
     match Prudence.alloc pr ~may_wait:false cache c with
-    | Some _ -> exhaust ()
-    | None -> ()
+    | _ -> exhaust ()
+    | exception Frame.Oom -> ()
   in
   exhaust ();
-  Alcotest.(check (option reject)) "hard oom" None
-    (Option.map (fun _ -> ()) (Prudence.alloc pr ~may_wait:false cache c));
+  Alcotest.check_raises "hard oom" Frame.Oom (fun () ->
+      ignore (Prudence.alloc pr ~may_wait:false cache c));
   ignore env
 
 let test_preflush_runs_on_idle () =
@@ -331,8 +331,8 @@ let prop_random_ops_keep_invariants =
           match op with
           | 0 -> (
               match Prudence.alloc pr ~may_wait:false cache c with
-              | Some o -> held := o :: !held
-              | None -> ())
+              | o -> held := o :: !held
+              | exception Frame.Oom -> ())
           | 1 -> (
               match !held with
               | o :: rest ->
@@ -371,12 +371,12 @@ let prop_deferred_never_reused_early =
       let ok = ref true in
       for _ = 1 to n_defer + 10 do
         match Prudence.alloc pr ~may_wait:false cache c with
-        | Some o ->
+        | o ->
             if
               List.mem o.Frame.oid deferred_oids
               && not (Rcu.poll env.rcu cookie_now)
             then ok := false
-        | None -> ()
+        | exception Frame.Oom -> ()
       done;
       !ok)
 

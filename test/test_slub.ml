@@ -10,8 +10,8 @@ let make ?(cpus = 2) ?(total_pages = 4096) ?(obj_size = 512) () =
 
 let alloc_exn slub cache cpu =
   match Slab.Slub.alloc slub cache cpu with
-  | Some o -> o
-  | None -> Alcotest.fail "unexpected OOM"
+  | o -> o
+  | exception Frame.Oom -> Alcotest.fail "unexpected OOM"
 
 let test_alloc_free_roundtrip () =
   let env, slub, cache = make () in
@@ -144,13 +144,13 @@ let test_oom_when_exhausted () =
   let c = cpu0 env in
   let rec drain acc =
     match Slab.Slub.alloc slub cache c with
-    | Some o -> drain (o :: acc)
-    | None -> acc
+    | o -> drain (o :: acc)
+    | exception Frame.Oom -> acc
   in
   let got = drain [] in
   Alcotest.(check bool) "some allocations succeeded" true (List.length got > 0);
-  Alcotest.(check (option reject)) "eventually None" None
-    (Option.map (fun _ -> ()) (Slab.Slub.alloc slub cache c))
+  Alcotest.check_raises "eventually Oom" Frame.Oom (fun () ->
+      ignore (Slab.Slub.alloc slub cache c))
 
 let test_oom_recovers_via_pressure_handler () =
   (* When the page allocator is exhausted, the pressure OOM chain drains
@@ -163,9 +163,9 @@ let test_oom_recovers_via_pressure_handler () =
   (* Give the grace period time to complete but stop before the throttled
      softirq drains everything. *)
   Sim.Engine.run ~until:Sim.(Clock.ms 3) env.eng;
-  let obj = Slab.Slub.alloc slub cache c in
-  Alcotest.(check bool) "alloc succeeded after oom-driven drain" true
-    (obj <> None);
+  (match Slab.Slub.alloc slub cache c with
+  | _ -> ()
+  | exception Frame.Oom -> Alcotest.fail "alloc failed after oom-driven drain");
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_multi_cpu_caches_independent () =
@@ -210,8 +210,8 @@ let prop_random_ops_keep_invariants =
           match op with
           | 0 -> (
               match Slab.Slub.alloc slub cache c with
-              | Some o -> held := o :: !held
-              | None -> ())
+              | o -> held := o :: !held
+              | exception Frame.Oom -> ())
           | 1 -> (
               match !held with
               | o :: rest ->

@@ -96,8 +96,8 @@ let test_settle_drains_and_conserves kind () =
       for i = 0 to n - 1 do
         let c = W.Env.cpu env (i mod 2) in
         match backend.Slab.Backend.alloc cache c with
-        | None -> Alcotest.fail "unexpected OOM"
-        | Some o ->
+        | exception Slab.Frame.Oom -> Alcotest.fail "unexpected OOM"
+        | o ->
             (* A short covering reader per object keeps the read side hot. *)
             let rc = W.Env.cpu env ((i + 1) mod 2) in
             Rcu.read_lock env.W.Env.rcu rc;
@@ -131,8 +131,8 @@ let test_oom_forward_progress kind () =
       while (not !full) && !guard < 50_000 do
         incr guard;
         match backend.Slab.Backend.alloc cache c with
-        | Some o -> held := o :: !held
-        | None -> full := true
+        | o -> held := o :: !held
+        | exception Slab.Frame.Oom -> full := true
       done;
       Alcotest.(check bool) "memory was exhausted" true !full;
       Alcotest.(check bool) "held a real population" true
@@ -140,8 +140,9 @@ let test_oom_forward_progress kind () =
       List.iter (fun o -> backend.Slab.Backend.free_deferred cache c o) !held;
       backend.Slab.Backend.settle ();
       match backend.Slab.Backend.alloc cache c with
-      | Some _ -> ()
-      | None -> Alcotest.fail "allocation still failing after settle")
+      | _ -> ()
+      | exception Slab.Frame.Oom ->
+          Alcotest.fail "allocation still failing after settle")
 
 let per_kind name f =
   List.map

@@ -298,8 +298,8 @@ module Model = struct
                  let cache = cache_by_name name in
                  for _ = 1 to count do
                    match backend.Slab.Backend.alloc cache cpu with
-                   | Some _obj -> ()
-                   | None ->
+                   | _obj -> ()
+                   | exception Slab.Frame.Oom ->
                        oom := true;
                        raise Exit
                  done)
@@ -312,8 +312,8 @@ module Model = struct
                    | Acquire name -> (
                        let cache = cache_by_name name in
                        match backend.Slab.Backend.alloc cache cpu with
-                       | Some obj -> Hashtbl.replace pools name (pool name @ [ obj ])
-                       | None ->
+                       | obj -> Hashtbl.replace pools name (pool name @ [ obj ])
+                       | exception Slab.Frame.Oom ->
                            oom := true;
                            raise Exit)
                    | Release name -> (
@@ -470,10 +470,12 @@ let test_appmodel_allocation () =
       real with
       Slab.Backend.alloc =
         (fun cache cpu ->
-          (match !held with
-          | None -> held := real.Slab.Backend.alloc cache cpu
-          | Some _ -> ());
-          !held);
+          match !held with
+          | Some o -> o
+          | None ->
+              let o = real.Slab.Backend.alloc cache cpu in
+              held := Some o;
+              o);
       free = (fun _ _ _ -> ());
       free_deferred = (fun _ _ _ -> ());
     }

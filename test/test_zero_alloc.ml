@@ -1,9 +1,11 @@
 (* Allocation pins for the slab frame's containers: once the per-slab
    and per-CPU arrays have grown, moving an object between them
-   allocates nothing on the OCaml heap, and a SLUB allocation allocates
-   exactly the [Some] it returns. The engine's schedule/dispatch cycle
-   allocates nothing either, under both tie-break policies. Each case
-   warms up first, then counts minor words over 10k iterations. *)
+   allocates nothing on the OCaml heap, and neither SLUB's nor
+   Prudence's allocation allocates (the object comes back unboxed). A
+   SLUB deferred free allocates exactly its callback's closure, and the
+   RCU callback ring nothing once grown. The engine's schedule/dispatch
+   cycle allocates nothing either, under both tie-break policies. Each
+   case warms up first, then counts minor words over 10k iterations. *)
 
 open Test_util
 module Frame = Slab.Frame
@@ -117,13 +119,13 @@ let slub_alloc_free_words () =
   (* 100 objects per round: the frees overflow the object cache, so
      they flush to the slabs; the allocations refill from them. *)
   let n = 100 and rounds = iterations / 100 in
-  let objs = Array.make n (Option.get (Slab.Slub.alloc slub cache c)) in
+  let objs = Array.make n (Slab.Slub.alloc slub cache c) in
   Slab.Slub.free slub cache c objs.(0);
   let alloc_words = ref 0. and free_words = ref 0. in
   for round = 0 to rounds do
     let a = Gc.minor_words () in
     for i = 0 to n - 1 do
-      objs.(i) <- Option.get (Slab.Slub.alloc slub cache c)
+      objs.(i) <- Slab.Slub.alloc slub cache c
     done;
     let b = Gc.minor_words () in
     for i = 0 to n - 1 do
@@ -144,9 +146,104 @@ let test_slub_free () =
     (snd (slub_alloc_free_words ()))
 
 let test_slub_alloc () =
-  Alcotest.(check (float 0.)) "SLUB alloc: its Some, 2 words per call"
-    (float_of_int (2 * iterations))
+  Alcotest.(check (float 0.)) "SLUB alloc: 0 words" 0.
     (fst (slub_alloc_free_words ()))
+
+(* Minor words spent in 10k Prudence allocations, in rounds of [n]
+   after a warm-up round, and the misses among them. Each round frees
+   its objects back to the object cache; with [flush], it then flushes
+   the object cache to the slabs, so the next round refills. *)
+let prudence_alloc_words ~n ~flush =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let pr = Prudence.create env.fenv env.rcu in
+  let cache = Prudence.create_cache pr ~name:"pins" ~obj_size:512 in
+  let c = cpu0 env in
+  let pc = Frame.pcpu_for cache c in
+  let rounds = iterations / n in
+  let objs = Array.make n (Prudence.alloc pr ~may_wait:false cache c) in
+  Prudence.free pr cache c objs.(0);
+  let words = ref 0. and misses = ref 0 in
+  for round = 0 to rounds do
+    let misses0 = (Slab.Slab_stats.snapshot cache.Frame.stats).misses in
+    let a = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      objs.(i) <- Prudence.alloc pr ~may_wait:false cache c
+    done;
+    let b = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Prudence.free pr cache c objs.(i)
+    done;
+    if flush then Frame.flush_to_node cache c ~count:pc.Frame.ocache_n;
+    if round > 0 then begin
+      words := !words +. (b -. a);
+      misses :=
+        !misses + (Slab.Slab_stats.snapshot cache.Frame.stats).misses - misses0
+    end
+  done;
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
+  (!words, !misses)
+
+let test_prudence_alloc_hit () =
+  let words, misses = prudence_alloc_words ~n:8 ~flush:false in
+  Alcotest.(check int) "every allocation hit" 0 misses;
+  Alcotest.(check (float 0.)) "Prudence alloc (hits): 0 words" 0. words
+
+let test_prudence_alloc_miss () =
+  let words, misses = prudence_alloc_words ~n:100 ~flush:true in
+  Alcotest.(check bool) "every round refilled" true (misses >= iterations / 100);
+  Alcotest.(check (float 0.)) "Prudence alloc (refills): 0 words" 0. words
+
+(* SLUB deferred frees over 100 rounds of 100; between rounds the
+   engine runs until a grace period has passed and every callback has
+   run. Once the callback ring has grown to a round's worth, a deferred
+   free allocates only its callback's closure, which captures the CPU
+   and the object (5 words). *)
+let test_slub_free_deferred () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let slub = Slab.Slub.create env.fenv env.rcu in
+  let cache = Slab.Slub.create_cache slub ~name:"pins" ~obj_size:512 in
+  let c = cpu0 env in
+  let n = 100 and rounds = iterations / 100 in
+  let objs = Array.make n (Slab.Slub.alloc slub cache c) in
+  Slab.Slub.free slub cache c objs.(0);
+  let words = ref 0. in
+  for round = 0 to rounds do
+    for i = 0 to n - 1 do
+      objs.(i) <- Slab.Slub.alloc slub cache c
+    done;
+    let a = Gc.minor_words () in
+    for i = 0 to n - 1 do
+      Slab.Slub.free_deferred slub cache c objs.(i)
+    done;
+    let b = Gc.minor_words () in
+    if round > 0 then words := !words +. (b -. a);
+    while Rcu.pending_callbacks env.rcu > 0 do
+      Sim.Engine.run ~until:(Sim.Engine.now env.eng + 1_000_000) env.eng
+    done
+  done;
+  Alcotest.(check int) "every callback ran" 0 (Rcu.pending_callbacks env.rcu);
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
+  Alcotest.(check (float 0.)) "SLUB free_deferred: 5 words per call"
+    (float_of_int (5 * iterations))
+    !words
+
+(* An enqueue/advance/drain cycle on a ring kept 10 entries deep, so
+   its head and tail keep crossing the end of the 16-slot ring. The
+   callback closure is allocated once, up front. *)
+let test_cblist_cycle () =
+  let cbl = Rcu.Cblist.create () in
+  let ran = ref 0 in
+  let fn () = incr ran in
+  for k = 1 to 10 do
+    Rcu.Cblist.enqueue cbl ~cookie:k fn
+  done;
+  pin "enqueue + advance + drain" (fun i ->
+      let cookie = i + 11 in
+      Rcu.Cblist.enqueue cbl ~cookie fn;
+      assert (Rcu.Cblist.advance cbl ~completed:(cookie - 10) = 1);
+      assert (Rcu.Cblist.drain cbl ~max:1 ~f:(fun f -> f ()) = 1));
+  Alcotest.(check int) "every cycle ran one callback" (iterations + 1) !ran;
+  Alcotest.(check int) "the ring stays 10 deep" 10 (Rcu.Cblist.total cbl)
 
 (* Each cycle schedules two same-instant events and one 70 us away,
    which lands on wheel level 1 and cascades down before it runs, then
@@ -178,8 +275,15 @@ let suite =
     Alcotest.test_case "refill_from_node allocates nothing" `Quick test_refill;
     Alcotest.test_case "flush_to_node allocates nothing" `Quick test_flush;
     Alcotest.test_case "SLUB free allocates nothing" `Quick test_slub_free;
-    Alcotest.test_case "SLUB alloc allocates only its Some" `Quick
-      test_slub_alloc;
+    Alcotest.test_case "SLUB alloc allocates nothing" `Quick test_slub_alloc;
+    Alcotest.test_case "Prudence alloc allocates nothing (hits)" `Quick
+      test_prudence_alloc_hit;
+    Alcotest.test_case "Prudence alloc allocates nothing (refills)" `Quick
+      test_prudence_alloc_miss;
+    Alcotest.test_case "SLUB free_deferred allocates only its closure" `Quick
+      test_slub_free_deferred;
+    Alcotest.test_case "cblist enqueue/advance/drain allocate nothing" `Quick
+      test_cblist_cycle;
     Alcotest.test_case "engine schedule/step allocate nothing (Fifo)" `Quick
       (test_engine_cycle Sim.Engine.Fifo);
     Alcotest.test_case "engine schedule/step allocate nothing (Shuffle)"
