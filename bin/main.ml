@@ -4,6 +4,7 @@ module Env = Core.Workloads.Env
 module Sweep = Core.Check.Sweep
 module Fuzz = Core.Check.Fuzz
 module J = Core.Metrics.Json
+module B = Core.Stats.Bench_json
 
 (* Every validation failure prints one line on stderr and exits 2. *)
 let die fmt =
@@ -17,6 +18,13 @@ let emit fields = print_json (J.Obj fields)
 
 let write_file file body =
   Out_channel.with_open_text file (fun oc -> output_string oc body)
+
+(* Output files are written after the run, so their directory is checked
+   before it starts. *)
+let require_dir flag file =
+  let dir = Filename.dirname file in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    die "%s %s: directory %s does not exist" flag file dir
 
 let list_experiments () =
   Format.printf "experiments:@.";
@@ -35,42 +43,58 @@ let params scale seed cpus runs =
   require_positive "--runs" runs;
   { Core.Experiments.scale; seed; cpus; runs; trace = None }
 
-let run_experiment ids p =
-  let ids = if ids = [] then [ "all" ] else ids in
+let run_experiment ids out (p : Core.Experiments.params) =
+  Option.iter (require_dir "--output") out;
   let experiments =
-    if ids = [ "all" ] then Core.Experiments.all
-    else
-      List.map
-        (fun id ->
-          match Core.Experiments.find id with
-          | Some e -> e
-          | None -> die "unknown experiment %S (try `list`)" id)
-        ids
+    match ids with
+    | [] | [ "all" ] -> Core.Experiments.all
+    | ids ->
+        List.map
+          (fun id ->
+            match Core.Experiments.find id with
+            | Some e -> e
+            | None -> die "unknown experiment %S (try `list`)" id)
+          ids
   in
   (* Dedupe (fig7..fig13 all alias apps). *)
   let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (e : Core.Experiments.experiment) ->
-      if not (Hashtbl.mem seen e.Core.Experiments.id) then begin
-        Hashtbl.add seen e.Core.Experiments.id ();
-        Format.printf "running %s (%s)...@.@." e.Core.Experiments.id
-          e.Core.Experiments.paper_ref;
-        let reports = e.Core.Experiments.run p in
-        Core.Metrics.Report.print_all Format.std_formatter reports
-      end)
-    experiments;
+  let reports =
+    List.concat_map
+      (fun (e : Core.Experiments.experiment) ->
+        if Hashtbl.mem seen e.id then []
+        else begin
+          Hashtbl.add seen e.id ();
+          Format.printf "running %s (%s)...@.@." e.id e.paper_ref;
+          let reports = e.run p in
+          Core.Metrics.Report.print_all Format.std_formatter reports;
+          reports
+        end)
+      experiments
+  in
+  Option.iter
+    (fun file ->
+      let doc =
+        B.make
+          ~config:
+            { B.seed = p.seed; scale = p.scale; cpus = p.cpus; runs = p.runs }
+          ~metrics:(Core.Metrics.Report.all_metrics reports)
+      in
+      B.write_file file doc;
+      Format.printf "wrote %s (%d metrics)@." file (List.length doc.B.metrics))
+    out;
   0
 
 let trace_experiment id out want_hists ring p =
+  let out =
+    match out with Some f -> f | None -> Printf.sprintf "trace-%s.json" id
+  in
+  require_dir "--output" out;
   let p = { p with Core.Experiments.trace = Some ring } in
   match Core.Experiments.run_traced p id with
   | None ->
       die "experiment %S cannot be traced; traceable: %s" id
         (String.concat ", " Core.Experiments.traceable)
   | Some envs ->
-      let out =
-        match out with Some f -> f | None -> Printf.sprintf "trace-%s.json" id
-      in
       let module Env = Core.Workloads.Env in
       let label env = Env.kind_label env.Env.cfg.Env.kind in
       let lifetime env = Core.Obs.Anatomy.total_hist (Env.anatomy env) in
@@ -187,6 +211,7 @@ let run_postmortem file =
 let run_tournament scenarios alloc ring out p =
   let module T = Core.Tournament in
   let kinds = parse_kinds ~both:Env.all_kinds alloc in
+  Option.iter (require_dir "--output") out;
   let outcomes =
     Core.Chaos.run ~obs:true ~kinds (chaos_params ring p) scenarios
   in
@@ -214,6 +239,7 @@ let run_stat alloc duration_ms sample_every capacity watch series format
     | s -> die "unknown series format %S (csv, ndjson)" s
   in
   let kinds = parse_kinds alloc in
+  Option.iter (require_dir "--series") series;
   let series_file label =
     match series with
     | None -> None
@@ -276,7 +302,6 @@ let run_stat alloc duration_ms sample_every capacity watch series format
   0
 
 let run_regress baseline_file current_file tolerance json =
-  let module B = Core.Stats.Bench_json in
   if tolerance < 0. then
     die "--tolerance-pct must be non-negative (got %g)" tolerance;
   (* With --json, every exit path still emits the one summary NDJSON
@@ -320,10 +345,11 @@ let wallclock_params (p : Core.Experiments.params) =
 
 let run_perf scenarios out p =
   let module Wc = Wallclock in
+  require_dir "--output" out;
   let wp = wallclock_params p in
   let ms = Wc.run_all ~scenarios wp in
   Format.printf "%s@." (Wc.table ms);
-  Core.Stats.Bench_json.write_file out (Wc.to_bench wp ms);
+  B.write_file out (Wc.to_bench wp ms);
   Format.printf
     "wrote %s (deterministic counters gate via `regress --tolerance-pct 0`; \
      wall timings are info-only)@."
@@ -338,6 +364,7 @@ let run_prof scenarios top by folded json p =
     | Some k -> k
     | None -> die "unknown sort key %S (time, alloc)" by
   in
+  Option.iter (require_dir "--folded") folded;
   let rs = Pr.run_all ~scenarios (wallclock_params p) in
   if json then print_string (Pr.to_ndjson rs)
   else
@@ -884,9 +911,14 @@ let run_cmd =
           ~doc:"Experiment ids (fig3, costs, fig6, apps, ablations, \
                 fig7..fig13) or 'all'.")
   in
+  let out =
+    output_arg
+      "Also write the printed reports' metrics and the run config to \
+       $(docv), the bench document that regress compares."
+  in
   Cmd.v
     (Cmd.info "run" ~doc:"Run experiments and print their reports")
-    Term.(const run_experiment $ ids $ params_term)
+    Term.(const run_experiment $ ids $ out $ params_term)
 
 let trace_cmd =
   let id =
