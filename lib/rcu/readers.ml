@@ -1,7 +1,11 @@
+(* Each CPU's open section keeps the oids it holds on an int stack:
+   [held.(c)] up to depth [held_n.(c)], doubled when full. An oid's
+   refcount is its count across these stacks, so holding, releasing
+   and ending a section only move ints. *)
 type t = {
   rcu : Gp.t;
-  refs : (int, int) Hashtbl.t; (* oid -> total refcount *)
-  per_cpu_held : int list array; (* oids held by the open section on a CPU *)
+  held : int array array;
+  held_n : int array;
   mutable violation_log : string list; (* reversed; first K kept *)
   mutable logged : int;
   mutable dropped : int;
@@ -13,10 +17,11 @@ type t = {
 let max_logged_violations = 64
 
 let create rcu =
+  let cpus = Sim.Machine.nr_cpus (Gp.machine rcu) in
   {
     rcu;
-    refs = Hashtbl.create 512;
-    per_cpu_held = Array.make (Sim.Machine.nr_cpus (Gp.machine rcu)) [];
+    held = Array.init cpus (fun _ -> Array.make 4 0);
+    held_n = Array.make cpus 0;
     violation_log = [];
     logged = 0;
     dropped = 0;
@@ -34,22 +39,20 @@ let violations t = List.rev t.violation_log
 let dropped_violations t = t.dropped
 
 let refcount t ~oid =
-  match Hashtbl.find_opt t.refs oid with None -> 0 | Some n -> n
-
-let incr_ref t oid =
-  Hashtbl.replace t.refs oid (refcount t ~oid + 1)
-
-let decr_ref t oid =
-  let n = refcount t ~oid in
-  if n <= 1 then Hashtbl.remove t.refs oid
-  else Hashtbl.replace t.refs oid (n - 1)
+  let n = ref 0 in
+  for c = 0 to Array.length t.held - 1 do
+    let a = t.held.(c) in
+    for j = 0 to t.held_n.(c) - 1 do
+      if a.(j) = oid then incr n
+    done
+  done;
+  !n
 
 let enter t cpu = Gp.read_lock t.rcu cpu
 
 let exit t (cpu : Sim.Machine.cpu) =
   (* A section cannot carry references out: drop everything it holds. *)
-  List.iter (fun oid -> decr_ref t oid) t.per_cpu_held.(cpu.id);
-  t.per_cpu_held.(cpu.id) <- [];
+  t.held_n.(cpu.id) <- 0;
   Gp.read_unlock t.rcu cpu
 
 let hold t (cpu : Sim.Machine.cpu) ~oid =
@@ -59,24 +62,33 @@ let hold t (cpu : Sim.Machine.cpu) ~oid =
       (Printf.sprintf "cpu%d held a reference to object %d outside a \
                        read-side critical section" cpu.id oid)
   else begin
-    incr_ref t oid;
-    t.per_cpu_held.(cpu.id) <- oid :: t.per_cpu_held.(cpu.id)
+    let c = cpu.id in
+    let n = t.held_n.(c) in
+    if n = Array.length t.held.(c) then begin
+      let a = Array.make (2 * n) 0 in
+      Array.blit t.held.(c) 0 a 0 n;
+      t.held.(c) <- a
+    end;
+    t.held.(c).(n) <- oid;
+    t.held_n.(c) <- n + 1
   end
 
+(* Drop the newest hold of [oid]; the stack's top takes its slot. *)
 let release t (cpu : Sim.Machine.cpu) ~oid =
-  let rec remove = function
-    | [] -> None
-    | x :: rest when x = oid -> Some rest
-    | x :: rest -> (
-        match remove rest with None -> None | Some r -> Some (x :: r))
-  in
-  match remove t.per_cpu_held.(cpu.id) with
-  | Some rest ->
-      t.per_cpu_held.(cpu.id) <- rest;
-      decr_ref t oid
-  | None ->
-      record_violation t
-        (Printf.sprintf "cpu%d released object %d it did not hold" cpu.id oid)
+  let c = cpu.id in
+  let a = t.held.(c) in
+  let j = ref (t.held_n.(c) - 1) in
+  while !j >= 0 && a.(!j) <> oid do
+    decr j
+  done;
+  if !j >= 0 then begin
+    let top = t.held_n.(c) - 1 in
+    a.(!j) <- a.(top);
+    t.held_n.(c) <- top
+  end
+  else
+    record_violation t
+      (Printf.sprintf "cpu%d released object %d it did not hold" cpu.id oid)
 
 let with_section t cpu f =
   enter t cpu;

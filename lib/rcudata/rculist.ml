@@ -28,20 +28,15 @@ let name t = t.list_name
 let length t = Array.length t.entries
 
 (* -1 when absent; the same front-to-back scan order the cons-chain list
-   had, so "the newest shadows" still holds for duplicate keys. *)
-let find_idx t key =
-  let keys = t.keyarr in
-  let n = Array.length keys in
-  let rec go i =
-    if i >= n then -1
-    else if Array.unsafe_get keys i = key then i
-    else go (i + 1)
-  in
-  go 0
+   had, so "the newest shadows" still holds for duplicate keys. The
+   annotations keep [=] an int compare: unannotated, [scan] is
+   polymorphic and each step calls the generic [caml_equal]. *)
+let rec scan (keys : int array) n (key : int) i =
+  if i >= n then -1
+  else if Array.unsafe_get keys i = key then i
+  else scan keys n key (i + 1)
 
-let find t key =
-  let i = find_idx t key in
-  if i < 0 then None else Some t.entries.(i)
+let find_idx t key = scan t.keyarr (Array.length t.keyarr) key 0
 
 let insert t cpu ~key ~value =
   match t.backend.Slab.Backend.alloc t.cache cpu with
@@ -91,15 +86,29 @@ let delete t cpu ~key =
     true
   end
 
+(* The body of [lookup]'s read-side section. *)
+let read_value t cpu key =
+  let i = find_idx t key in
+  if i < 0 then None
+  else begin
+    let e = t.entries.(i) in
+    (* The reader dereferences the object: track it so reclaiming it
+       now would be flagged. *)
+    Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
+    Some e.value
+  end
+
+(* [Readers.with_section] without its closure: the section still ends
+   when the body raises. *)
 let lookup t cpu ~key =
-  Rcu.Readers.with_section t.readers cpu (fun () ->
-      match find t key with
-      | None -> None
-      | Some e ->
-          (* The reader dereferences the object: track it so reclaiming
-             it now would be flagged. *)
-          Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
-          Some e.value)
+  Rcu.Readers.enter t.readers cpu;
+  match read_value t cpu key with
+  | v ->
+      Rcu.Readers.exit t.readers cpu;
+      v
+  | exception e ->
+      Rcu.Readers.exit t.readers cpu;
+      raise e
 
 let read_iter t cpu f =
   Rcu.Readers.with_section t.readers cpu (fun () ->

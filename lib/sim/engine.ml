@@ -264,9 +264,9 @@ let load_batch t ~horizon =
   end
 
 (* Dispatch loop. [quiet] is the run_until_quiet condition: stop once
-   no non-daemon work remains. The batch left by a prior [step]/[stop]
-   resumes first; its instant may postdate a shorter new horizon, in
-   which case it stays queued untouched. *)
+   no non-daemon work remains. A batch still active on entry (a run
+   nested in an event) resumes first; its instant may postdate a
+   shorter new horizon, in which case it stays queued untouched. *)
 let dispatch t ~horizon ~quiet =
   let running = ref true in
   while !running do
@@ -286,16 +286,6 @@ let run ?until t =
   | _ -> ()
 
 let run_until_quiet ?(horizon = max_int) t = dispatch t ~horizon ~quiet:true
-
-(* A loaded batch is never empty: the wheel only reports an instant
-   whose bucket holds an event. *)
-let step t =
-  if t.stop_requested then false
-  else if batch_active t || load_batch t ~horizon:max_int then begin
-    exec_next t;
-    true
-  end
-  else false
 
 let every t ~period ?phase fn =
   if period <= 0 then invalid_arg "Engine.every: period must be positive";

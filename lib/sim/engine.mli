@@ -79,10 +79,6 @@ val run : ?until:int -> t -> unit
     time). If [until] is given the clock is advanced to [until] on return
     (unless stopped earlier). *)
 
-val step : t -> bool
-(** [step t] executes the single next event; [false] if no event
-    remained or the engine is stopped. *)
-
 val stop : t -> unit
 (** Halt the run loop after the current event; used e.g. on simulated OOM. *)
 

@@ -58,7 +58,7 @@ let peek_exn h =
   else h.data.(0)
 
 (* The engine pops one event per simulated step; keep this path free of
-   the [Some] box (and build [pop] on top for option-style callers). *)
+   an option box. *)
 let pop_exn h =
   if h.size = 0 then invalid_arg "Heap.pop_exn: empty heap"
   else begin
@@ -72,5 +72,3 @@ let pop_exn h =
     h.data.(h.size) <- top;
     top
   end
-
-let pop h = if h.size = 0 then None else Some (pop_exn h)

@@ -22,9 +22,6 @@ val peek_exn : 'a t -> 'a
 (** [peek_exn h] is the smallest element of [h], without removing it.
     Raises [Invalid_argument] on an empty heap; allocation-free. *)
 
-val pop : 'a t -> 'a option
-(** [pop h] removes and returns the smallest element of [h]. *)
-
 val pop_exn : 'a t -> 'a
-(** Like {!pop} but raises [Invalid_argument] on an empty heap;
-    allocation-free. *)
+(** [pop_exn h] removes and returns the smallest element of [h]. Raises
+    [Invalid_argument] on an empty heap; allocation-free. *)

@@ -2,15 +2,14 @@ open Effect.Deep
 
 (* One record per process, made at spawn. A suspended process parks its
    continuation in [k]; the preallocated [resume] continues it, and the
-   preallocated [on_sleep] is the handler's reply to every sleep. A
-   sleep therefore allocates only the runtime's continuation and the
-   [Sleep] effect itself, and a wakeup allocates nothing. *)
+   preallocated [on_sleep] is the handler's reply to every sleep. The
+   [Sleep] effect is a constant, so a sleep allocates only the
+   runtime's continuation, and a wakeup allocates nothing. *)
 type proc = {
   eng : Engine.t;
   mutable k : (unit, unit) continuation array;
       (* the parked continuation: [||] until the first suspension, then
          one slot overwritten by every later one *)
-  mutable delay : int; (* length of the sleep [on_sleep] schedules *)
   mutable next : proc option; (* towards newer waiters on the same Cond *)
   link : proc option; (* [Some] of this record: its Cond queue link *)
   resume : unit -> unit;
@@ -25,9 +24,17 @@ type cond = {
   mutable count : int;
 }
 
-type _ Effect.t += Sleep : int -> unit Effect.t | Wait : cond -> unit Effect.t
+type _ Effect.t += Sleep : unit Effect.t | Wait : cond -> unit Effect.t
 
-let sleep _eng ns = Effect.perform (Sleep ns)
+(* The delay of the sleep being performed. [sleep] writes it, then
+   performs the constant [Sleep]; the handler's reply ([on_sleep])
+   reads it. No other code runs between the two, so one slot serves
+   every process and every engine. *)
+let sleep_ns = ref 0
+
+let sleep _eng ns =
+  sleep_ns := ns;
+  Effect.perform Sleep
 
 let yield eng = sleep eng 0
 
@@ -48,23 +55,23 @@ module Cond = struct
     c.tail <- p.link;
     c.count <- c.count + 1
 
+  let rec wake engine = function
+    | None -> ()
+    | Some p ->
+        let next = p.next in
+        Engine.decr_waiters engine;
+        Engine.schedule engine ~after:0 p.resume;
+        wake engine next
+
   (* Detach the whole queue first, then wake oldest-first: a woken
      process runs only after this returns, so it cannot re-enter the
      queue being walked. *)
   let broadcast c =
-    let rec wake = function
-      | None -> ()
-      | Some p ->
-          let next = p.next in
-          Engine.decr_waiters c.engine;
-          Engine.schedule c.engine ~after:0 p.resume;
-          wake next
-    in
     let first = c.head in
     c.head <- None;
     c.tail <- None;
     c.count <- 0;
-    wake first
+    wake c.engine first
 
   let waiters c = c.count
 end
@@ -74,7 +81,6 @@ let spawn eng body =
     {
       eng;
       k = [||];
-      delay = 0;
       next = None;
       link = Some p;
       resume = (fun () -> continue p.k.(0) ());
@@ -82,7 +88,7 @@ let spawn eng body =
         Some
           (fun k ->
             park p k;
-            Engine.schedule p.eng ~after:p.delay p.resume);
+            Engine.schedule p.eng ~after:!sleep_ns p.resume);
     }
   in
   let handler =
@@ -92,9 +98,7 @@ let spawn eng body =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Sleep ns ->
-              p.delay <- ns;
-              (p.on_sleep : ((a, unit) continuation -> unit) option)
+          | Sleep -> (p.on_sleep : ((a, unit) continuation -> unit) option)
           | Wait c ->
               Some
                 (fun (k : (a, unit) continuation) ->

@@ -7,9 +7,9 @@
     suspensions into engine events, so all actors interleave
     deterministically on the single real thread. Each process gets one
     record at spawn holding its parked continuation, a resume closure
-    and the handler's sleep reply, so a sleep allocates only the
-    runtime's continuation and the effect value (5 words), and a wakeup
-    allocates nothing.
+    and the handler's sleep reply. The sleep effect is a constant, so a
+    sleep allocates only the runtime's continuation (2 words), and a
+    wakeup allocates nothing.
 
     Restrictions: {!sleep}, {!yield} and {!Cond.wait} may only be performed
     from code (transitively) called from a process body passed to {!spawn};

@@ -75,20 +75,24 @@ let frontier t = t.epoch - 2
 let backend_frontier t =
   if t.cfg.unsafe_no_scan then t.unsafe_epoch - 2 else frontier t
 
-(* Hooks fire in registration order. *)
-let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
+(* Hook lists are kept in registration order, and fire in it. *)
+let rec fire hooks v =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+      f v;
+      fire rest v
 
 (* Every pinned CPU with a stale announcement blocks the scan and is
    reported on the tap as an epoch-world holdout. *)
 let scan_clear t =
   let ok = ref true in
-  Array.iteri
-    (fun i pinned ->
-      if pinned && t.announced.(i) <> t.epoch then begin
-        ok := false;
-        emit t Epoch_blocked ~cpu:i i
-      end)
-    t.pinned;
+  for i = 0 to Array.length t.pinned - 1 do
+    if t.pinned.(i) && t.announced.(i) <> t.epoch then begin
+      ok := false;
+      emit t Epoch_blocked ~cpu:i i
+    end
+  done;
   !ok
 
 (* Advance while tokens are outstanding (never spin the epoch when the
@@ -177,9 +181,9 @@ let view t ~frontierf ~register =
 let smr t =
   view t
     ~frontierf:(fun () -> backend_frontier t)
-    ~register:(fun f -> t.backend_hooks <- f :: t.backend_hooks)
+    ~register:(fun f -> t.backend_hooks <- t.backend_hooks @ [ f ])
 
 let oracle_smr t =
   view t
     ~frontierf:(fun () -> frontier t)
-    ~register:(fun f -> t.hooks <- f :: t.hooks)
+    ~register:(fun f -> t.hooks <- t.hooks @ [ f ])

@@ -77,8 +77,13 @@ let frontier t = t.frontier
 let backend_frontier t =
   if t.cfg.unsafe_drop_refs then t.sealed_upto else t.frontier
 
-
-let fire hooks v = List.iter (fun f -> f v) (List.rev hooks)
+(* Hook lists are kept in registration order, and fire in it. *)
+let rec fire hooks v =
+  match hooks with
+  | [] -> ()
+  | f :: rest ->
+      f v;
+      fire rest v
 
 let advance_frontier t =
   let advanced = ref false in
@@ -101,13 +106,12 @@ let advance_frontier t =
 let seal t =
   if t.open_fill > 0 then begin
     let b = { id = t.open_id; refs = 0 } in
-    Array.iteri
-      (fun i active ->
-        if active then begin
-          b.refs <- b.refs + 1;
-          t.credited.(i) <- b :: t.credited.(i)
-        end)
-      t.active;
+    for i = 0 to Array.length t.active - 1 do
+      if t.active.(i) then begin
+        b.refs <- b.refs + 1;
+        t.credited.(i) <- b :: t.credited.(i)
+      end
+    done;
     emit t Batch_seal ~cpu:(-1) b.id b.refs;
     Queue.push b t.sealed_q;
     t.sealed_upto <- b.id;
@@ -147,19 +151,23 @@ let defer t ~cpu:_ =
 let reader_enter t (cpu : Sim.Machine.cpu) =
   t.active.(cpu.Sim.Machine.id) <- true
 
+(* Drop CPU [i]'s reference on each batch it is credited in. *)
+let rec unref t i = function
+  | [] -> ()
+  | b :: rest ->
+      b.refs <- b.refs - 1;
+      emit t Batch_unref ~cpu:i i b.id;
+      unref t i rest
+
 let reader_exit t (cpu : Sim.Machine.cpu) =
   let i = cpu.Sim.Machine.id in
   t.active.(i) <- false;
-  (match t.credited.(i) with
+  match t.credited.(i) with
   | [] -> ()
   | batches ->
-      List.iter
-        (fun b ->
-          b.refs <- b.refs - 1;
-          emit t Batch_unref ~cpu:i i b.id)
-        batches;
+      unref t i batches;
       t.credited.(i) <- [];
-      advance_frontier t)
+      advance_frontier t
 
 let wait_view t readf () =
   let target = t.last_issued in
@@ -193,9 +201,9 @@ let view t ~frontierf ~register =
 let smr t =
   view t
     ~frontierf:(fun () -> backend_frontier t)
-    ~register:(fun f -> t.backend_hooks <- f :: t.backend_hooks)
+    ~register:(fun f -> t.backend_hooks <- t.backend_hooks @ [ f ])
 
 let oracle_smr t =
   view t
     ~frontierf:(fun () -> frontier t)
-    ~register:(fun f -> t.hooks <- f :: t.hooks)
+    ~register:(fun f -> t.hooks <- t.hooks @ [ f ])

@@ -123,21 +123,27 @@ let test_pending_counts_batch () =
     (List.rev !seen);
   Alcotest.(check int) "drained" 0 (Sim.Engine.pending eng)
 
-(* [step] runs one event of a same-instant batch at a time, then moves
-   on to the next instant. *)
+(* A same-instant batch runs one event at a time, then the engine
+   moves on to the next instant; [run ~until] stops between the two. *)
 let test_step_through_batch () =
   let eng = Sim.Engine.create () in
   let ran = ref 0 in
-  for _ = 1 to 3 do
-    Sim.Engine.schedule eng ~after:10 (fun () -> incr ran)
-  done;
-  Sim.Engine.schedule eng ~after:20 (fun () -> incr ran);
   let trace = ref [] in
-  while Sim.Engine.step eng do
+  let event () =
+    incr ran;
     trace := (!ran, Sim.Engine.now eng, Sim.Engine.pending eng) :: !trace
+  in
+  for _ = 1 to 3 do
+    Sim.Engine.schedule eng ~after:10 event
   done;
+  Sim.Engine.schedule eng ~after:20 event;
+  Sim.Engine.run ~until:10 eng;
+  Alcotest.(check (pair int int)) "(ran, pending) at the first instant"
+    (3, 1)
+    (!ran, Sim.Engine.pending eng);
+  Sim.Engine.run eng;
   Alcotest.(check (list (triple int int int)))
-    "(ran, now, pending) after each step"
+    "(ran, now, pending) after each event"
     [ (1, 10, 3); (2, 10, 2); (3, 10, 1); (4, 20, 0) ]
     (List.rev !trace);
   Alcotest.(check int) "executed" 4 (Sim.Engine.executed eng)

@@ -3,14 +3,15 @@ let int_heap () = Sim.Heap.create ~cmp:compare ()
 (* Pop everything, smallest first. *)
 let drain h =
   let rec go acc =
-    match Sim.Heap.pop h with None -> List.rev acc | Some x -> go (x :: acc)
+    if Sim.Heap.is_empty h then List.rev acc
+    else go (Sim.Heap.pop_exn h :: acc)
   in
   go []
 
 let test_empty () =
   let h = int_heap () in
   Alcotest.(check bool) "is_empty" true (Sim.Heap.is_empty h);
-  Alcotest.(check (option int)) "pop" None (Sim.Heap.pop h)
+  Alcotest.(check (list int)) "drains to nothing" [] (drain h)
 
 let test_push_pop_ordering () =
   let h = int_heap () in
@@ -67,12 +68,12 @@ let prop_interleaved_push_pop =
             let expect =
               match List.sort compare !model with [] -> None | m :: _ -> Some m
             in
-            match (expect, Sim.Heap.pop h) with
-            | None, None -> true
-            | Some e, Some g when e = g ->
+            match expect with
+            | None -> Sim.Heap.is_empty h
+            | Some e ->
+                let g = Sim.Heap.pop_exn h in
                 model := remove_one g !model;
-                true
-            | _ -> false
+                e = g
           end
           else begin
             Sim.Heap.push h x;

@@ -167,9 +167,24 @@ let test_hash_invalid_buckets () =
     Alcotest.fail "expected Invalid_argument"
   with Invalid_argument _ -> ()
 
+(* A lookup ends its read-side section even when the read raises: here
+   a tap subscriber fails on the reader's access. *)
+let test_lookup_exception_safe () =
+  let s, l = make_list () in
+  let c = cpu0 s.env in
+  ignore (Rcudata.Rculist.insert l c ~key:1 ~value:10);
+  Trace.Tap.subscribe (Sim.Engine.tap s.env.eng)
+    (fun kind ~cpu:_ ~label:_ _ _ ->
+      match kind with Reader_access -> failwith "boom" | _ -> ());
+  Alcotest.check_raises "the failure propagates" (Failure "boom") (fun () ->
+      ignore (Rcudata.Rculist.lookup l c ~key:1));
+  Alcotest.(check int) "nesting restored" 0 c.Sim.Machine.rcu_nesting
+
 let suite =
   [
     Alcotest.test_case "list insert/lookup" `Quick test_insert_lookup;
+    Alcotest.test_case "list lookup exception safe" `Quick
+      test_lookup_exception_safe;
     Alcotest.test_case "list copy-update semantics" `Quick
       test_update_copy_semantics;
     Alcotest.test_case "list delete" `Quick test_delete;

@@ -23,7 +23,6 @@ module type SCHED = sig
   val now : t -> int
   val schedule : t -> after:int -> (unit -> unit) -> unit
   val run : ?until:int -> t -> unit
-  val step : t -> bool
   val executed : t -> int
   val pending : t -> int
 end
@@ -74,8 +73,6 @@ module Model : SCHED = struct
         true
     | _ -> false
 
-  let step m = pop m ~until:max_int
-
   let run ?(until = max_int) m =
     while pop m ~until do () done;
     if until <> max_int && until > m.now then m.now <- until
@@ -99,7 +96,6 @@ type op =
       (* schedule at now + d1 an event that schedules a child at + d2
          when it fires; d2 = 0 exercises mid-batch insertion *)
   | Run_until of int  (* run ~until:(now + u) *)
-  | Step  (* single-step once *)
 
 let run_program (module S : SCHED) ~tiebreak ops =
   let s = S.create tiebreak in
@@ -120,8 +116,7 @@ let run_program (module S : SCHED) ~tiebreak ops =
               (* child id assigned at fire time: equal streams imply
                  equal dispatch order, not just equal times *)
               sched_logged ~after:d2 (fun () -> ()))
-      | Run_until u -> S.run ~until:(S.now s + u) s
-      | Step -> ignore (S.step s))
+      | Run_until u -> S.run ~until:(S.now s + u) s)
     ops;
   S.run s;
   (List.rev !log, S.executed s, S.now s, S.pending s)
@@ -153,7 +148,6 @@ let op_gen =
                  (1 lsl 48) + 5;
                ]) );
         (2, map (fun u -> Run_until u) (oneofl [ 0; 1; 999; 65_535; 65_536 ]));
-        (1, return Step);
       ])
 
 let program_gen = QCheck.Gen.(list_size (1 -- 40) op_gen)
@@ -168,8 +162,7 @@ let program_arb =
            (function
              | Sched d -> Printf.sprintf "S%d" d
              | Sched_nested (a, b) -> Printf.sprintf "N(%d,%d)" a b
-             | Run_until u -> Printf.sprintf "R%d" u
-             | Step -> "T")
+             | Run_until u -> Printf.sprintf "R%d" u)
            ops))
 
 let equivalent ~tiebreak ops =

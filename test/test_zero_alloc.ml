@@ -4,8 +4,11 @@
    Prudence's allocation allocates (the object comes back unboxed). A
    SLUB deferred free allocates exactly its callback's closure, and the
    RCU callback ring nothing once grown. The engine's schedule/dispatch
-   cycle allocates nothing either, under both tie-break policies. Each
-   case warms up first, then counts minor words over 10k iterations. *)
+   cycle allocates nothing either, under both tie-break policies, and a
+   process sleep only the runtime's continuation. On the read side, a
+   reader section's holds, an EBR reader exit and a list copy-update
+   allocate nothing, and a lookup only its result. Each case warms up
+   first, then counts minor words over 10k iterations. *)
 
 open Test_util
 module Frame = Slab.Frame
@@ -247,20 +250,143 @@ let test_cblist_cycle () =
 
 (* Each cycle schedules two same-instant events and one 70 us away,
    which lands on wheel level 1 and cascades down before it runs, then
-   steps all three. The handler closure is allocated once, up front. *)
+   runs all three. The handler closure is allocated once, up front. *)
 let test_engine_cycle tiebreak () =
   let eng = Sim.Engine.create ~tiebreak () in
-  let fn () = () in
-  pin "schedule x3 + step x3" (fun _ ->
+  let ran = ref 0 in
+  let fn () = incr ran in
+  pin "schedule x3 + run" (fun _ ->
       Sim.Engine.schedule eng ~after:0 fn;
       Sim.Engine.schedule eng ~after:0 fn;
       Sim.Engine.schedule eng ~after:70_000 fn;
-      for _ = 1 to 3 do
-        assert (Sim.Engine.step eng)
-      done);
-  Alcotest.(check int) "every event ran" 0 (Sim.Engine.pending eng);
+      Sim.Engine.run eng);
+  Alcotest.(check int) "every event ran" (3 * (iterations + 1)) !ran;
+  Alcotest.(check int) "none left" 0 (Sim.Engine.pending eng);
   Alcotest.(check bool) "the far events cascaded" true
     (Sim.Engine.cascades eng > iterations)
+
+(* A process on a bare engine sleeps 10k times after one warm-up
+   sleep. The effect is a constant, so a sleep allocates only the
+   runtime's continuation, and the wakeup nothing. *)
+let test_process_sleep () =
+  let eng = Sim.Engine.create () in
+  let words = ref nan in
+  Sim.Process.spawn eng (fun () ->
+      Sim.Process.sleep eng 1;
+      let before = Gc.minor_words () in
+      for _ = 1 to iterations do
+        Sim.Process.sleep eng 1
+      done;
+      words := Gc.minor_words () -. before);
+  Sim.Engine.run eng;
+  Alcotest.(check (float 0.)) "10k sleeps, 2 words each"
+    (float_of_int (2 * iterations))
+    !words
+
+(* One section per iteration: five holds (one oid twice, which grows
+   the stack past its first size in the warm-up), two releases, a
+   refcount and the exit that drops the other three. *)
+let test_reader_section () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let readers = Rcu.Readers.create env.rcu in
+  let c = cpu0 env in
+  pin "enter + hold x5 + release x2 + exit" (fun i ->
+      Rcu.Readers.enter readers c;
+      for k = 0 to 4 do
+        Rcu.Readers.hold readers c ~oid:(i + (k land 3))
+      done;
+      Rcu.Readers.release readers c ~oid:(i + 1);
+      Rcu.Readers.release readers c ~oid:(i + 2);
+      assert (Rcu.Readers.refcount readers ~oid:i = 2);
+      Rcu.Readers.exit readers c);
+  Alcotest.(check int) "exit dropped every hold" 0
+    (Rcu.Readers.refcount readers ~oid:iterations);
+  Alcotest.(check (list string)) "no violations" []
+    (Rcu.Readers.violations readers)
+
+(* A list of 8 keys over Prudence, with reader tracking armed. *)
+let make_list () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let readers = Rcu.Readers.create env.rcu in
+  Rcu.Readers.check_allocs readers ~where:"alloc";
+  let backend = Prudence.backend (Prudence.create env.fenv env.rcu) in
+  let cache = backend.Slab.Backend.create_cache ~name:"pins" ~obj_size:128 in
+  let l = Rcudata.Rculist.create ~backend ~readers ~cache ~name:"pins" in
+  for key = 0 to 7 do
+    assert (Rcudata.Rculist.insert l (cpu0 env) ~key ~value:key)
+  done;
+  (env, readers, l)
+
+(* A lookup that finds its key allocates only the [Some] it returns
+   (2 words); a miss allocates nothing. *)
+let test_rculist_lookup () =
+  let env, readers, l = make_list () in
+  let c = cpu0 env in
+  let hit i =
+    match Rcudata.Rculist.lookup l c ~key:(i land 7) with
+    | Some _ -> ()
+    | None -> assert false
+  in
+  hit 0;
+  Alcotest.(check (float 0.)) "10k hits, 2 words each"
+    (float_of_int (2 * iterations))
+    (words hit);
+  pin "lookup (miss)" (fun _ ->
+      assert (Rcudata.Rculist.lookup l c ~key:8 = None));
+  Alcotest.(check int) "sections closed" 0 c.Sim.Machine.rcu_nesting;
+  Alcotest.(check (list string)) "no violations" []
+    (Rcu.Readers.violations readers)
+
+(* Copy-updates over 100 rounds of 100; between rounds the engine runs
+   10 ms of virtual time, so grace periods pass and Prudence recycles
+   the old versions. The first 50 rounds are the warm-up: the slabs
+   and latent arrays reach their steady size in round 25. *)
+let test_rculist_update () =
+  let env, readers, l = make_list () in
+  let c = cpu0 env in
+  let warmup = 50 in
+  let words = ref 0. in
+  for round = 1 - warmup to iterations / 100 do
+    let a = Gc.minor_words () in
+    for i = 0 to 99 do
+      match Rcudata.Rculist.update l c ~key:(i land 7) ~value:i with
+      | `Updated -> ()
+      | `Absent | `Oom -> assert false
+    done;
+    let b = Gc.minor_words () in
+    if round > 0 then words := !words +. (b -. a);
+    Sim.Engine.run ~until:(Sim.Engine.now env.eng + 10_000_000) env.eng
+  done;
+  Alcotest.(check (list string)) "no violations" []
+    (Rcu.Readers.violations readers);
+  Alcotest.(check (float 0.)) "Rculist.update on Prudence: 0 words" 0. !words
+
+(* CPU 1 defers, then enters and exits a section, so every exit finds
+   tokens outstanding and tries to advance the epoch. With CPU 0
+   stalled in a section the scan is blocked and the epoch stays put;
+   otherwise each exit advances it and fires the ripen hook. *)
+let test_ebr_reader_exit ~stalled () =
+  let eng, machine = make_sim ~cpus:2 () in
+  let e = Slab.Ebr.create ~cpus:2 eng in
+  let smr = Slab.Ebr.smr e in
+  let enter = Option.get smr.Slab.Smr.reader_enter in
+  let exit = Option.get smr.Slab.Smr.reader_exit in
+  let ripened = ref 0 in
+  smr.Slab.Smr.on_ripen (fun _ -> incr ripened);
+  let c1 = Sim.Machine.cpu machine 1 in
+  if stalled then enter (Sim.Machine.cpu machine 0);
+  pin "defer + reader enter/exit" (fun _ ->
+      ignore (smr.Slab.Smr.defer ~cpu:1);
+      enter c1;
+      exit c1);
+  let frontier = smr.Slab.Smr.ripe_upto () in
+  if stalled then begin
+    Alcotest.(check int) "one advance, before the stall blocked" 1 !ripened;
+    Alcotest.(check bool) "tokens outstanding" true
+      (frontier < smr.Slab.Smr.snapshot ())
+  end
+  else
+    Alcotest.(check bool) "an advance per exit" true (!ripened > iterations)
 
 let suite =
   [
@@ -284,9 +410,23 @@ let suite =
       test_slub_free_deferred;
     Alcotest.test_case "cblist enqueue/advance/drain allocate nothing" `Quick
       test_cblist_cycle;
-    Alcotest.test_case "engine schedule/step allocate nothing (Fifo)" `Quick
+    Alcotest.test_case "engine schedule/run allocate nothing (Fifo)" `Quick
       (test_engine_cycle Sim.Engine.Fifo);
-    Alcotest.test_case "engine schedule/step allocate nothing (Shuffle)"
+    Alcotest.test_case "engine schedule/run allocate nothing (Shuffle)"
       `Quick
       (test_engine_cycle (Sim.Engine.Shuffle 3));
+    Alcotest.test_case "process sleep allocates only its continuation"
+      `Quick test_process_sleep;
+    Alcotest.test_case "reader section holds allocate nothing" `Quick
+      test_reader_section;
+    Alcotest.test_case "Rculist.lookup allocates only its result" `Quick
+      test_rculist_lookup;
+    Alcotest.test_case "Rculist.update on Prudence allocates nothing" `Quick
+      test_rculist_update;
+    Alcotest.test_case "EBR reader exit allocates nothing (scan blocked)"
+      `Quick
+      (test_ebr_reader_exit ~stalled:true);
+    Alcotest.test_case "EBR reader exit allocates nothing (epoch advances)"
+      `Quick
+      (test_ebr_reader_exit ~stalled:false);
   ]
