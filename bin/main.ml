@@ -24,7 +24,9 @@ let write_file file body =
 let require_dir flag file =
   let dir = Filename.dirname file in
   if not (Sys.file_exists dir && Sys.is_directory dir) then
-    die "%s %s: directory %s does not exist" flag file dir
+    die "%s %s: directory %s does not exist" flag file dir;
+  if Sys.file_exists file && Sys.is_directory file then
+    die "%s %s: is a directory" flag file
 
 let list_experiments () =
   Format.printf "experiments:@.";
