@@ -4,17 +4,13 @@
 let err errs fmt = Format.kasprintf (fun s -> errs := s :: !errs) fmt
 
 (* Free and allocated blocks must tile [0, total_pages) with naturally
-   aligned blocks, and the recounted page totals must match the counters
-   the allocator maintains incrementally (split/merge conservation). *)
+   aligned blocks, and the recounted page totals and per-order free
+   block counts must match the counters the allocator maintains
+   incrementally (split/merge conservation). *)
 let buddy b =
   let errs = ref [] in
   let total = Mem.Buddy.total_pages b in
-  let tag_free (p, o) = (p, o, true) and tag_used (p, o) = (p, o, false) in
-  let blocks =
-    List.sort compare
-      (List.map tag_free (Mem.Buddy.free_blocks b)
-      @ List.map tag_used (Mem.Buddy.allocated_blocks b))
-  in
+  let nfree = Array.make (Mem.Buddy.max_order b + 1) 0 in
   let expected = ref 0 in
   let free_sum = ref 0 and used_sum = ref 0 in
   List.iter
@@ -34,9 +30,12 @@ let buddy b =
         err errs "buddy: pages %d..%d covered by no block (next is %s)" !expected
           (page - 1) where;
       expected := max !expected (page + size);
-      if is_free then free_sum := !free_sum + size
+      if is_free then begin
+        free_sum := !free_sum + size;
+        nfree.(order) <- nfree.(order) + 1
+      end
       else used_sum := !used_sum + size)
-    blocks;
+    (Mem.Buddy.blocks b);
   if !expected <> total then
     err errs "buddy: coverage ends at page %d, but the arena has %d pages"
       !expected total;
@@ -46,6 +45,14 @@ let buddy b =
   if !used_sum <> Mem.Buddy.used_pages b then
     err errs "buddy: allocated blocks hold %d pages but the counter says %d"
       !used_sum (Mem.Buddy.used_pages b);
+  Array.iteri
+    (fun order n ->
+      let counted = Mem.Buddy.free_blocks b ~order in
+      if counted <> n then
+        err errs
+          "buddy: order %d counts %d free blocks but the page table has %d"
+          order counted n)
+    nfree;
   List.rev !errs
 
 (* Follow a slab list from [head] (through the latent-slab links when

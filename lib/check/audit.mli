@@ -11,7 +11,8 @@ val buddy : Mem.Buddy.t -> string list
 (** Free-list coverage, no block overlap, and split/merge conservation:
     the free and allocated block sets must tile [0, total_pages) exactly,
     every block must be naturally aligned for its order, and the page
-    totals must match the allocator's own counters. *)
+    totals and each order's free block count must match the allocator's
+    own counters. *)
 
 val slab : rcu:Rcu.t -> Slab.Frame.cache -> string list
 (** Slab accounting: per-slab occupancy ([free + latent + in_flight =

@@ -84,14 +84,15 @@ let install_spec t spec =
                 if o > 0 && 1 lsl o > pages - !got then fit (o - 1) else o
               in
               let order = fit lfo in
-              match Mem.Buddy.alloc t.buddy ~order with
-              | Some b ->
-                  blocks := b :: !blocks;
-                  got := !got + (1 lsl order)
-              | None ->
-                  (* Refused (e.g. an overlapping alloc-fault window):
-                     don't spin. *)
-                  continue := false
+              let page = Mem.Buddy.alloc t.buddy ~order in
+              if page >= 0 then begin
+                blocks := (page, order) :: !blocks;
+                got := !got + (1 lsl order)
+              end
+              else
+                (* Refused (e.g. an overlapping alloc-fault window):
+                   don't spin. *)
+                continue := false
             end
           done;
           t.pages_seized <- t.pages_seized + !got;
@@ -99,7 +100,9 @@ let install_spec t spec =
             t.peak_pages_seized <- t.pages_seized;
           Mem.Pressure.poll t.pressure;
           at t (at_ns + duration_ns) (fun () ->
-              List.iter (Mem.Buddy.free t.buddy) !blocks;
+              List.iter
+                (fun (page, order) -> Mem.Buddy.free t.buddy ~page ~order)
+                !blocks;
               t.pages_seized <- t.pages_seized - !got;
               Mem.Pressure.poll t.pressure))
   | Plan.Cb_flood { cpu; at_ns; duration_ns; per_ms } ->

@@ -1,12 +1,9 @@
-type block = { page : int; order : int }
-
-exception Out_of_memory
-
 (* Resizable LIFO of candidate start-pages, one per order. Entries are
-   pushed on every insertion into the free table and never removed except
-   by [pop]; pages the coalescer has since consumed are left behind as
-   stale entries and skipped lazily at pop time (each removal creates at
-   most one stale entry, so the debt is bounded by the removal count). *)
+   pushed on every insertion of a free block and never removed except by
+   [pop]; pages the coalescer has since consumed are left behind as stale
+   entries, and [take_any] skips them at pop time by reading the page's
+   state byte (each removal creates at most one stale entry, so the debt
+   is bounded by the removal count). *)
 module Pstack = struct
   type s = { mutable a : int array; mutable n : int }
 
@@ -32,17 +29,23 @@ end
 
 let page_size = 4096
 
+(* The page table holds one byte per page, like the order the kernel
+   keeps in [page->private]: [no_block] when the page heads no block,
+   [free_tag + o] when it heads a free block of order o, and
+   [used_tag + o] when it heads an allocated one. [max_order <= 30]
+   keeps the two ranges apart and inside a byte. *)
+let no_block = 0
+let free_tag = 1
+let used_tag = 64
+
 type t = {
   total_pages : int;
   max_order : int;
-  (* free.(o) maps start-page -> unit for each free block of order o *)
-  free : (int, unit) Hashtbl.t array;
-  (* Per-order pick stacks over [free]: O(1) victim selection instead of
-     iterating a hash table. May hold stale pages; [free] is
-     authoritative. *)
+  pages : Bytes.t;
+  nfree : int array;  (* free blocks per order *)
+  (* Per-order pick stacks: O(1) victim selection. May hold stale pages;
+     the page table is authoritative. *)
   stacks : Pstack.s array;
-  (* allocated start-page -> order, to validate frees *)
-  allocated : (int, int) Hashtbl.t;
   mutable used : int;
   mutable peak_used : int;
   mutable allocs : int;
@@ -55,6 +58,20 @@ type t = {
   mutable prof : Prof.t;
 }
 
+let state t page = Bytes.get_uint8 t.pages page
+let set_state t page v = Bytes.set_uint8 t.pages page v
+
+(* Every insertion of a free block goes through here so the pick stack
+   stays a superset of the free blocks. *)
+let insert_free t order page =
+  set_state t page (free_tag + order);
+  t.nfree.(order) <- t.nfree.(order) + 1;
+  Pstack.push t.stacks.(order) page
+
+let remove_free t order page =
+  set_state t page no_block;
+  t.nfree.(order) <- t.nfree.(order) - 1
+
 let create ?(max_order = 10) ~total_pages () =
   if total_pages <= 0 then invalid_arg "Buddy.create: total_pages";
   if max_order < 0 || max_order > 30 then invalid_arg "Buddy.create: max_order";
@@ -62,9 +79,9 @@ let create ?(max_order = 10) ~total_pages () =
     {
       total_pages;
       max_order;
-      free = Array.init (max_order + 1) (fun _ -> Hashtbl.create 64);
+      pages = Bytes.make total_pages '\000';
+      nfree = Array.make (max_order + 1) 0;
       stacks = Array.init (max_order + 1) (fun _ -> Pstack.make ());
-      allocated = Hashtbl.create 256;
       used = 0;
       peak_used = 0;
       allocs = 0;
@@ -87,17 +104,10 @@ let create ?(max_order = 10) ~total_pages () =
     do
       decr order
     done;
-    Hashtbl.replace t.free.(!order) !page ();
-    Pstack.push t.stacks.(!order) !page;
+    insert_free t !order !page;
     page := !page + (1 lsl !order)
   done;
   t
-
-(* Every insertion into [free] goes through here so the pick stack stays a
-   superset of the table. *)
-let insert_free t order page =
-  Hashtbl.replace t.free.(order) page ();
-  Pstack.push t.stacks.(order) page
 
 let max_order t = t.max_order
 let total_pages t = t.total_pages
@@ -112,74 +122,72 @@ let injected_failures t = t.injected_failures
 let set_fail_hook t hook = t.fail_hook <- hook
 let set_prof t prof = t.prof <- prof
 
-let free_blocks t =
-  let acc = ref [] in
-  Array.iteri
-    (fun order tbl ->
-      Hashtbl.iter (fun page () -> acc := (page, order) :: !acc) tbl)
-    t.free;
-  List.sort compare !acc
+let free_blocks t ~order = t.nfree.(order)
 
-let allocated_blocks t =
-  List.sort compare
-    (Hashtbl.fold (fun page order acc -> (page, order) :: acc) t.allocated [])
+(* One scan of the page table, from the last page down, so the list
+   comes out in page order. *)
+let blocks t =
+  let acc = ref [] in
+  for page = t.total_pages - 1 downto 0 do
+    let s = state t page in
+    if s >= used_tag then acc := (page, s - used_tag, false) :: !acc
+    else if s >= free_tag then acc := (page, s - free_tag, true) :: !acc
+  done;
+  !acc
 
 let would_satisfy t ~order =
   if order < 0 || order > t.max_order then
     invalid_arg "Buddy.would_satisfy: order out of range";
-  let rec scan o =
-    o <= t.max_order && (Hashtbl.length t.free.(o) > 0 || scan (o + 1))
-  in
+  let rec scan o = o <= t.max_order && (t.nfree.(o) > 0 || scan (o + 1)) in
   scan order
 
 let largest_free_order t =
-  let rec scan o = if o < 0 then -1 else if Hashtbl.length t.free.(o) > 0 then o else scan (o - 1) in
+  let rec scan o =
+    if o < 0 then -1 else if t.nfree.(o) > 0 then o else scan (o - 1)
+  in
   scan t.max_order
 
-let take_any t o =
-  let tbl = t.free.(o) in
-  let st = t.stacks.(o) in
-  let rec go () =
-    let page = Pstack.pop st in
-    if page < 0 then None
-    else if Hashtbl.mem tbl page then begin
-      Hashtbl.remove tbl page;
-      Some page
+(* Pop order [o]'s stack until an entry still heads a free block of that
+   order; -1 when none does. *)
+let rec take_any t o =
+  let page = Pstack.pop t.stacks.(o) in
+  if page < 0 then -1
+  else if state t page = free_tag + o then begin
+    remove_free t o page;
+    page
+  end
+  else take_any t o
+
+(* The smallest order >= [o] with a free block: its page after splitting
+   it down to [order], or -1. *)
+let rec find t ~order o =
+  if o > t.max_order then -1
+  else
+    let page = take_any t o in
+    if page < 0 then find t ~order (o + 1)
+    else begin
+      (* Split down to the requested order, freeing the upper halves. *)
+      for h = o - 1 downto order do
+        insert_free t h (page + (1 lsl h))
+      done;
+      page
     end
-    else go ()
-  in
-  go ()
 
 let alloc_inner t ~order =
   match t.fail_hook with
   | Some hook when hook ~order ->
       t.injected_failures <- t.injected_failures + 1;
-      None
+      -1
   | _ ->
-  (* Find the smallest order >= requested with a free block. *)
-  let rec find o =
-    if o > t.max_order then None
-    else
-      match take_any t o with
-      | Some page -> Some (page, o)
-      | None -> find (o + 1)
-  in
-  match find order with
-  | None ->
-      t.failures <- t.failures + 1;
-      None
-  | Some (page, found_order) ->
-      (* Split down to the requested order, freeing the upper halves. *)
-      let o = ref found_order in
-      while !o > order do
-        decr o;
-        insert_free t !o (page + (1 lsl !o))
-      done;
-      Hashtbl.replace t.allocated page order;
-      t.used <- t.used + (1 lsl order);
-      if t.used > t.peak_used then t.peak_used <- t.used;
-      t.allocs <- t.allocs + 1;
-      Some { page; order }
+      let page = find t ~order order in
+      if page < 0 then t.failures <- t.failures + 1
+      else begin
+        set_state t page (used_tag + order);
+        t.used <- t.used + (1 lsl order);
+        if t.used > t.peak_used then t.peak_used <- t.used;
+        t.allocs <- t.allocs + 1
+      end;
+      page
 
 let alloc t ~order =
   if order < 0 || order > t.max_order then
@@ -189,34 +197,33 @@ let alloc t ~order =
   Prof.exit t.prof Prof.Span.Buddy_alloc;
   r
 
-let alloc_exn t ~order =
-  match alloc t ~order with Some b -> b | None -> raise Out_of_memory
+(* Merge with the buddy while it is free, then insert the result. *)
+let rec coalesce t page order =
+  let buddy = page lxor (1 lsl order) in
+  if
+    order < t.max_order
+    && buddy < t.total_pages
+    && state t buddy = free_tag + order
+  then begin
+    remove_free t order buddy;
+    coalesce t (min page buddy) (order + 1)
+  end
+  else insert_free t order page
 
-let free t { page; order } =
+let free t ~page ~order =
   Prof.enter t.prof ~cpu:(-1) Prof.Span.Buddy_free;
-  (match Hashtbl.find_opt t.allocated page with
-  | Some o when o = order -> Hashtbl.remove t.allocated page
-  | Some o ->
-      invalid_arg
-        (Printf.sprintf "Buddy.free: block at page %d has order %d, not %d"
-           page o order)
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Buddy.free: page %d is not an allocated block" page));
+  let s =
+    if page < 0 || page >= t.total_pages then no_block else state t page
+  in
+  if s = used_tag + order then set_state t page no_block
+  else if s >= used_tag then
+    invalid_arg
+      (Printf.sprintf "Buddy.free: block at page %d has order %d, not %d" page
+         (s - used_tag) order)
+  else
+    invalid_arg
+      (Printf.sprintf "Buddy.free: page %d is not an allocated block" page);
   t.used <- t.used - (1 lsl order);
   t.frees <- t.frees + 1;
-  (* Coalesce with the buddy while it is free. *)
-  let rec coalesce page order =
-    if order >= t.max_order then insert_free t order page
-    else begin
-      let buddy = page lxor (1 lsl order) in
-      if buddy + (1 lsl order) <= t.total_pages && Hashtbl.mem t.free.(order) buddy
-      then begin
-        Hashtbl.remove t.free.(order) buddy;
-        coalesce (min page buddy) (order + 1)
-      end
-      else insert_free t order page
-    end
-  in
-  coalesce page order;
+  coalesce t page order;
   Prof.exit t.prof Prof.Span.Buddy_free

@@ -5,16 +5,13 @@
     returning them. The allocator tracks used/free pages so the simulation
     can sample "total used memory" (paper Fig. 3) and detect out-of-memory.
 
-    Pages are identified by index; no real memory is allocated. Double frees
-    and frees of never-allocated blocks are detected and raise. *)
+    Pages are identified by index; no real memory is allocated. A block
+    is named by its first page and its order. One byte of state per page
+    records whether the page heads no block, a free block or an allocated
+    one, and of which order, so double frees and frees of never-allocated
+    blocks are detected and raise. *)
 
 type t
-
-type block = private { page : int; order : int }
-(** An allocated run of [2^order] contiguous pages starting at [page]. *)
-
-exception Out_of_memory
-(** Raised by {!alloc_exn} when the request cannot be satisfied. *)
 
 val page_size : int
 (** Bytes per page: 4096. *)
@@ -24,16 +21,16 @@ val create : ?max_order:int -> total_pages:int -> unit -> t
     {!page_size} bytes with largest block order [max_order] (default 10,
     i.e. 4 MiB blocks). *)
 
-val alloc : t -> order:int -> block option
+val alloc : t -> order:int -> int
 (** [alloc t ~order] allocates [2^order] contiguous pages, splitting larger
-    blocks as needed; [None] if no block of sufficient order is free. *)
+    blocks as needed, and returns the block's first page; -1 if no block
+    of sufficient order is free. Of the smallest order that fits, it takes
+    the free block inserted last (by a free, a merge or a split). *)
 
-val alloc_exn : t -> order:int -> block
-(** Like {!alloc} but raises {!Out_of_memory} on failure. *)
-
-val free : t -> block -> unit
-(** Return a block; coalesces with its buddy recursively. Raises
-    [Invalid_argument] on double free or foreign blocks. *)
+val free : t -> page:int -> order:int -> unit
+(** [free t ~page ~order] returns the block of order [order] at [page];
+    coalesces with its buddy recursively. Raises [Invalid_argument] on
+    double free, a wrong order or a foreign page. *)
 
 val max_order : t -> int
 val total_pages : t -> int
@@ -53,7 +50,7 @@ val failed_allocs : t -> int
 
 val set_fail_hook : t -> (order:int -> bool) option -> unit
 (** Fault injection: install a predicate consulted before every {!alloc};
-    returning [true] refuses the request ([alloc] returns [None]) without
+    returning [true] refuses the request ([alloc] returns -1) without
     touching the free lists. [None] (the default) disables injection. *)
 
 val injected_failures : t -> int
@@ -73,9 +70,10 @@ val would_satisfy : t -> order:int -> bool
 val largest_free_order : t -> int
 (** Largest order with a free block, or -1 if memory is exhausted. *)
 
-val free_blocks : t -> (int * int) list
-(** Every free block as [(start_page, order)], sorted by start page. For
-    external auditors (coverage / overlap / conservation checks). *)
+val free_blocks : t -> order:int -> int
+(** Free blocks of order [order], kept as a count (buddyinfo's column). *)
 
-val allocated_blocks : t -> (int * int) list
-(** Every allocated block as [(start_page, order)], sorted by start page. *)
+val blocks : t -> (int * int * bool) list
+(** Every block as [(start_page, order, is_free)], in page order: one scan
+    of the page table. For external auditors (coverage / overlap /
+    conservation checks). *)

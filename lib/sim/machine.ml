@@ -64,10 +64,17 @@ let set_prof t prof =
   t.prof <- prof;
   Engine.set_prof t.engine prof
 
+(* A toplevel walk, so a tick builds no closure over [c]. *)
+let rec run_hooks c = function
+  | [] -> ()
+  | hook :: rest ->
+      hook c;
+      run_hooks c rest
+
 let context_switch t c =
   c.ctx_switches <- c.ctx_switches + 1;
   Trace.Tap.emit (Engine.tap t.engine) Ctx_switch ~cpu:c.id ~label:"" 0 0;
-  List.iter (fun hook -> hook c) t.hooks
+  run_hooks c t.hooks
 
 let start t =
   if not t.started then begin

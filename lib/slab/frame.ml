@@ -69,7 +69,7 @@ and slab = {
   color : int;
   node_id : int;
   cache : cache;
-  block : Mem.Buddy.block;
+  page : int;
   capacity : int;
   mutable free_objs : objekt array;
       (* Stack of [capacity] slots, top at [free_n - 1]; filled once at
@@ -515,12 +515,11 @@ let slab_harvest_ripe slab ~completed =
 
 let alloc_pages cache =
   let buddy = cache.env.buddy in
-  match Mem.Buddy.alloc buddy ~order:cache.order with
-  | Some b -> Some b
-  | None ->
-      if Mem.Pressure.handle_alloc_failure cache.env.pressure then
-        Mem.Buddy.alloc buddy ~order:cache.order
-      else None
+  let page = Mem.Buddy.alloc buddy ~order:cache.order in
+  if page >= 0 then page
+  else if Mem.Pressure.handle_alloc_failure cache.env.pressure then
+    Mem.Buddy.alloc buddy ~order:cache.order
+  else -1
 
 (* Retry a transiently failed page allocation with exponential virtual-time
    backoff. Only failures that [Buddy.would_satisfy] proves non-genuine
@@ -529,18 +528,18 @@ let alloc_pages cache =
    Needs process context for the sleep, so it only runs when the policy is
    installed (off by default). *)
 let rec grow_attempt cache (cpu : Sim.Machine.cpu) ~tries ~backoff =
-  match alloc_pages cache with
-  | Some block -> Some block
-  | None -> (
-      match cache.env.grow_retry with
-      | Some p
-        when tries < p.max_retries
-             && Mem.Buddy.would_satisfy cache.env.buddy ~order:cache.order ->
-          Slab_stats.grow_retry cache.stats;
-          event cache cpu Grow_retry (tries + 1);
-          Sim.Process.sleep (Sim.Machine.engine cache.env.machine) backoff;
-          grow_attempt cache cpu ~tries:(tries + 1) ~backoff:(2 * backoff)
-      | _ -> None)
+  let page = alloc_pages cache in
+  if page >= 0 then page
+  else
+    match cache.env.grow_retry with
+    | Some p
+      when tries < p.max_retries
+           && Mem.Buddy.would_satisfy cache.env.buddy ~order:cache.order ->
+        Slab_stats.grow_retry cache.stats;
+        event cache cpu Grow_retry (tries + 1);
+        Sim.Process.sleep (Sim.Machine.engine cache.env.machine) backoff;
+        grow_attempt cache cpu ~tries:(tries + 1) ~backoff:(2 * backoff)
+    | _ -> -1
 
 let grow_inner cache (cpu : Sim.Machine.cpu) =
   let backoff =
@@ -548,63 +547,64 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     | Some p -> p.base_backoff_ns
     | None -> 0
   in
-  match grow_attempt cache cpu ~tries:0 ~backoff with
-  | None ->
-      event cache cpu Oom 0;
-      None
-  | Some block ->
-      let env = cache.env in
-      let color = cache.color_next in
-      cache.color_next <- (cache.color_next + 1) mod Size_class.max_color;
-      let sid = env.next_sid in
-      env.next_sid <- env.next_sid + 1;
-      let rec slab =
-        {
-          sid;
-          color;
-          node_id = cpu.node;
-          cache;
-          block;
-          capacity = cache.objs_per_slab;
-          free_objs = [||];
-          free_n = cache.objs_per_slab;
-          latent_objs = Latq.create ~capacity:cache.objs_per_slab;
-          latent_n = 0;
-          in_flight = 0;
-          on_list = L_unlinked;
-          links = { prev = None; next = None };
-          latent_links = { prev = None; next = None };
-          self = Some slab;
-        }
-      in
-      let mk () =
-        let oid = env.next_oid in
-        env.next_oid <- env.next_oid + 1;
-        {
-          oid;
-          parent = slab;
-          ostate = Free_in_slab;
-          gp_cookie = 0;
-          touched = false;
-        }
-      in
-      (* Oids ascend from the top of the stack down, so the first pop
-         returns the lowest. *)
-      let top = cache.objs_per_slab - 1 in
-      let objs = Array.make cache.objs_per_slab (mk ()) in
-      for i = top - 1 downto 0 do
-        objs.(i) <- mk ()
-      done;
-      slab.free_objs <- objs;
-      link cache slab L_free;
-      cache.total_slabs <- cache.total_slabs + 1;
-      Slab_stats.set_current_slabs cache.stats cache.total_slabs;
-      Slab_stats.grow cache.stats;
-      event cache cpu Grow cache.total_slabs;
-      Sim.Machine.consume cpu Costs.default.grow;
-      lock_pages cache cpu;
-      Mem.Pressure.poll env.pressure;
-      Some slab
+  let page = grow_attempt cache cpu ~tries:0 ~backoff in
+  if page < 0 then begin
+    event cache cpu Oom 0;
+    None
+  end
+  else
+    let env = cache.env in
+    let color = cache.color_next in
+    cache.color_next <- (cache.color_next + 1) mod Size_class.max_color;
+    let sid = env.next_sid in
+    env.next_sid <- env.next_sid + 1;
+    let rec slab =
+      {
+        sid;
+        color;
+        node_id = cpu.node;
+        cache;
+        page;
+        capacity = cache.objs_per_slab;
+        free_objs = [||];
+        free_n = cache.objs_per_slab;
+        latent_objs = Latq.create ~capacity:cache.objs_per_slab;
+        latent_n = 0;
+        in_flight = 0;
+        on_list = L_unlinked;
+        links = { prev = None; next = None };
+        latent_links = { prev = None; next = None };
+        self = Some slab;
+      }
+    in
+    let mk () =
+      let oid = env.next_oid in
+      env.next_oid <- env.next_oid + 1;
+      {
+        oid;
+        parent = slab;
+        ostate = Free_in_slab;
+        gp_cookie = 0;
+        touched = false;
+      }
+    in
+    (* Oids ascend from the top of the stack down, so the first pop
+       returns the lowest. *)
+    let top = cache.objs_per_slab - 1 in
+    let objs = Array.make cache.objs_per_slab (mk ()) in
+    for i = top - 1 downto 0 do
+      objs.(i) <- mk ()
+    done;
+    slab.free_objs <- objs;
+    link cache slab L_free;
+    cache.total_slabs <- cache.total_slabs + 1;
+    Slab_stats.set_current_slabs cache.stats cache.total_slabs;
+    Slab_stats.grow cache.stats;
+    event cache cpu Grow cache.total_slabs;
+    Sim.Machine.consume cpu Costs.default.grow;
+    lock_pages cache cpu;
+    Mem.Pressure.poll env.pressure;
+    Some slab
 
 (* May suspend mid-span when the grow-retry policy sleeps; Prof.exit's
    unwind semantics keep the span stack consistent across that. *)
@@ -634,7 +634,7 @@ let destroy_slab cache slab =
     remove ~latent:true (latent_slabs_of slab) slab
   end;
   unlink cache slab;
-  Mem.Buddy.free cache.env.buddy slab.block;
+  Mem.Buddy.free cache.env.buddy ~page:slab.page ~order:cache.order;
   cache.total_slabs <- cache.total_slabs - 1;
   Slab_stats.set_current_slabs cache.stats cache.total_slabs;
   Slab_stats.shrink cache.stats;

@@ -84,7 +84,7 @@ and slab = private {
   color : int;  (** Cache-colouring offset index (cycled per §4.3). *)
   node_id : int;
   cache : cache;
-  block : Mem.Buddy.block;
+  page : int;  (** First page of the slab's buddy block, of order [cache.order]. *)
   capacity : int;
   mutable free_objs : objekt array;
       (** The slab's free objects: a stack of [capacity] slots whose live

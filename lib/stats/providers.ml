@@ -15,15 +15,13 @@ type buddy_view = {
 }
 
 let buddy_view ~pressure buddy =
-  let per_order = Array.make (Mem.Buddy.max_order buddy + 1) 0 in
-  List.iter
-    (fun (_page, order) -> per_order.(order) <- per_order.(order) + 1)
-    (Mem.Buddy.free_blocks buddy);
   {
     total_pages = Mem.Buddy.total_pages buddy;
     used_pages = Mem.Buddy.used_pages buddy;
     free_pages = Mem.Buddy.free_pages buddy;
-    free_blocks_per_order = per_order;
+    free_blocks_per_order =
+      Array.init (Mem.Buddy.max_order buddy + 1) (fun order ->
+          Mem.Buddy.free_blocks buddy ~order);
     largest_free_order = Mem.Buddy.largest_free_order buddy;
     watermark = Mem.Pressure.level pressure;
     allocs = Mem.Buddy.alloc_count buddy;
@@ -371,11 +369,7 @@ let register_env reg (env : Workloads.Env.t) =
       (Printf.sprintf "buddy.free_order%d" o)
       ~unit_:"blocks"
       ~help:(Printf.sprintf "free blocks of order %d (buddyinfo column)" o)
-      (fun () ->
-        List.fold_left
-          (fun acc (_p, ord) -> if ord = o then acc +. 1. else acc)
-          0.
-          (Mem.Buddy.free_blocks buddy))
+      (fi (fun () -> Mem.Buddy.free_blocks buddy ~order:o))
   done;
   gauge "pressure.level" ~help:"0=normal 1=low 2=critical" (fun () ->
       level_value (Mem.Pressure.level pressure));

@@ -649,6 +649,56 @@ let audit_teeth corrupt () =
     Alcotest.failf "no report line contains %S; report:\n%s" expect
       (String.concat "\n" report)
 
+(* The buddy audit has teeth: on a 40-page arena (order-4 blocks at 0
+   and 16, an order-3 block at 32) whose one page-0 allocation split the
+   order-3 block, each case breaks the allocator's state and returns the
+   report line the audit must print. [Mem.Buddy.t] is abstract, so a case
+   reaches its page table (field 2) and per-order counts (field 3)
+   through [Obj], after checking that each field holds what its accessor
+   reads. *)
+let buddy_teeth_cases =
+  let counts b : int array =
+    let a = Obj.obj (Obj.field (Obj.repr b) 3) in
+    if
+      Array.length a <> Mem.Buddy.max_order b + 1
+      || not
+           (List.for_all
+              (fun order -> a.(order) = Mem.Buddy.free_blocks b ~order)
+              (List.init (Array.length a) Fun.id))
+    then Alcotest.fail "field 3 is not the per-order free count";
+    a
+  in
+  let page_table b : Bytes.t =
+    let p = Obj.obj (Obj.field (Obj.repr b) 2) in
+    if Bytes.length p <> Mem.Buddy.total_pages b then
+      Alcotest.fail "field 2 is not the page table";
+    p
+  in
+  [
+    ( "buddy free count off by one",
+      fun b ->
+        let a = counts b in
+        a.(2) <- a.(2) + 1;
+        "buddy: order 2 counts 2 free blocks but the page table has 1" );
+    ( "buddy head byte inside a free block",
+      fun b ->
+        (* Page 35 lies inside the free order-1 block at 34. *)
+        Bytes.set (page_table b) 35 (Bytes.get (page_table b) 33);
+        "buddy: free block page 35 order 0 overlaps the previous block \
+         (expected page 36)" );
+  ]
+
+let buddy_audit_teeth corrupt () =
+  let b = Mem.Buddy.create ~max_order:4 ~total_pages:40 () in
+  Alcotest.(check int) "split the order-3 block" 32
+    (Mem.Buddy.alloc b ~order:0);
+  Alcotest.(check (list string)) "clean before" [] (Audit.buddy b);
+  let expect = corrupt b in
+  let report = Audit.buddy b in
+  if not (List.exists (contains ~affix:expect) report) then
+    Alcotest.failf "no report line contains %S; report:\n%s" expect
+      (String.concat "\n" report)
+
 let test_differential_identical () =
   let trace = Diff.gen ~n_ops:800 ~seed:5 () in
   let r = Diff.run ~seed:5 trace in
@@ -712,3 +762,8 @@ let suite =
         Alcotest.test_case ("audit teeth: " ^ case) `Quick
           (audit_teeth corrupt))
       teeth_cases
+  @ List.map
+      (fun (case, corrupt) ->
+        Alcotest.test_case ("audit teeth: " ^ case) `Quick
+          (buddy_audit_teeth corrupt))
+      buddy_teeth_cases

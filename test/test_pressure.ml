@@ -1,3 +1,12 @@
+(* [n] single pages; fails the test on exhaustion. *)
+let take_pages b n =
+  List.init n (fun _ ->
+      let page = Mem.Buddy.alloc b ~order:0 in
+      if page < 0 then Alcotest.fail "arena exhausted";
+      page)
+
+let free_pages b = List.iter (fun page -> Mem.Buddy.free b ~page ~order:0)
+
 let make () =
   let b = Mem.Buddy.create ~total_pages:100 () in
   let p = Mem.Pressure.create b in
@@ -7,12 +16,12 @@ let test_levels () =
   let b, p = make () in
   Alcotest.(check bool) "normal initially" true (Mem.Pressure.level p = Mem.Pressure.Normal);
   (* Use 76 pages -> 24 free <= 25 low watermark *)
-  let blocks = List.init 76 (fun _ -> Mem.Buddy.alloc_exn b ~order:0) in
+  let blocks = take_pages b 76 in
   Alcotest.(check bool) "low" true (Mem.Pressure.level p = Mem.Pressure.Low);
-  let more = List.init 15 (fun _ -> Mem.Buddy.alloc_exn b ~order:0) in
+  let more = take_pages b 15 in
   Alcotest.(check bool) "critical" true
     (Mem.Pressure.level p = Mem.Pressure.Critical);
-  List.iter (Mem.Buddy.free b) (blocks @ more);
+  free_pages b (blocks @ more);
   Alcotest.(check bool) "normal again" true
     (Mem.Pressure.level p = Mem.Pressure.Normal)
 
@@ -20,12 +29,12 @@ let test_notifier_on_transition () =
   let b, p = make () in
   let log = ref [] in
   Mem.Pressure.on_level_change p (fun l -> log := l :: !log);
-  let blocks = List.init 80 (fun _ -> Mem.Buddy.alloc_exn b ~order:0) in
+  let blocks = take_pages b 80 in
   Mem.Pressure.poll p;
   Mem.Pressure.poll p;
   (* second poll: no change, no duplicate notification *)
   Alcotest.(check int) "one transition" 1 (List.length !log);
-  List.iter (Mem.Buddy.free b) blocks;
+  free_pages b blocks;
   Mem.Pressure.poll p;
   Alcotest.(check int) "back transition" 2 (List.length !log);
   Alcotest.(check bool) "last is normal" true
@@ -37,16 +46,16 @@ let test_transitions_bidirectional () =
   let b, p = make () in
   let log = ref [] in
   Mem.Pressure.on_level_change p (fun l -> log := l :: !log);
-  let take n = List.init n (fun _ -> Mem.Buddy.alloc_exn b ~order:0) in
+  let take = take_pages b in
   let up_low = take 76 in
   (* 24 free <= 25 *)
   Mem.Pressure.poll p;
   let up_crit = take 15 in
   (* 9 free <= 10 *)
   Mem.Pressure.poll p;
-  List.iter (Mem.Buddy.free b) up_crit;
+  free_pages b up_crit;
   Mem.Pressure.poll p;
-  List.iter (Mem.Buddy.free b) up_low;
+  free_pages b up_low;
   Mem.Pressure.poll p;
   Mem.Pressure.poll p;
   (* no change: no extra notification *)

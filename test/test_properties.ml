@@ -189,19 +189,18 @@ let prop_buddy_coverage_and_conservation =
     (fun ops ->
       let b = Mem.Buddy.create ~total_pages:64 () in
       let held = ref [] in
+      let free (page, order) = Mem.Buddy.free b ~page ~order in
       let step (want_alloc, order) =
         (if want_alloc || !held = [] then begin
            let promised = Mem.Buddy.would_satisfy b ~order in
-           match Mem.Buddy.alloc b ~order with
-           | Some blk ->
-               if not promised then raise Exit;
-               held := blk :: !held
-           | None -> if promised then raise Exit
+           let page = Mem.Buddy.alloc b ~order in
+           if page >= 0 <> promised then raise Exit;
+           if page >= 0 then held := (page, order) :: !held
          end
          else
            match !held with
            | blk :: rest ->
-               Mem.Buddy.free b blk;
+               free blk;
                held := rest
            | [] -> ());
         Check.Audit.buddy b = []
@@ -211,11 +210,167 @@ let prop_buddy_coverage_and_conservation =
       begin
         (* Conservation end state: freeing everything re-merges the whole
            arena into max-order blocks. *)
-        List.iter (Mem.Buddy.free b) !held;
+        List.iter free !held;
         Check.Audit.buddy b = []
         && Mem.Buddy.used_pages b = 0
         && Mem.Buddy.would_satisfy b ~order:(Mem.Buddy.largest_free_order b)
       end)
+
+(* The buddy against a list model of its pick rule. Each order keeps its
+   free blocks most recently inserted first. An allocation takes the
+   front block of the smallest order that fits and pushes the upper
+   halves it splits off; a free unlinks a free buddy and merges with it,
+   repeatedly, then pushes the result. *)
+module Buddy_model = struct
+  type t = {
+    max_order : int;
+    free : int list array;
+    mutable held : (int * int) list;  (* allocated (page, order) *)
+    mutable used : int;
+    mutable peak : int;
+    mutable allocs : int;
+    mutable frees : int;
+    mutable failures : int;
+  }
+
+  let push t order page = t.free.(order) <- page :: t.free.(order)
+
+  (* Carve the arena into the largest aligned blocks that fit. *)
+  let create ~total ~max_order =
+    let t =
+      {
+        max_order;
+        free = Array.make (max_order + 1) [];
+        held = [];
+        used = 0;
+        peak = 0;
+        allocs = 0;
+        frees = 0;
+        failures = 0;
+      }
+    in
+    let rec carve page =
+      if page < total then begin
+        let rec fit o =
+          if
+            o > 0
+            && (page land ((1 lsl o) - 1) <> 0 || page + (1 lsl o) > total)
+          then fit (o - 1)
+          else o
+        in
+        let o = fit max_order in
+        push t o page;
+        carve (page + (1 lsl o))
+      end
+    in
+    carve 0;
+    t
+
+  let alloc t ~order =
+    let rec find o =
+      if o > t.max_order then None
+      else
+        match t.free.(o) with
+        | page :: rest ->
+            t.free.(o) <- rest;
+            Some (page, o)
+        | [] -> find (o + 1)
+    in
+    match find order with
+    | None ->
+        t.failures <- t.failures + 1;
+        -1
+    | Some (page, o) ->
+        for h = o - 1 downto order do
+          push t h (page + (1 lsl h))
+        done;
+        t.held <- (page, order) :: t.held;
+        t.used <- t.used + (1 lsl order);
+        t.peak <- max t.peak t.used;
+        t.allocs <- t.allocs + 1;
+        page
+
+  let rec coalesce t page order =
+    let buddy = page lxor (1 lsl order) in
+    if order < t.max_order && List.mem buddy t.free.(order) then begin
+      t.free.(order) <- List.filter (( <> ) buddy) t.free.(order);
+      coalesce t (min page buddy) (order + 1)
+    end
+    else push t order page
+
+  (* [None], or the message the allocator must raise. *)
+  let free t ~page ~order =
+    match List.assoc_opt page t.held with
+    | Some o when o = order ->
+        t.held <- List.remove_assoc page t.held;
+        t.used <- t.used - (1 lsl order);
+        t.frees <- t.frees + 1;
+        coalesce t page order;
+        None
+    | Some o ->
+        Some
+          (Printf.sprintf "Buddy.free: block at page %d has order %d, not %d"
+             page o order)
+    | None ->
+        Some
+          (Printf.sprintf "Buddy.free: page %d is not an allocated block" page)
+
+  let blocks t =
+    let free o l = List.map (fun p -> (p, o, true)) l in
+    List.sort compare
+      (List.map (fun (p, o) -> (p, o, false)) t.held
+      @ List.concat (Array.to_list (Array.mapi free t.free)))
+end
+
+(* Random programs on a 1,000-page arena with max_order 5: allocations
+   of orders 0-3, frees of held blocks, and frees of random pages (most
+   of them invalid). After each step the returned page or -1, the raised
+   message, the block listing, the five counters, [would_satisfy] at
+   every order and [largest_free_order] must match the model. *)
+let prop_buddy_matches_model =
+  QCheck.Test.make ~name:"buddy: LIFO pick rule matches a list model"
+    ~count:200
+    QCheck.(
+      list_of_size Gen.(1 -- 400)
+        (triple (int_bound 9) (int_bound 1023) (int_bound 3)))
+    (fun ops ->
+      let total = 1000 and max_order = 5 in
+      let b = Mem.Buddy.create ~max_order ~total_pages:total () in
+      let m = Buddy_model.create ~total ~max_order in
+      let free ~page ~order =
+        let expect = Buddy_model.free m ~page ~order in
+        match Mem.Buddy.free b ~page ~order with
+        | () -> expect = None
+        | exception Invalid_argument msg -> expect = Some msg
+      in
+      let same_state () =
+        Mem.Buddy.blocks b = Buddy_model.blocks m
+        && Mem.Buddy.used_pages b = m.used
+        && Mem.Buddy.peak_used_pages b = m.peak
+        && Mem.Buddy.alloc_count b = m.allocs
+        && Mem.Buddy.free_count b = m.frees
+        && Mem.Buddy.failed_allocs b = m.failures
+        && Mem.Buddy.largest_free_order b
+           = List.fold_left
+               (fun acc (_, o, is_free) -> if is_free then max acc o else acc)
+               (-1) (Buddy_model.blocks m)
+        && List.for_all
+             (fun order ->
+               Mem.Buddy.would_satisfy b ~order
+               = Array.exists (fun l -> l <> [])
+                   (Array.sub m.free order (max_order + 1 - order)))
+             (List.init (max_order + 1) Fun.id)
+      in
+      List.for_all
+        (fun (kind, a, order) ->
+          (match (kind, m.held) with
+          | (5 | 6 | 7 | 8), (_ :: _ as held) ->
+              let page, order = List.nth held (a mod List.length held) in
+              free ~page ~order
+          | 9, _ -> free ~page:a ~order
+          | _ -> Mem.Buddy.alloc b ~order = Buddy_model.alloc m ~order)
+          && same_state ())
+        ops)
 
 (* The callback ring against a list model: random enqueue bursts,
    advances, drains and drains whose callbacks enqueue more. Bursts of up
@@ -296,6 +451,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_callback_waits_for_overlapping_readers;
     QCheck_alcotest.to_alcotest prop_rculist_matches_model;
     QCheck_alcotest.to_alcotest prop_buddy_coverage_and_conservation;
+    QCheck_alcotest.to_alcotest prop_buddy_matches_model;
     QCheck_alcotest.to_alcotest prop_cblist_conserves_callbacks;
     Alcotest.test_case "numa: objects return home" `Quick
       test_numa_objects_return_home;

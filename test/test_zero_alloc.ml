@@ -7,8 +7,10 @@
    cycle allocates nothing either, under both tie-break policies, and a
    process sleep only the runtime's continuation. On the read side, a
    reader section's holds, an EBR reader exit and a list copy-update
-   allocate nothing, and a lookup only its result. Each case warms up
-   first, then counts minor words over 10k iterations. *)
+   allocate nothing, and a lookup only its result. A buddy allocation
+   and a coalescing buddy free allocate nothing, and neither does a bare
+   machine's scheduler tick. Each case warms up first, then counts minor
+   words over 10k iterations. *)
 
 open Test_util
 module Frame = Slab.Frame
@@ -361,6 +363,61 @@ let test_rculist_update () =
     (Rcu.Readers.violations readers);
   Alcotest.(check (float 0.)) "Rculist.update on Prudence: 0 words" 0. !words
 
+(* Minor words spent in buddy allocations and in buddy frees, over 10k
+   rounds on a 16-page arena of two order-3 blocks. Each order-0
+   allocation splits an order-3 block, pushing its three upper halves;
+   the free merges all three back, leaving their stack entries stale for
+   the next allocation to skip. *)
+let buddy_alloc_free_words () =
+  let b = Mem.Buddy.create ~max_order:3 ~total_pages:16 () in
+  let alloc_words = ref 0. and free_words = ref 0. in
+  for round = 0 to iterations do
+    let a = Gc.minor_words () in
+    let page = Mem.Buddy.alloc b ~order:0 in
+    let m = Gc.minor_words () in
+    Mem.Buddy.free b ~page ~order:0;
+    let e = Gc.minor_words () in
+    assert (page = 8 && Mem.Buddy.free_blocks b ~order:3 = 2);
+    if round > 0 then begin
+      alloc_words := !alloc_words +. (m -. a);
+      free_words := !free_words +. (e -. m)
+    end
+  done;
+  audit_clean (Check.Audit.buddy b);
+  (!alloc_words, !free_words)
+
+let test_buddy_alloc () =
+  Alcotest.(check (float 0.)) "Buddy.alloc (split): 0 words" 0.
+    (fst (buddy_alloc_free_words ()))
+
+let test_buddy_free () =
+  Alcotest.(check (float 0.)) "Buddy.free (coalesce): 0 words" 0.
+    (snd (buddy_alloc_free_words ()))
+
+(* A bare 8-CPU machine ticks 800 times in 100 ms of virtual time. Two
+   events between ticks read the minor-word counter and the switch count;
+   the tick count is read outside the window. *)
+let test_machine_ticks () =
+  let eng, machine = make_sim ~cpus:8 () in
+  let words = Float.Array.make 2 0. and switches = Array.make 2 0 in
+  let count () =
+    Array.fold_left
+      (fun n c -> n + c.Sim.Machine.ctx_switches)
+      0 (Sim.Machine.cpus machine)
+  in
+  Sim.Engine.schedule_at ~daemon:true eng ~time:(Sim.Clock.ms 10 + 1)
+    (fun () ->
+      switches.(0) <- count ();
+      Float.Array.set words 0 (Gc.minor_words ()));
+  Sim.Engine.schedule_at ~daemon:true eng ~time:(Sim.Clock.ms 110 + 1)
+    (fun () ->
+      Float.Array.set words 1 (Gc.minor_words ());
+      switches.(1) <- count ());
+  Sim.Engine.run ~until:(Sim.Clock.ms 120) eng;
+  Alcotest.(check int) "800 ticks" 800 (switches.(1) - switches.(0));
+  Alcotest.(check (float 0.)) "800 ticks, 0 minor words" 0.
+    (Float.Array.get words 1 -. Float.Array.get words 0)
+
 (* CPU 1 defers, then enters and exits a section, so every exit finds
    tokens outstanding and tries to advance the epoch. With CPU 0
    stalled in a section the scan is blocked and the epoch stays put;
@@ -423,6 +480,11 @@ let suite =
       test_rculist_lookup;
     Alcotest.test_case "Rculist.update on Prudence allocates nothing" `Quick
       test_rculist_update;
+    Alcotest.test_case "Buddy.alloc allocates nothing" `Quick test_buddy_alloc;
+    Alcotest.test_case "Buddy.free (coalescing) allocates nothing" `Quick
+      test_buddy_free;
+    Alcotest.test_case "machine ticks allocate nothing" `Quick
+      test_machine_ticks;
     Alcotest.test_case "EBR reader exit allocates nothing (scan blocked)"
       `Quick
       (test_ebr_reader_exit ~stalled:true);
