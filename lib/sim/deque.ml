@@ -1,6 +1,6 @@
-(* A power-of-two ring: pushes and pops at either end are index
-   arithmetic, allocation-free once the ring has grown. A popped slot
-   keeps its old element until a later push overwrites it. *)
+(* A power-of-two ring: pushes at the back and pops at either end are
+   index arithmetic, allocation-free once the ring has grown. A popped
+   slot keeps its old element until a later push overwrites it. *)
 type 'a t = {
   mutable arr : 'a array; (* capacity a power of two; [||] until used *)
   mutable head : int; (* index of the front element *)
@@ -9,7 +9,6 @@ type 'a t = {
 
 let create () = { arr = [||]; head = 0; n = 0 }
 
-let length d = d.n
 let is_empty d = d.n = 0
 
 (* Make room for one more element; [x] fills the fresh slots. *)
@@ -30,12 +29,6 @@ let push_back d x =
   d.arr.((d.head + d.n) land (Array.length d.arr - 1)) <- x;
   d.n <- d.n + 1
 
-let push_front d x =
-  reserve d x;
-  d.head <- (d.head - 1) land (Array.length d.arr - 1);
-  d.arr.(d.head) <- x;
-  d.n <- d.n + 1
-
 let pop_front_exn d =
   if d.n = 0 then invalid_arg "Deque.pop_front_exn: empty";
   let x = d.arr.(d.head) in
@@ -47,18 +40,3 @@ let pop_back_exn d =
   if d.n = 0 then invalid_arg "Deque.pop_back_exn: empty";
   d.n <- d.n - 1;
   d.arr.((d.head + d.n) land (Array.length d.arr - 1))
-
-let pop_front d = if d.n = 0 then None else Some (pop_front_exn d)
-let pop_back d = if d.n = 0 then None else Some (pop_back_exn d)
-let peek_front d = if d.n = 0 then None else Some d.arr.(d.head)
-
-let peek_back d =
-  if d.n = 0 then None
-  else Some d.arr.((d.head + d.n - 1) land (Array.length d.arr - 1))
-
-let to_list d =
-  List.init d.n (fun i -> d.arr.((d.head + i) land (Array.length d.arr - 1)))
-
-let clear d =
-  d.head <- 0;
-  d.n <- 0

@@ -5,7 +5,6 @@ type t = {
   mutable acquisitions : int;
   mutable contended : int;
   mutable total_wait : int;
-  mutable total_hold : int;
 }
 
 let create ~name tap =
@@ -16,7 +15,6 @@ let create ~name tap =
     acquisitions = 0;
     contended = 0;
     total_wait = 0;
-    total_hold = 0;
   }
 
 let acquire l ~cpu ~now ~hold =
@@ -27,7 +25,6 @@ let acquire l ~cpu ~now ~hold =
   l.acquisitions <- l.acquisitions + 1;
   if wait > 0 then l.contended <- l.contended + 1;
   l.total_wait <- l.total_wait + wait;
-  l.total_hold <- l.total_hold + hold;
   Trace.Tap.emit l.tap Lock_acquire ~cpu ~label:l.lock_name 0 0;
   if wait > 0 then
     Trace.Tap.emit l.tap Lock_contended ~cpu ~label:l.lock_name wait 0;
@@ -36,10 +33,3 @@ let acquire l ~cpu ~now ~hold =
 let acquisitions l = l.acquisitions
 let contended l = l.contended
 let total_wait_ns l = l.total_wait
-let total_hold_ns l = l.total_hold
-
-let reset_stats l =
-  l.acquisitions <- 0;
-  l.contended <- 0;
-  l.total_wait <- 0;
-  l.total_hold <- 0

@@ -31,9 +31,3 @@ val contended : t -> int
 
 val total_wait_ns : t -> int
 (** Sum of queueing waits over all acquisitions, in ns. *)
-
-val total_hold_ns : t -> int
-(** Sum of hold times, in ns. *)
-
-val reset_stats : t -> unit
-(** Zero the counters (not the lock availability time). *)

@@ -3,55 +3,35 @@ let test_fifo () =
   Sim.Deque.push_back d 1;
   Sim.Deque.push_back d 2;
   Sim.Deque.push_back d 3;
-  Alcotest.(check (option int)) "front" (Some 1) (Sim.Deque.pop_front d);
-  Alcotest.(check (option int)) "front" (Some 2) (Sim.Deque.pop_front d);
-  Alcotest.(check (option int)) "front" (Some 3) (Sim.Deque.pop_front d);
-  Alcotest.(check (option int)) "empty" None (Sim.Deque.pop_front d)
+  Alcotest.(check int) "front" 1 (Sim.Deque.pop_front_exn d);
+  Alcotest.(check int) "front" 2 (Sim.Deque.pop_front_exn d);
+  Alcotest.(check int) "front" 3 (Sim.Deque.pop_front_exn d);
+  Alcotest.(check bool) "empty" true (Sim.Deque.is_empty d)
 
 let test_both_ends () =
   let d = Sim.Deque.create () in
-  Sim.Deque.push_back d 2;
-  Sim.Deque.push_front d 1;
-  Sim.Deque.push_back d 3;
-  Alcotest.(check (list int)) "order" [ 1; 2; 3 ] (Sim.Deque.to_list d);
-  Alcotest.(check (option int)) "pop_back" (Some 3) (Sim.Deque.pop_back d);
-  Alcotest.(check (option int)) "pop_front" (Some 1) (Sim.Deque.pop_front d);
-  Alcotest.(check int) "length" 1 (Sim.Deque.length d)
-
-let test_peek () =
-  let d = Sim.Deque.create () in
-  Alcotest.(check (option int)) "peek empty" None (Sim.Deque.peek_front d);
-  Sim.Deque.push_back d 5;
-  Sim.Deque.push_back d 6;
-  Alcotest.(check (option int)) "peek front" (Some 5) (Sim.Deque.peek_front d);
-  Alcotest.(check (option int)) "peek back" (Some 6) (Sim.Deque.peek_back d);
-  Alcotest.(check int) "peek does not remove" 2 (Sim.Deque.length d)
-
-let test_pop_back_after_front_pushes () =
-  let d = Sim.Deque.create () in
-  Sim.Deque.push_front d 3;
-  Sim.Deque.push_front d 2;
-  Sim.Deque.push_front d 1;
-  Alcotest.(check (option int)) "back is 3" (Some 3) (Sim.Deque.pop_back d)
-
-let test_clear () =
-  let d = Sim.Deque.create () in
   Sim.Deque.push_back d 1;
-  Sim.Deque.clear d;
-  Alcotest.(check bool) "cleared" true (Sim.Deque.is_empty d)
+  Sim.Deque.push_back d 2;
+  Sim.Deque.push_back d 3;
+  Alcotest.(check int) "pop_back" 3 (Sim.Deque.pop_back_exn d);
+  Alcotest.(check int) "pop_front" 1 (Sim.Deque.pop_front_exn d);
+  Alcotest.(check int) "last" 2 (Sim.Deque.pop_back_exn d);
+  Alcotest.(check bool) "empty" true (Sim.Deque.is_empty d)
 
-(* Once the ring has grown to its working size, pushes and the [_exn]
-   pops at both ends allocate nothing. *)
+(* Once the ring has grown to its working size, pushes and pops at both
+   ends allocate nothing. *)
 let test_no_alloc_once_grown () =
   let d = Sim.Deque.create () in
   for i = 1 to 64 do
     Sim.Deque.push_back d i
   done;
-  Sim.Deque.clear d;
+  for _ = 1 to 64 do
+    ignore (Sim.Deque.pop_front_exn d)
+  done;
   let before = Gc.minor_words () in
   for i = 1 to 10_000 do
     Sim.Deque.push_back d i;
-    Sim.Deque.push_front d i;
+    Sim.Deque.push_back d i;
     Sim.Deque.push_back d i;
     ignore (Sim.Deque.pop_front_exn d);
     ignore (Sim.Deque.pop_back_exn d);
@@ -66,15 +46,15 @@ let test_exn_on_empty () =
   Alcotest.check_raises "pop_front_exn"
     (Invalid_argument "Deque.pop_front_exn: empty") (fun () ->
       ignore (Sim.Deque.pop_front_exn d));
-  Sim.Deque.push_front d 1;
+  Sim.Deque.push_back d 1;
   ignore (Sim.Deque.pop_back_exn d);
   Alcotest.check_raises "pop_back_exn"
     (Invalid_argument "Deque.pop_back_exn: empty") (fun () ->
       ignore (Sim.Deque.pop_back_exn d))
 
 (* Pushes outnumber pops 3:2, so runs of a few hundred ops grow the ring
-   past its initial 16 slots more than once, and push_front wraps the
-   head below slot 0 from the first op. *)
+   past its initial 16 slots more than once, and front pops move the
+   live part across the ring's end. *)
 let prop_deque_model =
   QCheck.Test.make ~name:"deque matches a list model" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 300) (pair (int_bound 9) small_int))
@@ -91,36 +71,27 @@ let prop_deque_model =
             model := List.rev rest;
             Some x
       in
-      let exn pop = match pop d with x -> Some x | exception Invalid_argument _ -> None in
+      let exn pop =
+        match pop d with x -> Some x | exception Invalid_argument _ -> None
+      in
       List.for_all
         (fun (op, v) ->
           (match op with
-          | 0 | 1 | 2 | 3 ->
+          | 0 | 1 | 2 | 3 | 4 | 5 ->
               Sim.Deque.push_back d v;
               model := !model @ [ v ];
               true
-          | 4 | 5 ->
-              Sim.Deque.push_front d v;
-              model := v :: !model;
-              true
-          | 6 -> Sim.Deque.pop_front d = take_front ()
-          | 7 -> Sim.Deque.pop_back d = take_back ()
-          | 8 -> exn Sim.Deque.pop_front_exn = take_front ()
+          | 6 | 7 -> exn Sim.Deque.pop_front_exn = take_front ()
           | _ -> exn Sim.Deque.pop_back_exn = take_back ())
-          && Sim.Deque.length d = List.length !model
-          && Sim.Deque.peek_front d = List.nth_opt !model 0
-          && Sim.Deque.peek_back d = List.nth_opt (List.rev !model) 0)
+          && Sim.Deque.is_empty d = (!model = []))
         ops
-      && Sim.Deque.to_list d = !model)
+      && List.for_all (fun v -> Sim.Deque.pop_front_exn d = v) !model
+      && Sim.Deque.is_empty d)
 
 let suite =
   [
     Alcotest.test_case "fifo" `Quick test_fifo;
     Alcotest.test_case "both ends" `Quick test_both_ends;
-    Alcotest.test_case "peek" `Quick test_peek;
-    Alcotest.test_case "pop_back after front pushes" `Quick
-      test_pop_back_after_front_pushes;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "no allocation once grown" `Quick
       test_no_alloc_once_grown;
     Alcotest.test_case "_exn pops on empty" `Quick test_exn_on_empty;
