@@ -400,218 +400,173 @@ let app_results params =
 
 (* Pair up per-cache results of the two allocators, keeping only caches
    with meaningful traffic (the paper reports caches with > 1M operations
-   per run; we scale that threshold with the workload). *)
-let paired_caches params (slub : W.Appmodel.result) (prud : W.Appmodel.result) =
+   per run; we scale that threshold with the workload). Each pair is
+   labelled "<benchmark> <cache>". *)
+let paired_caches params apps =
   let threshold = scaled params 3_000 * 2 in
-  List.filter_map
-    (fun (sc : W.Appmodel.cache_result) ->
-      let traffic =
-        sc.W.Appmodel.snap.Slab.Slab_stats.allocs
-        + sc.W.Appmodel.snap.Slab.Slab_stats.deferred_frees
-      in
-      if traffic < threshold then None
-      else
-        List.find_opt
-          (fun (pc : W.Appmodel.cache_result) ->
-            pc.W.Appmodel.cache_name = sc.W.Appmodel.cache_name)
-          prud.W.Appmodel.caches
-        |> Option.map (fun pc -> (sc, pc)))
-    slub.W.Appmodel.caches
+  List.concat_map
+    (fun (bench, (slub : W.Appmodel.result), (prud : W.Appmodel.result)) ->
+      List.filter_map
+        (fun (sc : W.Appmodel.cache_result) ->
+          let traffic =
+            sc.W.Appmodel.snap.Slab.Slab_stats.allocs
+            + sc.W.Appmodel.snap.Slab.Slab_stats.deferred_frees
+          in
+          if traffic < threshold then None
+          else
+            List.find_opt
+              (fun (pc : W.Appmodel.cache_result) ->
+                pc.W.Appmodel.cache_name = sc.W.Appmodel.cache_name)
+              prud.W.Appmodel.caches
+            |> Option.map (fun pc ->
+                   (Printf.sprintf "%s %s" bench sc.W.Appmodel.cache_name, sc, pc)))
+        slub.W.Appmodel.caches)
+    apps
 
-let per_cache_table params apps ~columns =
-  let rows =
-    List.concat_map
-      (fun (bench, slub, prud) ->
-        List.map
-          (fun (sc, pc) ->
-            Printf.sprintf "%s %s" bench sc.W.Appmodel.cache_name
-            :: columns sc pc)
-          (paired_caches params slub prud))
-      apps
+(* Figs. 7-11 each compare one per-cache value between the allocators.
+   A figure is a spec; [per_cache_report] builds its rows, table, verdict
+   and metrics from the same numbers. *)
+type per_cache = {
+  fig : string;
+  title : string;
+  claim : string;
+  unit_name : string;  (** Value columns: "slub <unit>", "prudence <unit>". *)
+  value : W.Appmodel.cache_result -> float;
+  show : float -> string;
+  change : float -> float -> string;  (** slub -> prudence -> change cell. *)
+  counts : float -> float -> bool;  (** slub -> prudence -> counted. *)
+  counted : string;  (** Verdict: "<counted> for n of m ... pairs". *)
+  metric : string;  (** The count's metric: "<fig>.<metric>". *)
+  with_total : bool;  (** Also report "<fig>.pairs_total". *)
+}
+
+let per_cache_report pairs spec =
+  let values =
+    List.map (fun (label, sc, pc) -> (label, spec.value sc, spec.value pc)) pairs
   in
-  rows
+  let table =
+    T.render
+      ~header:
+        [ "benchmark cache"; "slub " ^ spec.unit_name;
+          "prudence " ^ spec.unit_name; "change" ]
+      (List.map
+         (fun (label, s, p) -> [ label; spec.show s; spec.show p; spec.change s p ])
+         values)
+  in
+  let total = List.length values in
+  let counted =
+    List.length (List.filter (fun (_, s, p) -> spec.counts s p) values)
+  in
+  Report.make
+    ~metrics:
+      (Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
+         (spec.fig ^ "." ^ spec.metric) (float_of_int counted)
+      ::
+      (if spec.with_total then
+         [ Report.metric (spec.fig ^ ".pairs_total") (float_of_int total) ]
+       else []))
+    ~id:spec.fig ~title:spec.title ~paper_claim:spec.claim
+    ~verdict:
+      (Printf.sprintf "%s for %d of %d cache/benchmark pairs" spec.counted
+         counted total)
+    table
 
-let report_fig7 params apps =
+let pct_change s p = T.fmt_pct (if s = 0. then nan else 100. *. (p -. s) /. s)
+
+let per_cache_figs =
   let module S = Slab.Slab_stats in
-  let rows =
-    per_cache_table params apps ~columns:(fun sc pc ->
-        let hs = S.hit_rate sc.W.Appmodel.snap in
-        let hp = S.hit_rate pc.W.Appmodel.snap in
-        [
-          Printf.sprintf "%.1f%%" hs;
-          Printf.sprintf "%.1f%%" hp;
-          Printf.sprintf "%+.1f pp" (hp -. hs);
-        ])
+  let count f (c : W.Appmodel.cache_result) =
+    float_of_int (f c.W.Appmodel.snap)
   in
-  let table =
-    T.render
-      ~header:[ "benchmark cache"; "slub hits"; "prudence hits"; "change" ]
-      rows
-  in
-  let ups =
-    List.length
-      (List.filter
-         (fun r -> String.length (List.nth r 3) > 0 && (List.nth r 3).[0] = '+')
-         rows)
-  in
-  Report.make
-    ~metrics:
-      [
-        Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-          "fig7.pairs_improved" (float_of_int ups);
-        Report.metric "fig7.pairs_total" (float_of_int (List.length rows));
-      ]
-    ~id:"fig7"
-    ~title:"Allocation requests served from the object cache (hit rate)"
-    ~paper_claim:
-      "Prudence improves cache hits for every reported slab cache: deferred \
-       objects merge into the object cache right after the grace period \
-       instead of waiting for RCU's callback processing"
-    ~verdict:
-      (Printf.sprintf "hit rate improved for %d of %d cache/benchmark pairs"
-         ups (List.length rows))
-    table
-
-let pct_change_rows params apps ~metric =
-  per_cache_table params apps ~columns:(fun sc pc ->
-      let vs = metric sc and vp = metric pc in
-      let change =
-        if vs = 0 then nan
-        else 100. *. (float_of_int vp -. float_of_int vs) /. float_of_int vs
-      in
-      [ T.fmt_i vs; T.fmt_i vp; T.fmt_pct change ])
-
-let count_improved rows =
-  List.length
-    (List.filter
-       (fun r ->
-         let c = List.nth r 3 in
-         String.length c > 0 && c.[0] = '-')
-       rows)
-
-let report_fig8 params apps =
-  let module S = Slab.Slab_stats in
-  let rows =
-    pct_change_rows params apps ~metric:(fun (c : W.Appmodel.cache_result) ->
-        S.ocache_churns c.W.Appmodel.snap)
-  in
-  let table =
-    T.render
-      ~header:[ "benchmark cache"; "slub churns"; "prudence churns"; "change" ]
-      rows
-  in
-  Report.make
-    ~metrics:
-      [
-        Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-          "fig8.pairs_improved"
-          (float_of_int (count_improved rows));
-        Report.metric "fig8.pairs_total" (float_of_int (List.length rows));
-      ]
-    ~id:"fig8"
-    ~title:"Object cache churns (refill/flush pairs)"
-    ~paper_claim:
-      "Prudence cuts object-cache churns by 26-96%, except PostgreSQL \
-       kmalloc-64 (+6%): its heavy non-deferred frees interfere with \
-       Prudence's latent-cache decisions"
-    ~verdict:
-      (Printf.sprintf "churns reduced for %d of %d cache/benchmark pairs"
-         (count_improved rows) (List.length rows))
-    table
-
-let report_fig9 params apps =
-  let module S = Slab.Slab_stats in
-  let rows =
-    pct_change_rows params apps ~metric:(fun (c : W.Appmodel.cache_result) ->
-        S.slab_churns c.W.Appmodel.snap)
-  in
-  let table =
-    T.render
-      ~header:[ "benchmark cache"; "slub churns"; "prudence churns"; "change" ]
-      rows
-  in
-  Report.make
-    ~metrics:
-      [
-        Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-          "fig9.pairs_improved"
-          (float_of_int (count_improved rows));
-      ]
-    ~id:"fig9" ~title:"Slab churns (grow/shrink pairs)"
-    ~paper_claim:
-      "Prudence cuts slab churns by 21-98% (Netperf filp collapses from \
-       364K to 6K); Postmark dentry improves least (-3.1%)"
-    ~verdict:
-      (Printf.sprintf "slab churns reduced for %d of %d cache/benchmark pairs"
-         (count_improved rows) (List.length rows))
-    table
-
-let report_fig10 params apps =
-  let rows =
-    pct_change_rows params apps ~metric:(fun (c : W.Appmodel.cache_result) ->
-        c.W.Appmodel.snap.Slab.Slab_stats.peak_slabs)
-  in
-  let table =
-    T.render
-      ~header:[ "benchmark cache"; "slub peak"; "prudence peak"; "change" ]
-      rows
-  in
-  Report.make
-    ~metrics:
-      [
-        Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-          "fig10.pairs_improved"
-          (float_of_int (count_improved rows));
-      ]
-    ~id:"fig10" ~title:"Peak slab usage (maximum memory footprint)"
-    ~paper_claim:
-      "Prudence reduces peak slab usage 2.5-30.6% for most caches (deferred \
-       objects are reusable right after the grace period, avoiding slab \
-       growth), +/-2% elsewhere, Apache kmalloc-64 +5%"
-    ~verdict:
-      (Printf.sprintf "peak slabs reduced for %d of %d cache/benchmark pairs"
-         (count_improved rows) (List.length rows))
-    table
-
-let report_fig11 params apps =
-  let rows =
-    per_cache_table params apps ~columns:(fun sc pc ->
-        let fs = sc.W.Appmodel.fragmentation
-        and fp = pc.W.Appmodel.fragmentation in
-        let change = 100. *. (fp -. fs) /. fs in
-        [ T.fmt_f fs; T.fmt_f fp; T.fmt_pct change ])
-  in
-  let table =
-    T.render
-      ~header:[ "benchmark cache"; "slub f_t"; "prudence f_t"; "change" ]
-      rows
-  in
-  let improved_or_equal =
-    List.length
-      (List.filter
-         (fun r ->
-           let c = List.nth r 3 in
-           c = "-" || (String.length c > 0 && c.[0] = '-') || c = "+0.0%")
-         rows)
-  in
-  Report.make
-    ~metrics:
-      [
-        Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-          "fig11.pairs_improved_or_equal"
-          (float_of_int improved_or_equal);
-      ]
-    ~id:"fig11"
-    ~title:"Total fragmentation after each run (allocated/requested bytes)"
-    ~paper_claim:
-      "Prudence reduces fragmentation 7-33% for many caches (slab selection \
-       considers deferred objects, Fig. 5), +/-2% elsewhere; Netperf filp \
-       regresses 8.7% (only 10 partial slabs are scanned: latency trade-off)"
-    ~verdict:
-      (Printf.sprintf
-         "fragmentation reduced or equal for %d of %d cache/benchmark pairs"
-         improved_or_equal (List.length rows))
-    table
+  let show_count v = T.fmt_i (int_of_float v) in
+  (* A pair counts when the value fell, or when slub's was 0. *)
+  let reduced s p = s = 0. || p < s in
+  [
+    {
+      fig = "fig7";
+      title = "Allocation requests served from the object cache (hit rate)";
+      claim =
+        "Prudence improves cache hits for every reported slab cache: \
+         deferred objects merge into the object cache right after the grace \
+         period instead of waiting for RCU's callback processing";
+      unit_name = "hits";
+      value = (fun c -> S.hit_rate c.W.Appmodel.snap);
+      show = Printf.sprintf "%.1f%%";
+      change = (fun s p -> Printf.sprintf "%+.1f pp" (p -. s));
+      counts = (fun s p -> p >= s);
+      counted = "hit rate improved";
+      metric = "pairs_improved";
+      with_total = true;
+    };
+    {
+      fig = "fig8";
+      title = "Object cache churns (refill/flush pairs)";
+      claim =
+        "Prudence cuts object-cache churns by 26-96%, except PostgreSQL \
+         kmalloc-64 (+6%): its heavy non-deferred frees interfere with \
+         Prudence's latent-cache decisions";
+      unit_name = "churns";
+      value = count S.ocache_churns;
+      show = show_count;
+      change = pct_change;
+      counts = reduced;
+      counted = "churns reduced";
+      metric = "pairs_improved";
+      with_total = true;
+    };
+    {
+      fig = "fig9";
+      title = "Slab churns (grow/shrink pairs)";
+      claim =
+        "Prudence cuts slab churns by 21-98% (Netperf filp collapses from \
+         364K to 6K); Postmark dentry improves least (-3.1%)";
+      unit_name = "churns";
+      value = count S.slab_churns;
+      show = show_count;
+      change = pct_change;
+      counts = reduced;
+      counted = "slab churns reduced";
+      metric = "pairs_improved";
+      with_total = false;
+    };
+    {
+      fig = "fig10";
+      title = "Peak slab usage (maximum memory footprint)";
+      claim =
+        "Prudence reduces peak slab usage 2.5-30.6% for most caches \
+         (deferred objects are reusable right after the grace period, \
+         avoiding slab growth), +/-2% elsewhere, Apache kmalloc-64 +5%";
+      unit_name = "peak";
+      value = count (fun s -> s.S.peak_slabs);
+      show = show_count;
+      change = pct_change;
+      counts = reduced;
+      counted = "peak slabs reduced";
+      metric = "pairs_improved";
+      with_total = false;
+    };
+    {
+      fig = "fig11";
+      title = "Total fragmentation after each run (allocated/requested bytes)";
+      claim =
+        "Prudence reduces fragmentation 7-33% for many caches (slab \
+         selection considers deferred objects, Fig. 5), +/-2% elsewhere; \
+         Netperf filp regresses 8.7% (only 10 partial slabs are scanned: \
+         latency trade-off)";
+      unit_name = "f_t";
+      value = (fun c -> c.W.Appmodel.fragmentation);
+      show = (fun v -> T.fmt_f v);
+      change = pct_change;
+      (* Counted when the change is undefined, negative, or below 0.05%. *)
+      counts =
+        (fun s p ->
+          let c = 100. *. (p -. s) /. s in
+          Float.is_nan c || c < 0.05);
+      counted = "fragmentation reduced or equal";
+      metric = "pairs_improved_or_equal";
+      with_total = false;
+    };
+  ]
 
 let report_fig12 apps =
   let rows =
@@ -698,15 +653,8 @@ let report_fig13 apps =
 
 let run_apps params =
   let apps = app_results params in
-  [
-    report_fig7 params apps;
-    report_fig8 params apps;
-    report_fig9 params apps;
-    report_fig10 params apps;
-    report_fig11 params apps;
-    report_fig12 apps;
-    report_fig13 apps;
-  ]
+  List.map (per_cache_report (paired_caches params apps)) per_cache_figs
+  @ [ report_fig12 apps; report_fig13 apps ]
 
 (* ------------------------------------------------------------------ *)
 (* Extension: RCU tree updates (multi-object deferral, section 3.1)     *)
