@@ -430,15 +430,21 @@ type per_cache = {
   fig : string;
   title : string;
   claim : string;
+  quantity : string;  (** Verdict: "<quantity>: better for ...". *)
   unit_name : string;  (** Value columns: "slub <unit>", "prudence <unit>". *)
   value : W.Appmodel.cache_result -> float;
   show : float -> string;
   change : float -> float -> string;  (** slub -> prudence -> change cell. *)
-  counts : float -> float -> bool;  (** slub -> prudence -> counted. *)
-  counted : string;  (** Verdict: "<counted> for n of m ... pairs". *)
-  metric : string;  (** The count's metric: "<fig>.<metric>". *)
-  with_total : bool;  (** Also report "<fig>.pairs_total". *)
+  higher_better : bool;
 }
+
+type outcome = Better | Unchanged | Worse | No_data
+
+let classify ~higher_better slub prud =
+  if Float.is_nan slub || Float.is_nan prud then No_data
+  else if prud = slub then Unchanged
+  else if prud > slub = higher_better then Better
+  else Worse
 
 let per_cache_report pairs spec =
   let values =
@@ -453,22 +459,33 @@ let per_cache_report pairs spec =
          (fun (label, s, p) -> [ label; spec.show s; spec.show p; spec.change s p ])
          values)
   in
-  let total = List.length values in
-  let counted =
-    List.length (List.filter (fun (_, s, p) -> spec.counts s p) values)
+  let count o =
+    List.length
+      (List.filter
+         (fun (_, s, p) -> classify ~higher_better:spec.higher_better s p = o)
+         values)
+  in
+  let better = count Better and worse = count Worse and no_data = count No_data in
+  (* A pair that turns worse, or one fewer better pair, fails [regress]. *)
+  let gate direction name n =
+    Report.metric ~direction ~tolerance_pct:0.
+      (Printf.sprintf "%s.pairs_%s" spec.fig name)
+      (float_of_int n)
   in
   Report.make
     ~metrics:
-      (Report.metric ~direction:Report.Higher_better ~tolerance_pct:0.
-         (spec.fig ^ "." ^ spec.metric) (float_of_int counted)
-      ::
-      (if spec.with_total then
-         [ Report.metric (spec.fig ^ ".pairs_total") (float_of_int total) ]
-       else []))
+      [
+        gate Report.Higher_better "better" better;
+        gate Report.Lower_better "worse" worse;
+      ]
     ~id:spec.fig ~title:spec.title ~paper_claim:spec.claim
     ~verdict:
-      (Printf.sprintf "%s for %d of %d cache/benchmark pairs" spec.counted
-         counted total)
+      (Printf.sprintf
+         "%s: better for %d of %d cache/benchmark pairs, unchanged for %d, \
+          worse for %d%s"
+         spec.quantity better (List.length values) (count Unchanged) worse
+         (if no_data = 0 then ""
+          else Printf.sprintf ", without data for %d" no_data))
     table
 
 let pct_change s p = T.fmt_pct (if s = 0. then nan else 100. *. (p -. s) /. s)
@@ -479,8 +496,6 @@ let per_cache_figs =
     float_of_int (f c.W.Appmodel.snap)
   in
   let show_count v = T.fmt_i (int_of_float v) in
-  (* A pair counts when the value fell, or when slub's was 0. *)
-  let reduced s p = s = 0. || p < s in
   [
     {
       fig = "fig7";
@@ -489,14 +504,12 @@ let per_cache_figs =
         "Prudence improves cache hits for every reported slab cache: \
          deferred objects merge into the object cache right after the grace \
          period instead of waiting for RCU's callback processing";
+      quantity = "hit rate";
       unit_name = "hits";
       value = (fun c -> S.hit_rate c.W.Appmodel.snap);
       show = Printf.sprintf "%.1f%%";
       change = (fun s p -> Printf.sprintf "%+.1f pp" (p -. s));
-      counts = (fun s p -> p >= s);
-      counted = "hit rate improved";
-      metric = "pairs_improved";
-      with_total = true;
+      higher_better = true;
     };
     {
       fig = "fig8";
@@ -505,14 +518,12 @@ let per_cache_figs =
         "Prudence cuts object-cache churns by 26-96%, except PostgreSQL \
          kmalloc-64 (+6%): its heavy non-deferred frees interfere with \
          Prudence's latent-cache decisions";
+      quantity = "object-cache churns";
       unit_name = "churns";
       value = count S.ocache_churns;
       show = show_count;
       change = pct_change;
-      counts = reduced;
-      counted = "churns reduced";
-      metric = "pairs_improved";
-      with_total = true;
+      higher_better = false;
     };
     {
       fig = "fig9";
@@ -520,14 +531,12 @@ let per_cache_figs =
       claim =
         "Prudence cuts slab churns by 21-98% (Netperf filp collapses from \
          364K to 6K); Postmark dentry improves least (-3.1%)";
+      quantity = "slab churns";
       unit_name = "churns";
       value = count S.slab_churns;
       show = show_count;
       change = pct_change;
-      counts = reduced;
-      counted = "slab churns reduced";
-      metric = "pairs_improved";
-      with_total = false;
+      higher_better = false;
     };
     {
       fig = "fig10";
@@ -536,14 +545,12 @@ let per_cache_figs =
         "Prudence reduces peak slab usage 2.5-30.6% for most caches \
          (deferred objects are reusable right after the grace period, \
          avoiding slab growth), +/-2% elsewhere, Apache kmalloc-64 +5%";
+      quantity = "peak slabs";
       unit_name = "peak";
       value = count (fun s -> s.S.peak_slabs);
       show = show_count;
       change = pct_change;
-      counts = reduced;
-      counted = "peak slabs reduced";
-      metric = "pairs_improved";
-      with_total = false;
+      higher_better = false;
     };
     {
       fig = "fig11";
@@ -553,18 +560,12 @@ let per_cache_figs =
          selection considers deferred objects, Fig. 5), +/-2% elsewhere; \
          Netperf filp regresses 8.7% (only 10 partial slabs are scanned: \
          latency trade-off)";
+      quantity = "fragmentation";
       unit_name = "f_t";
       value = (fun c -> c.W.Appmodel.fragmentation);
       show = (fun v -> T.fmt_f v);
       change = pct_change;
-      (* Counted when the change is undefined, negative, or below 0.05%. *)
-      counts =
-        (fun s p ->
-          let c = 100. *. (p -. s) /. s in
-          Float.is_nan c || c < 0.05);
-      counted = "fragmentation reduced or equal";
-      metric = "pairs_improved_or_equal";
-      with_total = false;
+      higher_better = false;
     };
   ]
 

@@ -39,6 +39,20 @@ val run_apps : params -> Metrics.Report.t list
 (** Runs the four application benchmarks once per allocator and emits the
     Fig. 7-13 reports from the same pair of runs. *)
 
+(** {1 Per-cache comparison} (Figs. 7-11) *)
+
+type outcome = Better | Unchanged | Worse | No_data
+
+val classify : higher_better:bool -> float -> float -> outcome
+(** [classify ~higher_better slub prudence] places one cache/benchmark
+    pair of Figs. 7-11 by its numbers: [No_data] when either value is
+    undefined (NaN: a fragmentation with no live objects), [Unchanged]
+    when both are exactly equal, otherwise [Better] or [Worse] in the
+    figure's direction. When lower is better, a pair that rises from 0 is
+    [Worse]. Each figure's verdict names every class and its metrics
+    gate the counts of [Better] (higher_better) and [Worse]
+    (lower_better) pairs. *)
+
 (** {1 Raw data access} (used by the CLI and tests) *)
 
 val microbench_pair :

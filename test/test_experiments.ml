@@ -112,6 +112,34 @@ let test_app_results_benchmarks () =
         ((not slub.Workloads.Appmodel.oom) && not prud.Workloads.Appmodel.oom))
     apps
 
+(* Each Figs. 7-11 pair is classified from its numbers: 0 -> 0 is
+   unchanged and a rise from 0 is worse, never "reduced". *)
+let test_classify_pairs () =
+  let module E = Core.Experiments in
+  let name = function
+    | E.Better -> "better"
+    | E.Unchanged -> "unchanged"
+    | E.Worse -> "worse"
+    | E.No_data -> "no data"
+  in
+  List.iter
+    (fun (higher_better, slub, prud, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%g -> %g (higher better: %b)" slub prud higher_better)
+        (name want)
+        (name (E.classify ~higher_better slub prud)))
+    [
+      (false, 0., 0., E.Unchanged);
+      (false, 0., 3., E.Worse);
+      (false, 5., 0., E.Better);
+      (false, 5., 5., E.Unchanged);
+      (false, nan, 1.2, E.No_data);
+      (false, 1.2, nan, E.No_data);
+      (true, 91.7, 92.6, E.Better);
+      (true, 92.6, 91.7, E.Worse);
+      (true, 100., 100., E.Unchanged);
+    ]
+
 let suite =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
@@ -123,4 +151,5 @@ let suite =
       test_fig3_verdict_per_allocator;
     Alcotest.test_case "run_apps report ids" `Slow test_run_apps_report_ids;
     Alcotest.test_case "app_results benchmarks" `Slow test_app_results_benchmarks;
+    Alcotest.test_case "classify per-cache pairs" `Quick test_classify_pairs;
   ]
