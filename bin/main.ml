@@ -590,7 +590,7 @@ let run_fuzz_differential fcfg json =
 let run_fuzz (budget, base) fuzz_seed no_minimize differential bundle_dir json
     =
   let module Minimize = Core.Check.Minimize in
-  let fcfg = { Fuzz.base; budget; seed = fuzz_seed; stop_on_failure = true } in
+  let fcfg = { Fuzz.base; budget; seed = fuzz_seed } in
   if differential then run_fuzz_differential fcfg json
   else begin
   if not json then

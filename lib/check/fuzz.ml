@@ -13,7 +13,6 @@ type config = {
   base : Sweep.config;
   budget : int;
   seed : int;
-  stop_on_failure : bool;
 }
 
 type origin = Seed | Mutated of { parent : int; op : string }
@@ -153,10 +152,7 @@ let run_differential ?(progress = fun (_ : diff_record) -> ())
   let records = ref [] in
   let executed = ref 0 in
   let failure = ref None in
-  while
-    !executed < cfg.budget
-    && not (cfg.stop_on_failure && !failure <> None)
-  do
+  while !executed < cfg.budget && !failure = None do
     let trace_seed = Sim.Rng.int rng 1_000_000 in
     let n_ops = 400 + Sim.Rng.int rng 1_600 in
     let n_slots = 16 + Sim.Rng.int rng 112 in
@@ -172,8 +168,7 @@ let run_differential ?(progress = fun (_ : diff_record) -> ())
     in
     records := record :: !records;
     progress record;
-    if (not result.Differential.ok) && !failure = None then
-      failure := Some record
+    if not result.Differential.ok then failure := Some record
   done;
   {
     diff_records = List.rev !records;
@@ -209,14 +204,10 @@ let run ?(progress = fun (_ : record) -> ()) cfg =
     in
     records := record :: !records;
     progress record;
-    if (not (Sweep.ok verdict)) && !failure = None then
-      failure := Some (scfg, case, verdict);
+    if not (Sweep.ok verdict) then failure := Some (scfg, case, verdict);
     verdict
   in
-  let stop () =
-    !executed >= cfg.budget
-    || (cfg.stop_on_failure && !failure <> None)
-  in
+  let stop () = !executed >= cfg.budget || !failure <> None in
   (* Phase 1: the deterministic seed corpus — one case per
      (scenario, kind). Under an injected bug this alone beats the
      brute-force matrix, which burns [sweeps] schedules per pair before

@@ -25,7 +25,6 @@ type config = {
           under test all come from here; [sweeps] is unused. *)
   budget : int;  (** Maximum cases to execute. *)
   seed : int;  (** Fuzzer RNG seed (mutation choices only). *)
-  stop_on_failure : bool;  (** Stop at the first failing verdict. *)
 }
 
 type origin = Seed | Mutated of { parent : int; op : string }
@@ -60,7 +59,7 @@ val concretize : config -> input -> Sweep.config * Sweep.case
 val run : ?progress:(record -> unit) -> config -> result
 (** Run the campaign: execute the seed corpus, then mutate
     coverage-contributing inputs (biased toward recent additions) until
-    the budget is spent or — with [stop_on_failure] — an oracle fires.
+    the budget is spent or an oracle fires.
     [progress] observes each record as it lands. *)
 
 (** {1 Differential mode} *)
@@ -87,6 +86,7 @@ val run_differential :
     slots, gap) and replay each under every kind (default: all
     registered backends), flagging any divergence in the
     backend-independent outcome sequence — or any oracle/audit hit — as
-    a finding even when no safety oracle fires on its own. The budget
-    counts traces; each trace costs one full replay per kind.
+    a finding even when no safety oracle fires on its own, and stops at
+    the first finding. The budget counts traces; each trace costs one
+    full replay per kind.
     Deterministic in (config, kinds, seed, budget). *)

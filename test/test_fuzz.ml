@@ -113,7 +113,6 @@ let small_fuzz =
       };
     budget = 10;
     seed = 5;
-    stop_on_failure = true;
   }
 
 let input_key (i : Fuzz.input) =
@@ -170,7 +169,7 @@ let test_fuzz_beats_brute_force () =
     }
   in
   let fuzz =
-    Fuzz.run { Fuzz.base; budget = 200; seed = 1; stop_on_failure = true }
+    Fuzz.run { Fuzz.base; budget = 200; seed = 1 }
   in
   (match fuzz.Fuzz.failure with
   | None -> Alcotest.fail "fuzzer never found the injected bug"
