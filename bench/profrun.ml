@@ -32,7 +32,7 @@ type run = {
 }
 
 let run_scenario p scenario kind =
-  let prof = Prof.create ~ncpus:p.Wallclock.cpus () in
+  let prof = Prof.create ~ncpus:p.Core.Experiments.cpus () in
   let w0 = Unix.gettimeofday () in
   let env, updates = Wallclock.run_once ~prof p scenario kind in
   let w1 = Unix.gettimeofday () in

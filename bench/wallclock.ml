@@ -44,63 +44,35 @@ let scenario_of_string = function
   | "check" -> Some Check
   | _ -> None
 
-type params = { scale : float; seed : int; cpus : int; runs : int }
-
-let default_params = { scale = 1.0; seed = 42; cpus = 8; runs = 1 }
-
 let scaled_ns scale ns = max 1 (int_of_float (float_of_int ns *. scale))
 
 (* One run of a pinned scenario. Returns the environment (for post-run
    counter extraction) and the workload's update count. [prof] installs a
    profiler on the run's stack (the `prof` subcommand); the default null
    profiler keeps benchmark runs instrumentation-free. *)
-let run_once ?(prof = Prof.null) p scenario kind =
+let run_once ?(prof = Prof.null) (p : Core.Experiments.params) scenario kind =
+  let endurance env_config config =
+    let env = W.Env.build { env_config with W.Env.prof } in
+    (env, (W.Endurance.run env config).W.Endurance.updates)
+  in
   match scenario with
   | Endurance ->
       (* The `stat` subcommand's live endurance shape: 256 MiB, 2 s. *)
-      let env =
-        W.Env.build
-          {
-            W.Env.default_config with
-            W.Env.kind;
-            cpus = p.cpus;
-            seed = p.seed;
-            total_pages = 65_536;
-            rcu_config = W.Endurance.throttled_rcu;
-            prof;
-          }
+      let live =
+        {
+          Stats.Live.default_config with
+          Stats.Live.kind;
+          seed = p.seed;
+          cpus = p.cpus;
+          scale = p.scale;
+        }
       in
-      let r =
-        W.Endurance.run env
-          {
-            W.Endurance.default_config with
-            W.Endurance.duration_ns = scaled_ns p.scale (Sim.Clock.s 2);
-          }
-      in
-      (env, r.W.Endurance.updates)
+      endurance (Stats.Live.env_config live) (Stats.Live.endurance_config live)
   | Fig3 ->
       (* The Fig. 3 experiment shape: 1 GiB, 12 s, baseline OOMs. *)
-      let env =
-        W.Env.build
-          {
-            W.Env.default_config with
-            W.Env.kind;
-            cpus = p.cpus;
-            seed = p.seed;
-            total_pages = 262_144;
-            rcu_config = W.Endurance.throttled_rcu;
-            prof;
-          }
-      in
-      let r =
-        W.Endurance.run env
-          {
-            W.Endurance.default_config with
-            W.Endurance.duration_ns =
-              Sim.Clock.s (max 1 (int_of_float (12. *. p.scale)));
-          }
-      in
-      (env, r.W.Endurance.updates)
+      endurance
+        (Core.Experiments.endurance_env p kind)
+        (Core.Experiments.endurance_config p)
   | Chaos_clean ->
       (* The chaos control row: tracing armed, mitigations on, no
          faults — the heaviest instrumentation the simulator carries. *)
@@ -198,7 +170,7 @@ type measurement = {
   c : counters;
 }
 
-let measure p scenario kind =
+let measure (p : Core.Experiments.params) scenario kind =
   let det = ref None in
   let best_wall = ref infinity in
   let minor = ref 0. in
@@ -321,7 +293,7 @@ let metrics ms =
       ])
     ms
 
-let to_bench p ms =
+let to_bench (p : Core.Experiments.params) ms =
   Stats.Bench_json.make
     ~config:
       {

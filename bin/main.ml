@@ -342,16 +342,12 @@ let run_regress baseline_file current_file tolerance json =
         1
       end
 
-let wallclock_params (p : Core.Experiments.params) =
-  { Wallclock.scale = p.scale; seed = p.seed; cpus = p.cpus; runs = p.runs }
-
 let run_perf scenarios out p =
   let module Wc = Wallclock in
   require_dir "--output" out;
-  let wp = wallclock_params p in
-  let ms = Wc.run_all ~scenarios wp in
+  let ms = Wc.run_all ~scenarios p in
   Format.printf "%s@." (Wc.table ms);
-  B.write_file out (Wc.to_bench wp ms);
+  B.write_file out (Wc.to_bench p ms);
   Format.printf
     "wrote %s (deterministic counters gate via `regress --tolerance-pct 0`; \
      wall timings are info-only)@."
@@ -367,7 +363,7 @@ let run_prof scenarios top by folded json p =
     | None -> die "unknown sort key %S (time, alloc)" by
   in
   Option.iter (require_dir "--folded") folded;
-  let rs = Pr.run_all ~scenarios (wallclock_params p) in
+  let rs = Pr.run_all ~scenarios p in
   if json then print_string (Pr.to_ndjson rs)
   else
     List.iter

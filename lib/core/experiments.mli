@@ -63,6 +63,12 @@ val microbench_pair :
 val endurance_pair :
   params -> Workloads.Endurance.result * Workloads.Endurance.result
 
+val endurance_env : params -> Workloads.Env.kind -> Workloads.Env.config
+(** The Fig. 3 stack: 1 GiB and {!Workloads.Endurance.throttled_rcu}. *)
+
+val endurance_config : params -> Workloads.Endurance.config
+(** The Fig. 3 run: 12 s x [scale], in whole seconds (at least 1). *)
+
 val app_results :
   params ->
   (string * Workloads.Appmodel.result * Workloads.Appmodel.result) list

@@ -31,23 +31,27 @@ type result = {
   oom_at_ns : int option;
 }
 
+let env_config cfg =
+  {
+    Workloads.Env.default_config with
+    Workloads.Env.kind = cfg.kind;
+    cpus = cfg.cpus;
+    seed = cfg.seed;
+    total_pages = cfg.total_pages;
+    (* The Fig. 3 throttled callbacks: on the baseline they produce the
+       climbing backlog and occupancy the stat views exist to show. *)
+    rcu_config = Workloads.Endurance.throttled_rcu;
+  }
+
+let endurance_config cfg =
+  {
+    Workloads.Endurance.default_config with
+    Workloads.Endurance.duration_ns =
+      max 1 (int_of_float (float_of_int cfg.duration_ns *. cfg.scale));
+  }
+
 let run ?on_watch ?watch_every_ns cfg =
-  let scaled_duration =
-    max 1 (int_of_float (float_of_int cfg.duration_ns *. cfg.scale))
-  in
-  let env =
-    Workloads.Env.build
-      {
-        Workloads.Env.default_config with
-        Workloads.Env.kind = cfg.kind;
-        cpus = cfg.cpus;
-        seed = cfg.seed;
-        total_pages = cfg.total_pages;
-        (* The Fig. 3 throttled callbacks: on the baseline they produce the
-           climbing backlog and occupancy the stat views exist to show. *)
-        rcu_config = Workloads.Endurance.throttled_rcu;
-      }
-  in
+  let env = Workloads.Env.build (env_config cfg) in
   let registry = Registry.create () in
   Providers.register_env registry env;
   let sampler =
@@ -68,13 +72,7 @@ let run ?on_watch ?watch_every_ns cfg =
             ~snapshot:(Providers.snapshot ~watch env);
           true))
     on_watch;
-  let endurance =
-    Workloads.Endurance.run env
-      {
-        Workloads.Endurance.default_config with
-        Workloads.Endurance.duration_ns = scaled_duration;
-      }
-  in
+  let endurance = Workloads.Endurance.run env (endurance_config cfg) in
   {
     label = Workloads.Env.kind_label cfg.kind;
     env;

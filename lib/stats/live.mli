@@ -25,6 +25,13 @@ val default_config : config
 (** Prudence, seed 42, 8 CPUs, 2 s virtual, 10 ms sampling, 4096 rows,
     64k pages (256 MiB). *)
 
+val env_config : config -> Workloads.Env.config
+(** The stack {!run} builds: [total_pages] of memory and Fig. 3's
+    throttled callback processing ({!Workloads.Endurance.throttled_rcu}). *)
+
+val endurance_config : config -> Workloads.Endurance.config
+(** The workload {!run} drives: [duration_ns * scale] of list updates. *)
+
 type result = {
   label : string;  (** "slub" / "prudence". *)
   env : Workloads.Env.t;

@@ -182,7 +182,11 @@ let test_span_enum () =
 (* ------------------------------------------------------------------ *)
 
 let small_params =
-  { Wallclock.default_params with Wallclock.scale = 0.01; cpus = 2 }
+  {
+    Core.Experiments.default_params with
+    Core.Experiments.scale = 0.01;
+    cpus = 2;
+  }
 
 let registry_table env =
   let r = Stats.Registry.create () in

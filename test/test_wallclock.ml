@@ -8,7 +8,11 @@ let counters (m : Wallclock.measurement) = m.Wallclock.c
 
 let test_deterministic_fields () =
   let p =
-    { Wallclock.default_params with Wallclock.scale = 0.01; cpus = 2 }
+    {
+      Core.Experiments.default_params with
+      Core.Experiments.scale = 0.01;
+      cpus = 2;
+    }
   in
   let run () = Wallclock.run_all ~scenarios:[ Wallclock.Endurance ] p in
   let ms1 = run () and ms2 = run () in
@@ -31,7 +35,11 @@ let test_exact_metrics_are_gated () =
      drift; allocs-per-event gates direction-aware (Lower_better with
      slack); wall readings must stay Info (never gate). *)
   let p =
-    { Wallclock.default_params with Wallclock.scale = 0.01; cpus = 2 }
+    {
+      Core.Experiments.default_params with
+      Core.Experiments.scale = 0.01;
+      cpus = 2;
+    }
   in
   let ms = Wallclock.run_all ~scenarios:[ Wallclock.Endurance ] p in
   let metrics = Wallclock.metrics ms in
