@@ -419,7 +419,8 @@ let paired_caches params apps =
                 pc.W.Appmodel.cache_name = sc.W.Appmodel.cache_name)
               prud.W.Appmodel.caches
             |> Option.map (fun pc ->
-                   (Printf.sprintf "%s %s" bench sc.W.Appmodel.cache_name, sc, pc)))
+                   let label = bench ^ " " ^ sc.W.Appmodel.cache_name in
+                   (label, sc, pc)))
         slub.W.Appmodel.caches)
     apps
 
@@ -448,7 +449,9 @@ let classify ~higher_better slub prud =
 
 let per_cache_report pairs spec =
   let values =
-    List.map (fun (label, sc, pc) -> (label, spec.value sc, spec.value pc)) pairs
+    List.map
+      (fun (label, sc, pc) -> (label, spec.value sc, spec.value pc))
+      pairs
   in
   let table =
     T.render
@@ -456,7 +459,8 @@ let per_cache_report pairs spec =
         [ "benchmark cache"; "slub " ^ spec.unit_name;
           "prudence " ^ spec.unit_name; "change" ]
       (List.map
-         (fun (label, s, p) -> [ label; spec.show s; spec.show p; spec.change s p ])
+         (fun (label, s, p) ->
+           [ label; spec.show s; spec.show p; spec.change s p ])
          values)
   in
   let count o =
@@ -465,7 +469,8 @@ let per_cache_report pairs spec =
          (fun (_, s, p) -> classify ~higher_better:spec.higher_better s p = o)
          values)
   in
-  let better = count Better and worse = count Worse and no_data = count No_data in
+  let better = count Better and worse = count Worse in
+  let no_data = count No_data in
   (* A pair that turns worse, or one fewer better pair, fails [regress]. *)
   let gate direction name n =
     Report.metric ~direction ~tolerance_pct:0.
@@ -845,28 +850,12 @@ let ablation_preflush params =
     let r =
       W.Appmodel.run env (W.Apache.config ~txns_per_cpu:(scaled params 4_000) ())
     in
-    let total_flushes =
-      List.fold_left
-        (fun acc (c : W.Appmodel.cache_result) ->
-          acc + c.W.Appmodel.snap.Slab.Slab_stats.flushes)
-        0 r.W.Appmodel.caches
-    in
-    let total_preflush =
-      List.fold_left
-        (fun acc (c : W.Appmodel.cache_result) ->
-          acc + c.W.Appmodel.snap.Slab.Slab_stats.preflushed_objs)
-        0 r.W.Appmodel.caches
-    in
-    let contended =
-      List.fold_left
-        (fun acc (c : W.Appmodel.cache_result) -> acc + c.W.Appmodel.lock_contended)
-        0 r.W.Appmodel.caches
-    in
+    let sum f = List.fold_left (fun a c -> a + f c) 0 r.W.Appmodel.caches in
     [
       (if preflush_enabled then "enabled (paper)" else "disabled");
-      T.fmt_i total_preflush;
-      T.fmt_i total_flushes;
-      T.fmt_i contended;
+      T.fmt_i (sum (fun c -> c.W.Appmodel.snap.Slab.Slab_stats.preflushed_objs));
+      T.fmt_i (sum (fun c -> c.W.Appmodel.snap.Slab.Slab_stats.flushes));
+      T.fmt_i (sum (fun c -> c.W.Appmodel.lock_contended));
       T.fmt_f r.W.Appmodel.throughput;
     ]
   in
@@ -1008,12 +997,10 @@ let all =
   ]
 
 let find id =
+  (* figN aliases resolve to the apps experiment *)
+  let id =
+    match id with
+    | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13" -> "apps"
+    | id -> id
+  in
   List.find_opt (fun e -> e.id = id) all
-  |> function
-  | Some e -> Some e
-  | None -> (
-      (* figN aliases resolve to the apps experiment *)
-      match id with
-      | "fig7" | "fig8" | "fig9" | "fig10" | "fig11" | "fig12" | "fig13" ->
-          List.find_opt (fun e -> e.id = "apps") all
-      | _ -> None)
