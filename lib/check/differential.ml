@@ -171,6 +171,15 @@ let run ?seed ?total_pages
   in
   { ok = mismatches = []; mismatches; replays }
 
+let to_json r =
+  let module J = Metrics.Json in
+  J.Obj
+    [
+      ("type", J.Str "differential");
+      ("ok", J.Bool r.ok);
+      ("mismatches", J.Int (List.length r.mismatches));
+    ]
+
 let pp_result ppf r =
   if r.ok then
     Format.fprintf ppf

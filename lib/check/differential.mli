@@ -66,4 +66,8 @@ val run :
     every oracle clean, every audit clean. [mismatches] lists every
     difference found (capped in the report, never in the comparison). *)
 
+val to_json : result -> Metrics.Json.t
+(** The [check --json] 'differential' line: [ok] and the mismatch
+    count. *)
+
 val pp_result : Format.formatter -> result -> unit

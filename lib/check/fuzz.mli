@@ -1,23 +1,13 @@
 (** Coverage-guided schedule fuzzing.
 
     The brute-force sweep walks a fixed (scenario × allocator × shuffle)
-    matrix; the fuzzer instead treats the whole run description —
-    shuffle seed, fault plan, duration, CPU count — as the input and
-    mutates it, keeping inputs that light up new {!Coverage} features as
-    the corpus for further mutation. Everything is derived from one
-    integer seed: the same (config, seed, budget) replays the exact same
-    campaign, record for record. *)
-
-type input = {
-  scenario : Workloads.Chaos.scenario;
-  kind : Workloads.Env.kind;
-  shuffle_seed : int;
-  duration_ns : int;
-  cpus : int;
-  plan : Faults.Plan.t option;
-      (** [None] = the scenario's default plan (materialized on first
-          plan mutation). *)
-}
+    matrix; the fuzzer instead treats the whole single-case sweep — the
+    {!Sweep.config} and {!Sweep.case} it runs: shuffle seed, fault plan,
+    duration, CPU count — as the input and mutates it, keeping inputs
+    that light up new {!Coverage} features as the corpus for further
+    mutation. Everything is derived from one integer seed: the same
+    (config, seed, budget) replays the exact same campaign, record for
+    record. *)
 
 type config = {
   base : Sweep.config;
@@ -36,7 +26,8 @@ val origin_name : origin -> string
 type record = {
   exec : int;  (** 1-based execution index. *)
   origin : origin;
-  input : input;
+  cfg : Sweep.config;  (** The input: the sweep config and case run. *)
+  case : Sweep.case;
   verdict : Sweep.verdict;
   new_features : int;  (** Coverage features this case saw first. *)
   total_features : int;  (** Global feature count after this case. *)
@@ -46,21 +37,29 @@ type record = {
 type result = {
   records : record list;  (** In execution order. *)
   executed : int;
-  corpus : input list;  (** Inputs that contributed new coverage. *)
-  failure : (Sweep.config * Sweep.case * Sweep.verdict) option;
-      (** First failing case, concretized — feed it to {!Minimize.run}. *)
+  corpus : (Sweep.config * Sweep.case) list;
+      (** Inputs that contributed new coverage. *)
+  failure : record option;
+      (** First failing case — feed its [cfg] and [case] to
+          {!Minimize.run}. *)
   total_features : int;
 }
 
-val concretize : config -> input -> Sweep.config * Sweep.case
-(** The exact single-case sweep an input denotes (also what its replay
-    command describes). *)
-
 val run : ?progress:(record -> unit) -> config -> result
-(** Run the campaign: execute the seed corpus, then mutate
+(** Run the campaign: execute the seed corpus
+    ([Sweep.cases { base with sweeps = 1 }]), then mutate
     coverage-contributing inputs (biased toward recent additions) until
     the budget is spent or an oracle fires.
     [progress] observes each record as it lands. *)
+
+val record_json : record -> Metrics.Json.t
+(** The [fuzz --json] 'case' line for one execution. *)
+
+val summary_json :
+  config -> result -> witness:Sweep.verdict option -> Metrics.Json.t
+(** The [fuzz --json] trailing 'summary' line. [witness] is the failure
+    as finally reported (minimized or not); its replay command and
+    bundle path join the line. *)
 
 (** {1 Differential mode} *)
 
@@ -74,7 +73,6 @@ type diff_record = {
 }
 
 type diff_result = {
-  diff_records : diff_record list;  (** In execution order. *)
   diff_executed : int;
   diff_failure : diff_record option;  (** First diverging case. *)
 }
@@ -90,3 +88,10 @@ val run_differential :
     the first finding. The budget counts traces; each trace costs one
     full replay per kind.
     Deterministic in (config, kinds, seed, budget). *)
+
+val diff_record_json : diff_record -> Metrics.Json.t
+(** The [fuzz --differential --json] 'diff_case' line for one trace. *)
+
+val diff_summary_json :
+  config -> kinds:Workloads.Env.kind list -> diff_result -> Metrics.Json.t
+(** Its trailing 'summary' line, listing the [kinds] replayed. *)

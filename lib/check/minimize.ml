@@ -8,7 +8,6 @@ type result = {
   cfg : Sweep.config;
   case : Sweep.case;
   verdict : Sweep.verdict;
-  replay : string;
   runs : int;
   steps : step list;
 }
@@ -21,7 +20,7 @@ let ms ns = ns / 1_000_000
    kept iff the full verification stack still fails on it. Coverage is
    never attached here — the minimizer wants the cheapest possible
    runs. *)
-let run ?(progress = fun (_ : step) -> ()) cfg case =
+let run ?bundle_dir ?(progress = fun (_ : step) -> ()) cfg case =
   let runs = ref 0 in
   let steps = ref [] in
   let fails cfg =
@@ -110,15 +109,35 @@ let run ?(progress = fun (_ : step) -> ()) cfg case =
     try_cpus 2
   in
   (* Final confirmation run: the verdict we report is from the exact
-     configuration we print. *)
+     configuration we print, and it alone writes the witness's bundle. *)
   incr runs;
-  let verdict = Sweep.run_case cfg case in
+  let verdict = Sweep.run_case { cfg with Sweep.bundle_dir } case in
   if Sweep.ok verdict then raise Not_a_witness;
-  {
-    cfg;
-    case;
-    verdict;
-    replay = Sweep.replay_command cfg case;
-    runs = !runs;
-    steps = List.rev !steps;
-  }
+  { cfg; case; verdict; runs = !runs; steps = List.rev !steps }
+
+let step_json s =
+  let module J = Metrics.Json in
+  J.Obj
+    [
+      ("type", J.Str "shrink");
+      ("action", J.Str s.action);
+      ("candidate", J.Str s.candidate);
+      ("kept", J.Bool s.kept);
+    ]
+
+let plan_specs m =
+  match m.cfg.Sweep.plan with
+  | Some p -> List.length p.Faults.Plan.specs
+  | None -> 0
+
+let to_json m =
+  let module J = Metrics.Json in
+  J.Obj
+    [
+      ("type", J.Str "minimized");
+      ("runs", J.Int m.runs);
+      ("duration_ns", J.Int m.cfg.Sweep.duration_ns);
+      ("cpus", J.Int m.cfg.Sweep.cpus);
+      ("plan_specs", J.Int (plan_specs m));
+      ("replay", J.Str m.verdict.Sweep.replay);
+    ]

@@ -6,7 +6,7 @@
     three — greedy spec dropping, binary search on duration, CPU-count
     reduction — re-running the full oracle stack after every candidate
     and keeping a shrink only if the case {e still fails}. The result is
-    the smallest witness found plus the one-line
+    the smallest witness found; its verdict carries the one-line
     [prudence-repro check --plan='...'] command that reproduces it. *)
 
 type step = {
@@ -16,10 +16,13 @@ type step = {
 }
 
 type result = {
-  cfg : Sweep.config;  (** Minimal failing configuration (plan pinned). *)
+  cfg : Sweep.config;
+      (** Minimal failing configuration (plan pinned, no bundle
+          directory). *)
   case : Sweep.case;
-  verdict : Sweep.verdict;  (** From the final confirmation run. *)
-  replay : string;  (** One-liner reproducing the minimal witness. *)
+  verdict : Sweep.verdict;
+      (** From the final confirmation run; its [replay] reproduces the
+          minimal witness. *)
   runs : int;  (** Oracle runs spent, confirmations included. *)
   steps : step list;  (** Every shrink attempt, in order. *)
 }
@@ -28,9 +31,22 @@ exception Not_a_witness
 (** The starting case (or the final confirmation) did not fail. *)
 
 val run :
-  ?progress:(step -> unit) -> Sweep.config -> Sweep.case -> result
+  ?bundle_dir:string -> ?progress:(step -> unit) -> Sweep.config ->
+  Sweep.case -> result
 (** Minimize. The scenario's default plan is first materialized into
     [cfg.plan] so the replay is self-contained; duration shrinks to
     millisecond granularity; CPU reduction skips counts that would
-    orphan a plan spec's target. Raises {!Not_a_witness} if the input
-    doesn't fail. *)
+    orphan a plan spec's target. Shrink runs never write bundles; with
+    [bundle_dir], the final confirmation run writes the witness's bundle
+    there and [verdict.bundle] names it. Raises {!Not_a_witness} if the
+    input doesn't fail. *)
+
+val plan_specs : result -> int
+(** Fault specs left in the witness's plan. *)
+
+val step_json : step -> Metrics.Json.t
+(** The [fuzz --json] 'shrink' line for one attempt. *)
+
+val to_json : result -> Metrics.Json.t
+(** The [fuzz --json] 'minimized' line: runs spent, the witness's
+    duration, CPUs, fault-spec count and replay command. *)

@@ -115,13 +115,13 @@ let small_fuzz =
     seed = 5;
   }
 
-let input_key (i : Fuzz.input) =
-  ( W.Chaos.scenario_name i.Fuzz.scenario,
-    W.Env.kind_label i.Fuzz.kind,
-    i.Fuzz.shuffle_seed,
-    i.Fuzz.duration_ns,
-    i.Fuzz.cpus,
-    Option.map Plan.to_compact i.Fuzz.plan )
+let input_key (r : Fuzz.record) =
+  ( W.Chaos.scenario_name r.Fuzz.case.Sweep.scenario,
+    W.Env.kind_label r.Fuzz.case.Sweep.kind,
+    r.Fuzz.case.Sweep.shuffle_seed,
+    r.Fuzz.cfg.Sweep.duration_ns,
+    r.Fuzz.cfg.Sweep.cpus,
+    Option.map Plan.to_compact r.Fuzz.cfg.Sweep.plan )
 
 (* Same (config, seed, budget): the whole campaign replays record for
    record — inputs, coverage deltas, corpus growth, verdicts. *)
@@ -136,7 +136,7 @@ let test_fuzz_deterministic () =
       Alcotest.(check string) "origin" (Fuzz.origin_name ra.Fuzz.origin)
         (Fuzz.origin_name rb.Fuzz.origin);
       Alcotest.(check bool) "input" true
-        (input_key ra.Fuzz.input = input_key rb.Fuzz.input);
+        (input_key ra = input_key rb);
       Alcotest.(check bool) "verdict" (Sweep.ok ra.Fuzz.verdict)
         (Sweep.ok rb.Fuzz.verdict);
       Alcotest.(check int) "new features" ra.Fuzz.new_features
@@ -201,7 +201,7 @@ let test_minimizer_shrinks_witness () =
     (m.Minimize.cfg.Sweep.duration_ns < cfg.Sweep.duration_ns);
   Alcotest.(check bool) "still fails" false (Sweep.ok m.Minimize.verdict);
   Alcotest.(check bool) "replay pins the plan" true
-    (contains ~affix:"--plan='" m.Minimize.replay);
+    (contains ~affix:"--plan='" m.Minimize.verdict.Sweep.replay);
   Alcotest.(check bool) "runs counted" true
     (m.Minimize.runs >= List.length m.Minimize.steps);
   (* The minimal witness reproduces: run the exact shrunk config again. *)
