@@ -47,7 +47,9 @@ val classify : higher_better:bool -> float -> float -> outcome
 (** [classify ~higher_better slub prudence] places one cache/benchmark
     pair of Figs. 7-11 by its numbers: [No_data] when either value is
     undefined (NaN: a fragmentation with no live objects), [Unchanged]
-    when both are exactly equal, otherwise [Better] or [Worse] in the
+    when they are equal to within 1e-9 of [slub] (float rounding: the
+    means of equal samples over different sample counts can differ in
+    the last bits), otherwise [Better] or [Worse] in the
     figure's direction. When lower is better, a pair that rises from 0 is
     [Worse]. Each figure's verdict names every class and its metrics
     gate the counts of [Better] (higher_better) and [Worse]
