@@ -92,9 +92,11 @@ let run_once ?(prof = Prof.null) (p : Core.Experiments.params) scenario kind =
   | Check ->
       (* The verification stack armed on a 1 s endurance run: shadow-heap
          probes on every slab transition, the pattern oracles polling
-         from the engine observer, reader tracking on. The checker's own
-         cost lands in the check.probe span and its allocation behaviour
-         gates via allocs-per-event like any other hot path. *)
+         from the engine observer, reader tracking on, and the shuffled
+         tie-break of check's default --shuffle-seed, the schedule path
+         every check and fuzz sweep runs. The checker's own cost lands
+         in the check.probe span and its allocation behaviour gates via
+         allocs-per-event like any other hot path. *)
       let duration_ns = scaled_ns p.scale (Sim.Clock.s 1) in
       let env =
         W.Env.build
@@ -104,6 +106,7 @@ let run_once ?(prof = Prof.null) (p : Core.Experiments.params) scenario kind =
             cpus = p.cpus;
             seed = p.seed;
             total_pages = 65_536;
+            tiebreak = Sim.Engine.Shuffle 1;
             rcu_config =
               {
                 W.Endurance.throttled_rcu with
