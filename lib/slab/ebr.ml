@@ -12,7 +12,7 @@
 
    DEBRA's contribution is *when* advancement is attempted: not on
    every retire (a full announcement scan each time), but amortized —
-   here every [advance_every] defers per CPU, plus a virtual-time
+   here every [advance_every] (64) defers per CPU, plus a virtual-time
    poller armed while tokens are outstanding, plus an attempt on every
    outermost reader exit (the exit is exactly what unblocks a stuck
    scan).
@@ -25,16 +25,18 @@
    heap can convict the mutant instead of inheriting its bug. *)
 
 type config = {
-  advance_every : int;
-      (* defers per CPU between amortized advancement attempts *)
-  poll_period_ns : int;  (* background advancement poller period *)
   unsafe_no_scan : bool;
       (* mutant: reclaim frontier advances without scanning reader
          announcements *)
 }
 
-let default_config =
-  { advance_every = 64; poll_period_ns = 100_000; unsafe_no_scan = false }
+let default_config = { unsafe_no_scan = false }
+
+(* Defers per CPU between amortized advancement attempts. *)
+let advance_every = 64
+
+(* Background advancement poller period. *)
+let poll_period_ns = 100_000
 
 type t = {
   engine : Sim.Engine.t;
@@ -124,7 +126,7 @@ let outstanding t =
 let rec arm_poller t =
   if not t.poller_armed then begin
     t.poller_armed <- true;
-    Sim.Engine.schedule t.engine ~after:t.cfg.poll_period_ns (fun () ->
+    Sim.Engine.schedule t.engine ~after:poll_period_ns (fun () ->
         t.poller_armed <- false;
         try_advance t;
         if outstanding t then arm_poller t)
@@ -134,7 +136,7 @@ let defer t ~cpu =
   let tok = t.epoch in
   if tok > t.last_issued then t.last_issued <- tok;
   t.defers.(cpu) <- t.defers.(cpu) + 1;
-  if t.defers.(cpu) >= t.cfg.advance_every then begin
+  if t.defers.(cpu) >= advance_every then begin
     t.defers.(cpu) <- 0;
     try_advance t
   end;

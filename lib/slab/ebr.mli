@@ -2,9 +2,9 @@
 
     Tokens are global-epoch values: an object deferred at epoch [e]
     ripens once the global epoch reaches [e + 2] (classic three-limbo-
-    bag rotation). Advancement is amortized: attempted every
-    [advance_every] defers per CPU, on every outermost reader exit, and
-    from a virtual-time poller armed while tokens are outstanding.
+    bag rotation). Advancement is amortized: attempted every 64 defers
+    per CPU, on every outermost reader exit, and from a virtual-time
+    poller (every 100 µs) armed while tokens are outstanding.
 
     Detection is observable on the engine's reclamation event tap
     ({!Sim.Engine.tap}): [Epoch_request] from the view's [request],
@@ -14,8 +14,6 @@
     that scan. *)
 
 type config = {
-  advance_every : int;
-  poll_period_ns : int;
   unsafe_no_scan : bool;
       (** mutant ([skip-epoch-advance]): the backend view's frontier
           advances without scanning reader announcements; the oracle

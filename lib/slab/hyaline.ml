@@ -22,15 +22,18 @@
    mutant. *)
 
 type config = {
-  batch_size : int;  (* defers per batch before it seals on its own *)
-  poll_period_ns : int;  (* background seal/advance poller period *)
   unsafe_drop_refs : bool;
       (* mutant: reclaim sealed batches without waiting for their
          reader references to drain *)
 }
 
-let default_config =
-  { batch_size = 64; poll_period_ns = 100_000; unsafe_drop_refs = false }
+let default_config = { unsafe_drop_refs = false }
+
+(* Defers per batch before it seals on its own. *)
+let batch_size = 64
+
+(* Background seal/advance poller period. *)
+let poll_period_ns = 100_000
 
 type batch = { id : int; mutable refs : int }
 
@@ -134,7 +137,7 @@ let outstanding t =
 let rec arm_poller t =
   if not t.poller_armed then begin
     t.poller_armed <- true;
-    Sim.Engine.schedule t.engine ~after:t.cfg.poll_period_ns (fun () ->
+    Sim.Engine.schedule t.engine ~after:poll_period_ns (fun () ->
         t.poller_armed <- false;
         seal t;
         advance_frontier t;
@@ -145,7 +148,7 @@ let defer t ~cpu:_ =
   let tok = t.open_id in
   if tok > t.last_issued then t.last_issued <- tok;
   t.open_fill <- t.open_fill + 1;
-  if t.open_fill >= t.cfg.batch_size then seal t;
+  if t.open_fill >= batch_size then seal t;
   tok
 
 let reader_enter t (cpu : Sim.Machine.cpu) =

@@ -12,8 +12,6 @@
     [Batch_unref] for each credited reader's decrement. *)
 
 type config = {
-  batch_size : int;
-  poll_period_ns : int;
   unsafe_drop_refs : bool;
       (** mutant ([drop-retire-batch]): the backend view reclaims
           sealed batches without draining their reader references; the

@@ -1,12 +1,14 @@
 type config = {
   pairs_per_cpu : int;
   obj_size : int;
-  ops_per_quantum : int;
-  op_work_ns : int;
 }
 
-let default_config =
-  { pairs_per_cpu = 20_000; obj_size = 512; ops_per_quantum = 8; op_work_ns = 150 }
+(* Loop iterations between virtual-time syncs (granularity / speed
+   trade-off; does not change totals). *)
+let ops_per_quantum = 8
+
+(* Non-allocator work per pair (list update etc.). *)
+let op_work_ns = 150
 
 type result = {
   label : string;
@@ -38,12 +40,12 @@ let run (env : Env.t) (cfg : config) =
         let pairs_done = ref 0 in
         (try
            while !pairs_done < cfg.pairs_per_cpu do
-             let quantum = min cfg.ops_per_quantum (cfg.pairs_per_cpu - !pairs_done) in
+             let quantum = min ops_per_quantum (cfg.pairs_per_cpu - !pairs_done) in
              for _ = 1 to quantum do
                match backend.Slab.Backend.alloc cache cpu with
                | obj ->
                    (* the "list update" the pair models *)
-                   Sim.Machine.consume cpu cfg.op_work_ns;
+                   Sim.Machine.consume cpu op_work_ns;
                    backend.Slab.Backend.free_deferred cache cpu obj;
                    incr pairs_done
                | exception Slab.Frame.Oom ->

@@ -3,16 +3,9 @@
     per (virtual) second. *)
 
 type config = {
-  pairs_per_cpu : int;  (** Paper: 5M; scaled down by default. *)
+  pairs_per_cpu : int;  (** Paper: 5M; scaled down by the experiments. *)
   obj_size : int;
-  ops_per_quantum : int;
-      (** Loop iterations executed between virtual-time syncs (granularity
-          / speed trade-off; does not change totals). *)
-  op_work_ns : int;
-      (** Non-allocator work per pair (list update etc.). *)
 }
-
-val default_config : config
 
 type result = {
   label : string;

@@ -26,12 +26,7 @@ let test_kind_parsing () =
     (W.Env.kind_of_string "prudence" = Some W.Env.Prudence_alloc);
   Alcotest.(check bool) "junk" true (W.Env.kind_of_string "junk" = None)
 
-let micro_cfg =
-  {
-    W.Microbench.default_config with
-    W.Microbench.pairs_per_cpu = 3_000;
-    obj_size = 512;
-  }
+let micro_cfg = { W.Microbench.pairs_per_cpu = 3_000; obj_size = 512 }
 
 let test_microbench_completes_both () =
   List.iter
