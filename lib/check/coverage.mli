@@ -37,7 +37,8 @@ val finish : t -> unit
 
 val size : t -> int
 val features : t -> int list
-(** All observed features, sorted ascending (stable output for NDJSON). *)
+(** All observed features, sorted ascending, so two sets compare with
+    [=]. *)
 
 val absorb : into:t -> t -> int
 (** [absorb ~into run] merges [run]'s features into the global set and
