@@ -11,12 +11,16 @@
    Level 0 spans 65 us of virtual time at single-instant resolution
    (one bucket = one nanosecond = one dispatch batch); level 1 buckets
    span 65 us each (4.3 s total); level 2 buckets span 4.3 s each
-   (78 h total). Events beyond the 2^48 ns horizon spill into a small
-   (time, tie, seq)-ordered heap that refills the wheel as the cursor
-   approaches. An event placed at level l+1 cascades one level down
-   when the cursor reaches its bucket's start — at most [levels - 1]
-   extra touches per event, and none at all for the dominant
-   sub-65 us scheduling distances of the simulated workloads.
+   (78 h total). Level 2 holds only events whose time differs from the
+   cursor above bit 32, so its head array is allocated by the first
+   [add] that reaches it: a run that never schedules across a 2^32 ns
+   (4.3 s) boundary pays for two levels. Events beyond the 2^48 ns
+   horizon spill into a small (time, tie, seq)-ordered heap that
+   refills the wheel as the cursor approaches. An event placed at
+   level l+1 cascades one level down when the cursor reaches its
+   bucket's start — at most [levels - 1] extra touches per event, and
+   none at all for the dominant sub-65 us scheduling distances of the
+   simulated workloads.
 
    Placement uses the classic xor rule: an event at absolute time T
    goes to the level of the highest 16-bit chunk in which T differs
@@ -128,7 +132,9 @@ let ctz v = ctz_table.((((v land -v) * debruijn32) land 0xFFFFFFFF) lsr 27)
 
 type t = {
   pool : pool;
-  heads : int array array;  (* [levels][size] bucket list heads, -1 empty *)
+  heads : int array array;
+      (* [levels][size] bucket list heads, -1 empty; level 2's is [||]
+         until the first event placed there *)
   bitmaps : int array array;  (* [levels][words] 32-bit occupancy words *)
   summaries : int array array;  (* [levels][sum_words] word-occupancy *)
   mutable wnow : int;
@@ -153,7 +159,8 @@ let slot_cmp pool a b =
 let create pool =
   {
     pool;
-    heads = Array.init levels (fun _ -> Array.make size (-1));
+    heads =
+      Array.init levels (fun l -> if l < 2 then Array.make size (-1) else [||]);
     bitmaps = Array.init levels (fun _ -> Array.make words 0);
     summaries = Array.init levels (fun _ -> Array.make sum_words 0);
     wnow = 0;
@@ -231,8 +238,10 @@ let add w slot =
     if d < 1 lsl bits then insert w 0 (time land mask) slot
     else if d < 1 lsl (2 * bits) then
       insert w 1 ((time lsr bits) land mask) slot
-    else if d < 1 lsl horizon_bits then
+    else if d < 1 lsl horizon_bits then begin
+      if Array.length w.heads.(2) = 0 then w.heads.(2) <- Array.make size (-1);
       insert w 2 ((time lsr (2 * bits)) land mask) slot
+    end
     else begin
       Heap.push w.overflow slot;
       w.spills <- w.spills + 1
