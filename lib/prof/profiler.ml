@@ -376,32 +376,54 @@ let reset t =
 (* Measure the probes' own footprint so exits can subtract it. Two
    figures: OWN = words/ns the probes contribute *inside* a leaf span's
    window; PAIR = the full cost of one enter+exit pair as seen from an
-   enclosing window. Run against a scratch span, then reset. *)
+   enclosing window. Run against a scratch span, then reset.
+
+   Each figure comes from [calib_batches] batches of [calib_batch]
+   pairs. The word figures are means over every pair; the ns figures
+   are the cheapest batch's mean, so a preemption during calibration
+   cannot inflate the compensation every later frame subtracts (an
+   inflated PAIR clamps enclosing frames' inclusive time at 0). *)
+let calib_batches = 16
+let calib_batch = 256
+
 let calibrate t =
-  let n = 4096 in
+  let n = float_of_int (calib_batches * calib_batch) in
   let span = Span.Engine_dispatch in
   let si = Span.index span in
-  for _ = 1 to n do
-    enter t ~cpu:(-1) span;
-    exit t span
+  let cheapest = ref infinity in
+  let note_batch before =
+    let per_pair = (t.acc_self_ns.(si) -. before) /. float_of_int calib_batch in
+    if per_pair < !cheapest then cheapest := per_pair
+  in
+  for _ = 1 to calib_batches do
+    let before = t.acc_self_ns.(si) in
+    for _ = 1 to calib_batch do
+      enter t ~cpu:(-1) span;
+      exit t span
+    done;
+    note_batch before
   done;
-  t.own_ns <- t.acc_self_ns.(si) /. float_of_int n;
-  t.own_minor <- t.acc_self_minor.(si) /. float_of_int n;
-  (* PAIR: wrap n pairs in one outer window of the same probes. *)
+  t.own_ns <- !cheapest;
+  t.own_minor <- t.acc_self_minor.(si) /. n;
+  (* PAIR: wrap each batch of pairs in one outer window of the same
+     probes. *)
   reset t;
-  enter t ~cpu:(-1) span;
-  for _ = 1 to n do
-    enter t ~cpu:(-1) Span.Buddy_alloc;
-    exit t Span.Buddy_alloc
+  cheapest := infinity;
+  for _ = 1 to calib_batches do
+    let before = t.acc_self_ns.(si) in
+    enter t ~cpu:(-1) span;
+    for _ = 1 to calib_batch do
+      enter t ~cpu:(-1) Span.Buddy_alloc;
+      exit t Span.Buddy_alloc
+    done;
+    exit t span;
+    note_batch before
   done;
-  exit t span;
-  (* With pair compensation still zero, the outer frame's self figures
-     are n full pair footprints (the inner frames' compensated inclusive
-     figures are ~0), so per-pair cost is outer self over n. *)
-  let outer_self_minor = t.acc_self_minor.(si) in
-  let outer_self_ns = t.acc_self_ns.(si) in
-  t.pair_minor <- outer_self_minor /. float_of_int n;
-  t.pair_ns <- outer_self_ns /. float_of_int n;
+  (* With pair compensation still zero, the outer frames' self figures
+     are full pair footprints (the inner frames' compensated inclusive
+     figures are ~0), so per-pair cost is outer self over the pairs. *)
+  t.pair_minor <- t.acc_self_minor.(si) /. n;
+  t.pair_ns <- !cheapest;
   reset t
 
 let create ?(ncpus = 8) () =

@@ -41,7 +41,9 @@ val null : t
 
 val create : ?ncpus:int -> unit -> t
 (** A live profiler with [ncpus] CPU rows (default 8) plus the global
-    row. Runs a short calibration loop to measure probe overhead. *)
+    row. Runs a short calibration loop to measure probe overhead; its
+    time figures come from the cheapest of several short batches, so
+    one preemption during the loop does not skew them. *)
 
 val enabled : t -> bool
 
