@@ -28,6 +28,20 @@ let require_dir flag file =
   if Sys.file_exists file && Sys.is_directory file then
     die "%s %s: is a directory" flag file
 
+(* Bundles go into a directory made on demand, during or after the run,
+   so the nearest existing ancestor of [dir] must be a directory. *)
+let require_bundle_dir = function
+  | None -> ()
+  | Some dir ->
+      let rec existing d =
+        let parent = Filename.dirname d in
+        if Sys.file_exists d || parent = d then d else existing parent
+      in
+      let e = existing dir in
+      if Sys.file_exists e && not (Sys.is_directory e) then
+        if e = dir then die "--bundle-dir %s: not a directory" dir
+        else die "--bundle-dir %s: %s is not a directory" dir e
+
 let list_experiments () =
   Format.printf "experiments:@.";
   List.iter
@@ -184,6 +198,7 @@ let chaos_params ring p =
   }
 
 let run_chaos scenarios alloc ring bundle_dir p =
+  require_bundle_dir bundle_dir;
   let kinds = parse_kinds alloc in
   Core.Metrics.Report.print Format.std_formatter
     (Core.Chaos.report ~kinds ?bundle_dir (chaos_params ring p) scenarios);
@@ -437,6 +452,7 @@ let sweep_config count_flag count scenarios alloc mutate shuffle_seed
     } )
 
 let run_check (sweeps, cfg) skip_diff bundle_dir json =
+  require_bundle_dir bundle_dir;
   let cfg = { cfg with Sweep.sweeps; bundle_dir } in
   let shuffle_seed = cfg.Sweep.base_shuffle_seed and seed = cfg.Sweep.seed in
   if not json then
@@ -517,6 +533,7 @@ let run_fuzz_differential fcfg json =
 let run_fuzz (budget, base) fuzz_seed no_minimize differential bundle_dir json
     =
   let module Minimize = Core.Check.Minimize in
+  require_bundle_dir bundle_dir;
   let fcfg = { Fuzz.base; budget; seed = fuzz_seed } in
   if differential then run_fuzz_differential fcfg json
   else begin

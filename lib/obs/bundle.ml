@@ -170,7 +170,7 @@ let to_string lns =
 let rec mkdir_p d =
   if d <> "" && d <> "." && d <> "/" && not (Sys.file_exists d) then begin
     mkdir_p (Filename.dirname d);
-    try Sys.mkdir d 0o755 with Sys_error _ -> ()
+    Sys.mkdir d 0o755
   end
 
 let write ?window ~path ~reason ~replay ~scheme ~at_ns ~tracer ~anatomy
