@@ -58,8 +58,8 @@ let () =
       let reused =
         List.init 10 (fun _ -> backend.Slab.Backend.alloc cache cpu)
       in
-      let reused_ids = List.map (fun (o : Slab.Frame.objekt) -> o.Slab.Frame.oid) reused in
-      let original_ids = List.map (fun (o : Slab.Frame.objekt) -> o.Slab.Frame.oid) objs in
+      let reused_ids = List.map (Slab.Frame.oid cache) reused in
+      let original_ids = List.map (Slab.Frame.oid cache) objs in
       let recycled =
         List.length (List.filter (fun id -> List.mem id original_ids) reused_ids)
       in

@@ -79,12 +79,12 @@ let slab ~rcu (cache : Slab.Frame.cache) =
   (* Every object sits in at most one container: a slab's free stack or
      latent list, or a CPU's object or latent cache. *)
   let holder = Hashtbl.create 64 in
-  let place (o : objekt) where =
-    match Hashtbl.find_opt holder o.oid with
+  let place o where =
+    match Hashtbl.find_opt holder (oid cache o) with
     | Some first ->
-        err errs "%s: object %d is in %s and again in %s" name o.oid first
-          where
-    | None -> Hashtbl.replace holder o.oid where
+        err errs "%s: object %d is in %s and again in %s" name (oid cache o)
+          first where
+    | None -> Hashtbl.replace holder (oid cache o) where
   in
   (* Walk every slab through the node lists it must live on. *)
   let n_slabs = ref 0 and in_flight_sum = ref 0 and slab_latent_sum = ref 0 in
@@ -124,9 +124,9 @@ let slab ~rcu (cache : Slab.Frame.cache) =
               err errs "%s: slab %d holds %d latent objects but is not on node \
                    %d's latent-slab list" name s.sid s.latent_n node.nid;
             let latent_rc = Slab.Latq.length s.latent_objs in
-            if s.free_n < 0 || s.free_n > Array.length s.free_objs then
+            if s.free_n < 0 || s.free_n > s.capacity then
               err errs "%s: slab %d has free_n = %d outside its %d-slot free \
-                   stack" name s.sid s.free_n (Array.length s.free_objs);
+                   stack" name s.sid s.free_n s.capacity;
             if latent_rc <> s.latent_n then
               err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
                 name s.sid latent_rc s.latent_n;
@@ -148,23 +148,23 @@ let slab ~rcu (cache : Slab.Frame.cache) =
                 name s.sid pp_list_id tag s.free_n s.latent_n s.in_flight
                 pp_list_id desired;
             let where = Printf.sprintf "slab %d's free stack" s.sid in
-            for i = 0 to min s.free_n (Array.length s.free_objs) - 1 do
-              let o = s.free_objs.(i) in
-              place o where;
-              if o.parent != s then
-                err errs "%s: object %d on slab %d's freelist has a different \
-                     parent" name o.oid s.sid;
-              if o.ostate <> Free_in_slab then
-                err errs "%s: object %d on slab %d's freelist is in state %a"
-                  name o.oid s.sid pp_ostate o.ostate
-            done;
+            iter_free
+              (fun o ->
+                place o where;
+                if parent cache o != s then
+                  err errs "%s: object %d on slab %d's freelist has a \
+                       different parent" name (oid cache o) s.sid;
+                if state cache o <> Free_in_slab then
+                  err errs "%s: object %d on slab %d's freelist is in state %a"
+                    name (oid cache o) s.sid pp_ostate (state cache o))
+              s;
             let where = Printf.sprintf "slab %d's latent list" s.sid in
             Slab.Latq.iter
-              (fun (o : objekt) ->
+              (fun o ->
                 place o where;
-                if o.ostate <> In_latent_slab then
+                if state cache o <> In_latent_slab then
                   err errs "%s: object %d on slab %d's latent list is in state %a"
-                    name o.oid s.sid pp_ostate o.ostate)
+                    name (oid cache o) s.sid pp_ostate (state cache o))
               s.latent_objs)
         in
         Option.iter
@@ -197,17 +197,17 @@ let slab ~rcu (cache : Slab.Frame.cache) =
       for i = 0 to min pc.ocache_n (Array.length pc.ocache) - 1 do
         let o = pc.ocache.(i) in
         place o where;
-        if o.ostate <> In_object_cache then
+        if state cache o <> In_object_cache then
           err errs "%s: object %d in cpu%d's object cache is in state %a" name
-            o.oid id pp_ostate o.ostate
+            (oid cache o) id pp_ostate (state cache o)
       done;
       let where = Printf.sprintf "cpu%d's latent cache" id in
       Slab.Latq.Fifo.iter
-        (fun (o : objekt) ->
+        (fun o ->
           place o where;
-          if o.ostate <> In_latent_cache then
+          if state cache o <> In_latent_cache then
             err errs "%s: object %d in cpu%d's latent cache is in state %a" name
-              o.oid pc.cpu.Sim.Machine.id pp_ostate o.ostate)
+              (oid cache o) id pp_ostate (state cache o))
         pc.latent)
     cache.pcpus;
   (* In-flight objects are: held by mutators, in object caches, in latent
@@ -258,15 +258,16 @@ let latent ~smr (cache : Slab.Frame.cache) =
   let errs = ref [] in
   let open Slab.Frame in
   let horizon = smr.Slab.Smr.snapshot () in
-  let check_cookie where (o : objekt) =
-    if o.gp_cookie <= 0 then
+  let check_cookie where o =
+    let c = cookie cache o in
+    if c <= 0 then
       err errs "%s: deferred object %d in %s has cookie %d (never stamped?)"
-        cache.name o.oid where o.gp_cookie
-    else if o.gp_cookie > horizon then
+        cache.name (oid cache o) where c
+    else if c > horizon then
       err errs
         "%s: deferred object %d in %s waits for token %d, newer than any \
          the %s state could have issued (snapshot %d)"
-        cache.name o.oid where o.gp_cookie smr.Slab.Smr.scheme horizon
+        cache.name (oid cache o) where c smr.Slab.Smr.scheme horizon
   in
   Array.iter
     (fun (pc : pcpu) ->

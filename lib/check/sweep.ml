@@ -233,8 +233,8 @@ let run_case ?coverage cfg case =
       }
       env
   in
-  env.W.Env.fenv.Slab.Frame.unsafe_destroy_latent <-
-    cfg.mutation = Free_latent_page;
+  Slab.Frame.set_unsafe_destroy_latent env.W.Env.fenv
+    (cfg.mutation = Free_latent_page);
   let engine = Sim.Machine.engine env.W.Env.machine in
   (match coverage with
   | Some cov ->

@@ -41,6 +41,10 @@ let fire (t : t) spec ~cpu =
 let at t time fn =
   Sim.Engine.schedule_at ~daemon:true t.engine ~time fn
 
+(* The §3.4 flood's callback: it frees nothing, so it ignores its CPU
+   and payload. *)
+let ignore_cb _ _ = ()
+
 let install_spec t spec =
   match spec with
   | Plan.Stalled_reader { cpu; at_ns; hold_ns } ->
@@ -111,7 +115,7 @@ let install_spec t spec =
         if Sim.Engine.now t.engine <= until then begin
           let c = Sim.Machine.cpu t.machine cpu in
           for _ = 1 to per_ms do
-            Rcu.call_rcu t.rcu c (fun () -> ())
+            Rcu.call_rcu t.rcu c ignore_cb 0
           done;
           t.flood_cbs <- t.flood_cbs + per_ms;
           Sim.Engine.schedule ~daemon:true t.engine ~after:1_000_000 tick

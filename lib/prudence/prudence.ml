@@ -105,7 +105,7 @@ let merge_caches t (cache : Frame.cache) (pc : Frame.pcpu) =
    to charge (the caller decides whether it runs on workload or idle time). *)
 let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
   Frame.obj_to_latent_slab cache obj;
-  let slab = obj.Frame.parent in
+  let slab = Frame.parent cache obj in
   let costs = Costs.default in
   let cost = ref costs.Costs.latent_put in
   (* Pre-movement needs the node-list lock only when the list changes. *)

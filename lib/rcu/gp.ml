@@ -48,7 +48,7 @@ type stall_warning = { at_ns : int; gp_seq : int; holdouts : int list }
 
 type pcpu = {
   cpu : Sim.Machine.cpu;
-  cbs : Cblist.t;
+  cbs : Sim.Machine.cpu Cblist.t;
   mutable softirq_scheduled : bool;
   mutable softirq : unit -> unit;
       (* This CPU's softirq pass, made once in [create] so arming it
@@ -156,7 +156,7 @@ let softirq_pass t (pc : pcpu) =
     t.pending <- t.pending - n;
     t.s_cbs_invoked <- t.s_cbs_invoked + n;
     emit t Cb_invoke ~cpu:pc.cpu.Sim.Machine.id n 0;
-    let drained = Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ()) in
+    let drained = Cblist.drain pc.cbs ~max:n pc.cpu in
     assert (drained = n)
   end;
   if Cblist.ready pc.cbs > 0 then raise_softirq t pc;
@@ -233,7 +233,7 @@ let request_gp t =
   emit t Gp_request ~cpu:(-1) 0 0;
   if t.gp_active then t.gp_requested <- true else start_gp t
 
-let call_rcu t (cpu : Sim.Machine.cpu) fn =
+let call_rcu t (cpu : Sim.Machine.cpu) fn arg =
   emit t Gp_request ~cpu:cpu.id 0 0;
   let cookie = snapshot t in
   let pc = t.percpu.(cpu.id) in
@@ -248,7 +248,7 @@ let call_rcu t (cpu : Sim.Machine.cpu) fn =
      callback list, exactly like a lost-cell race in a lockless cblist.
      Everything else (cost, pending, queued stats, trace) proceeds, so only
      a conservation check across the lists can tell. *)
-  if not lost then Cblist.enqueue pc.cbs ~cookie fn;
+  if not lost then Cblist.enqueue pc.cbs ~cookie fn arg;
   emit t Cb_enqueue ~cpu:cpu.id cookie 0;
   Sim.Machine.consume cpu enqueue_cost_ns;
   t.pending <- t.pending + 1;
@@ -269,7 +269,7 @@ let barrier_drain t =
       let n = Cblist.ready pc.cbs in
       t.pending <- t.pending - n;
       t.s_cbs_invoked <- t.s_cbs_invoked + n;
-      ignore (Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ())))
+      ignore (Cblist.drain pc.cbs ~max:n pc.cpu))
     t.percpu;
   Prof.exit (prof t) Prof.Span.Rcu_cb_drain
 
@@ -294,7 +294,7 @@ let attach_pressure t pressure =
           let n = min (4 * t.cfg.expedited_blimit) (Cblist.ready pc.cbs) in
           t.pending <- t.pending - n;
           t.s_cbs_invoked <- t.s_cbs_invoked + n;
-          ignore (Cblist.drain pc.cbs ~max:n ~f:(fun fn -> fn ())))
+          ignore (Cblist.drain pc.cbs ~max:n pc.cpu))
         t.percpu;
       t.s_cbs_invoked > invoked_before)
 

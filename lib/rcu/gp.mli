@@ -84,9 +84,13 @@ val set_section_hooks :
 
 (** {1 Update side} *)
 
-val call_rcu : t -> Sim.Machine.cpu -> (unit -> unit) -> unit
-(** [call_rcu t cpu fn] defers [fn] until after a grace period; [fn] runs on
-    [cpu] during a later softirq pass (batched and throttled). This is the
+val call_rcu :
+  t -> Sim.Machine.cpu -> (Sim.Machine.cpu -> int -> unit) -> int -> unit
+(** [call_rcu t cpu fn arg] defers [fn cpu arg] until after a grace
+    period; it runs on [cpu] during a later softirq pass (batched and
+    throttled). [arg] plays the kernel's embedded [rcu_head]: a caller
+    that frees many objects passes one callback, made once, and each
+    object's handle, so a deferral allocates nothing. This is the
     baseline (SLUB) reclamation path from Listing 1 of the paper. The
     enqueue charges [cpu] 25 ns; each invocation charges it 150 ns. *)
 

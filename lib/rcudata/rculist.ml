@@ -94,7 +94,7 @@ let read_value t cpu key =
     let e = t.entries.(i) in
     (* The reader dereferences the object: track it so reclaiming it
        now would be flagged. *)
-    Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
+    Rcu.Readers.hold t.readers cpu ~oid:(Slab.Frame.oid t.cache e.obj);
     Some e.value
   end
 
@@ -114,9 +114,10 @@ let read_iter t cpu f =
   Rcu.Readers.with_section t.readers cpu (fun () ->
       Array.iter
         (fun e ->
-          Rcu.Readers.hold t.readers cpu ~oid:e.obj.Slab.Frame.oid;
+          let oid = Slab.Frame.oid t.cache e.obj in
+          Rcu.Readers.hold t.readers cpu ~oid;
           f ~key:e.key ~value:e.value;
-          Rcu.Readers.release t.readers cpu ~oid:e.obj.Slab.Frame.oid)
+          Rcu.Readers.release t.readers cpu ~oid)
         t.entries)
 
 let keys t = Array.to_list (Array.map (fun e -> e.key) t.entries)

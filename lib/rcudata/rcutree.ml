@@ -143,13 +143,14 @@ let lookup t cpu ~key =
       let rec go = function
         | None -> None
         | Some n ->
-            Rcu.Readers.hold t.readers cpu ~oid:n.obj.Slab.Frame.oid;
+            let oid = Slab.Frame.oid t.cache n.obj in
+            Rcu.Readers.hold t.readers cpu ~oid;
             let r =
               if key < n.key then go n.left
               else if key > n.key then go n.right
               else Some n.value
             in
-            Rcu.Readers.release t.readers cpu ~oid:n.obj.Slab.Frame.oid;
+            Rcu.Readers.release t.readers cpu ~oid;
             r
       in
       go t.root)

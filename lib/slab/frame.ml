@@ -1,35 +1,5 @@
 type grow_retry_policy = { max_retries : int; base_backoff_ns : int }
 
-type env = {
-  machine : Sim.Machine.t;
-  buddy : Mem.Buddy.t;
-  pressure : Mem.Pressure.t;
-  page_lock : Sim.Simlock.t;
-      (* The page allocator's zone lock: every slab grow/shrink serializes
-         here (with a hold that grows with the slab order, modelling page
-         zeroing and higher-order assembly). This is the contention that
-         makes the baseline collapse at large object sizes (Fig. 6). *)
-  tap : Trace.Tap.t;
-  mutable grow_retry : grow_retry_policy option;
-  mutable unsafe_destroy_latent : bool;
-  mutable next_oid : int;
-  mutable next_sid : int;
-}
-
-let make_env ~pressure machine buddy =
-  let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
-  {
-    machine;
-    buddy;
-    pressure;
-    page_lock = Sim.Simlock.create ~name:"page-allocator" tap;
-    tap;
-    grow_retry = None;
-    unsafe_destroy_latent = false;
-    next_oid = 0;
-    next_sid = 0;
-  }
-
 type ostate =
   | Free_in_slab
   | In_object_cache
@@ -56,12 +26,33 @@ let pp_list_id fmt l =
     | L_free -> "free"
     | L_unlinked -> "unlinked")
 
-type objekt = {
-  oid : int;
-  parent : slab;
-  mutable ostate : ostate;
-  mutable gp_cookie : int;
-  mutable touched : bool;
+(* A handle: an index into its env's object store. *)
+type objekt = int
+
+type env = {
+  machine : Sim.Machine.t;
+  buddy : Mem.Buddy.t;
+  pressure : Mem.Pressure.t;
+  page_lock : Sim.Simlock.t;
+      (* The page allocator's zone lock: every slab grow/shrink serializes
+         here (with a hold that grows with the slab order, modelling page
+         zeroing and higher-order assembly). This is the contention that
+         makes the baseline collapse at large object sizes (Fig. 6). *)
+  tap : Trace.Tap.t;
+  mutable grow_retry : grow_retry_policy option;
+  mutable unsafe_destroy_latent : bool;
+  mutable next_oid : int;
+  mutable next_sid : int;
+  (* The object store, indexed by handle. A slab's objects are the
+     handles [base, base + capacity), and the same range of
+     [free_stack] is its free stack. Every array is empty until the
+     first grow and doubles when a grow needs more room. *)
+  mutable parents : slab option array;  (* [None] off a live slab *)
+  mutable oids : int array;
+  mutable cookies : int array;
+  mutable flags : Bytes.t;  (* state code, plus [touched_bit] *)
+  mutable free_stack : int array;
+  mutable top : int;  (* handles below [top] belong to a range *)
 }
 
 and slab = {
@@ -71,9 +62,7 @@ and slab = {
   cache : cache;
   page : int;
   capacity : int;
-  mutable free_objs : objekt array;
-      (* Stack of [capacity] slots, top at [free_n - 1]; filled once at
-         grow so the first pop returns the lowest oid. *)
+  base : int;
   mutable free_n : int;
   latent_objs : objekt Latq.t;
   mutable latent_n : int;
@@ -81,9 +70,10 @@ and slab = {
   mutable on_list : list_id;
   links : links;  (* on the node list [on_list] *)
   latent_links : links;  (* on the node's latent-slab list *)
-  self : slab option;
+  mutable self : slab option;
       (* [Some] of this record, made once at grow: the value neighbours
-         store, so linking and unlinking only write pointers. *)
+         and the object store hold, so linking and unlinking only write
+         pointers. *)
 }
 
 and links = { mutable prev : slab option; mutable next : slab option }
@@ -136,9 +126,75 @@ and cache = {
   mutable live_objs : int;
   mutable latent_count : int;
   mutable free_target : (unit -> int) option;
+  mutable spare : int;
+      (* Base of the newest range a destroyed slab left, -1 for none;
+         each spare range's first [free_stack] slot holds the next. *)
 }
 
 exception Oom
+
+let make_env ~pressure machine buddy =
+  let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
+  {
+    machine;
+    buddy;
+    pressure;
+    page_lock = Sim.Simlock.create ~name:"page-allocator" tap;
+    tap;
+    grow_retry = None;
+    unsafe_destroy_latent = false;
+    next_oid = 0;
+    next_sid = 0;
+    parents = [||];
+    oids = [||];
+    cookies = [||];
+    flags = Bytes.empty;
+    free_stack = [||];
+    top = 0;
+  }
+
+let set_grow_retry env p = env.grow_retry <- p
+let set_unsafe_destroy_latent env v = env.unsafe_destroy_latent <- v
+
+(* An object's state is the low bits of its flags byte, in constructor
+   order; [touched_bit] records that a mutator has used its memory. *)
+let touched_bit = 8
+
+let code_of = function
+  | Free_in_slab -> 0
+  | In_object_cache -> 1
+  | Allocated -> 2
+  | In_latent_cache -> 3
+  | In_latent_slab -> 4
+
+let states =
+  [|
+    Free_in_slab; In_object_cache; Allocated; In_latent_cache; In_latent_slab;
+  |]
+
+let flags env obj = Char.code (Bytes.get env.flags obj)
+
+let set_state env obj s =
+  Bytes.set env.flags obj
+    (Char.chr (flags env obj land touched_bit lor code_of s))
+
+let state_of env obj = states.(flags env obj land (touched_bit - 1))
+
+let parent_of env obj =
+  match env.parents.(obj) with
+  | Some s -> s
+  | None -> invalid_arg "Frame: handle of no live slab"
+
+let of_int env i =
+  if i < 0 || i >= env.top then invalid_arg "Frame.of_int: not a handle";
+  ignore (parent_of env i);
+  i
+
+let cache_of env obj = (parent_of env obj).cache
+let oid (cache : cache) obj = cache.env.oids.(obj)
+let cookie (cache : cache) obj = cache.env.cookies.(obj)
+let state (cache : cache) obj = state_of cache.env obj
+let parent (cache : cache) obj = parent_of cache.env obj
 
 let empty_list () = { head = None; tail = None; len = 0 }
 
@@ -241,6 +297,7 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
     live_objs = 0;
     latent_count = 0;
     free_target = None;
+    spare = -1;
   }
 
 let slab_bytes cache = Mem.Buddy.page_size lsl cache.order
@@ -352,43 +409,51 @@ let relocate cache slab =
     true
   end
 
-(* Allocation-free: callers check [slab.free_n > 0] first. Popped slots
-   keep their old element; it belongs to this slab, so it pins
-   nothing. *)
+(* A slab's free stack is its range of the store's [free_stack]. *)
+let iter_free f slab =
+  let stack = slab.cache.env.free_stack in
+  for i = 0 to min slab.free_n slab.capacity - 1 do
+    f stack.(slab.base + i)
+  done
+
+(* Allocation-free: callers check [slab.free_n > 0] first. *)
 let take_free_obj_exn slab =
   if slab.free_n = 0 then
     invalid_arg "Frame.take_free_obj_exn: no free object";
   slab.free_n <- slab.free_n - 1;
   slab.in_flight <- slab.in_flight + 1;
-  slab.free_objs.(slab.free_n)
+  slab.cache.env.free_stack.(slab.base + slab.free_n)
 
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
-let emit_pool cache ~cpu obj = emit cache ~cpu Pool obj.oid obj.gp_cookie
+let emit_pool cache ~cpu obj =
+  let env = cache.env in
+  emit cache ~cpu Pool env.oids.(obj) env.cookies.(obj)
 
 let put_free_obj slab obj =
-  assert (obj.parent == slab);
+  let env = slab.cache.env in
+  assert (env.parents.(obj) == slab.self);
   emit_pool slab.cache ~cpu:(-1) obj;
-  obj.ostate <- Free_in_slab;
-  slab.free_objs.(slab.free_n) <- obj;
+  set_state env obj Free_in_slab;
+  env.free_stack.(slab.base + slab.free_n) <- obj;
   slab.free_n <- slab.free_n + 1;
   slab.in_flight <- slab.in_flight - 1
 
 (* The first push sizes the stack for a full cache plus the one object a
    free pushes before it flushes. *)
-let grow_ocache cache pc obj =
+let grow_ocache cache pc =
   let cap = Array.length pc.ocache in
   let stack =
-    Array.make (if cap = 0 then cache.ocache_cap + 1 else 2 * cap) obj
+    Array.make (if cap = 0 then cache.ocache_cap + 1 else 2 * cap) 0
   in
   Array.blit pc.ocache 0 stack 0 pc.ocache_n;
   pc.ocache <- stack
 
 let push_ocache cache pc obj =
   emit_pool cache ~cpu:pc.cpu.id obj;
-  obj.ostate <- In_object_cache;
-  if pc.ocache_n = Array.length pc.ocache then grow_ocache cache pc obj;
+  set_state cache.env obj In_object_cache;
+  if pc.ocache_n = Array.length pc.ocache then grow_ocache cache pc;
   pc.ocache.(pc.ocache_n) <- obj;
   pc.ocache_n <- pc.ocache_n + 1
 
@@ -418,7 +483,8 @@ let footprint_doublings cache =
   end
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
-  event cache cpu Alloc obj.oid;
+  let env = cache.env in
+  event cache cpu Alloc env.oids.(obj);
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -427,43 +493,44 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
     Sim.Machine.consume cpu (doublings * Costs.default.llc_pressure);
   (* First use of this object's memory: the mutator takes cache/TLB misses
      writing it. Recycled objects are hot. *)
-  if not obj.touched then begin
-    obj.touched <- true;
+  if flags env obj land touched_bit = 0 then begin
     let costs = Costs.default in
     Sim.Machine.consume cpu
       (costs.Costs.cold_touch
       + (cache.obj_size / 256 * costs.Costs.cold_touch_per_256b))
   end;
-  obj.ostate <- Allocated;
+  Bytes.set env.flags obj (Char.chr (touched_bit lor code_of Allocated));
   cache.live_objs <- cache.live_objs + 1
 
 (* Events go out before the state asserts so a deliberately broken
    caller (mutation self-tests: double free, double defer) reaches the
    oracle before the simulation aborts. *)
 let release_from_user cache cpu obj =
-  event cache cpu Free obj.oid;
-  assert (obj.ostate = Allocated);
+  event cache cpu Free cache.env.oids.(obj);
+  assert (state_of cache.env obj = Allocated);
   cache.live_objs <- cache.live_objs - 1
 
 let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
-  emit cache ~cpu:cpu.id Defer obj.oid cookie;
-  assert (obj.ostate = Allocated);
-  obj.gp_cookie <- cookie;
+  let env = cache.env in
+  emit cache ~cpu:cpu.id Defer env.oids.(obj) cookie;
+  assert (state_of env obj = Allocated);
+  env.cookies.(obj) <- cookie;
   cache.live_objs <- cache.live_objs - 1
 
 let obj_to_latent_cache cache pc obj =
   Prof.enter (prof cache) ~cpu:pc.cpu.Sim.Machine.id Prof.Span.Latq_push;
-  obj.ostate <- In_latent_cache;
+  set_state cache.env obj In_latent_cache;
   cache.latent_count <- cache.latent_count + 1;
-  Latq.Fifo.push_back pc.latent ~cookie:obj.gp_cookie obj;
+  Latq.Fifo.push_back pc.latent ~cookie:cache.env.cookies.(obj) obj;
   Prof.exit (prof cache) Prof.Span.Latq_push
 
 let obj_to_latent_slab cache obj =
   Prof.enter (prof cache) ~cpu:(-1) Prof.Span.Latq_push;
-  let slab = obj.parent in
-  obj.ostate <- In_latent_slab;
+  let env = cache.env in
+  let slab = parent_of env obj in
+  set_state env obj In_latent_slab;
   cache.latent_count <- cache.latent_count + 1;
-  Latq.push slab.latent_objs ~cookie:obj.gp_cookie obj;
+  Latq.push slab.latent_objs ~cookie:env.cookies.(obj) obj;
   slab.latent_n <- slab.latent_n + 1;
   slab.in_flight <- slab.in_flight - 1;
   if slab.latent_n = 1 then
@@ -477,14 +544,10 @@ let latent_cache_pop_ripe cache pc ~completed =
   end
   else None
 
-(* Toplevel, so passing it to the merge allocates no closure: the
-   object's slab names the cache. *)
-let merge_into_ocache pc obj = push_ocache obj.parent.cache pc obj
-
 let latent_cache_merge_ripe cache pc ~completed ~limit =
   Prof.enter (prof cache) ~cpu:pc.cpu.Sim.Machine.id Prof.Span.Latq_harvest;
   let n =
-    Latq.Fifo.merge_ripe pc.latent ~completed ~limit ~f:merge_into_ocache pc
+    Latq.Fifo.merge_ripe pc.latent ~completed ~limit ~f:push_ocache cache pc
   in
   cache.latent_count <- cache.latent_count - n;
   Prof.exit (prof cache) Prof.Span.Latq_harvest;
@@ -497,14 +560,13 @@ let latent_cache_pop_newest cache pc =
 
 (* latent -> free stays inside the slab: in_flight is unchanged, but
    put_free_obj decrements it, so pre-compensate. *)
-let harvest_to_free obj =
-  let slab = obj.parent in
+let harvest_to_free slab obj =
   slab.in_flight <- slab.in_flight + 1;
   put_free_obj slab obj
 
 let slab_harvest_ripe slab ~completed =
   Prof.enter (prof slab.cache) ~cpu:(-1) Prof.Span.Latq_harvest;
-  let n = Latq.harvest slab.latent_objs ~completed ~f:harvest_to_free in
+  let n = Latq.harvest slab.latent_objs ~completed ~f:harvest_to_free slab in
   (if n > 0 then begin
      slab.latent_n <- slab.latent_n - n;
      slab.cache.latent_count <- slab.cache.latent_count - n;
@@ -512,6 +574,42 @@ let slab_harvest_ripe slab ~completed =
    end);
   Prof.exit (prof slab.cache) Prof.Span.Latq_harvest;
   n
+
+(* Room in the store for handles below [n]: every array doubles (at
+   least), keeping its contents. *)
+let reserve env n =
+  let len = Array.length env.oids in
+  if n > len then begin
+    let len' = max n (2 * len) in
+    let extend a fill =
+      let a' = Array.make len' fill in
+      Array.blit a 0 a' 0 len;
+      a'
+    in
+    env.parents <- extend env.parents None;
+    env.oids <- extend env.oids 0;
+    env.cookies <- extend env.cookies 0;
+    env.free_stack <- extend env.free_stack 0;
+    let flags = Bytes.make len' '\000' in
+    Bytes.blit env.flags 0 flags 0 len;
+    env.flags <- flags
+  end
+
+(* A range of [objs_per_slab] handles for a new slab: the cache's newest
+   spare one, else fresh ones above [top]. *)
+let take_range cache =
+  let env = cache.env in
+  let base = cache.spare in
+  if base >= 0 then begin
+    cache.spare <- env.free_stack.(base);
+    base
+  end
+  else begin
+    let base = env.top in
+    reserve env (base + cache.objs_per_slab);
+    env.top <- base + cache.objs_per_slab;
+    base
+  end
 
 let alloc_pages cache =
   let buddy = cache.env.buddy in
@@ -558,44 +656,39 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     cache.color_next <- (cache.color_next + 1) mod Size_class.max_color;
     let sid = env.next_sid in
     env.next_sid <- env.next_sid + 1;
-    let rec slab =
+    let capacity = cache.objs_per_slab in
+    let base = take_range cache in
+    let slab =
       {
         sid;
         color;
         node_id = cpu.node;
         cache;
         page;
-        capacity = cache.objs_per_slab;
-        free_objs = [||];
-        free_n = cache.objs_per_slab;
-        latent_objs = Latq.create ~capacity:cache.objs_per_slab;
+        capacity;
+        base;
+        free_n = capacity;
+        latent_objs = Latq.create ~capacity;
         latent_n = 0;
         in_flight = 0;
         on_list = L_unlinked;
         links = { prev = None; next = None };
         latent_links = { prev = None; next = None };
-        self = Some slab;
+        self = None;
       }
     in
-    let mk () =
-      let oid = env.next_oid in
-      env.next_oid <- env.next_oid + 1;
-      {
-        oid;
-        parent = slab;
-        ostate = Free_in_slab;
-        gp_cookie = 0;
-        touched = false;
-      }
-    in
-    (* Oids ascend from the top of the stack down, so the first pop
-       returns the lowest. *)
-    let top = cache.objs_per_slab - 1 in
-    let objs = Array.make cache.objs_per_slab (mk ()) in
-    for i = top - 1 downto 0 do
-      objs.(i) <- mk ()
+    slab.self <- Some slab;
+    (* Handles and oids ascend together; the free stack holds them from
+       the top down, so the first pop returns the lowest oid. *)
+    let oid0 = env.next_oid and top = base + capacity - 1 in
+    env.next_oid <- oid0 + capacity;
+    for obj = base to top do
+      env.parents.(obj) <- slab.self;
+      env.oids.(obj) <- oid0 + obj - base;
+      env.cookies.(obj) <- 0;
+      Bytes.set env.flags obj (Char.chr (code_of Free_in_slab));
+      env.free_stack.(top - obj + base) <- obj
     done;
-    slab.free_objs <- objs;
     link cache slab L_free;
     cache.total_slabs <- cache.total_slabs + 1;
     Slab_stats.set_current_slabs cache.stats cache.total_slabs;
@@ -604,7 +697,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     Sim.Machine.consume cpu Costs.default.grow;
     lock_pages cache cpu;
     Mem.Pressure.poll env.pressure;
-    Some slab
+    slab.self
 
 (* May suspend mid-span when the grow-retry policy sleeps; Prof.exit's
    unwind semantics keep the span stack consistent across that. *)
@@ -620,11 +713,13 @@ let destroy_slab cache slab =
   (* The page-reuse boundary: report objects still deferred on this page
      before it goes back to the buddy, newest first. Never fires on a
      non-mutated run (truly-free slabs have no latent objects). *)
-  (if slab.latent_n > 0 && Trace.Tap.armed cache.env.tap then
+  let env = cache.env in
+  (if slab.latent_n > 0 && Trace.Tap.armed env.tap then
      let latent = ref [] in
      Latq.iter (fun o -> latent := o :: !latent) slab.latent_objs;
      List.iter
-       (fun o -> emit cache ~cpu:(-1) Page_release o.oid o.gp_cookie)
+       (fun o ->
+         emit cache ~cpu:(-1) Page_release env.oids.(o) env.cookies.(o))
        !latent);
   (* Scrub the latent bookkeeping the mutated path orphans, so the cache
      counters stay conserved and only the page-level oracle can tell. *)
@@ -634,6 +729,10 @@ let destroy_slab cache slab =
     remove ~latent:true (latent_slabs_of slab) slab
   end;
   unlink cache slab;
+  (* The slab's handles become the cache's newest spare range. *)
+  Array.fill env.parents slab.base slab.capacity None;
+  env.free_stack.(slab.base) <- cache.spare;
+  cache.spare <- slab.base;
   Mem.Buddy.free cache.env.buddy ~page:slab.page ~order:cache.order;
   cache.total_slabs <- cache.total_slabs - 1;
   Slab_stats.set_current_slabs cache.stats cache.total_slabs;
@@ -707,7 +806,7 @@ let refill_from_node cache (cpu : Sim.Machine.cpu) ~want ~select =
    read happens on the way down, before the first shrink. *)
 let rec shrink_touched cache cpu objs i last seen =
   if i <= last then begin
-    let nid = objs.(i).parent.node_id in
+    let nid = (parent_of cache.env objs.(i)).node_id in
     let bit = 1 lsl nid in
     if seen land bit = 0 then begin
       shrink_touched cache cpu objs (i + 1) last (seen lor bit);
@@ -728,7 +827,7 @@ let flush_to_node cache (cpu : Sim.Machine.cpu) ~count =
     let locked = ref 0 in
     for i = first to last do
       let obj = objs.(i) in
-      let slab = obj.parent in
+      let slab = parent_of cache.env obj in
       let bit = 1 lsl slab.node_id in
       if !locked land bit = 0 then begin
         locked := !locked lor bit;

@@ -21,7 +21,30 @@ type grow_retry_policy = {
     grow path (see {!grow}). Requires process context (the backoff sleeps);
     disabled by default. *)
 
-type env = {
+type ostate =
+  | Free_in_slab  (** On its slab's freelist. *)
+  | In_object_cache  (** In some CPU's object cache, ready to allocate. *)
+  | Allocated  (** Held by a mutator (or deferred and not yet released). *)
+  | In_latent_cache  (** Deferred; in a CPU's latent cache (Prudence). *)
+  | In_latent_slab  (** Deferred; parked on its slab's latent list. *)
+
+val pp_ostate : Format.formatter -> ostate -> unit
+
+type list_id = L_full | L_partial | L_free | L_unlinked
+
+val pp_list_id : Format.formatter -> list_id -> unit
+
+type objekt = private int
+(** An object handle: an index into its env's object store, which holds
+    the object's state, grace-period cookie, touched flag, parent slab
+    and oid in flat arrays (read them with {!oid}, {!state}, {!cookie}
+    and {!parent}). A slab owns a contiguous range of handles; when it
+    is destroyed the range goes back to its cache for the next grow, so
+    the store follows the live slabs, not every object ever made. A
+    handle therefore names an object only while its slab lives, and
+    containers hold handles unboxed: moving one allocates nothing. *)
+
+type env = private {
   machine : Sim.Machine.t;
   buddy : Mem.Buddy.t;
   pressure : Mem.Pressure.t;
@@ -51,32 +74,17 @@ type env = {
           set outside [--mutate=free-latent-page] self-tests. *)
   mutable next_oid : int;
   mutable next_sid : int;
-}
-
-val make_env : pressure:Mem.Pressure.t -> Sim.Machine.t -> Mem.Buddy.t -> env
-
-type ostate =
-  | Free_in_slab  (** On its slab's freelist. *)
-  | In_object_cache  (** In some CPU's object cache, ready to allocate. *)
-  | Allocated  (** Held by a mutator (or deferred and not yet released). *)
-  | In_latent_cache  (** Deferred; in a CPU's latent cache (Prudence). *)
-  | In_latent_slab  (** Deferred; parked on its slab's latent list. *)
-
-val pp_ostate : Format.formatter -> ostate -> unit
-
-type list_id = L_full | L_partial | L_free | L_unlinked
-
-val pp_list_id : Format.formatter -> list_id -> unit
-
-type objekt = private {
-  oid : int;  (** Unique object id (for the safety checker). *)
-  parent : slab;
-  mutable ostate : ostate;
-  mutable gp_cookie : int;
-      (** Grace period this deferred object waits for (Prudence). *)
-  mutable touched : bool;
-      (** Whether a mutator has ever used this object's memory (first
-          touch is charged cold-miss cost). *)
+  mutable parents : slab option array;
+      (** The object store, indexed by handle: each object's slab
+          ([None] for a handle of no live slab), oid, cookie, state and
+          touched bit. [free_stack] holds each slab's free stack in the
+          slab's own range. Every array is empty until the first
+          {!grow} and doubles when a grow needs room. *)
+  mutable oids : int array;
+  mutable cookies : int array;
+  mutable flags : Bytes.t;
+  mutable free_stack : int array;
+  mutable top : int;  (** Handles below [top] belong to some range. *)
 }
 
 and slab = private {
@@ -86,9 +94,10 @@ and slab = private {
   cache : cache;
   page : int;  (** First page of the slab's buddy block, of order [cache.order]. *)
   capacity : int;
-  mutable free_objs : objekt array;
-      (** The slab's free objects: a stack of [capacity] slots whose live
-          part is [free_objs.(0 .. free_n - 1)], top last. Filled once at
+  base : int;
+      (** The slab's objects are the handles [base .. base + capacity - 1];
+          its free stack is the same range of the store's [free_stack],
+          live part [base .. base + free_n - 1], top last. Filled once at
           {!grow}, so the first pop returns the lowest oid. *)
   mutable free_n : int;
   latent_objs : objekt Latq.t;
@@ -103,10 +112,10 @@ and slab = private {
   latent_links : links;
       (** Intrusive links of the node's latent-slab list, which the slab
           is on exactly while [latent_n > 0]. *)
-  self : slab option;
+  mutable self : slab option;
       (** [Some] of this record, made once at {!grow}: the value its
-          neighbours and the selectors hand out, so linking, unlinking
-          and selecting allocate nothing. *)
+          neighbours, the selectors and the object store hand out, so
+          linking, unlinking and selecting allocate nothing. *)
 }
 
 and links = private { mutable prev : slab option; mutable next : slab option }
@@ -169,6 +178,9 @@ and cache = private {
       (** Policy estimate of how many free slabs a node should keep before
           shrinking (Prudence derives it from latent objects + recent
           allocation rate — a "hint about the future"). *)
+  mutable spare : int;
+      (** Base handle of the newest range a destroyed slab of this cache
+          left for the next grow, or -1. *)
 }
 
 exception Oom
@@ -176,6 +188,37 @@ exception Oom
     the object itself or raises [Oom], after its OOM handling (the
     pressure watcher's handler chain, and Prudence's OOM delay) has
     failed. One constant exception, so neither outcome allocates. *)
+
+val make_env : pressure:Mem.Pressure.t -> Sim.Machine.t -> Mem.Buddy.t -> env
+
+val set_grow_retry : env -> grow_retry_policy option -> unit
+val set_unsafe_destroy_latent : env -> bool -> unit
+
+(** {1 Objects} *)
+
+val oid : cache -> objekt -> int
+(** The object's unique id, numbered env-wide in grow order (for the
+    safety checker and the event stream). *)
+
+val state : cache -> objekt -> ostate
+
+val cookie : cache -> objekt -> int
+(** Grace period the object last waited for when deferred; 0 until its
+    first deferral. *)
+
+val parent : cache -> objekt -> slab
+(** The object's slab; raises [Invalid_argument] for a handle of no live
+    slab. *)
+
+val of_int : env -> int -> objekt
+(** The handle an int names, such as an RCU callback's payload; raises
+    [Invalid_argument] unless it names an object of a live slab. *)
+
+val cache_of : env -> objekt -> cache
+(** The cache of the object's slab. *)
+
+val iter_free : (objekt -> unit) -> slab -> unit
+(** The slab's free stack, bottom to top (at most [capacity] slots). *)
 
 (** {1 Slab lists}
 

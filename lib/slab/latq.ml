@@ -21,9 +21,8 @@
 (* The arrays are [||] until the first push and then hold [capacity]
    entries, doubling if a push ever finds them full; a slab never holds
    more latent objects than it has objects, so its store never grows
-   past the first allocation. Harvested slots keep their old element:
-   slab objects live as long as their slab, so the stale reference pins
-   nothing the GC could otherwise reclaim. *)
+   past the first allocation. Harvested slots keep their old element,
+   an object handle, which pins nothing. *)
 type 'a t = {
   capacity : int;
   mutable vals : 'a array;  (* push order *)
@@ -62,7 +61,7 @@ let push t ~cookie v =
   t.n <- t.n + 1;
   if cookie < t.min_cookie then t.min_cookie <- cookie
 
-let harvest t ~completed ~f =
+let harvest t ~completed ~f x =
   if t.min_cookie > completed then 0
   else begin
     let n = t.n in
@@ -72,7 +71,7 @@ let harvest t ~completed ~f =
     let top = ref (n - 1) and min_cookie = ref max_int in
     for i = n - 1 downto 0 do
       let c = t.cookies.(i) in
-      if c <= completed then f t.vals.(i)
+      if c <= completed then f x t.vals.(i)
       else begin
         if !top <> i then begin
           t.vals.(!top) <- t.vals.(i);
@@ -111,8 +110,7 @@ module Fifo = struct
      allocation-free (the free/alloc cycle of every deferred object goes
      through here, so each box would be paid hundreds of thousands of
      times per run). Popped payload slots are left holding their old
-     element; slab objects live for the whole simulation, so the stale
-     reference pins nothing the GC could otherwise reclaim. *)
+     element, an object handle, which pins nothing. *)
   type 'a t = {
     mutable arr : 'a array;  (* capacity a power of two; [||] until used *)
     mutable head : int;  (* index of the oldest element *)
@@ -213,9 +211,9 @@ module Fifo = struct
     v
 
   (* Move up to [limit] ripe elements out, oldest first, a whole run at a
-     time. [f] gets [x] with each element, so a caller needs no closure
-     to carry its destination. *)
-  let merge_ripe t ~completed ~limit ~f x =
+     time. [f] gets [x] and [y] with each element, so a caller needs no
+     closure to carry its destination. *)
+  let merge_ripe t ~completed ~limit ~f x y =
     let moved = ref 0 in
     let continue = ref true in
     while
@@ -225,7 +223,7 @@ module Fifo = struct
       let k = min t.rn.(t.rhead) (limit - !moved) in
       let mask = Array.length t.arr - 1 in
       for _ = 1 to k do
-        f x t.arr.(t.head);
+        f x y t.arr.(t.head);
         t.head <- (t.head + 1) land mask
       done;
       t.n <- t.n - k;

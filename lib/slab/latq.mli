@@ -20,14 +20,14 @@ val push : 'a t -> cookie:int -> 'a -> unit
 (** Add an element waiting on grace period [cookie]. O(1), in any
     cookie order. *)
 
-val harvest : 'a t -> completed:int -> f:('a -> unit) -> int
-(** Remove every element whose cookie is [<= completed], apply [f] to
-    each newest-first (descending push order, the order a
-    [List.partition] over the old newest-first list produced), and
-    return their count. Waiting elements keep their push order. When no
-    cookie is ripe the harvest visits nothing; otherwise it visits each
-    element once, so a waiting element is visited at most once per
-    grace period it waits through. *)
+val harvest : 'a t -> completed:int -> f:('b -> 'a -> unit) -> 'b -> int
+(** [harvest t ~completed ~f x] removes every element whose cookie is
+    [<= completed], applies [f x] to each newest-first (descending push
+    order, the order a [List.partition] over the old newest-first list
+    produced), and returns their count. Waiting elements keep their
+    push order. When no cookie is ripe the harvest visits nothing;
+    otherwise it visits each element once, so a waiting element is
+    visited at most once per grace period it waits through. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Every element, by ascending cookie and newest first within a
@@ -60,12 +60,18 @@ module Fifo : sig
   (** Remove the oldest element; raises [Invalid_argument] when empty. *)
 
   val merge_ripe :
-    'a t -> completed:int -> limit:int -> f:('b -> 'a -> unit) -> 'b -> int
-  (** [merge_ripe t ~completed ~limit ~f x] pops up to [limit] ripe
-      elements, oldest first, applying [f x] to each; returns how many
+    'a t ->
+    completed:int ->
+    limit:int ->
+    f:('b -> 'c -> 'a -> unit) ->
+    'b ->
+    'c ->
+    int
+  (** [merge_ripe t ~completed ~limit ~f x y] pops up to [limit] ripe
+      elements, oldest first, applying [f x y] to each; returns how many
       moved. Equivalent to an [oldest_ripe]/[pop_front] loop, with runs
-      consumed in batch. Passing the destination as [x] lets [f] be a
-      toplevel function, so a merge allocates nothing. *)
+      consumed in batch. Passing the destination as [x] and [y] lets [f]
+      be a toplevel function, so a merge allocates nothing. *)
 
   val pop_back : 'a t -> 'a
   (** Remove the newest element (pre-flush eviction order); raises

@@ -3,9 +3,10 @@ type t = {
   rcu : Rcu.t;
   by_name : (string, Frame.cache) Hashtbl.t;
   mutable caches : Frame.cache list;  (* newest first (insertion order) *)
+  reclaim : Sim.Machine.cpu -> int -> unit;
+      (* The deferred-free callback, made once: its payload is the
+         object's handle, and the handle names the cache. *)
 }
-
-let create env rcu = { env; rcu; by_name = Hashtbl.create 8; caches = [] }
 
 let env t = t.env
 let rcu t = t.rcu
@@ -71,7 +72,7 @@ let alloc (_ : t) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
       raise_notrace Frame.Oom
 
 (* The reclamation path shared by immediate frees and RCU callbacks. *)
-let release (cache : Frame.cache) cpu obj =
+let release (cache : Frame.cache) cpu (obj : Frame.objekt) =
   let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   charge cpu costs.Costs.free_to_cache;
@@ -88,6 +89,19 @@ let free (_ : t) cache cpu obj =
   release cache cpu obj;
   Prof.exit (Frame.prof cache) Prof.Span.Slab_free
 
+let reclaim env cpu payload =
+  let obj = Frame.of_int env payload in
+  release (Frame.cache_of env obj) cpu obj
+
+let create env rcu =
+  {
+    env;
+    rcu;
+    by_name = Hashtbl.create 8;
+    caches = [];
+    reclaim = reclaim env;
+  }
+
 let free_deferred t (cache : Frame.cache) cpu obj =
   Prof.enter (Frame.prof cache) ~cpu:cpu.Sim.Machine.id Prof.Span.Slab_defer;
   let costs = Costs.default in
@@ -96,10 +110,10 @@ let free_deferred t (cache : Frame.cache) cpu obj =
   Frame.stamp_deferred cache cpu obj ~cookie;
   charge cpu costs.Costs.defer_enqueue;
   (* Listing 1: the allocator never sees the object until RCU invokes the
-     callback, possibly long after the grace period. The closure holds
-     only [cpu] and [obj] (5 words); the object knows its cache. *)
-  Rcu.call_rcu t.rcu cpu (fun () ->
-      release obj.Frame.parent.Frame.cache cpu obj);
+     callback, possibly long after the grace period. Like the kernel's
+     embedded [rcu_head], the entry is the shared callback plus the
+     object's handle, so the deferral allocates nothing. *)
+  Rcu.call_rcu t.rcu cpu t.reclaim (obj :> int);
   Prof.exit (Frame.prof cache) Prof.Span.Slab_defer
 
 let settle t =

@@ -6,7 +6,8 @@
     object cache; on overflow, flush half back to the slabs and shrink the
     node when it accumulates too many free slabs.
 
-    Deferred frees go through {!Rcu.call_rcu} (Listing 1): reclamation is
+    Deferred frees go through {!Rcu.call_rcu} (Listing 1), one callback
+    made at {!create} plus the object's handle: reclamation is
     entirely driven by the synchronization mechanism — batched, throttled,
     and oblivious of allocator state. This is precisely the behaviour whose
     pathologies (§3) Prudence removes. *)

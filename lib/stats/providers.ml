@@ -230,15 +230,13 @@ let latent_views ~smr (backend : Slab.Backend.t) =
         Array.iter
           (fun (pc : Slab.Frame.pcpu) ->
             Slab.Latq.Fifo.iter
-              (fun (o : Slab.Frame.objekt) ->
-                bump ~slab_side:false o.Slab.Frame.gp_cookie)
+              (fun o -> bump ~slab_side:false (Slab.Frame.cookie c o))
               pc.Slab.Frame.latent)
           c.Slab.Frame.pcpus;
         Array.iter
           (Slab.Frame.iter_latent (fun (s : Slab.Frame.slab) ->
                Slab.Latq.iter
-                 (fun (o : Slab.Frame.objekt) ->
-                   bump ~slab_side:true o.Slab.Frame.gp_cookie)
+                 (fun o -> bump ~slab_side:true (Slab.Frame.cookie c o))
                  s.Slab.Frame.latent_objs))
           c.Slab.Frame.nodes;
         let rows =

@@ -158,8 +158,8 @@ let env_config cfg kind =
 let run_env ?plan cfg env =
   (* Robustness mitigations under test: retry transient page-alloc
      failures with backoff instead of treating them as fatal. *)
-  env.Env.fenv.Slab.Frame.grow_retry <-
-    Some { Slab.Frame.max_retries = 6; base_backoff_ns = 10_000 };
+  Slab.Frame.set_grow_retry env.Env.fenv
+    (Some { Slab.Frame.max_retries = 6; base_backoff_ns = 10_000 });
   let injector =
     Faults.Injector.install ~pressure:env.Env.pressure
       (match plan with Some p -> p | None -> plan_for cfg)

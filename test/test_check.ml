@@ -53,7 +53,7 @@ let test_oracle_lifecycle () =
   let c = W.Env.cpu env 0 in
   drive env (fun () ->
       let obj = backend.Slab.Backend.alloc cache c in
-      let oid = obj.Slab.Frame.oid in
+      let oid = Slab.Frame.oid cache obj in
       check_state oracle ~oid "live";
       backend.Slab.Backend.free_deferred cache c obj;
       (match Shadow.state oracle ~oid with
@@ -89,7 +89,7 @@ let test_two_oracles_one_env () =
   drive env (fun () ->
       let obj = backend.Slab.Backend.alloc cache c in
       Rcu.Readers.with_section readers c (fun () ->
-          Rcu.Readers.hold readers c ~oid:obj.Slab.Frame.oid);
+          Rcu.Readers.hold readers c ~oid:(Slab.Frame.oid cache obj));
       backend.Slab.Backend.free_deferred cache c obj;
       Rcu.synchronize env.W.Env.rcu);
   Alcotest.(check bool) "first oracle saw events" true (Shadow.events first > 0);
@@ -107,7 +107,7 @@ let test_oracle_use_after_reclaim () =
   let readers = env.W.Env.readers in
   drive env (fun () ->
       let obj = backend.Slab.Backend.alloc cache c in
-      let oid = obj.Slab.Frame.oid in
+      let oid = Slab.Frame.oid cache obj in
       (* Legal: reading a live object. *)
       Rcu.Readers.with_section readers c (fun () ->
           Rcu.Readers.hold readers c ~oid);
@@ -595,7 +595,7 @@ let teeth_cases =
         Printf.sprintf
           "object %d is in cpu0's object cache and again in cpu1's object \
            cache"
-          o.F.oid );
+          (F.oid c o) );
     ( "wrong on_list tag",
       fun _env _c (s : F.slab) ->
         poke s ~field:11 ~was:s.F.on_list F.L_full;

@@ -95,7 +95,7 @@ let test_no_warnings_without_faults () =
   in
   let env = make_env ~cpus:4 ~rcu_config:config () in
   for _ = 1 to 50 do
-    Rcu.call_rcu env.rcu (cpu0 env) (fun () -> ())
+    Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> ()) 0
   done;
   Sim.Engine.run ~until:Sim.(Clock.ms 100) env.eng;
   Alcotest.(check int) "no stall warnings on a healthy run" 0
@@ -245,13 +245,13 @@ let test_stalled_reader_catches_unsafe_skip_gp () =
   in
   drain ();
   (* The stalled reader still references the object... *)
-  Rcu.Readers.hold readers c1 ~oid:obj.Slab.Frame.oid;
+  Rcu.Readers.hold readers c1 ~oid:(Slab.Frame.oid cache obj);
   (* ...while the writer defers it and unsafe_skip_gp recycles it without
      waiting for the (pinned) grace period. *)
   Prudence.free_deferred pr cache c0 obj;
   let next = Prudence.alloc pr cache c0 in
-  Alcotest.(check int) "object recycled under the reader" obj.Slab.Frame.oid
-    next.Slab.Frame.oid;
+  Alcotest.(check int) "object recycled under the reader"
+    (Slab.Frame.oid cache obj) (Slab.Frame.oid cache next);
   Alcotest.(check bool) "premature reuse flagged" true
     (List.length (Rcu.Readers.violations readers) >= 1)
 

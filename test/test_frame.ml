@@ -92,7 +92,8 @@ let test_hand_to_user_emits_alloc () =
   let pc = Frame.pcpu_for cache c in
   let obj = Option.get (Frame.pop_ocache pc) in
   Frame.hand_to_user cache c obj;
-  Alcotest.(check (list int)) "hook saw the oid" [ obj.Frame.oid ] !checked
+  Alcotest.(check (list int)) "hook saw the oid" [ Frame.oid cache obj ]
+    !checked
 
 let take_one env cache =
   let c = cpu0 env in
@@ -116,18 +117,20 @@ let test_latent_cache_fifo_ripeness () =
   Alcotest.(check bool) "nothing ripe at 0" true
     (Frame.latent_cache_pop_ripe cache pc ~completed:0 = None);
   (match Frame.latent_cache_pop_ripe cache pc ~completed:1 with
-  | Some o -> Alcotest.(check int) "oldest first" o1.Frame.oid o.Frame.oid
+  | Some o ->
+      Alcotest.(check int) "oldest first" (Frame.oid cache o1)
+        (Frame.oid cache o)
   | None -> Alcotest.fail "expected ripe object");
   Alcotest.(check bool) "next not ripe at 1" true
     (Frame.latent_cache_pop_ripe cache pc ~completed:1 = None);
-  Alcotest.(check int) "newest popped" o2.Frame.oid
-    (Frame.latent_cache_pop_newest cache pc).Frame.oid
+  Alcotest.(check int) "newest popped" (Frame.oid cache o2)
+    (Frame.oid cache (Frame.latent_cache_pop_newest cache pc))
 
 let test_latent_slab_harvest () =
   let env, cache = make_cache ~latent_aware:true () in
   let o1 = take_one env cache in
   let o2 = take_one env cache in
-  let slab = o1.Frame.parent in
+  let slab = Frame.parent cache o1 in
   Frame.stamp_deferred cache (cpu0 env) o1 ~cookie:1;
   Frame.obj_to_latent_slab cache o1;
   Frame.stamp_deferred cache (cpu0 env) o2 ~cookie:2;
@@ -155,7 +158,7 @@ let test_premove_full_to_partial () =
         Frame.hand_to_user cache c o;
         o)
   in
-  let slab = (List.hd objs).Frame.parent in
+  let slab = Frame.parent cache (List.hd objs) in
   Alcotest.(check bool) "slab full" true (slab.Frame.on_list = Frame.L_full);
   let victim = List.hd objs in
   Frame.stamp_deferred cache (cpu0 env) victim ~cookie:1;
@@ -189,7 +192,7 @@ let test_premove_all_deferred_to_free () =
         Frame.hand_to_user cache c o;
         o)
   in
-  let slab = (List.hd objs).Frame.parent in
+  let slab = Frame.parent cache (List.hd objs) in
   List.iter
     (fun o ->
       Frame.stamp_deferred cache (cpu0 env) o ~cookie:1;

@@ -87,7 +87,7 @@ let gp_stall kind =
   let cache = backend.Slab.Backend.create_cache ~name:"stall" ~obj_size:256 in
   let c0 = W.Env.cpu env 0 and c1 = W.Env.cpu env 1 in
   let obj = backend.Slab.Backend.alloc cache c0 in
-  let oid = obj.Slab.Frame.oid in
+  let oid = Slab.Frame.oid cache obj in
   (* Reader enters and holds the object. *)
   Rcu.Readers.enter env.W.Env.readers c1;
   Rcu.Readers.hold env.W.Env.readers c1 ~oid;
@@ -98,9 +98,9 @@ let gp_stall kind =
   Alcotest.(check int) "no gp while reader active" 0
     (Rcu.completed env.W.Env.rcu);
   Alcotest.(check bool) "object not reclaimed" true
-    (obj.Slab.Frame.ostate = Slab.Frame.Allocated
-    || obj.Slab.Frame.ostate = Slab.Frame.In_latent_cache
-    || obj.Slab.Frame.ostate = Slab.Frame.In_latent_slab);
+    (List.mem
+       (Slab.Frame.state cache obj)
+       Slab.Frame.[ Allocated; In_latent_cache; In_latent_slab ]);
   Rcu.Readers.exit env.W.Env.readers c1;
   Sim.Engine.run ~until:(Sim.Clock.ms 45) env.W.Env.eng;
   Alcotest.(check bool) "gp completes after reader exits" true

@@ -6,7 +6,9 @@
 
 let harvest_list q ~completed =
   let out = ref [] in
-  let n = Slab.Latq.harvest q ~completed ~f:(fun v -> out := v :: !out) in
+  let n =
+    Slab.Latq.harvest q ~completed ~f:(fun out v -> out := v :: !out) out
+  in
   (n, List.rev !out)
 
 let iter_list q =
@@ -149,12 +151,12 @@ let test_fifo_merge_ripe_batches () =
   done;
   (* cookies 0,0,0,1,1,1,2,2,2,3: completed=1 makes six ripe. *)
   let got = ref [] in
-  let push got v = got := v :: !got in
-  let n = Fifo.merge_ripe q ~completed:1 ~limit:4 ~f:push got in
+  let push got () v = got := v :: !got in
+  let n = Fifo.merge_ripe q ~completed:1 ~limit:4 ~f:push got () in
   Alcotest.(check int) "limit respected" 4 n;
   Alcotest.(check (list int)) "oldest first" [ 0; 1; 2; 3 ] (List.rev !got);
   got := [];
-  let n2 = Fifo.merge_ripe q ~completed:1 ~limit:10 ~f:push got in
+  let n2 = Fifo.merge_ripe q ~completed:1 ~limit:10 ~f:push got () in
   Alcotest.(check int) "rest of the ripe run" 2 n2;
   Alcotest.(check (list int)) "continues in order" [ 4; 5 ] (List.rev !got);
   Alcotest.(check int) "unripe stay" 4 (Fifo.length q)

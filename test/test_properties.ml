@@ -33,8 +33,9 @@ let prop_callback_waits_for_overlapping_readers =
         readers;
       let invoked_at = ref None in
       Sim.Engine.schedule env.eng ~after:enqueue_at (fun () ->
-          Rcu.call_rcu env.rcu (cpu0 env) (fun () ->
-              invoked_at := Some (Sim.Engine.now env.eng)));
+          Rcu.call_rcu env.rcu (cpu0 env)
+            (fun _ _ -> invoked_at := Some (Sim.Engine.now env.eng))
+            0);
       Sim.Engine.run_until_quiet ~horizon:(Sim.Clock.s 2) env.eng;
       Sim.Engine.run ~until:(Sim.Clock.s 2) env.eng;
       (match !invoked_at with
@@ -125,7 +126,8 @@ let test_numa_objects_return_home () =
   in
   List.iter
     (fun (o : Slab.Frame.objekt) ->
-      Alcotest.(check int) "slab homed on node0" 0 o.Slab.Frame.parent.Slab.Frame.node_id)
+      Alcotest.(check int) "slab homed on node0" 0
+        (Slab.Frame.parent cache o).Slab.Frame.node_id)
     objs;
   (* Free them all from a node-1 CPU: flushes must route each object back
      to its node-0 slab. *)
@@ -150,7 +152,7 @@ let test_numa_objects_return_home () =
   in
   let last = List.nth later leftovers in
   Alcotest.(check int) "new slab homed on node1" 1
-    last.Slab.Frame.parent.Slab.Frame.node_id;
+    (Slab.Frame.parent cache last).Slab.Frame.node_id;
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_numa_prudence_latent_per_node () =
@@ -394,16 +396,18 @@ let prop_cblist_conserves_callbacks =
         let id = !next_id in
         incr next_id;
         Queue.push (id, !cookie) model;
-        Rcu.Cblist.enqueue cbl ~cookie:!cookie (fun () ->
+        Rcu.Cblist.enqueue cbl ~cookie:!cookie
+          (fun () id ->
             ran := id :: !ran;
             if nested then enqueue ~nested:false)
+          id
       in
       let drain ~max =
         let n = min max !ready in
         let expected = List.init n (fun _ -> fst (Queue.pop model)) in
         ready := !ready - n;
         ran := [];
-        let drained = Rcu.Cblist.drain cbl ~max ~f:(fun f -> f ()) in
+        let drained = Rcu.Cblist.drain cbl ~max () in
         drained = n && List.rev !ran = expected
       in
       let step (op, arg) =

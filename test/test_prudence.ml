@@ -31,7 +31,7 @@ let test_free_deferred_goes_latent () =
   let obj = alloc_exn pr cache c in
   Prudence.free_deferred pr cache c obj;
   Alcotest.(check bool) "in latent cache" true
-    (obj.Frame.ostate = Frame.In_latent_cache);
+    (Frame.state cache obj = Frame.In_latent_cache);
   Alcotest.(check int) "no rcu callback enqueued" 0
     (Rcu.pending_callbacks env.rcu);
   Alcotest.(check int) "one latent" 1 (Prudence.latent_outstanding pr);
@@ -57,7 +57,7 @@ let test_not_reusable_before_gp () =
   Prudence.free_deferred pr cache c obj;
   let next = alloc_exn pr cache c in
   Alcotest.(check bool) "deferred object not handed out before gp" true
-    (next.Frame.oid <> obj.Frame.oid);
+    (Frame.oid cache next <> Frame.oid cache obj);
   List.iter (fun o -> Prudence.free pr cache c o) (next :: rest);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
@@ -81,8 +81,8 @@ let test_reusable_after_gp () =
   (* Run two full grace periods. *)
   Sim.Engine.run ~until:Sim.(Clock.ms 10) env.eng;
   let next = alloc_exn pr cache c in
-  Alcotest.(check int) "deferred object merged and reused" obj.Frame.oid
-    next.Frame.oid;
+  Alcotest.(check int) "deferred object merged and reused"
+    (Frame.oid cache obj) (Frame.oid cache next);
   let s = Stats.snapshot cache.Frame.stats in
   Alcotest.(check bool) "merge counted" true (s.Stats.merges >= 1);
   List.iter (fun o -> Prudence.free pr cache c o) (next :: held);
@@ -282,12 +282,12 @@ let test_safety_checker_catches_unsafe_mode () =
   let _held = drain [] in
   (* A reader on cpu1 still references the object... *)
   Rcu.Readers.enter readers c1;
-  Rcu.Readers.hold readers c1 ~oid:obj.Frame.oid;
+  Rcu.Readers.hold readers c1 ~oid:(Frame.oid cache obj);
   (* ...while the writer defers it and the broken allocator recycles it. *)
   Prudence.free_deferred pr cache c0 obj;
   let next = alloc_exn pr cache c0 in
-  Alcotest.(check int) "unsafe mode recycled the object" obj.Frame.oid
-    next.Frame.oid;
+  Alcotest.(check int) "unsafe mode recycled the object"
+    (Frame.oid cache obj) (Frame.oid cache next);
   Alcotest.(check bool) "violation detected" true
     (List.length (Rcu.Readers.violations readers) >= 1);
   Rcu.Readers.exit readers c1
@@ -303,7 +303,7 @@ let test_safe_mode_never_violates () =
     run_process env (fun () ->
         let obj = alloc_exn pr cache c0 in
         Rcu.Readers.enter readers c1;
-        Rcu.Readers.hold readers c1 ~oid:obj.Frame.oid;
+        Rcu.Readers.hold readers c1 ~oid:(Frame.oid cache obj);
         Prudence.free_deferred pr cache c0 obj;
         (* Reader works for a while, then exits; grace period follows. *)
         Sim.Process.sleep env.eng Sim.(Clock.ms 3);
@@ -366,14 +366,14 @@ let prop_deferred_never_reused_early =
       (* Allocate aggressively without advancing time: none of the deferred
          oids may come back because no grace period has completed. *)
       let deferred_oids =
-        List.map (fun (o : Frame.objekt) -> o.Frame.oid) objs
+        List.map (Frame.oid cache) objs
       in
       let ok = ref true in
       for _ = 1 to n_defer + 10 do
         match Prudence.alloc pr ~may_wait:false cache c with
         | o ->
             if
-              List.mem o.Frame.oid deferred_oids
+              List.mem (Frame.oid cache o) deferred_oids
               && not (Rcu.poll env.rcu cookie_now)
             then ok := false
         | exception Frame.Oom -> ()

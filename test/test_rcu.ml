@@ -16,11 +16,16 @@ let test_gp_requires_all_cpus () =
 
 let test_call_rcu_invoked_after_gp () =
   let env = make_env ~cpus:2 () in
-  let invoked_at = ref (-1) in
-  Rcu.call_rcu env.rcu (cpu0 env) (fun () ->
-      invoked_at := Sim.Engine.now env.eng);
+  let invoked_at = ref (-1) and got = ref (-1, -1) in
+  Rcu.call_rcu env.rcu (cpu env 1)
+    (fun (c : Sim.Machine.cpu) arg ->
+      invoked_at := Sim.Engine.now env.eng;
+      got := (c.id, arg))
+    42;
   Sim.Engine.run ~until:Sim.(Clock.ms 50) env.eng;
   Alcotest.(check bool) "callback ran" true (!invoked_at > 0);
+  Alcotest.(check (pair int int)) "on the enqueuing CPU, with its payload"
+    (1, 42) !got;
   (* It must have run strictly after at least one full tick round. *)
   Alcotest.(check bool) "not before a grace period" true
     (!invoked_at >= Sim.Machine.tick_ns env.machine)
@@ -30,7 +35,7 @@ let test_callback_not_invoked_during_reader () =
   let invoked = ref false in
   let c1 = cpu env 1 in
   Rcu.read_lock env.rcu c1;
-  Rcu.call_rcu env.rcu (cpu0 env) (fun () -> invoked := true);
+  Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> invoked := true) 0;
   Sim.Engine.run ~until:Sim.(Clock.ms 30) env.eng;
   Alcotest.(check bool) "held back by reader" false !invoked;
   Rcu.read_unlock env.rcu c1;
@@ -54,7 +59,7 @@ let test_throttling_limits_batch () =
   let env = make_env ~cpus:1 ~rcu_config:config () in
   let invoked = ref 0 in
   for _ = 1 to 100 do
-    Rcu.call_rcu env.rcu (cpu0 env) (fun () -> incr invoked)
+    Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> incr invoked) 0
   done;
   (* After the GP completes, callbacks drip out blimit per softirq pass
      (200us apart), so draining 100 takes ~10 passes. *)
@@ -76,7 +81,7 @@ let test_expedited_drains_faster () =
     Rcu.set_expedited env.rcu expedite;
     let invoked = ref 0 in
     for _ = 1 to 400 do
-      Rcu.call_rcu env.rcu (cpu0 env) (fun () -> incr invoked)
+      Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> incr invoked) 0
     done;
     Sim.Engine.run ~until:Sim.(Clock.ms 4) env.eng;
     !invoked
@@ -94,7 +99,7 @@ let test_qhimark_auto_expedites () =
   let env = make_env ~cpus:1 ~rcu_config:config () in
   let invoked = ref 0 in
   for _ = 1 to 500 do
-    Rcu.call_rcu env.rcu (cpu0 env) (fun () -> incr invoked)
+    Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> incr invoked) 0
   done;
   (* At blimit=1 this would need 500 passes x 200us = 100ms; the qhimark
      backlog trigger must finish far sooner. *)
@@ -123,7 +128,7 @@ let test_gp_hook_and_stats () =
   let env = make_env ~cpus:2 () in
   let hook_calls = ref [] in
   Rcu.on_gp_complete env.rcu (fun c -> hook_calls := c :: !hook_calls);
-  Rcu.call_rcu env.rcu (cpu0 env) ignore;
+  Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> ()) 0;
   Sim.Engine.run ~until:Sim.(Clock.ms 30) env.eng;
   Alcotest.(check bool) "hook fired" true (List.length !hook_calls >= 1);
   let s = Rcu.stats env.rcu in
@@ -137,7 +142,7 @@ let test_barrier_drain () =
   let env = make_env ~cpus:2 ~rcu_config:config () in
   let invoked = ref 0 in
   for _ = 1 to 300 do
-    Rcu.call_rcu env.rcu (cpu0 env) (fun () -> incr invoked)
+    Rcu.call_rcu env.rcu (cpu0 env) (fun _ _ -> incr invoked) 0
   done;
   (* The first callback rides GP 1; the rest (enqueued while GP 1 was in
      flight) conservatively wait for GP 2. Run until both completed but
@@ -156,7 +161,7 @@ let test_callbacks_fifo_per_cpu () =
   let env = make_env ~cpus:1 () in
   let log = ref [] in
   for i = 1 to 5 do
-    Rcu.call_rcu env.rcu (cpu0 env) (fun () -> log := i :: !log)
+    Rcu.call_rcu env.rcu (cpu0 env) (fun _ i -> log := i :: !log) i
   done;
   Sim.Engine.run ~until:Sim.(Clock.ms 20) env.eng;
   Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -165,11 +170,11 @@ let test_grace_periods_keep_running_while_demand () =
   let env = make_env ~cpus:2 () in
   (* Callbacks enqueued from inside callbacks: each needs a later GP. *)
   let depth = ref 0 in
-  let rec requeue () =
+  let rec requeue _ _ =
     incr depth;
-    if !depth < 5 then Rcu.call_rcu env.rcu (cpu0 env) requeue
+    if !depth < 5 then Rcu.call_rcu env.rcu (cpu0 env) requeue 0
   in
-  Rcu.call_rcu env.rcu (cpu0 env) requeue;
+  Rcu.call_rcu env.rcu (cpu0 env) requeue 0;
   Sim.Engine.run ~until:Sim.(Clock.ms 100) env.eng;
   Alcotest.(check int) "chain of grace periods" 5 !depth;
   Alcotest.(check bool) "several gps" true (Rcu.completed env.rcu >= 5)

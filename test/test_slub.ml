@@ -18,7 +18,7 @@ let test_alloc_free_roundtrip () =
   let c = cpu0 env in
   let obj = alloc_exn slub cache c in
   Alcotest.(check bool) "allocated state" true
-    (obj.Frame.ostate = Frame.Allocated);
+    (Frame.state cache obj = Frame.Allocated);
   Alcotest.(check int) "live" 1 (Frame.live_objects cache);
   Slab.Slub.free slub cache c obj;
   Alcotest.(check int) "live zero" 0 (Frame.live_objects cache);
@@ -98,14 +98,14 @@ let test_free_deferred_goes_through_rcu () =
   Alcotest.(check int) "still pending in rcu" 1
     (Rcu.pending_callbacks env.rcu);
   Alcotest.(check bool) "object still marked allocated" true
-    (obj.Frame.ostate = Frame.Allocated);
+    (Frame.state cache obj = Frame.Allocated);
   (* Not reusable yet: allocate and check we get a different object. *)
   Sim.Engine.run ~until:Sim.(Clock.ms 20) env.eng;
   Alcotest.(check int) "reclaimed after gp + softirq" 0
     (Rcu.pending_callbacks env.rcu);
   Alcotest.(check bool) "object back in a cache or slab" true
-    (obj.Frame.ostate = Frame.In_object_cache
-    || obj.Frame.ostate = Frame.Free_in_slab);
+    (Frame.state cache obj = Frame.In_object_cache
+    || Frame.state cache obj = Frame.Free_in_slab);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_deferred_free_extended_lifetime () =

@@ -1,9 +1,10 @@
 (* Allocation pins for the slab frame's containers: once the per-slab
    and per-CPU arrays have grown, moving an object between them
    allocates nothing on the OCaml heap, and neither SLUB's nor
-   Prudence's allocation allocates (the object comes back unboxed). A
-   SLUB deferred free allocates exactly its callback's closure, and the
-   RCU callback ring nothing once grown. The engine's schedule/dispatch
+   Prudence's allocation allocates (the object is an int handle). A
+   slab grow allocates only the slab's own records, none per object. A
+   SLUB deferred free allocates nothing, and neither does the RCU
+   callback ring once grown. The engine's schedule/dispatch
    cycle allocates nothing either, under both tie-break policies, and a
    process sleep only the runtime's continuation. On the read side, a
    reader section's holds, an EBR reader exit and a list copy-update
@@ -77,6 +78,23 @@ let test_relocate () =
       assert (Frame.relocate cache slab);
       Frame.put_free_obj slab o;
       assert (Frame.relocate cache slab));
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
+
+(* Each cycle grows a slab of the 512 B test cache and destroys it, so
+   the next grow reuses its handles and the object store never grows.
+   The grow allocates the slab record, its two link records, its [self]
+   option (which it also returns) and its latent queue's header (31
+   words); its 16 objects allocate nothing, and neither does the
+   destroy. *)
+let test_grow () =
+  let env, cache = make_cache () in
+  let c = cpu0 env in
+  let cycle _ = Frame.destroy_slab cache (Option.get (Frame.grow cache c)) in
+  cycle 0;
+  Alcotest.(check (float 0.)) "10k grow + destroy, 31 words each"
+    (float_of_int (31 * iterations))
+    (words cycle);
+  Alcotest.(check int) "no slab left" 0 (Frame.total_slabs cache);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Minor words spent in refills and in flushes, over 10k rounds of a
@@ -201,8 +219,8 @@ let test_prudence_alloc_miss () =
 (* SLUB deferred frees over 100 rounds of 100; between rounds the
    engine runs until a grace period has passed and every callback has
    run. Once the callback ring has grown to a round's worth, a deferred
-   free allocates only its callback's closure, which captures the CPU
-   and the object (5 words). *)
+   free allocates nothing: its ring entry is SLUB's one callback plus
+   the object's handle. *)
 let test_slub_free_deferred () =
   let env = make_env ~cpus:2 ~total_pages:4096 () in
   let slub = Slab.Slub.create env.fenv env.rcu in
@@ -228,25 +246,27 @@ let test_slub_free_deferred () =
   done;
   Alcotest.(check int) "every callback ran" 0 (Rcu.pending_callbacks env.rcu);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
-  Alcotest.(check (float 0.)) "SLUB free_deferred: 5 words per call"
-    (float_of_int (5 * iterations))
-    !words
+  Alcotest.(check (float 0.)) "SLUB free_deferred: 0 words" 0. !words
 
 (* An enqueue/advance/drain cycle on a ring kept 10 entries deep, so
    its head and tail keep crossing the end of the 16-slot ring. The
-   callback closure is allocated once, up front. *)
+   callback closure is allocated once, up front; each entry's payload
+   is its cookie, which the callback checks against the drain order. *)
 let test_cblist_cycle () =
   let cbl = Rcu.Cblist.create () in
   let ran = ref 0 in
-  let fn () = incr ran in
+  let fn () cookie =
+    incr ran;
+    assert (cookie = !ran)
+  in
   for k = 1 to 10 do
-    Rcu.Cblist.enqueue cbl ~cookie:k fn
+    Rcu.Cblist.enqueue cbl ~cookie:k fn k
   done;
   pin "enqueue + advance + drain" (fun i ->
       let cookie = i + 11 in
-      Rcu.Cblist.enqueue cbl ~cookie fn;
+      Rcu.Cblist.enqueue cbl ~cookie fn cookie;
       assert (Rcu.Cblist.advance cbl ~completed:(cookie - 10) = 1);
-      assert (Rcu.Cblist.drain cbl ~max:1 ~f:(fun f -> f ()) = 1));
+      assert (Rcu.Cblist.drain cbl ~max:1 () = 1));
   Alcotest.(check int) "every cycle ran one callback" (iterations + 1) !ran;
   Alcotest.(check int) "the ring stays 10 deep" 10 (Rcu.Cblist.total cbl)
 
@@ -449,6 +469,8 @@ let suite =
   [
     Alcotest.test_case "free stack take/put allocate nothing" `Quick
       test_free_stack;
+    Alcotest.test_case "slab grow allocates only the slab's records" `Quick
+      test_grow;
     Alcotest.test_case "object cache push/pop allocate nothing" `Quick
       test_object_cache;
     Alcotest.test_case "latent slab push/harvest allocate nothing" `Quick
@@ -463,7 +485,7 @@ let suite =
       test_prudence_alloc_hit;
     Alcotest.test_case "Prudence alloc allocates nothing (refills)" `Quick
       test_prudence_alloc_miss;
-    Alcotest.test_case "SLUB free_deferred allocates only its closure" `Quick
+    Alcotest.test_case "SLUB free_deferred allocates nothing" `Quick
       test_slub_free_deferred;
     Alcotest.test_case "cblist enqueue/advance/drain allocate nothing" `Quick
       test_cblist_cycle;
