@@ -124,9 +124,9 @@ let slab ~rcu (cache : Slab.Frame.cache) =
               err errs "%s: slab %d holds %d latent objects but is not on node \
                    %d's latent-slab list" name s.sid s.latent_n node.nid;
             let latent_rc = Slab.Latq.length s.latent_objs in
-            if s.free_n < 0 || s.free_n > s.capacity then
+            if s.free_n < 0 || s.free_n > Array.length s.free_objs then
               err errs "%s: slab %d has free_n = %d outside its %d-slot free \
-                   stack" name s.sid s.free_n s.capacity;
+                   stack" name s.sid s.free_n (Array.length s.free_objs);
             if latent_rc <> s.latent_n then
               err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
                 name s.sid latent_rc s.latent_n;
@@ -148,16 +148,16 @@ let slab ~rcu (cache : Slab.Frame.cache) =
                 name s.sid pp_list_id tag s.free_n s.latent_n s.in_flight
                 pp_list_id desired;
             let where = Printf.sprintf "slab %d's free stack" s.sid in
-            iter_free
-              (fun o ->
-                place o where;
-                if parent cache o != s then
-                  err errs "%s: object %d on slab %d's freelist has a \
-                       different parent" name (oid cache o) s.sid;
-                if state cache o <> Free_in_slab then
-                  err errs "%s: object %d on slab %d's freelist is in state %a"
-                    name (oid cache o) s.sid pp_ostate (state cache o))
-              s;
+            for i = 0 to min s.free_n (Array.length s.free_objs) - 1 do
+              let o = s.free_objs.(i) in
+              place o where;
+              if parent cache o != s then
+                err errs "%s: object %d on slab %d's freelist has a different \
+                     parent" name (oid cache o) s.sid;
+              if state cache o <> Free_in_slab then
+                err errs "%s: object %d on slab %d's freelist is in state %a"
+                  name (oid cache o) s.sid pp_ostate (state cache o)
+            done;
             let where = Printf.sprintf "slab %d's latent list" s.sid in
             Slab.Latq.iter
               (fun o ->

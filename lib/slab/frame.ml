@@ -43,15 +43,12 @@ type env = {
   mutable unsafe_destroy_latent : bool;
   mutable next_oid : int;
   mutable next_sid : int;
-  (* The object store, indexed by handle. A slab's objects are the
-     handles [base, base + capacity), and the same range of
-     [free_stack] is its free stack. Every array is empty until the
+  (* The object store, indexed by handle; a slab's objects are the
+     handles [base, base + capacity). Every array is empty until the
      first grow and doubles when a grow needs more room. *)
   mutable parents : slab option array;  (* [None] off a live slab *)
-  mutable oids : int array;
   mutable cookies : int array;
   mutable flags : Bytes.t;  (* state code, plus [touched_bit] *)
-  mutable free_stack : int array;
   mutable top : int;  (* handles below [top] belong to a range *)
 }
 
@@ -63,6 +60,10 @@ and slab = {
   page : int;
   capacity : int;
   base : int;
+  first_oid : int;  (* handle [base + i] has oid [first_oid + i] *)
+  free_objs : objekt array;
+      (* Stack of [capacity] slots, top at [free_n - 1]; filled once at
+         grow so the first pop returns the lowest oid. *)
   mutable free_n : int;
   latent_objs : objekt Latq.t;
   mutable latent_n : int;
@@ -128,7 +129,7 @@ and cache = {
   mutable free_target : (unit -> int) option;
   mutable spare : int;
       (* Base of the newest range a destroyed slab left, -1 for none;
-         each spare range's first [free_stack] slot holds the next. *)
+         each spare range's first cookie slot holds the next. *)
 }
 
 exception Oom
@@ -146,10 +147,8 @@ let make_env ~pressure machine buddy =
     next_oid = 0;
     next_sid = 0;
     parents = [||];
-    oids = [||];
     cookies = [||];
     flags = Bytes.empty;
-    free_stack = [||];
     top = 0;
   }
 
@@ -191,7 +190,11 @@ let of_int env i =
   i
 
 let cache_of env obj = (parent_of env obj).cache
-let oid (cache : cache) obj = cache.env.oids.(obj)
+let oid_of env obj =
+  let s = parent_of env obj in
+  s.first_oid + obj - s.base
+
+let oid (cache : cache) obj = oid_of cache.env obj
 let cookie (cache : cache) obj = cache.env.cookies.(obj)
 let state (cache : cache) obj = state_of cache.env obj
 let parent (cache : cache) obj = parent_of cache.env obj
@@ -409,34 +412,27 @@ let relocate cache slab =
     true
   end
 
-(* A slab's free stack is its range of the store's [free_stack]. *)
-let iter_free f slab =
-  let stack = slab.cache.env.free_stack in
-  for i = 0 to min slab.free_n slab.capacity - 1 do
-    f stack.(slab.base + i)
-  done
-
 (* Allocation-free: callers check [slab.free_n > 0] first. *)
 let take_free_obj_exn slab =
   if slab.free_n = 0 then
     invalid_arg "Frame.take_free_obj_exn: no free object";
   slab.free_n <- slab.free_n - 1;
   slab.in_flight <- slab.in_flight + 1;
-  slab.cache.env.free_stack.(slab.base + slab.free_n)
+  slab.free_objs.(slab.free_n)
 
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
 let emit_pool cache ~cpu obj =
   let env = cache.env in
-  emit cache ~cpu Pool env.oids.(obj) env.cookies.(obj)
+  emit cache ~cpu Pool (oid_of env obj) env.cookies.(obj)
 
 let put_free_obj slab obj =
   let env = slab.cache.env in
   assert (env.parents.(obj) == slab.self);
   emit_pool slab.cache ~cpu:(-1) obj;
   set_state env obj Free_in_slab;
-  env.free_stack.(slab.base + slab.free_n) <- obj;
+  slab.free_objs.(slab.free_n) <- obj;
   slab.free_n <- slab.free_n + 1;
   slab.in_flight <- slab.in_flight - 1
 
@@ -484,7 +480,7 @@ let footprint_doublings cache =
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
   let env = cache.env in
-  event cache cpu Alloc env.oids.(obj);
+  event cache cpu Alloc (oid_of env obj);
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -506,13 +502,13 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
    caller (mutation self-tests: double free, double defer) reaches the
    oracle before the simulation aborts. *)
 let release_from_user cache cpu obj =
-  event cache cpu Free cache.env.oids.(obj);
+  event cache cpu Free (oid_of cache.env obj);
   assert (state_of cache.env obj = Allocated);
   cache.live_objs <- cache.live_objs - 1
 
 let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
   let env = cache.env in
-  emit cache ~cpu:cpu.id Defer env.oids.(obj) cookie;
+  emit cache ~cpu:cpu.id Defer (oid_of env obj) cookie;
   assert (state_of env obj = Allocated);
   env.cookies.(obj) <- cookie;
   cache.live_objs <- cache.live_objs - 1
@@ -578,7 +574,7 @@ let slab_harvest_ripe slab ~completed =
 (* Room in the store for handles below [n]: every array doubles (at
    least), keeping its contents. *)
 let reserve env n =
-  let len = Array.length env.oids in
+  let len = Array.length env.cookies in
   if n > len then begin
     let len' = max n (2 * len) in
     let extend a fill =
@@ -587,9 +583,7 @@ let reserve env n =
       a'
     in
     env.parents <- extend env.parents None;
-    env.oids <- extend env.oids 0;
     env.cookies <- extend env.cookies 0;
-    env.free_stack <- extend env.free_stack 0;
     let flags = Bytes.make len' '\000' in
     Bytes.blit env.flags 0 flags 0 len;
     env.flags <- flags
@@ -601,7 +595,7 @@ let take_range cache =
   let env = cache.env in
   let base = cache.spare in
   if base >= 0 then begin
-    cache.spare <- env.free_stack.(base);
+    cache.spare <- env.cookies.(base);
     base
   end
   else begin
@@ -667,6 +661,8 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
         page;
         capacity;
         base;
+        first_oid = env.next_oid;
+        free_objs = Array.make capacity 0;
         free_n = capacity;
         latent_objs = Latq.create ~capacity;
         latent_n = 0;
@@ -680,14 +676,13 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     slab.self <- Some slab;
     (* Handles and oids ascend together; the free stack holds them from
        the top down, so the first pop returns the lowest oid. *)
-    let oid0 = env.next_oid and top = base + capacity - 1 in
-    env.next_oid <- oid0 + capacity;
+    let top = base + capacity - 1 in
+    env.next_oid <- env.next_oid + capacity;
     for obj = base to top do
       env.parents.(obj) <- slab.self;
-      env.oids.(obj) <- oid0 + obj - base;
       env.cookies.(obj) <- 0;
       Bytes.set env.flags obj (Char.chr (code_of Free_in_slab));
-      env.free_stack.(top - obj + base) <- obj
+      slab.free_objs.(top - obj) <- obj
     done;
     link cache slab L_free;
     cache.total_slabs <- cache.total_slabs + 1;
@@ -719,7 +714,7 @@ let destroy_slab cache slab =
      Latq.iter (fun o -> latent := o :: !latent) slab.latent_objs;
      List.iter
        (fun o ->
-         emit cache ~cpu:(-1) Page_release env.oids.(o) env.cookies.(o))
+         emit cache ~cpu:(-1) Page_release (oid_of env o) env.cookies.(o))
        !latent);
   (* Scrub the latent bookkeeping the mutated path orphans, so the cache
      counters stay conserved and only the page-level oracle can tell. *)
@@ -731,7 +726,7 @@ let destroy_slab cache slab =
   unlink cache slab;
   (* The slab's handles become the cache's newest spare range. *)
   Array.fill env.parents slab.base slab.capacity None;
-  env.free_stack.(slab.base) <- cache.spare;
+  env.cookies.(slab.base) <- cache.spare;
   cache.spare <- slab.base;
   Mem.Buddy.free cache.env.buddy ~page:slab.page ~order:cache.order;
   cache.total_slabs <- cache.total_slabs - 1;

@@ -35,14 +35,15 @@ type list_id = L_full | L_partial | L_free | L_unlinked
 val pp_list_id : Format.formatter -> list_id -> unit
 
 type objekt = private int
-(** An object handle: an index into its env's object store, which holds
-    the object's state, grace-period cookie, touched flag, parent slab
-    and oid in flat arrays (read them with {!oid}, {!state}, {!cookie}
-    and {!parent}). A slab owns a contiguous range of handles; when it
-    is destroyed the range goes back to its cache for the next grow, so
-    the store follows the live slabs, not every object ever made. A
-    handle therefore names an object only while its slab lives, and
-    containers hold handles unboxed: moving one allocates nothing. *)
+(** An object handle: an index into its env's object store, flat arrays
+    of each object's parent slab, grace-period cookie, and state and
+    touched flag; its oid follows from its slab (read them with {!oid},
+    {!state}, {!cookie} and {!parent}). A slab owns a contiguous range
+    of handles; when it is destroyed the range goes back to its cache
+    for the next grow, so the store follows the live slabs, not every
+    object ever made. A handle therefore names an object only while its
+    slab lives, and containers hold handles unboxed: moving one
+    allocates nothing. *)
 
 type env = private {
   machine : Sim.Machine.t;
@@ -76,14 +77,11 @@ type env = private {
   mutable next_sid : int;
   mutable parents : slab option array;
       (** The object store, indexed by handle: each object's slab
-          ([None] for a handle of no live slab), oid, cookie, state and
-          touched bit. [free_stack] holds each slab's free stack in the
-          slab's own range. Every array is empty until the first
-          {!grow} and doubles when a grow needs room. *)
-  mutable oids : int array;
+          ([None] for a handle of no live slab), cookie, and state and
+          touched bit. Every array is empty until the first {!grow} and
+          doubles when a grow needs room. *)
   mutable cookies : int array;
   mutable flags : Bytes.t;
-  mutable free_stack : int array;
   mutable top : int;  (** Handles below [top] belong to some range. *)
 }
 
@@ -95,9 +93,11 @@ and slab = private {
   page : int;  (** First page of the slab's buddy block, of order [cache.order]. *)
   capacity : int;
   base : int;
-      (** The slab's objects are the handles [base .. base + capacity - 1];
-          its free stack is the same range of the store's [free_stack],
-          live part [base .. base + free_n - 1], top last. Filled once at
+      (** The slab's objects are the handles [base .. base + capacity - 1]. *)
+  first_oid : int;  (** Handle [base + i] has oid [first_oid + i]. *)
+  free_objs : objekt array;
+      (** The slab's free objects: a stack of [capacity] slots whose live
+          part is [free_objs.(0 .. free_n - 1)], top last. Filled once at
           {!grow}, so the first pop returns the lowest oid. *)
   mutable free_n : int;
   latent_objs : objekt Latq.t;
@@ -216,9 +216,6 @@ val of_int : env -> int -> objekt
 
 val cache_of : env -> objekt -> cache
 (** The cache of the object's slab. *)
-
-val iter_free : (objekt -> unit) -> slab -> unit
-(** The slab's free stack, bottom to top (at most [capacity] slots). *)
 
 (** {1 Slab lists}
 

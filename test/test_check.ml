@@ -598,7 +598,7 @@ let teeth_cases =
           (F.oid c o) );
     ( "wrong on_list tag",
       fun _env _c (s : F.slab) ->
-        poke s ~field:11 ~was:s.F.on_list F.L_full;
+        poke s ~field:13 ~was:s.F.on_list F.L_full;
         Printf.sprintf "slab %d tagged full but found on the partial list"
           s.F.sid );
     ( "list len off by one",
@@ -619,7 +619,7 @@ let teeth_cases =
           s.F.sid s.F.free_n );
     ( "negative in_flight",
       fun _env _c (s : F.slab) ->
-        poke s ~field:10 ~was:s.F.in_flight (-1);
+        poke s ~field:12 ~was:s.F.in_flight (-1);
         Printf.sprintf "slab %d has in_flight = -1" s.F.sid );
     ( "latent slab missing from the latent-slab list",
       fun _env c (s : F.slab) ->
