@@ -338,6 +338,12 @@ let emit cache ~cpu kind a b =
 let event cache (cpu : Sim.Machine.cpu) kind arg =
   emit cache ~cpu:cpu.id kind arg 0
 
+(* An object event carries the oid, which takes a slab lookup, so it is
+   worked out only when something listens. *)
+let emit_obj cache ~cpu kind obj b =
+  if Trace.Tap.armed cache.env.tap then
+    emit cache ~cpu kind (oid_of cache.env obj) b
+
 let lock_node cache (cpu : Sim.Machine.cpu) node =
   let delay =
     Sim.Simlock.acquire node.lock ~cpu:cpu.id ~now:(now cache)
@@ -424,8 +430,7 @@ let take_free_obj_exn slab =
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
 let emit_pool cache ~cpu obj =
-  let env = cache.env in
-  emit cache ~cpu Pool (oid_of env obj) env.cookies.(obj)
+  emit_obj cache ~cpu Pool obj cache.env.cookies.(obj)
 
 let put_free_obj slab obj =
   let env = slab.cache.env in
@@ -480,7 +485,7 @@ let footprint_doublings cache =
 
 let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
   let env = cache.env in
-  event cache cpu Alloc (oid_of env obj);
+  emit_obj cache ~cpu:cpu.id Alloc obj 0;
   (* Working sets beyond the LLC make every object touch a cache/TLB miss;
      an allocator that leaks its reclamation backlog pays this on every
      allocation. *)
@@ -501,14 +506,14 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
 (* Events go out before the state asserts so a deliberately broken
    caller (mutation self-tests: double free, double defer) reaches the
    oracle before the simulation aborts. *)
-let release_from_user cache cpu obj =
-  event cache cpu Free (oid_of cache.env obj);
+let release_from_user cache (cpu : Sim.Machine.cpu) obj =
+  emit_obj cache ~cpu:cpu.id Free obj 0;
   assert (state_of cache.env obj = Allocated);
   cache.live_objs <- cache.live_objs - 1
 
 let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
   let env = cache.env in
-  emit cache ~cpu:cpu.id Defer (oid_of env obj) cookie;
+  emit_obj cache ~cpu:cpu.id Defer obj cookie;
   assert (state_of env obj = Allocated);
   env.cookies.(obj) <- cookie;
   cache.live_objs <- cache.live_objs - 1
