@@ -190,6 +190,7 @@ let of_int env i =
   i
 
 let cache_of env obj = (parent_of env obj).cache
+
 let oid_of env obj =
   let s = parent_of env obj in
   s.first_oid + obj - s.base

@@ -72,7 +72,7 @@ let alloc (_ : t) (cache : Frame.cache) (cpu : Sim.Machine.cpu) =
       raise_notrace Frame.Oom
 
 (* The reclamation path shared by immediate frees and RCU callbacks. *)
-let release (cache : Frame.cache) cpu (obj : Frame.objekt) =
+let release (cache : Frame.cache) cpu obj =
   let costs = Costs.default in
   let pc = Frame.pcpu_for cache cpu in
   charge cpu costs.Costs.free_to_cache;
