@@ -171,11 +171,13 @@ let states =
     Free_in_slab; In_object_cache; Allocated; In_latent_cache; In_latent_slab;
   |]
 
-let flags env obj = Char.code (Bytes.get env.flags obj)
+(* Handles are made only by [grow], below [top]: in bounds. *)
+let flags env obj = Char.code (Bytes.unsafe_get env.flags obj)
+
+let set_flags env obj f = Bytes.unsafe_set env.flags obj (Char.unsafe_chr f)
 
 let set_state env obj s =
-  Bytes.set env.flags obj
-    (Char.chr (flags env obj land touched_bit lor code_of s))
+  set_flags env obj (flags env obj land touched_bit lor code_of s)
 
 let state_of env obj = states.(flags env obj land (touched_bit - 1))
 
@@ -431,7 +433,8 @@ let take_free_obj_exn slab =
    must vet (a deferred object becoming reusable) passes through one of
    these, whichever allocator policy drives it. *)
 let emit_pool cache ~cpu obj =
-  emit_obj cache ~cpu Pool obj cache.env.cookies.(obj)
+  if Trace.Tap.armed cache.env.tap then
+    emit cache ~cpu Pool (oid_of cache.env obj) cache.env.cookies.(obj)
 
 let put_free_obj slab obj =
   let env = slab.cache.env in
@@ -501,7 +504,7 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
       (costs.Costs.cold_touch
       + (cache.obj_size / 256 * costs.Costs.cold_touch_per_256b))
   end;
-  Bytes.set env.flags obj (Char.chr (touched_bit lor code_of Allocated));
+  set_flags env obj (touched_bit lor code_of Allocated);
   cache.live_objs <- cache.live_objs + 1
 
 (* Events go out before the state asserts so a deliberately broken
@@ -509,13 +512,13 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
    oracle before the simulation aborts. *)
 let release_from_user cache (cpu : Sim.Machine.cpu) obj =
   emit_obj cache ~cpu:cpu.id Free obj 0;
-  assert (state_of cache.env obj = Allocated);
+  assert (flags cache.env obj land (touched_bit - 1) = code_of Allocated);
   cache.live_objs <- cache.live_objs - 1
 
 let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
   let env = cache.env in
   emit_obj cache ~cpu:cpu.id Defer obj cookie;
-  assert (state_of env obj = Allocated);
+  assert (flags env obj land (touched_bit - 1) = code_of Allocated);
   env.cookies.(obj) <- cookie;
   cache.live_objs <- cache.live_objs - 1
 
@@ -687,7 +690,7 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     for obj = base to top do
       env.parents.(obj) <- slab.self;
       env.cookies.(obj) <- 0;
-      Bytes.set env.flags obj (Char.chr (code_of Free_in_slab));
+      set_flags env obj (code_of Free_in_slab);
       slab.free_objs.(top - obj) <- obj
     done;
     link cache slab L_free;
