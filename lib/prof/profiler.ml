@@ -154,30 +154,33 @@ let intern t ~parent ~si =
 
 (* -- instrumentation -- *)
 
-let enter t ~cpu span =
-  if t.enabled then begin
-    let si = Span.index span in
-    let row = if cpu >= 0 && cpu < t.ncpus then cpu + 1 else 0 in
-    t.acc_calls.((row * nspans) + si) <- t.acc_calls.((row * nspans) + si) + 1;
-    if t.depth >= max_depth then t.truncated <- t.truncated + 1
-    else begin
-      let d = t.depth in
-      let parent = if d = 0 then -1 else t.f_node.(d - 1) in
-      let node = intern t ~parent ~si in
-      t.node_calls.(node) <- t.node_calls.(node) + 1;
-      t.f_span.(d) <- si;
-      t.f_row.(d) <- row;
-      t.f_node.(d) <- node;
-      t.f_child_ns.(d) <- 0.;
-      t.f_child_minor.(d) <- 0.;
-      t.f_child_major.(d) <- 0.;
-      t.f_pairs.(d) <- 0;
-      t.f_t0.(d) <- now_ns ();
-      t.f_j0.(d) <- major_words ();
-      t.f_m0.(d) <- minor_words ();
-      t.depth <- d + 1
-    end
+(* [enter] and [exit] are inlined at every call site, so a null
+   profiler costs the caller one load and one branch; the live bodies
+   stay out of line. *)
+let[@inline never] enter_live t ~cpu span =
+  let si = Span.index span in
+  let row = if cpu >= 0 && cpu < t.ncpus then cpu + 1 else 0 in
+  t.acc_calls.((row * nspans) + si) <- t.acc_calls.((row * nspans) + si) + 1;
+  if t.depth >= max_depth then t.truncated <- t.truncated + 1
+  else begin
+    let d = t.depth in
+    let parent = if d = 0 then -1 else t.f_node.(d - 1) in
+    let node = intern t ~parent ~si in
+    t.node_calls.(node) <- t.node_calls.(node) + 1;
+    t.f_span.(d) <- si;
+    t.f_row.(d) <- row;
+    t.f_node.(d) <- node;
+    t.f_child_ns.(d) <- 0.;
+    t.f_child_minor.(d) <- 0.;
+    t.f_child_major.(d) <- 0.;
+    t.f_pairs.(d) <- 0;
+    t.f_t0.(d) <- now_ns ();
+    t.f_j0.(d) <- major_words ();
+    t.f_m0.(d) <- minor_words ();
+    t.depth <- d + 1
   end
+
+let[@inline] enter t ~cpu span = if t.enabled then enter_live t ~cpu span
 
 let comp raw own pairs_below pair =
   let v = raw -. own -. (float_of_int pairs_below *. pair) in
@@ -226,19 +229,19 @@ let pop_top t =
 let rec find_frame t si d =
   if d < 0 then -1 else if t.f_span.(d) = si then d else find_frame t si (d - 1)
 
-let exit t span =
-  if t.enabled then begin
-    let si = Span.index span in
-    let d = find_frame t si (t.depth - 1) in
-    if d < 0 then t.dropped_exits <- t.dropped_exits + 1
-    else begin
-      (* Unwind frames abandoned above the match (effect suspensions). *)
-      while t.depth - 1 > d do
-        pop_top t
-      done;
+let[@inline never] exit_live t span =
+  let si = Span.index span in
+  let d = find_frame t si (t.depth - 1) in
+  if d < 0 then t.dropped_exits <- t.dropped_exits + 1
+  else begin
+    (* Unwind frames abandoned above the match (effect suspensions). *)
+    while t.depth - 1 > d do
       pop_top t
-    end
+    done;
+    pop_top t
   end
+
+let[@inline] exit t span = if t.enabled then exit_live t span
 
 (* -- snapshot -- *)
 
