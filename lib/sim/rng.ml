@@ -122,7 +122,10 @@ let int_in g lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int g (hi - lo + 1)
 
-let float g bound =
+(* [float], [chance] and [exponential] are inlined at their call
+   sites, so a draw the caller consumes at once never boxes its float
+   result. *)
+let[@inline] float g bound =
   (* 53 random bits -> [0, 1) *)
   step g;
   let bits = (g.rh lsl 21) lor (g.rl lsr 11) in
@@ -133,10 +136,10 @@ let bool g =
   step g;
   g.rl land 1 = 1
 
-let chance g p =
+let[@inline] chance g p =
   if p <= 0.0 then false else if p >= 1.0 then true else float g 1.0 < p
 
-let exponential g ~mean =
+let[@inline] exponential g ~mean =
   let u = ref (float g 1.0) in
   if !u = 0.0 then u := 1e-12;
   -.mean *. log !u
