@@ -1,11 +1,13 @@
-(* Array-backed storage, index 0 = newest (the historical list order).
-   The entry records are mutable so the copy-update hot path — the inner
-   loop of the endurance/Fig. 3 workloads — allocates nothing beyond the
-   new backing object: the *simulated* RCU list still allocates a new
-   version and defer-frees the old one through the backend (that is the
-   workload), but the simulator no longer rebuilds a cons chain per
-   update. Readers track object ids, not entry records, so reusing the
-   record is invisible to the premature-reuse checker. *)
+(* Array-backed storage, oldest first: [entries.(n - 1)] is the newest.
+   An insert appends, and the arrays double when full, so a list of n
+   entries is built with O(log n) array allocations. The entry records
+   are mutable so the copy-update hot path — the inner loop of the
+   endurance/Fig. 3 workloads — allocates nothing beyond the new backing
+   object: the *simulated* RCU list still allocates a new version and
+   defer-frees the old one through the backend (that is the workload),
+   but the simulator no longer rebuilds a cons chain per update. Readers
+   track object ids, not entry records, so reusing the record is
+   invisible to the premature-reuse checker. *)
 
 type entry = { key : int; mutable value : int; mutable obj : Slab.Frame.objekt }
 
@@ -18,38 +20,55 @@ type t = {
      loop — the single hottest loop in the endurance workloads — scans
      this flat int array instead of chasing a pointer per element. *)
   mutable keyarr : int array;
+  (* Slots from [n] up are spare; each holds a live entry, never a
+     removed one. *)
   mutable entries : entry array;
+  mutable n : int;
 }
 
 let create ~backend ~readers ~cache ~name =
-  { backend; readers; cache; list_name = name; keyarr = [||]; entries = [||] }
+  {
+    backend;
+    readers;
+    cache;
+    list_name = name;
+    keyarr = [||];
+    entries = [||];
+    n = 0;
+  }
 
 let name t = t.list_name
-let length t = Array.length t.entries
+let length t = t.n
 
-(* -1 when absent; the same front-to-back scan order the cons-chain list
-   had, so "the newest shadows" still holds for duplicate keys. The
-   annotations keep [=] an int compare: unannotated, [scan] is
-   polymorphic and each step calls the generic [caml_equal]. *)
-let rec scan (keys : int array) n (key : int) i =
-  if i >= n then -1
+(* -1 when absent. The scan runs newest to oldest, the order the
+   cons-chain list had, so "the newest shadows" still holds for
+   duplicate keys. The annotations keep [=] an int compare: unannotated,
+   [scan] is polymorphic and each step calls the generic [caml_equal]. *)
+let rec scan (keys : int array) (key : int) i =
+  if i < 0 then -1
   else if Array.unsafe_get keys i = key then i
-  else scan keys n key (i + 1)
+  else scan keys key (i - 1)
 
-let find_idx t key = scan t.keyarr (Array.length t.keyarr) key 0
+let find_idx t key = scan t.keyarr key (t.n - 1)
 
 let insert t cpu ~key ~value =
   match t.backend.Slab.Backend.alloc t.cache cpu with
   | exception Slab.Frame.Oom -> false
   | obj ->
-      let n = Array.length t.entries in
+      let n = t.n in
       let e = { key; value; obj } in
-      let a = Array.make (n + 1) e in
-      Array.blit t.entries 0 a 1 n;
-      let ka = Array.make (n + 1) key in
-      Array.blit t.keyarr 0 ka 1 n;
-      t.entries <- a;
-      t.keyarr <- ka;
+      if n = Array.length t.entries then begin
+        let cap = max 4 (2 * n) in
+        let a = Array.make cap e in
+        Array.blit t.entries 0 a 0 n;
+        let ka = Array.make cap key in
+        Array.blit t.keyarr 0 ka 0 n;
+        t.entries <- a;
+        t.keyarr <- ka
+      end;
+      t.entries.(n) <- e;
+      t.keyarr.(n) <- key;
+      t.n <- n + 1;
       true
 
 let update t cpu ~key ~value =
@@ -69,19 +88,21 @@ let update t cpu ~key ~value =
         `Updated
 
 let delete t cpu ~key =
-  let n = Array.length t.entries in
   let i = find_idx t key in
   if i < 0 then false
   else begin
     let victim = t.entries.(i) in
-    let a = Array.make (n - 1) victim in
-    Array.blit t.entries 0 a 0 i;
-    Array.blit t.entries (i + 1) a i (n - 1 - i);
-    let ka = Array.make (max 0 (n - 1)) 0 in
-    Array.blit t.keyarr 0 ka 0 i;
-    Array.blit t.keyarr (i + 1) ka i (n - 1 - i);
-    t.entries <- a;
-    t.keyarr <- ka;
+    let top = t.n - 1 in
+    Array.blit t.entries (i + 1) t.entries i (top - i);
+    Array.blit t.keyarr (i + 1) t.keyarr i (top - i);
+    t.n <- top;
+    (* The vacated top slot must not keep the victim reachable: it takes
+       a live entry, or the arrays go when the list empties. *)
+    if top = 0 then begin
+      t.entries <- [||];
+      t.keyarr <- [||]
+    end
+    else t.entries.(top) <- t.entries.(0);
     t.backend.Slab.Backend.free_deferred t.cache cpu victim.obj;
     true
   end
@@ -112,19 +133,20 @@ let lookup t cpu ~key =
 
 let read_iter t cpu f =
   Rcu.Readers.with_section t.readers cpu (fun () ->
-      Array.iter
-        (fun e ->
-          let oid = Slab.Frame.oid t.cache e.obj in
-          Rcu.Readers.hold t.readers cpu ~oid;
-          f ~key:e.key ~value:e.value;
-          Rcu.Readers.release t.readers cpu ~oid)
-        t.entries)
+      for i = t.n - 1 downto 0 do
+        let e = t.entries.(i) in
+        let oid = Slab.Frame.oid t.cache e.obj in
+        Rcu.Readers.hold t.readers cpu ~oid;
+        f ~key:e.key ~value:e.value;
+        Rcu.Readers.release t.readers cpu ~oid
+      done)
 
-let keys t = Array.to_list (Array.map (fun e -> e.key) t.entries)
+let keys t = List.init t.n (fun i -> t.entries.(t.n - 1 - i).key)
 
 let destroy t cpu =
-  Array.iter
-    (fun e -> t.backend.Slab.Backend.free_deferred t.cache cpu e.obj)
-    t.entries;
+  for i = t.n - 1 downto 0 do
+    t.backend.Slab.Backend.free_deferred t.cache cpu t.entries.(i).obj
+  done;
   t.entries <- [||];
-  t.keyarr <- [||]
+  t.keyarr <- [||];
+  t.n <- 0
