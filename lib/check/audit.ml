@@ -59,16 +59,17 @@ let buddy b =
    [latent]), applying [f] to each slab. The lists are intrusive, so a
    broken link can close a cycle: the walk stops at the first slab it
    meets twice and returns it. *)
-let walk_chain ~latent head f =
+let walk_chain cache ~latent head f =
   let open Slab.Frame in
   let seen = Hashtbl.create 16 in
-  let rec go = function
-    | None -> None
-    | Some s when Hashtbl.mem seen s.sid -> Some s
-    | Some s ->
-        Hashtbl.replace seen s.sid ();
-        f s;
-        go (if latent then s.latent_links.next else s.links.next)
+  let rec go s =
+    if s = no_slab then None
+    else if Hashtbl.mem seen (sid cache s) then Some s
+    else begin
+      Hashtbl.replace seen (sid cache s) ();
+      f s;
+      go (if latent then latent_next cache s else list_next cache s)
+    end
   in
   go head
 
@@ -93,20 +94,21 @@ let slab ~rcu (cache : Slab.Frame.cache) =
       (* The latent-slab list holds exactly the slabs with latent
          objects, each once. *)
       let on_latent_list = Hashtbl.create 8 in
-      let check_latent (s : slab) =
-        Hashtbl.replace on_latent_list s.sid ();
-        if s.latent_n = 0 then
+      let check_latent s =
+        let sid = sid cache s in
+        Hashtbl.replace on_latent_list sid ();
+        if latent_n cache s = 0 then
           err errs "%s: slab %d is on node %d's latent-slab list with no \
-               latent objects" name s.sid node.nid;
-        if s.node_id <> node.nid then
+               latent objects" name sid node.nid;
+        if node_id cache s <> node.nid then
           err errs "%s: slab %d of node %d is on node %d's latent-slab list"
-            name s.sid s.node_id node.nid
+            name sid (node_id cache s) node.nid
       in
       Option.iter
-        (fun (s : slab) ->
+        (fun s ->
           err errs "%s: slab %d is on node %d's latent-slab list twice" name
-            s.sid node.nid)
-        (walk_chain ~latent:true node.latent_slabs.head check_latent);
+            (sid cache s) node.nid)
+        (walk_chain cache ~latent:true node.latent_slabs.head check_latent);
       if Hashtbl.length on_latent_list <> node.latent_slabs.len then
         err errs "%s: node %d's latent-slab list links %d slabs but len = %d"
           name node.nid
@@ -115,62 +117,68 @@ let slab ~rcu (cache : Slab.Frame.cache) =
       let walk tag (lst : slab_list) =
         let linked = ref 0 in
         let repeated =
-          walk_chain ~latent:false lst.head (fun (s : slab) ->
+          walk_chain cache ~latent:false lst.head (fun s ->
+            let sid = sid cache s
+            and free_n = free_n cache s
+            and latent_n = latent_n cache s
+            and in_flight = in_flight cache s
+            and capacity = capacity cache s
+            and on_list = on_list cache s in
             incr linked;
             incr n_slabs;
-            in_flight_sum := !in_flight_sum + s.in_flight;
-            slab_latent_sum := !slab_latent_sum + s.latent_n;
-            if s.latent_n > 0 && not (Hashtbl.mem on_latent_list s.sid) then
+            in_flight_sum := !in_flight_sum + in_flight;
+            slab_latent_sum := !slab_latent_sum + latent_n;
+            if latent_n > 0 && not (Hashtbl.mem on_latent_list sid) then
               err errs "%s: slab %d holds %d latent objects but is not on node \
-                   %d's latent-slab list" name s.sid s.latent_n node.nid;
-            let latent_rc = Slab.Latq.length s.latent_objs in
-            if s.free_n < 0 || s.free_n > Array.length s.free_objs then
+                   %d's latent-slab list" name sid latent_n node.nid;
+            let latent_rc = Slab.Latq.length (latent_queue cache s) in
+            if free_n < 0 || free_n > capacity then
               err errs "%s: slab %d has free_n = %d outside its %d-slot free \
-                   stack" name s.sid s.free_n (Array.length s.free_objs);
-            if latent_rc <> s.latent_n then
+                   stack" name sid free_n capacity;
+            if latent_rc <> latent_n then
               err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
-                name s.sid latent_rc s.latent_n;
-            if s.in_flight < 0 then
-              err errs "%s: slab %d has in_flight = %d" name s.sid s.in_flight;
-            if s.free_n + s.latent_n + s.in_flight <> s.capacity then
+                name sid latent_rc latent_n;
+            if in_flight < 0 then
+              err errs "%s: slab %d has in_flight = %d" name sid in_flight;
+            if free_n + latent_n + in_flight <> capacity then
               err errs
                 "%s: slab %d accounting leak: free %d + latent %d + \
                  in-flight %d <> capacity %d"
-                name s.sid s.free_n s.latent_n s.in_flight s.capacity;
-            if s.on_list <> tag then
-              err errs "%s: slab %d tagged %a but found on the %a list" name s.sid
-                pp_list_id s.on_list pp_list_id tag;
-            let desired = desired_list s in
+                name sid free_n latent_n in_flight capacity;
+            if on_list <> tag then
+              err errs "%s: slab %d tagged %a but found on the %a list" name sid
+                pp_list_id on_list pp_list_id tag;
+            let desired = desired_list cache s in
             if desired <> tag then
               err errs
                 "%s: slab %d sits on the %a list, but free %d, latent %d and \
                  in-flight %d put it on the %a list"
-                name s.sid pp_list_id tag s.free_n s.latent_n s.in_flight
+                name sid pp_list_id tag free_n latent_n in_flight
                 pp_list_id desired;
-            let where = Printf.sprintf "slab %d's free stack" s.sid in
-            for i = 0 to min s.free_n (Array.length s.free_objs) - 1 do
-              let o = s.free_objs.(i) in
+            let where = Printf.sprintf "slab %d's free stack" sid in
+            for i = 0 to min free_n capacity - 1 do
+              let o = free_obj cache s i in
               place o where;
-              if parent cache o != s then
+              if parent cache o <> s then
                 err errs "%s: object %d on slab %d's freelist has a different \
-                     parent" name (oid cache o) s.sid;
+                     parent" name (oid cache o) sid;
               if state cache o <> Free_in_slab then
                 err errs "%s: object %d on slab %d's freelist is in state %a"
-                  name (oid cache o) s.sid pp_ostate (state cache o)
+                  name (oid cache o) sid pp_ostate (state cache o)
             done;
-            let where = Printf.sprintf "slab %d's latent list" s.sid in
+            let where = Printf.sprintf "slab %d's latent list" sid in
             Slab.Latq.iter
               (fun o ->
                 place o where;
                 if state cache o <> In_latent_slab then
                   err errs "%s: object %d on slab %d's latent list is in state %a"
-                    name (oid cache o) s.sid pp_ostate (state cache o))
-              s.latent_objs)
+                    name (oid cache o) sid pp_ostate (state cache o))
+              (latent_queue cache s))
         in
         Option.iter
-          (fun (s : slab) ->
+          (fun s ->
             err errs "%s: slab %d is linked twice on node %d's %a list" name
-              s.sid node.nid pp_list_id tag)
+              (sid cache s) node.nid pp_list_id tag)
           repeated;
         if !linked <> lst.len then
           err errs "%s: node %d's %a list links %d slabs but len = %d" name
@@ -277,8 +285,9 @@ let latent ~smr (cache : Slab.Frame.cache) =
     (fun (node : node) ->
       let walk (lst : slab_list) =
         ignore
-          (walk_chain ~latent:false lst.head (fun (s : slab) ->
-               Slab.Latq.iter (check_cookie "a latent slab") s.latent_objs))
+          (walk_chain cache ~latent:false lst.head (fun s ->
+               Slab.Latq.iter (check_cookie "a latent slab")
+                 (latent_queue cache s)))
       in
       walk node.full;
       walk node.partial;

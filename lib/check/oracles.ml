@@ -90,22 +90,14 @@ let poll_stall t =
    finalize. *)
 let check_conservation t =
   if t.cfg.cb_conservation then begin
-    let stats = Rcu.stats t.rcu in
-    let in_list =
-      Array.fold_left
-        (fun acc (_, waiting, ready) -> acc + waiting + ready)
-        0 (Rcu.cpu_backlogs t.rcu)
-    in
-    let expected = stats.Rcu.cbs_queued - stats.Rcu.cbs_invoked in
-    if expected <> in_list then
+    (* Runs on every grace period: the counters are read one by one, so
+       a check that passes allocates nothing. *)
+    let queued = Rcu.cbs_queued t.rcu and invoked = Rcu.cbs_invoked t.rcu in
+    let in_list = Rcu.listed_callbacks t.rcu in
+    if queued - invoked <> in_list then
       if t.cb_logged < max_logged then begin
         t.cb_log <-
-          {
-            at_ns = Sim.Engine.now t.engine;
-            queued = stats.Rcu.cbs_queued;
-            invoked = stats.Rcu.cbs_invoked;
-            in_list;
-          }
+          { at_ns = Sim.Engine.now t.engine; queued; invoked; in_list }
           :: t.cb_log;
         t.cb_logged <- t.cb_logged + 1
       end

@@ -33,7 +33,7 @@ type t = {
   mutable caches : Frame.cache list;
       (* Newest first (insertion order), the iteration order the old
          assoc list gave. *)
-  select : Frame.node -> Frame.slab option;
+  select : Frame.cache -> Frame.node -> Frame.slab;
       (* The refill selector, made once so a refill allocates no
          closure. *)
 }
@@ -56,32 +56,32 @@ let latent_outstanding t =
    counts dictate; returns how many were freed. A harvest that empties
    the slab's latent list also takes it off the node's latent-slab list,
    so walks read the next slab first. *)
-let reap slab ~horizon =
-  let n = Frame.slab_harvest_ripe slab ~completed:horizon in
-  if n > 0 then ignore (Frame.relocate slab.Frame.cache slab);
+let reap cache slab ~horizon =
+  let n = Frame.slab_harvest_ripe cache slab ~completed:horizon in
+  if n > 0 then ignore (Frame.relocate cache slab);
   n
 
-let rec refresh_first ~horizon depth = function
-  | Some slab when depth > 0 ->
-      let next = slab.Frame.latent_links.Frame.next in
-      ignore (reap slab ~horizon);
-      refresh_first ~horizon (depth - 1) next
-  | _ -> ()
+let rec refresh_first cache ~horizon depth slab =
+  if slab <> Frame.no_slab && depth > 0 then begin
+    let next = Frame.latent_next cache slab in
+    ignore (reap cache slab ~horizon);
+    refresh_first cache ~horizon (depth - 1) next
+  end
 
 (* Harvest ripe latent objects from the slabs the selector is about to
    examine, so their free counts reflect completed grace periods. The
    node's latent-slab list is ordered oldest-first, so the slabs most
    likely to have ripe objects are at the front. *)
-let refresh_node_heads t node =
+let refresh_node_heads t cache node =
   let prof = Sim.Machine.prof t.env.Frame.machine in
   Prof.enter prof ~cpu:(-1) Prof.Span.Prudence_scan;
-  refresh_first ~horizon:(completed t) t.cfg.scan_depth
+  refresh_first cache ~horizon:(completed t) t.cfg.scan_depth
     node.Frame.latent_slabs.Frame.head;
   Prof.exit prof Prof.Span.Prudence_scan
 
-let select t node =
-  refresh_node_heads t node;
-  Frame.select_prudence ~scan_depth:t.cfg.scan_depth node
+let select t cache node =
+  refresh_node_heads t cache node;
+  Frame.select_prudence ~scan_depth:t.cfg.scan_depth cache node
 
 (* Algorithm 1 MERGE_CACHES (l.60-65): move grace-period-complete objects
    from the latent cache into the object cache, stopping at capacity. *)
@@ -112,7 +112,7 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
   if Frame.relocate cache slab then begin
     Stats.premove cache.Frame.stats;
     Frame.event cache pc.Frame.cpu Premove 0;
-    let node = cache.Frame.nodes.(slab.Frame.node_id) in
+    let node = cache.Frame.nodes.(Frame.node_id cache slab) in
     let delay =
       Sim.Simlock.acquire node.Frame.lock ~cpu:pc.Frame.cpu.Sim.Machine.id
         ~now:(Sim.Engine.now (Sim.Machine.engine t.env.Frame.machine))
@@ -122,7 +122,7 @@ let demote_to_latent_slab t (cache : Frame.cache) (pc : Frame.pcpu) obj =
     (* Pre-moving onto the free list can push the node over its free-slab
        threshold (Algorithm 1 l.59). *)
     if
-      slab.Frame.on_list = Frame.L_free
+      Frame.on_list cache slab = Frame.L_free
       && node.Frame.free_slabs.Frame.len > Slab.Size_class.min_free_slabs
     then ignore (Frame.shrink_node cache pc.Frame.cpu node)
   end;
@@ -153,8 +153,8 @@ let emergency_reclaim t =
       let freed = ref 0 in
       Array.iter
         (fun (node : Frame.node) ->
-          Frame.iter_latent
-            (fun slab -> freed := !freed + reap slab ~horizon)
+          Frame.iter_latent cache
+            (fun slab -> freed := !freed + reap cache slab ~horizon)
             node;
           let cpu = cache.Frame.pcpus.(0).Frame.cpu in
           while Frame.shrink_node ~keep:0 cache cpu node > 0 do
@@ -288,10 +288,10 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
       if Frame.refill_from_node cache cpu ~want ~select:t.select = 0 then
         ignore
           (match Frame.grow cache cpu with
-          | Some _slab ->
+          | _slab ->
               (* l.29: add more slabs. *)
               Frame.refill_from_node cache cpu ~want ~select:t.select
-          | None ->
+          | exception Frame.Oom ->
               (* Cannot grow: relax the slab-selection filter (a mostly
                  deferred slab is better than failing). *)
               Frame.refill_from_node cache cpu ~want ~select:Frame.select_slub);
@@ -307,11 +307,11 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
                > 0
               ||
               match Frame.grow cache cpu with
-              | Some _ ->
+              | _slab ->
                   Frame.refill_from_node cache cpu ~want:1
                     ~select:Frame.select_slub
                   > 0
-              | None -> false)
+              | exception Frame.Oom -> false)
       then begin
         let obj = Frame.pop_ocache_exn pc in
         Frame.hand_to_user cache cpu obj;
@@ -453,14 +453,15 @@ let settle t =
           Array.iter
             (fun (node : Frame.node) ->
               let refresh slab =
-                if slab.Frame.latent_n > 0 then begin
-                  ignore (Frame.slab_harvest_ripe slab ~completed:horizon);
+                if Frame.latent_n cache slab > 0 then begin
+                  ignore
+                    (Frame.slab_harvest_ripe cache slab ~completed:horizon);
                   ignore (Frame.relocate cache slab)
                 end
               in
-              Frame.iter_list refresh node.Frame.full;
-              Frame.iter_list refresh node.Frame.partial;
-              Frame.iter_list refresh node.Frame.free_slabs)
+              Frame.iter_list cache refresh node.Frame.full;
+              Frame.iter_list cache refresh node.Frame.partial;
+              Frame.iter_list cache refresh node.Frame.free_slabs)
             cache.Frame.nodes)
         t.caches;
       loop (budget - 1)
@@ -488,7 +489,7 @@ let create_smr ?(config = default_config) ?(label = "prudence") env smr =
       cfg = config;
       by_name = Hashtbl.create 8;
       caches = [];
-      select = (fun node -> select t node);
+      select = (fun cache node -> select t cache node);
     }
   in
   smr.Smr.on_ripen (fun _frontier ->

@@ -46,6 +46,10 @@ type stats = {
 
 type stall_warning = { at_ns : int; gp_seq : int; holdouts : int list }
 
+(* A stall check waiting for its grace period's timeout: [fire] is made
+   once per timer, so arming one allocates nothing. *)
+type stall_timer = { mutable timer_seq : int; mutable fire : unit -> unit }
+
 type pcpu = {
   cpu : Sim.Machine.cpu;
   cbs : Sim.Machine.cpu Cblist.t;
@@ -85,6 +89,8 @@ type t = {
   mutable s_expedited_transitions : int;
   mutable s_stall_warnings : int;
   mutable stall_log : stall_warning list; (* newest first *)
+  mutable idle_timers : stall_timer array;  (* a stack, top at [idle_n - 1] *)
+  mutable idle_n : int;
   mutable lose_tick : int;
 }
 
@@ -103,6 +109,16 @@ let cpu_backlogs t =
   Array.map
     (fun (pc : pcpu) -> (pc.cpu.Sim.Machine.id, Cblist.waiting pc.cbs, Cblist.ready pc.cbs))
     t.percpu
+
+let listed_callbacks t =
+  let n = ref 0 in
+  for i = 0 to Array.length t.percpu - 1 do
+    n := !n + Cblist.total t.percpu.(i).cbs
+  done;
+  !n
+
+let cbs_queued t = t.s_cbs_queued
+let cbs_invoked t = t.s_cbs_invoked
 
 let set_expedited t flag =
   if flag && not t.expedited_flag then
@@ -184,19 +200,43 @@ and arm_stall_check t seq =
   match t.cfg.stall_timeout_ns with
   | None -> ()
   | Some timeout ->
-      Sim.Engine.schedule ~daemon:true t.engine ~after:timeout (fun () ->
-          if t.gp_active && t.s_gps_started = seq then begin
-            let holdouts = ref [] in
-            for i = Array.length t.qs_needed - 1 downto 0 do
-              if t.qs_needed.(i) then holdouts := i :: !holdouts
-            done;
-            t.s_stall_warnings <- t.s_stall_warnings + 1;
-            t.stall_log <-
-              { at_ns = now t; gp_seq = seq; holdouts = !holdouts }
-              :: t.stall_log;
-            List.iter (fun cpu -> emit t Rcu_stall ~cpu seq 0) !holdouts;
-            arm_stall_check t seq
-          end)
+      let timer =
+        if t.idle_n > 0 then begin
+          t.idle_n <- t.idle_n - 1;
+          t.idle_timers.(t.idle_n)
+        end
+        else begin
+          let timer = { timer_seq = 0; fire = ignore } in
+          timer.fire <- (fun () -> stall_check t timer timeout);
+          timer
+        end
+      in
+      timer.timer_seq <- seq;
+      Sim.Engine.schedule ~daemon:true t.engine ~after:timeout timer.fire
+
+(* A timer whose grace period has ended goes back to the idle stack. *)
+and stall_check t timer timeout =
+  let seq = timer.timer_seq in
+  if t.gp_active && t.s_gps_started = seq then begin
+    let holdouts = ref [] in
+    for i = Array.length t.qs_needed - 1 downto 0 do
+      if t.qs_needed.(i) then holdouts := i :: !holdouts
+    done;
+    t.s_stall_warnings <- t.s_stall_warnings + 1;
+    t.stall_log <-
+      { at_ns = now t; gp_seq = seq; holdouts = !holdouts } :: t.stall_log;
+    List.iter (fun cpu -> emit t Rcu_stall ~cpu seq 0) !holdouts;
+    Sim.Engine.schedule ~daemon:true t.engine ~after:timeout timer.fire
+  end
+  else begin
+    if t.idle_n = Array.length t.idle_timers then begin
+      let idle = Array.make (2 * t.idle_n + 1) timer in
+      Array.blit t.idle_timers 0 idle 0 t.idle_n;
+      t.idle_timers <- idle
+    end;
+    t.idle_timers.(t.idle_n) <- timer;
+    t.idle_n <- t.idle_n + 1
+  end
 
 and complete_gp t =
   Prof.enter (prof t) ~cpu:(-1) Prof.Span.Rcu_gp;
@@ -205,19 +245,28 @@ and complete_gp t =
   t.completed_gps <- t.completed_gps + 1;
   t.s_gps_completed <- t.s_gps_completed + 1;
   emit t Gp_end ~cpu:(-1) t.s_gps_completed (now t - t.gp_started_at);
+  (* Loops, not iterators: a closure over [t] would be allocated on
+     every grace period. *)
   let waiting_remain = ref false in
-  Array.iter
-    (fun pc ->
-      ignore (Cblist.advance pc.cbs ~completed:t.completed_gps);
-      if Cblist.ready pc.cbs > 0 then raise_softirq t pc;
-      if Cblist.waiting pc.cbs > 0 then waiting_remain := true)
-    t.percpu;
-  List.iter (fun fn -> fn t.completed_gps) t.gp_hooks;
+  for i = 0 to Array.length t.percpu - 1 do
+    let pc = t.percpu.(i) in
+    ignore (Cblist.advance pc.cbs ~completed:t.completed_gps);
+    if Cblist.ready pc.cbs > 0 then raise_softirq t pc;
+    if Cblist.waiting pc.cbs > 0 then waiting_remain := true
+  done;
+  run_gp_hooks t.gp_hooks t.completed_gps;
   Sim.Process.Cond.broadcast t.gp_cond;
   (* A gp hook may already have started the next grace period (e.g. the
      allocator requesting one for outstanding latent objects). *)
   if (t.gp_requested || !waiting_remain) && not t.gp_active then start_gp t;
   Prof.exit (prof t) Prof.Span.Rcu_gp
+
+and run_gp_hooks hooks completed =
+  match hooks with
+  | [] -> ()
+  | fn :: rest ->
+      fn completed;
+      run_gp_hooks rest completed
 
 let quiescent_state t (cpu : Sim.Machine.cpu) =
   Prof.enter (prof t) ~cpu:cpu.id Prof.Span.Rcu_qs;
@@ -263,14 +312,14 @@ let synchronize t =
 
 let barrier_drain t =
   Prof.enter (prof t) ~cpu:(-1) Prof.Span.Rcu_cb_drain;
-  Array.iter
-    (fun pc ->
-      ignore (Cblist.advance pc.cbs ~completed:t.completed_gps);
-      let n = Cblist.ready pc.cbs in
-      t.pending <- t.pending - n;
-      t.s_cbs_invoked <- t.s_cbs_invoked + n;
-      ignore (Cblist.drain pc.cbs ~max:n pc.cpu))
-    t.percpu;
+  for i = 0 to Array.length t.percpu - 1 do
+    let pc = t.percpu.(i) in
+    ignore (Cblist.advance pc.cbs ~completed:t.completed_gps);
+    let n = Cblist.ready pc.cbs in
+    t.pending <- t.pending - n;
+    t.s_cbs_invoked <- t.s_cbs_invoked + n;
+    ignore (Cblist.drain pc.cbs ~max:n pc.cpu)
+  done;
   Prof.exit (prof t) Prof.Span.Rcu_cb_drain
 
 let attach_pressure t pressure =
@@ -359,6 +408,8 @@ let create ?(config = default_config) machine =
       s_expedited_transitions = 0;
       s_stall_warnings = 0;
       stall_log = [];
+      idle_timers = [||];
+      idle_n = 0;
       lose_tick = 0;
     }
   in

@@ -148,6 +148,17 @@ val cpu_backlogs : t -> (int * int * int) array
     invocable but not yet drained by softirq. Sums to
     {!pending_callbacks}. *)
 
+val listed_callbacks : t -> int
+(** Callbacks on the per-CPU lists, waiting or ready, summed over the
+    CPUs without allocating; equals {!pending_callbacks} unless a
+    callback was lost between the accounting and its list. *)
+
+val cbs_queued : t -> int
+(** [(stats t).cbs_queued], read without building the record. *)
+
+val cbs_invoked : t -> int
+(** [(stats t).cbs_invoked], read without building the record. *)
+
 type stats = {
   gps_started : int;
   gps_completed : int;

@@ -45,6 +45,10 @@ let create ~capacity =
 let length t = t.n
 let work t = t.work
 
+let clear t =
+  t.n <- 0;
+  t.min_cookie <- max_int
+
 let grow t v =
   let cap = Array.length t.vals in
   let size = if cap = 0 then t.capacity else 2 * cap in

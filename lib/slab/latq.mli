@@ -16,6 +16,9 @@ val create : capacity:int -> 'a t
 
 val length : 'a t -> int
 
+val clear : 'a t -> unit
+(** Drop every element, keeping the arrays for the next push. *)
+
 val push : 'a t -> cookie:int -> 'a -> unit
 (** Add an element waiting on grace period [cookie]. O(1), in any
     cookie order. *)

@@ -44,10 +44,10 @@ let alloc_inner (cache : Frame.cache) cpu =
       then
         ignore
           (match Frame.grow cache cpu with
-          | Some _slab ->
+          | _slab ->
               Frame.refill_from_node cache cpu ~want:cache.Frame.batch
                 ~select:Frame.select_slub
-          | None -> 0);
+          | exception Frame.Oom -> 0);
       if pc.Frame.ocache_n > 0 then begin
         let obj = Frame.pop_ocache_exn pc in
         Frame.hand_to_user cache cpu obj;

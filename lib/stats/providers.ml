@@ -234,10 +234,10 @@ let latent_views ~smr (backend : Slab.Backend.t) =
               pc.Slab.Frame.latent)
           c.Slab.Frame.pcpus;
         Array.iter
-          (Slab.Frame.iter_latent (fun (s : Slab.Frame.slab) ->
+          (Slab.Frame.iter_latent c (fun s ->
                Slab.Latq.iter
                  (fun o -> bump ~slab_side:true (Slab.Frame.cookie c o))
-                 s.Slab.Frame.latent_objs))
+                 (Slab.Frame.latent_queue c s)))
           c.Slab.Frame.nodes;
         let rows =
           Hashtbl.fold

@@ -561,7 +561,7 @@ let teeth_fixture () =
       ~latent_aware:true ()
   in
   let c0 = Test_util.cpu env 0 and c1 = Test_util.cpu env 1 in
-  let s = Option.get (F.grow cache c0) in
+  let s = F.grow cache c0 in
   ignore (F.refill_from_node cache c0 ~want:5 ~select:F.select_slub);
   ignore (F.refill_from_node cache c1 ~want:5 ~select:F.select_slub);
   let pc0 = F.pcpu_for cache c0 and pc1 = F.pcpu_for cache c1 in
@@ -597,10 +597,10 @@ let teeth_cases =
            cache"
           (F.oid c o) );
     ( "wrong on_list tag",
-      fun _env _c (s : F.slab) ->
-        poke s ~field:13 ~was:s.F.on_list F.L_full;
+      fun _env c (s : F.slab) ->
+        F.Unsafe.set_on_list c s F.L_full;
         Printf.sprintf "slab %d tagged full but found on the partial list"
-          s.F.sid );
+          (F.sid c s) );
     ( "list len off by one",
       fun _env c _s ->
         let l = (node c).F.partial in
@@ -611,26 +611,26 @@ let teeth_cases =
         (* A fresh free slab loses an object to cpu0's object cache, and
            nobody relocates it. *)
         let c0 = Test_util.cpu env 0 in
-        let s = Option.get (F.grow c c0) in
-        F.push_ocache c (F.pcpu_for c c0) (F.take_free_obj_exn s);
+        let s = F.grow c c0 in
+        F.push_ocache c (F.pcpu_for c c0) (F.take_free_obj_exn c s);
         Printf.sprintf
           "slab %d sits on the free list, but free %d, latent 0 and \
            in-flight 1 put it on the partial list"
-          s.F.sid s.F.free_n );
+          (F.sid c s) (F.free_n c s) );
     ( "negative in_flight",
-      fun _env _c (s : F.slab) ->
-        poke s ~field:12 ~was:s.F.in_flight (-1);
-        Printf.sprintf "slab %d has in_flight = -1" s.F.sid );
+      fun _env c (s : F.slab) ->
+        F.Unsafe.set_in_flight c s (-1);
+        Printf.sprintf "slab %d has in_flight = -1" (F.sid c s) );
     ( "latent slab missing from the latent-slab list",
       fun _env c (s : F.slab) ->
         let l = (node c).F.latent_slabs in
-        poke l ~field:0 ~was:l.F.head None;
-        poke l ~field:1 ~was:l.F.tail None;
+        poke l ~field:0 ~was:l.F.head F.no_slab;
+        poke l ~field:1 ~was:l.F.tail F.no_slab;
         poke l ~field:2 ~was:l.F.len 0;
         Printf.sprintf
           "slab %d holds 1 latent objects but is not on node 0's \
            latent-slab list"
-          s.F.sid );
+          (F.sid c s) );
     ( "latent_count off by one",
       fun _env (c : F.cache) _s ->
         poke c ~field:15 ~was:c.F.latent_count (c.F.latent_count + 1);

@@ -20,21 +20,20 @@ let test_cache_geometry () =
 let test_grow_creates_free_slab () =
   let env, cache = make_cache () in
   let c = cpu0 env in
-  match Frame.grow cache c with
-  | None -> Alcotest.fail "grow failed"
-  | Some slab ->
-      Alcotest.(check bool) "on free list" true
-        (slab.Frame.on_list = Frame.L_free);
-      Alcotest.(check int) "fully free" slab.Frame.capacity slab.Frame.free_n;
-      Alcotest.(check int) "one slab" 1 (Frame.total_slabs cache);
-      Alcotest.(check bool) "pages charged" true
-        (Mem.Buddy.used_pages env.buddy > 0);
-      audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
+  let slab = Frame.grow cache c in
+  Alcotest.(check bool) "on free list" true
+    (Frame.on_list cache slab = Frame.L_free);
+  Alcotest.(check int) "fully free" (Frame.capacity cache slab)
+    (Frame.free_n cache slab);
+  Alcotest.(check int) "one slab" 1 (Frame.total_slabs cache);
+  Alcotest.(check bool) "pages charged" true
+    (Mem.Buddy.used_pages env.buddy > 0);
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_destroy_slab () =
   let env, cache = make_cache () in
   let c = cpu0 env in
-  let slab = Option.get (Frame.grow cache c) in
+  let slab = Frame.grow cache c in
   let used = Mem.Buddy.used_pages env.buddy in
   Frame.destroy_slab cache slab;
   Alcotest.(check int) "slab gone" 0 (Frame.total_slabs cache);
@@ -135,12 +134,13 @@ let test_latent_slab_harvest () =
   Frame.obj_to_latent_slab cache o1;
   Frame.stamp_deferred cache (cpu0 env) o2 ~cookie:2;
   Frame.obj_to_latent_slab cache o2;
-  Alcotest.(check int) "two latent" 2 slab.Frame.latent_n;
-  Alcotest.(check int) "harvest at 1" 1 (Frame.slab_harvest_ripe slab ~completed:1);
-  Alcotest.(check int) "one left" 1 slab.Frame.latent_n;
+  Alcotest.(check int) "two latent" 2 (Frame.latent_n cache slab);
+  Alcotest.(check int) "harvest at 1" 1
+    (Frame.slab_harvest_ripe cache slab ~completed:1);
+  Alcotest.(check int) "one left" 1 (Frame.latent_n cache slab);
   Alcotest.(check int) "harvest rest" 1
-    (Frame.slab_harvest_ripe slab ~completed:5);
-  Alcotest.(check int) "none left" 0 slab.Frame.latent_n;
+    (Frame.slab_harvest_ripe cache slab ~completed:5);
+  Alcotest.(check int) "none left" 0 (Frame.latent_n cache slab);
   ignore (Frame.relocate cache slab);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
@@ -159,13 +159,14 @@ let test_premove_full_to_partial () =
         o)
   in
   let slab = Frame.parent cache (List.hd objs) in
-  Alcotest.(check bool) "slab full" true (slab.Frame.on_list = Frame.L_full);
+  Alcotest.(check bool) "slab full" true
+    (Frame.on_list cache slab = Frame.L_full);
   let victim = List.hd objs in
   Frame.stamp_deferred cache (cpu0 env) victim ~cookie:1;
   Frame.obj_to_latent_slab cache victim;
   Alcotest.(check bool) "pre-moved" true (Frame.relocate cache slab);
   Alcotest.(check bool) "now partial" true
-    (slab.Frame.on_list = Frame.L_partial);
+    (Frame.on_list cache slab = Frame.L_partial);
   (* clean up the rest for invariant purposes *)
   List.iter
     (fun o ->
@@ -200,11 +201,13 @@ let test_premove_all_deferred_to_free () =
     objs;
   ignore (Frame.relocate cache slab);
   Alcotest.(check bool) "pre-moved to free list" true
-    (slab.Frame.on_list = Frame.L_free);
-  Alcotest.(check bool) "but not truly free" false (Frame.truly_free slab);
+    (Frame.on_list cache slab = Frame.L_free);
+  Alcotest.(check bool) "but not truly free" false
+    (Frame.truly_free cache slab);
   (* Harvest at grace-period completion makes it reclaimable. *)
-  ignore (Frame.slab_harvest_ripe slab ~completed:1);
-  Alcotest.(check bool) "truly free after harvest" true (Frame.truly_free slab);
+  ignore (Frame.slab_harvest_ripe cache slab ~completed:1);
+  Alcotest.(check bool) "truly free after harvest" true
+    (Frame.truly_free cache slab);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_shrink_skips_pre_moved_slabs () =
@@ -213,24 +216,24 @@ let test_shrink_skips_pre_moved_slabs () =
   (* Build Size_class.min_free_slabs + 2 slabs on the free list where one is
      pre-moved (latent) and the rest truly free. *)
   let n = Slab.Size_class.min_free_slabs + 2 in
-  let slabs = List.init n (fun _ -> Option.get (Frame.grow cache c)) in
+  let slabs = List.init n (fun _ -> Frame.grow cache c) in
   (* Make the first slab all-latent: take its objects and defer them. *)
   let first = List.hd slabs in
-  while first.Frame.free_n > 0 do
+  while Frame.free_n cache first > 0 do
     (* hand + stamp to latent *)
-    let o = Frame.take_free_obj_exn first in
+    let o = Frame.take_free_obj_exn cache first in
     Frame.hand_to_user cache c o;
     Frame.stamp_deferred cache (cpu0 env) o ~cookie:99;
     Frame.obj_to_latent_slab cache o
   done;
   ignore (Frame.relocate cache first);
   Alcotest.(check bool) "pre-moved slab on free list" true
-    (first.Frame.on_list = Frame.L_free);
+    (Frame.on_list cache first = Frame.L_free);
   let node = Frame.node_for cache c in
   let destroyed = Frame.shrink_node cache c node in
   Alcotest.(check bool) "destroyed some" true (destroyed > 0);
   Alcotest.(check bool) "pre-moved slab survived" true
-    (first.Frame.on_list = Frame.L_free);
+    (Frame.on_list cache first = Frame.L_free);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_select_slub_prefers_partial () =
@@ -241,11 +244,10 @@ let test_select_slub_prefers_partial () =
   (* Make the first slab partial. *)
   ignore (Frame.refill_from_node cache c ~want:3 ~select:Frame.select_slub);
   let node = Frame.node_for cache c in
-  match Frame.select_slub node with
-  | Some s ->
-      Alcotest.(check bool) "picked the partial slab" true
-        (s.Frame.on_list = Frame.L_partial)
-  | None -> Alcotest.fail "selector found nothing"
+  let s = Frame.select_slub cache node in
+  if s = Frame.no_slab then Alcotest.fail "selector found nothing";
+  Alcotest.(check bool) "picked the partial slab" true
+    (Frame.on_list cache s = Frame.L_partial)
 
 let test_select_prudence_avoids_mostly_deferred () =
   let env, cache = make_cache ~latent_aware:true ~obj_size:4096 () in
@@ -254,9 +256,9 @@ let test_select_prudence_avoids_mostly_deferred () =
   (* Slab A: 2 allocated, rest free. Slab B: like A, then its 2 allocated
      objects deferred (mostly-deferred). *)
   let setup deferred =
-    let slab = Option.get (Frame.grow cache c) in
-    let o1 = Frame.take_free_obj_exn slab in
-    let o2 = Frame.take_free_obj_exn slab in
+    let slab = Frame.grow cache c in
+    let o1 = Frame.take_free_obj_exn cache slab in
+    let o2 = Frame.take_free_obj_exn cache slab in
     Frame.hand_to_user cache c o1;
     Frame.hand_to_user cache c o2;
     ignore (Frame.relocate cache slab);
@@ -272,24 +274,23 @@ let test_select_prudence_avoids_mostly_deferred () =
   let slab_a = setup false in
   let slab_b = setup true in
   Alcotest.(check bool) "both on partial/free" true
-    (slab_a.Frame.on_list = Frame.L_partial
-    && (slab_b.Frame.on_list = Frame.L_partial
-       || slab_b.Frame.on_list = Frame.L_free));
-  (match Frame.select_prudence ~scan_depth:10 node with
-  | Some s ->
-      Alcotest.(check int) "Fig. 5: picks slab A (no deferred)"
-        slab_a.Frame.sid s.Frame.sid
-  | None -> Alcotest.fail "selector found nothing");
+    (Frame.on_list cache slab_a = Frame.L_partial
+    && (Frame.on_list cache slab_b = Frame.L_partial
+       || Frame.on_list cache slab_b = Frame.L_free));
+  let s = Frame.select_prudence ~scan_depth:10 cache node in
+  if s = Frame.no_slab then Alcotest.fail "selector found nothing";
+  Alcotest.(check int) "Fig. 5: picks slab A (no deferred)"
+    (Frame.sid cache slab_a) (Frame.sid cache s);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
-let sids l =
+let sids cache l =
   let out = ref [] in
-  Frame.iter_list (fun s -> out := s.Frame.sid :: !out) l;
+  Frame.iter_list cache (fun s -> out := Frame.sid cache s :: !out) l;
   List.rev !out
 
-let latent_sids node =
+let latent_sids cache node =
   let out = ref [] in
-  Frame.iter_latent (fun s -> out := s.Frame.sid :: !out) node;
+  Frame.iter_latent cache (fun s -> out := Frame.sid cache s :: !out) node;
   List.rev !out
 
 let test_list_link_order () =
@@ -299,31 +300,31 @@ let test_list_link_order () =
   let c = cpu0 env in
   let node = Frame.node_for cache c in
   let partial_slab () =
-    let s = Option.get (Frame.grow cache c) in
-    Frame.hand_to_user cache c (Frame.take_free_obj_exn s);
+    let s = Frame.grow cache c in
+    Frame.hand_to_user cache c (Frame.take_free_obj_exn cache s);
     ignore (Frame.relocate cache s);
     s
   in
   let s1 = partial_slab () in
   let s2 = partial_slab () in
-  let s3 = Option.get (Frame.grow cache c) in
+  let s3 = Frame.grow cache c in
   let objs =
-    List.init s3.Frame.capacity (fun _ ->
-        let o = Frame.take_free_obj_exn s3 in
+    List.init (Frame.capacity cache s3) (fun _ ->
+        let o = Frame.take_free_obj_exn cache s3 in
         Frame.hand_to_user cache c o;
         o)
   in
   ignore (Frame.relocate cache s3);
-  Alcotest.(check bool) "full" true (s3.Frame.on_list = Frame.L_full);
+  Alcotest.(check bool) "full" true (Frame.on_list cache s3 = Frame.L_full);
   let victim = List.hd objs in
   Frame.stamp_deferred cache c victim ~cookie:1;
   Frame.obj_to_latent_slab cache victim;
   Alcotest.(check bool) "pre-moved" true (Frame.relocate cache s3);
   Alcotest.(check (list int)) "newest free-bearing slab first, pre-moved last"
-    [ s2.Frame.sid; s1.Frame.sid; s3.Frame.sid ]
-    (sids node.Frame.partial);
+    [ Frame.sid cache s2; Frame.sid cache s1; Frame.sid cache s3 ]
+    (sids cache node.Frame.partial);
   Alcotest.(check int) "length" 3 node.Frame.partial.Frame.len;
-  Alcotest.(check (list int)) "full list empty" [] (sids node.Frame.full);
+  Alcotest.(check (list int)) "full list empty" [] (sids cache node.Frame.full);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_list_walk_survives_relocation () =
@@ -334,18 +335,18 @@ let test_list_walk_survives_relocation () =
   let node = Frame.node_for cache c in
   let held =
     List.init 3 (fun _ ->
-        let s = Option.get (Frame.grow cache c) in
-        let o = Frame.take_free_obj_exn s in
+        let s = Frame.grow cache c in
+        let o = Frame.take_free_obj_exn cache s in
         ignore (Frame.relocate cache s);
         (s, o))
   in
-  let before = sids node.Frame.partial in
+  let before = sids cache node.Frame.partial in
   let visited = ref [] in
-  Frame.iter_list
+  Frame.iter_list cache
     (fun s ->
-      visited := s.Frame.sid :: !visited;
-      let _, o = List.find (fun (s', _) -> s' == s) held in
-      Frame.put_free_obj s o;
+      visited := Frame.sid cache s :: !visited;
+      let _, o = List.find (fun (s', _) -> s' = s) held in
+      Frame.put_free_obj cache s o;
       Alcotest.(check bool) "moved to the free list" true
         (Frame.relocate cache s))
     node.Frame.partial;
@@ -362,30 +363,30 @@ let test_latent_list_membership () =
   let c = cpu0 env in
   let node = Frame.node_for cache c in
   let park s cookie =
-    let o = Frame.take_free_obj_exn s in
+    let o = Frame.take_free_obj_exn cache s in
     Frame.hand_to_user cache c o;
     Frame.stamp_deferred cache c o ~cookie;
     Frame.obj_to_latent_slab cache o;
     ignore (Frame.relocate cache s)
   in
-  let s1 = Option.get (Frame.grow cache c) in
-  let s2 = Option.get (Frame.grow cache c) in
+  let s1 = Frame.grow cache c in
+  let s2 = Frame.grow cache c in
   park s1 1;
   park s2 2;
   park s1 3;
   Alcotest.(check (list int)) "oldest first, once each"
-    [ s1.Frame.sid; s2.Frame.sid ] (latent_sids node);
-  ignore (Frame.slab_harvest_ripe s1 ~completed:1);
+    [ Frame.sid cache s1; Frame.sid cache s2 ] (latent_sids cache node);
+  ignore (Frame.slab_harvest_ripe cache s1 ~completed:1);
   Alcotest.(check (list int)) "still latent: stays"
-    [ s1.Frame.sid; s2.Frame.sid ]
-    (latent_sids node);
-  ignore (Frame.slab_harvest_ripe s1 ~completed:3);
+    [ Frame.sid cache s1; Frame.sid cache s2 ]
+    (latent_sids cache node);
+  ignore (Frame.slab_harvest_ripe cache s1 ~completed:3);
   ignore (Frame.relocate cache s1);
-  Alcotest.(check (list int)) "emptied: leaves" [ s2.Frame.sid ]
-    (latent_sids node);
+  Alcotest.(check (list int)) "emptied: leaves" [ Frame.sid cache s2 ]
+    (latent_sids cache node);
   park s1 4;
   Alcotest.(check (list int)) "re-parked: back of the list"
-    [ s2.Frame.sid; s1.Frame.sid ] (latent_sids node);
+    [ Frame.sid cache s2; Frame.sid cache s1 ] (latent_sids cache node);
   Alcotest.(check int) "length" 2 node.Frame.latent_slabs.Frame.len;
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
@@ -405,10 +406,10 @@ let test_fragmentation_formula () =
 let test_color_cycles () =
   let env, cache = make_cache () in
   let c = cpu0 env in
-  let s1 = Option.get (Frame.grow cache c) in
-  let s2 = Option.get (Frame.grow cache c) in
+  let s1 = Frame.grow cache c in
+  let s2 = Frame.grow cache c in
   Alcotest.(check bool) "colors differ across consecutive slabs" true
-    (s1.Frame.color <> s2.Frame.color)
+    (Frame.color cache s1 <> (Frame.color cache s2))
 
 let suite =
   [

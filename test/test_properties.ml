@@ -127,7 +127,7 @@ let test_numa_objects_return_home () =
   List.iter
     (fun (o : Slab.Frame.objekt) ->
       Alcotest.(check int) "slab homed on node0" 0
-        (Slab.Frame.parent cache o).Slab.Frame.node_id)
+        (Slab.Frame.node_id cache (Slab.Frame.parent cache o)))
     objs;
   (* Free them all from a node-1 CPU: flushes must route each object back
      to its node-0 slab. *)
@@ -152,7 +152,7 @@ let test_numa_objects_return_home () =
   in
   let last = List.nth later leftovers in
   Alcotest.(check int) "new slab homed on node1" 1
-    (Slab.Frame.parent cache last).Slab.Frame.node_id;
+    (Slab.Frame.node_id cache (Slab.Frame.parent cache last));
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_numa_prudence_latent_per_node () =

@@ -1,10 +1,12 @@
 (* Allocation pins for the slab frame's containers: once the per-slab
    and per-CPU arrays have grown, moving an object between them
    allocates nothing on the OCaml heap, and neither SLUB's nor
-   Prudence's allocation allocates (the object is an int handle). A
-   slab grow allocates only the slab's own records, none per object. A
-   SLUB deferred free allocates nothing, and neither does the RCU
-   callback ring once grown. The engine's schedule/dispatch
+   Prudence's allocation allocates (the object is an int handle). Once
+   the slab table and the object store have room, a slab grow allocates
+   nothing either (the slab is an int handle too). A SLUB deferred free
+   allocates nothing, and neither does the RCU callback ring once grown,
+   nor SLUB's reclaim callback, nor a grace period with the callback
+   conservation oracle installed. The engine's schedule/dispatch
    cycle allocates nothing either, under both tie-break policies, and a
    process sleep only the runtime's continuation. On the read side, a
    reader section's holds, an EBR reader exit and a list copy-update
@@ -43,9 +45,9 @@ let make_cache ?(latent_aware = false) () =
 
 let test_free_stack () =
   let env, cache = make_cache () in
-  let slab = Option.get (Frame.grow cache (cpu0 env)) in
+  let slab = Frame.grow cache (cpu0 env) in
   pin "take_free_obj_exn + put_free_obj" (fun _ ->
-      Frame.put_free_obj slab (Frame.take_free_obj_exn slab));
+      Frame.put_free_obj cache slab (Frame.take_free_obj_exn cache slab));
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_object_cache () =
@@ -61,44 +63,41 @@ let test_object_cache () =
 let test_latent_slab_cycle () =
   let env, cache = make_cache ~latent_aware:true () in
   let c = cpu0 env in
-  let slab = Option.get (Frame.grow cache c) in
-  (* The first latent push allocates the slab's latent arrays. *)
+  let slab = Frame.grow cache c in
+  (* The first latent push allocates the slab's latent queue. *)
   pin "obj_to_latent_slab + slab_harvest_ripe" (fun i ->
-      let o = Frame.take_free_obj_exn slab in
+      let o = Frame.take_free_obj_exn cache slab in
       Frame.hand_to_user cache c o;
       Frame.stamp_deferred cache c o ~cookie:(i + 1);
       Frame.obj_to_latent_slab cache o;
       ignore (Frame.relocate cache slab);
-      ignore (Frame.slab_harvest_ripe slab ~completed:(i + 1));
+      ignore (Frame.slab_harvest_ripe cache slab ~completed:(i + 1));
       ignore (Frame.relocate cache slab));
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_relocate () =
   let env, cache = make_cache () in
-  let slab = Option.get (Frame.grow cache (cpu0 env)) in
-  ignore (Option.get (Frame.grow cache (cpu0 env)));
+  let slab = Frame.grow cache (cpu0 env) in
+  ignore (Frame.grow cache (cpu0 env));
   pin "relocate free <-> partial" (fun _ ->
-      let o = Frame.take_free_obj_exn slab in
+      let o = Frame.take_free_obj_exn cache slab in
       assert (Frame.relocate cache slab);
-      Frame.put_free_obj slab o;
+      Frame.put_free_obj cache slab o;
       assert (Frame.relocate cache slab));
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Each cycle grows a slab of the 512 B test cache and destroys it, so
-   the next grow reuses its handles and the object store never grows.
-   The grow allocates the slab record, its free stack, its two link
-   records, its [self] option (which it also returns) and its latent
-   queue's header: 50 words, of which the free stack's 16 slots are
-   the only per-object part. The destroy allocates nothing. *)
-let test_grow () =
-  let env, cache = make_cache () in
+   the next grow reuses the slab's table entry and its handles, and
+   neither the table nor the object store grows. The slab is an int
+   index into the table, so the grow and the destroy allocate nothing;
+   so does a latent-aware cache's, whose latent queue waits for the
+   slab's first latent push. *)
+let test_grow ~latent_aware () =
+  let env, cache = make_cache ~latent_aware () in
   let c = cpu0 env in
-  let cycle _ = Frame.destroy_slab cache (Option.get (Frame.grow cache c)) in
-  cycle 0;
-  Alcotest.(check (float 0.)) "10k grow + destroy, 50 words each"
-    (float_of_int (50 * iterations))
-    (words cycle);
+  pin "grow + destroy" (fun _ -> Frame.destroy_slab cache (Frame.grow cache c));
   Alcotest.(check int) "no slab left" 0 (Frame.total_slabs cache);
+  Alcotest.(check int) "one table entry made" 1 env.fenv.Frame.slab_top;
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Minor words spent in refills and in flushes, over 10k rounds of a
@@ -251,6 +250,92 @@ let test_slub_free_deferred () =
   Alcotest.(check int) "every callback ran" 0 (Rcu.pending_callbacks env.rcu);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   Alcotest.(check (float 0.)) "SLUB free_deferred: 0 words" 0. !words
+
+(* SLUB's reclaim callback over 100 rounds of 100 deferred frees. Each
+   round runs the engine until the grace period its callbacks wait for
+   has completed, then invokes them all at once with [barrier_drain];
+   the softirq period is too long for a softirq pass to drain any
+   first. Each callback finds the object's slab and cache from its
+   handle ([Frame.of_int], [Frame.cache_of]) and releases the object,
+   which refills the object cache and flushes its overflow to the slabs:
+   none of it allocates. *)
+let test_slub_reclaim () =
+  let rcu_config =
+    { Rcu.default_config with Rcu.softirq_period_ns = Sim.Clock.s 1_000 }
+  in
+  let env = make_env ~cpus:2 ~total_pages:4096 ~rcu_config () in
+  let slub = Slab.Slub.create env.fenv env.rcu in
+  let cache = Slab.Slub.create_cache slub ~name:"pins" ~obj_size:512 in
+  let c = cpu0 env in
+  let n = 100 and rounds = iterations / 100 in
+  let objs = Array.make n (Slab.Slub.alloc slub cache c) in
+  Slab.Slub.free slub cache c objs.(0);
+  let words = ref 0. in
+  for round = 0 to rounds do
+    for i = 0 to n - 1 do
+      objs.(i) <- Slab.Slub.alloc slub cache c
+    done;
+    for i = 0 to n - 1 do
+      Slab.Slub.free_deferred slub cache c objs.(i)
+    done;
+    let cookie = Rcu.snapshot env.rcu in
+    while not (Rcu.poll env.rcu cookie) do
+      Sim.Engine.run ~until:(Sim.Engine.now env.eng + 1_000_000) env.eng
+    done;
+    Alcotest.(check int) "no callback ran before the drain" n
+      (Rcu.pending_callbacks env.rcu);
+    let a = Gc.minor_words () in
+    Rcu.barrier_drain env.rcu;
+    let b = Gc.minor_words () in
+    if round > 0 then words := !words +. (b -. a)
+  done;
+  Alcotest.(check int) "every callback ran" 0 (Rcu.pending_callbacks env.rcu);
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
+  Alcotest.(check (float 0.)) "SLUB reclaim callback: 0 words" 0. !words
+
+(* A SLUB environment with the callback conservation oracle installed
+   runs 10k grace periods: a daemon event requests one every 5 ms, and
+   the CPUs' scheduler ticks report the quiescent states that complete
+   it, where the oracle recounts the callback lists. The first and the
+   last request read the minor-word counter. *)
+let test_grace_period () =
+  let env =
+    Workloads.Env.build
+      {
+        Workloads.Env.default_config with
+        Workloads.Env.kind = Workloads.Env.Baseline;
+        cpus = 2;
+        total_pages = 4_096;
+      }
+  in
+  let eng = env.Workloads.Env.eng and rcu = env.Workloads.Env.rcu in
+  let orc =
+    Check.Oracles.install
+      (Check.Oracles.default_config ~duration_ns:(Sim.Clock.s 100))
+      env
+  in
+  let period = Sim.Clock.ms 5 in
+  let requested = ref 0 and words = Float.Array.make 2 0. in
+  let rec step () =
+    if !requested = 1 then Float.Array.set words 0 (Gc.minor_words ());
+    if !requested = iterations + 1 then
+      Float.Array.set words 1 (Gc.minor_words ())
+    else begin
+      Rcu.request_gp rcu;
+      incr requested;
+      Sim.Engine.schedule ~daemon:true eng ~after:period step
+    end
+  in
+  Sim.Engine.schedule ~daemon:true eng ~after:period step;
+  let gps0 = Rcu.completed rcu in
+  Sim.Engine.run ~until:(period * (iterations + 3)) eng;
+  Alcotest.(check int) "a grace period per request" (iterations + 1)
+    (Rcu.completed rcu - gps0);
+  Check.Oracles.finalize orc;
+  Alcotest.(check (list string)) "conservation holds" []
+    (Check.Oracles.cb_violations orc);
+  Alcotest.(check (float 0.)) "10k grace periods, 0 minor words" 0.
+    (Float.Array.get words 1 -. Float.Array.get words 0)
 
 (* An enqueue/advance/drain cycle on a ring kept 10 entries deep, so
    its head and tail keep crossing the end of the 16-slot ring. The
@@ -516,8 +601,10 @@ let suite =
   [
     Alcotest.test_case "free stack take/put allocate nothing" `Quick
       test_free_stack;
-    Alcotest.test_case "slab grow allocates only the slab's records" `Quick
-      test_grow;
+    Alcotest.test_case "slab grow allocates nothing" `Quick
+      (test_grow ~latent_aware:false);
+    Alcotest.test_case "slab grow allocates nothing (latent-aware)" `Quick
+      (test_grow ~latent_aware:true);
     Alcotest.test_case "object cache push/pop allocate nothing" `Quick
       test_object_cache;
     Alcotest.test_case "latent slab push/harvest allocate nothing" `Quick
@@ -534,6 +621,10 @@ let suite =
       test_prudence_alloc_miss;
     Alcotest.test_case "SLUB free_deferred allocates nothing" `Quick
       test_slub_free_deferred;
+    Alcotest.test_case "SLUB reclaim callback allocates nothing" `Quick
+      test_slub_reclaim;
+    Alcotest.test_case "grace periods with the conservation oracle allocate \
+                        nothing" `Quick test_grace_period;
     Alcotest.test_case "cblist enqueue/advance/drain allocate nothing" `Quick
       test_cblist_cycle;
     Alcotest.test_case "engine schedule/run allocate nothing (Fifo)" `Quick
