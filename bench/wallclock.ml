@@ -170,8 +170,11 @@ type measurement = {
   wall_s : float;  (** Best (minimum) wall time over the runs. *)
   minor_words : float;  (** GC minor-heap words allocated (first run). *)
   top_heap_words : int;
-      (** Major-heap peak of the child that ran this measurement; the
-          child starts from its parent's peak at the fork. *)
+      (** Major-heap peak of the child that ran this measurement, set-up
+          included. The child's count starts from the parent's at the
+          fork, and in the [perf] command that still reads 0 at every
+          fork, so the row is the scenario's own: one [Env.build] of
+          the default config at 2 CPUs alone reaches 224,630 words. *)
   c : counters;
 }
 
@@ -213,10 +216,10 @@ let measure_here (p : Core.Experiments.params) scenario kind =
 (* Each measurement runs in a forked child, as bench/e2e runs each
    repetition in a fresh process, so its [top_heap_words] is its own
    peak rather than the largest of every scenario measured before it
-   (a child's peak never reads below the parent's at the fork, which
-   for the `perf` command is the CLI's small start-up heap). The child
-   marshals the measurement back over a pipe and leaves with
-   [Unix._exit], so no [at_exit] handler runs twice. *)
+   (the child's count starts from the parent's at the fork, which the
+   `perf` command leaves at 0). The child marshals the measurement back
+   over a pipe and leaves with [Unix._exit], so no [at_exit] handler
+   runs twice. *)
 let measure p scenario kind =
   flush stdout;
   flush stderr;

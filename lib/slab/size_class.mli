@@ -19,7 +19,9 @@ val kmalloc_cache_name : int -> string
 
 val slab_order : obj_size:int -> page_size:int -> int
 (** Pages-per-slab order (0..3): smallest order giving at least 16 objects
-    per slab, capped at order 3. *)
+    per slab, capped at order 3. Order 0 is picked whenever 16 objects fit
+    in a page, so a slab never holds more than [page_size] objects (4,096
+    at 4 KiB): its free stack's in-slab offsets fit in 16 bits. *)
 
 val objs_per_slab : obj_size:int -> page_size:int -> order:int -> int
 (** Objects that fit in a [2^order]-page slab. At least 1. *)
