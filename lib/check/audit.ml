@@ -131,13 +131,9 @@ let slab ~rcu (cache : Slab.Frame.cache) =
             if latent_n > 0 && not (Hashtbl.mem on_latent_list sid) then
               err errs "%s: slab %d holds %d latent objects but is not on node \
                    %d's latent-slab list" name sid latent_n node.nid;
-            let latent_rc = Slab.Latq.length (latent_queue cache s) in
             if free_n < 0 || free_n > capacity then
               err errs "%s: slab %d has free_n = %d outside its %d-slot free \
                    stack" name sid free_n capacity;
-            if latent_rc <> latent_n then
-              err errs "%s: slab %d latent list holds %d objects but latent_n = %d"
-                name sid latent_rc latent_n;
             if in_flight < 0 then
               err errs "%s: slab %d has in_flight = %d" name sid in_flight;
             if free_n + latent_n + in_flight <> capacity then
@@ -167,13 +163,16 @@ let slab ~rcu (cache : Slab.Frame.cache) =
                   name (oid cache o) sid pp_ostate (state cache o)
             done;
             let where = Printf.sprintf "slab %d's latent list" sid in
-            Slab.Latq.iter
-              (fun o ->
-                place o where;
-                if state cache o <> In_latent_slab then
-                  err errs "%s: object %d on slab %d's latent list is in state %a"
-                    name (oid cache o) sid pp_ostate (state cache o))
-              (latent_queue cache s))
+            for i = 0 to min latent_n capacity - 1 do
+              let o = latent_obj cache s i in
+              place o where;
+              if parent cache o <> s then
+                err errs "%s: object %d on slab %d's latent list has a \
+                     different parent" name (oid cache o) sid;
+              if state cache o <> In_latent_slab then
+                err errs "%s: object %d on slab %d's latent list is in state %a"
+                  name (oid cache o) sid pp_ostate (state cache o)
+            done)
         in
         Option.iter
           (fun s ->
@@ -286,8 +285,9 @@ let latent ~smr (cache : Slab.Frame.cache) =
       let walk (lst : slab_list) =
         ignore
           (walk_chain cache ~latent:false lst.head (fun s ->
-               Slab.Latq.iter (check_cookie "a latent slab")
-                 (latent_queue cache s)))
+               for i = 0 to min (latent_n cache s) (capacity cache s) - 1 do
+                 check_cookie "a latent slab" (latent_obj cache s i)
+               done))
       in
       walk node.full;
       walk node.partial;

@@ -250,13 +250,7 @@ let rec alloc_inner t ~may_wait (cache : Frame.cache) cpu =
   Stats.alloc cache.Frame.stats;
   Frame.note_alloc pc;
   charge cpu costs.Costs.hit;
-  if pc.Frame.ocache_n > 0 then begin
-    let obj = Frame.pop_ocache_exn pc in
-    Stats.hit cache.Frame.stats;
-    Frame.event cache cpu Alloc_hit 0;
-    Frame.hand_to_user cache cpu obj;
-    obj
-  end
+  if pc.Frame.ocache_n > 0 then Frame.alloc_hit cache cpu pc
   else alloc_slow t ~may_wait cache cpu pc
 
 and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
@@ -264,13 +258,7 @@ and alloc_slow t ~may_wait (cache : Frame.cache) cpu (pc : Frame.pcpu) =
      after the merge is still served from the object cache (no node-list
      traffic), so it counts as a hit, as in Fig. 7. *)
   ignore (merge_caches t cache pc);
-  if pc.Frame.ocache_n > 0 then begin
-    let obj = Frame.pop_ocache_exn pc in
-    Stats.hit cache.Frame.stats;
-    Frame.event cache cpu Alloc_hit 0;
-    Frame.hand_to_user cache cpu obj;
-    obj
-  end
+  if pc.Frame.ocache_n > 0 then Frame.alloc_hit cache cpu pc
   else begin
       Stats.miss cache.Frame.stats;
       Frame.event cache cpu Alloc_miss 0;

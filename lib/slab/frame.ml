@@ -49,18 +49,14 @@ type env = {
   mutable next_oid : int;
   mutable next_sid : int;
   (* The slab table, indexed by slab: a row of 16 ints per slab in
-     [slabs] (the [f_*] offsets below), and the slab's latent queue in a
-     side array. Empty until the first grow; doubles when a grow finds
-     it full. A row names its cache by its place in [caches], the
-     caches that have grown, in the order of their first grow. *)
+     [slabs] (the [f_*] offsets below). Empty until the first grow;
+     doubles when a grow finds it full. A row names its cache by its
+     place in [caches], the caches that have grown, in the order of
+     their first grow. *)
   mutable slabs : int array;
-  mutable slab_queues : objekt Latq.t array;  (* [no_queue] until used *)
   mutable slab_top : int;  (* slabs below [slab_top] have been made *)
   mutable caches : cache array;
   mutable n_caches : int;
-  mutable spare_slab : int;
-      (* Newest destroyed slab, -1 for none; each spare's [f_next] entry
-         holds the next. *)
   (* The object store, indexed by handle; a slab's objects are the
      handles [base, base + capacity). Every array is empty until the
      first grow and doubles when a grow needs more room. *)
@@ -71,7 +67,11 @@ type env = {
       (* Free stacks: the 16-bit in-slab offset at byte [2 * handle]; a
          slab's stack lives in the entries of its own handles, top at
          [base + free_n - 1]. *)
+  mutable latents : Bytes.t;
+      (* Latent lists, laid out as the free stacks are, in push order;
+         empty until the env's first latent push. *)
   mutable top : int;  (* handles below [top] belong to a range *)
+  mutable latent_visits : int;  (* latent entries harvests have walked *)
 }
 
 and node = {
@@ -111,23 +111,19 @@ and cache = {
   nodes : node array;
   pcpus : pcpu array;
   stats : Slab_stats.t;
-  mutable color_next : int;
   mutable total_slabs : int;
   mutable live_objs : int;
   mutable latent_count : int;
   mutable free_target : (unit -> int) option;
   mutable spare : int;
-      (* Base of the newest range a destroyed slab left, -1 for none;
-         each spare range's first cookie slot holds the next. *)
+      (* Newest destroyed slab, -1 for none: its row keeps its handle
+         range for the next grow, and its [f_next] entry holds the next
+         spare. *)
 }
 
 exception Oom
 
 let no_slab = -1
-
-(* The latent queue of a slab that never had a latent object: shared,
-   empty, and never pushed to. *)
-let no_queue : objekt Latq.t = Latq.create ~capacity:1
 
 let make_env ~pressure machine buddy =
   let tap = Sim.Engine.tap (Sim.Machine.engine machine) in
@@ -142,16 +138,16 @@ let make_env ~pressure machine buddy =
     next_oid = 0;
     next_sid = 0;
     slabs = [||];
-    slab_queues = [||];
     slab_top = 0;
     caches = [||];
     n_caches = 0;
-    spare_slab = -1;
     parents = [||];
     cookies = [||];
     flags = Bytes.empty;
     stacks = Bytes.empty;
+    latents = Bytes.empty;
     top = 0;
+    latent_visits = 0;
   }
 
 let set_grow_retry env p = env.grow_retry <- p
@@ -161,7 +157,7 @@ let set_unsafe_destroy_latent env v = env.unsafe_destroy_latent <- v
    fields share cache lines the way a record's did. *)
 let stride_bits = 4
 let f_sid = 0
-let f_color = 1
+let f_min_cookie = 1  (* the latent list's least cookie, [max_int] if empty *)
 let f_node = 2
 let f_page = 3
 let f_base = 4
@@ -256,14 +252,11 @@ let parent (cache : cache) obj = parent_of cache.env obj
 external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
 external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
-(* The [i]th entry of [s]'s free stack, bottom first. *)
-let stack_obj env s i =
+(* The [i]th entry of [s]'s free stack ([env.stacks]) or latent list
+   ([env.latents]), bottom first. *)
+let entry entries env s i =
   let base = get env s f_base in
-  base + get16u env.stacks (2 * (base + i))
-
-(* The slab's latent queue, [no_queue] if it never had one. *)
-let queue env s =
-  if s < Array.length env.slab_queues then env.slab_queues.(s) else no_queue
+  base + get16u entries (2 * (base + i))
 
 let empty_list () = { head = no_slab; tail = no_slab; len = 0 }
 
@@ -362,7 +355,6 @@ let create_cache env ~name ~obj_size ?(latent_aware = false) ?latent_cap () =
     nodes;
     pcpus;
     stats = Slab_stats.create ();
-    color_next = 0;
     total_slabs = 0;
     live_objs = 0;
     latent_count = 0;
@@ -397,7 +389,6 @@ let fragmentation cache =
 (* The slab's fields, for readers outside the frame. *)
 let field (cache : cache) s f = get cache.env (valid cache.env s) f
 let sid cache s = field cache s f_sid
-let color cache s = field cache s f_color
 let node_id cache s = field cache s f_node
 let capacity cache s = field cache s f_capacity
 let free_n cache s = field cache s f_free_n
@@ -406,12 +397,16 @@ let in_flight cache s = field cache s f_in_flight
 let on_list cache s = on_list_in cache.env (valid cache.env s)
 let list_next cache s = field cache s f_next
 let latent_next cache s = field cache s f_latent_next
-let latent_queue (cache : cache) s = queue cache.env s
 
 let free_obj cache s i =
   if i < 0 || i >= min (free_n cache s) (capacity cache s) then
     invalid_arg "Frame.free_obj: not on the free stack";
-  stack_obj cache.env s i
+  entry cache.env.stacks cache.env s i
+
+let latent_obj cache s i =
+  if i < 0 || i >= min (latent_n cache s) (capacity cache s) then
+    invalid_arg "Frame.latent_obj: not on the latent list";
+  entry cache.env.latents cache.env s i
 
 let truly_free_in env s = get env s f_free_n = get env s f_capacity
 let truly_free (cache : cache) s = truly_free_in cache.env (valid cache.env s)
@@ -517,7 +512,7 @@ let take_free_obj_exn cache s =
   if n < 0 then invalid_arg "Frame.take_free_obj_exn: no free object";
   set env s f_free_n n;
   set env s f_in_flight (get env s f_in_flight + 1);
-  stack_obj env s n
+  entry env.stacks env s n
 
 (* The two entry points to the free pool: anything the shadow-heap oracle
    must vet (a deferred object becoming reusable) passes through one of
@@ -601,6 +596,13 @@ let hand_to_user cache (cpu : Sim.Machine.cpu) obj =
   set_flags env obj (touched_bit lor code_of Allocated);
   cache.live_objs <- cache.live_objs + 1
 
+let alloc_hit cache cpu pc =
+  let obj = pop_ocache_exn pc in
+  Slab_stats.hit cache.stats;
+  event cache cpu Alloc_hit 0;
+  hand_to_user cache cpu obj;
+  obj
+
 (* Events go out before the state asserts so a deliberately broken
    caller (mutation self-tests: double free, double defer) reaches the
    oracle before the simulation aborts. *)
@@ -623,38 +625,26 @@ let obj_to_latent_cache cache pc obj =
   Latq.Fifo.push_back pc.latent ~cookie:cache.env.cookies.(obj) obj;
   Prof.exit (prof cache) Prof.Span.Latq_push
 
-(* A slab's latent queue is made at its first latent push, and so is
-   the side array that holds the queues, so a slab that never holds a
-   latent object (every SLUB slab) costs none. A queue stays with the
-   slab's table entry for the next slab made there. *)
-let queue_for cache s =
-  let env = cache.env in
-  let len = Array.length env.slab_queues in
-  if s >= len then begin
-    let queues = Array.make (Array.length env.slabs lsr stride_bits) no_queue in
-    Array.blit env.slab_queues 0 queues 0 len;
-    env.slab_queues <- queues
-  end;
-  let q = env.slab_queues.(s) in
-  if q != no_queue then q
-  else begin
-    let q = Latq.create ~capacity:cache.objs_per_slab in
-    env.slab_queues.(s) <- q;
-    q
-  end
-
+(* The env's first latent push makes the latent array, as large as the
+   store, and [reserve] grows it with the store from then on: an env
+   that never defers to a slab (SLUB's) never makes it. *)
 let obj_to_latent_slab cache obj =
   Prof.enter (prof cache) ~cpu:(-1) Prof.Span.Latq_push;
   let env = cache.env in
   let s = parent_of env obj in
+  let n = get env s f_latent_n and base = get env s f_base in
+  if n >= get env s f_capacity then
+    invalid_arg "Frame.obj_to_latent_slab: latent list full";
   set_state env obj In_latent_slab;
   cache.latent_count <- cache.latent_count + 1;
-  Latq.push (queue_for cache s) ~cookie:env.cookies.(obj) obj;
-  let latent_n = get env s f_latent_n + 1 in
-  set env s f_latent_n latent_n;
+  if Bytes.length env.latents = 0 then
+    env.latents <- Bytes.make (Bytes.length env.stacks) '\000';
+  set16u env.latents (2 * (base + n)) (obj - base);
+  let cookie = env.cookies.(obj) in
+  if cookie < get env s f_min_cookie then set env s f_min_cookie cookie;
+  set env s f_latent_n (n + 1);
   set env s f_in_flight (get env s f_in_flight - 1);
-  if latent_n = 1 then
-    push env ~latent:true ~front:false (latent_slabs_of cache s) s;
+  if n = 0 then push env ~latent:true ~front:false (latent_slabs_of cache s) s;
   Prof.exit (prof cache) Prof.Span.Latq_push
 
 let latent_cache_pop_ripe cache pc ~completed =
@@ -678,29 +668,50 @@ let latent_cache_pop_newest cache pc =
   cache.latent_count <- cache.latent_count - 1;
   obj
 
-(* latent -> free stays inside the slab: in_flight is unchanged, but
-   put_free_obj decrements it, so pre-compensate. *)
-let harvest_to_free cache obj =
-  let env = cache.env in
-  let s = parent_of env obj in
-  set env s f_in_flight (get env s f_in_flight + 1);
-  put_free_obj cache s obj
-
+(* Returns at once while the least cookie is unripe. Otherwise one walk
+   from newest to oldest hands each ripe object to the free stack and
+   slides the waiting ones up to [top + 1 .. n - 1], keeping their push
+   order. Ripe objects go newest first: object identity decides
+   cold-touch costs, so this order must not drift. *)
 let slab_harvest_ripe cache s ~completed =
   let env = cache.env in
   let s = valid env s in
   Prof.enter (prof cache) ~cpu:(-1) Prof.Span.Latq_harvest;
-  let n =
-    Latq.harvest (queue env s) ~completed ~f:harvest_to_free cache
+  let n = get env s f_latent_n in
+  let ripe =
+    if n = 0 || get env s f_min_cookie > completed then 0
+    else begin
+      env.latent_visits <- env.latent_visits + n;
+      let base = get env s f_base in
+      let top = ref (n - 1) and min_cookie = ref max_int in
+      for i = n - 1 downto 0 do
+        let off = get16u env.latents (2 * (base + i)) in
+        let c = env.cookies.(base + off) in
+        if c <= completed then begin
+          (* latent -> free stays inside the slab: in_flight is
+             unchanged, but put_free_obj decrements it, so
+             pre-compensate. *)
+          set env s f_in_flight (get env s f_in_flight + 1);
+          put_free_obj cache s (base + off)
+        end
+        else begin
+          set16u env.latents (2 * (base + !top)) off;
+          if c < !min_cookie then min_cookie := c;
+          decr top
+        end
+      done;
+      let kept = n - 1 - !top in
+      Bytes.blit env.latents (2 * (base + !top + 1)) env.latents (2 * base)
+        (2 * kept);
+      set env s f_latent_n kept;
+      set env s f_min_cookie !min_cookie;
+      cache.latent_count <- cache.latent_count - (n - kept);
+      if kept = 0 then remove env ~latent:true (latent_slabs_of cache s) s;
+      n - kept
+    end
   in
-  (if n > 0 then begin
-     let latent_n = get env s f_latent_n - n in
-     set env s f_latent_n latent_n;
-     cache.latent_count <- cache.latent_count - n;
-     if latent_n = 0 then remove env ~latent:true (latent_slabs_of cache s) s
-   end);
   Prof.exit (prof cache) Prof.Span.Latq_harvest;
-  n
+  ripe
 
 (* Room in the store for handles below [n]: every array doubles (at
    least), keeping its contents. The first room is for [first_handles]
@@ -725,23 +736,9 @@ let reserve env n =
       b'
     in
     env.flags <- extend_bytes env.flags 1;
-    env.stacks <- extend_bytes env.stacks 2
-  end
-
-(* A range of [objs_per_slab] handles for a new slab: the cache's newest
-   spare one, else fresh ones above [top]. *)
-let take_range cache =
-  let env = cache.env in
-  let base = cache.spare in
-  if base >= 0 then begin
-    cache.spare <- env.cookies.(base);
-    base
-  end
-  else begin
-    let base = env.top in
-    reserve env (base + cache.objs_per_slab);
-    env.top <- base + cache.objs_per_slab;
-    base
+    env.stacks <- extend_bytes env.stacks 2;
+    if Bytes.length env.latents > 0 then
+      env.latents <- extend_bytes env.latents 2
   end
 
 (* Room in the table for slabs below [slab_top + 1]: the table doubles,
@@ -775,18 +772,27 @@ let rec cache_index env cache i =
   else if env.caches.(i) == cache then i
   else cache_index env cache (i + 1)
 
-(* An index for a new slab: the newest spare one, else a fresh one. *)
+(* A row for a new slab: the cache's newest spare, which keeps its
+   handle range and its cache, else a fresh row with [objs_per_slab]
+   fresh handles above [top]. The store grows before the table: the
+   other order raises SLUB's peak major heap by 1 MiB at [perf --scale
+   0.05], with the same words allocated. *)
 let take_slab cache =
   let env = cache.env in
-  let s = env.spare_slab in
+  let s = cache.spare in
   if s >= 0 then begin
-    env.spare_slab <- get env s f_next;
+    cache.spare <- get env s f_next;
     s
   end
   else begin
+    let base = env.top in
+    reserve env (base + cache.objs_per_slab);
+    env.top <- base + cache.objs_per_slab;
     reserve_slab env;
     let s = env.slab_top in
     env.slab_top <- s + 1;
+    set env s f_base base;
+    set env s f_cache (cache_index env cache 0);
     s
   end
 
@@ -832,19 +838,15 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
   end
   else
     let env = cache.env in
-    let color = cache.color_next in
-    cache.color_next <- (cache.color_next + 1) mod Size_class.max_color;
     let sid = env.next_sid in
     env.next_sid <- env.next_sid + 1;
     let capacity = cache.objs_per_slab in
-    let base = take_range cache in
     let s = take_slab cache in
-    set env s f_cache (cache_index env cache 0);
+    let base = get env s f_base in
     set env s f_sid sid;
-    set env s f_color color;
+    set env s f_min_cookie max_int;
     set env s f_node cpu.node;
     set env s f_page page;
-    set env s f_base base;
     set env s f_first_oid env.next_oid;
     set env s f_capacity capacity;
     set env s f_free_n capacity;
@@ -890,33 +892,28 @@ let destroy_slab cache s =
   assert (truly_free_in env s
          || (env.unsafe_destroy_latent && get env s f_in_flight = 0));
   (* The page-reuse boundary: report objects still deferred on this page
-     before it goes back to the buddy, newest first. Never fires on a
-     non-mutated run (truly-free slabs have no latent objects). *)
+     before it goes back to the buddy, by descending cookie and oldest
+     first within a cookie. Never fires on a non-mutated run (truly-free
+     slabs have no latent objects). Then scrub the latent bookkeeping the
+     mutated path orphans, so the cache counters stay conserved and only
+     the page-level oracle can tell. *)
   let latent_n = get env s f_latent_n in
-  (if latent_n > 0 && Trace.Tap.armed env.tap then
-     let latent = ref [] in
-     Latq.iter (fun o -> latent := o :: !latent) (queue env s);
-     List.iter
-       (fun o ->
-         emit cache ~cpu:(-1) Page_release (oid_of env o) env.cookies.(o))
-       !latent);
-  (* Scrub the latent bookkeeping the mutated path orphans, so the cache
-     counters stay conserved and only the page-level oracle can tell. *)
   if latent_n > 0 then begin
+    if Trace.Tap.armed env.tap then
+      List.init latent_n (entry env.latents env s)
+      |> List.stable_sort (fun a b -> compare env.cookies.(b) env.cookies.(a))
+      |> List.iter (fun o ->
+             emit cache ~cpu:(-1) Page_release (oid_of env o) env.cookies.(o));
     cache.latent_count <- cache.latent_count - latent_n;
     set env s f_latent_n 0;
-    Latq.clear (queue env s);
     remove env ~latent:true (latent_slabs_of cache s) s
   end;
   unlink cache s;
-  (* The slab's handles become the cache's newest spare range, and its
-     table entry the newest spare slab. *)
-  let base = get env s f_base in
-  Array.fill env.parents base (get env s f_capacity) no_slab;
-  env.cookies.(base) <- cache.spare;
-  cache.spare <- base;
-  set env s f_next env.spare_slab;
-  env.spare_slab <- s;
+  (* The slab's row, which keeps its handle range, becomes the cache's
+     newest spare. *)
+  Array.fill env.parents (get env s f_base) (get env s f_capacity) no_slab;
+  set env s f_next cache.spare;
+  cache.spare <- s;
   Mem.Buddy.free cache.env.buddy ~page:(get env s f_page) ~order:cache.order;
   cache.total_slabs <- cache.total_slabs - 1;
   Slab_stats.set_current_slabs cache.stats cache.total_slabs;

@@ -37,22 +37,22 @@ val pp_list_id : Format.formatter -> list_id -> unit
 type objekt = private int
 (** An object handle: an index into its env's object store, flat arrays
     of each object's parent slab, grace-period cookie, state and touched
-    flag, and free-stack entry; its oid follows from its slab (read them
-    with {!oid}, {!state}, {!cookie} and {!parent}). A slab owns a
-    contiguous range of handles; when it is destroyed the range goes
-    back to its cache for the next grow, so the store follows the live
-    slabs, not every object ever made. A handle therefore names an
-    object only while its slab lives, and containers hold handles
-    unboxed: moving one allocates nothing. *)
+    flag, and free-stack and latent-list entries; its oid follows from
+    its slab (read them with {!oid}, {!state}, {!cookie} and {!parent}).
+    A slab owns a contiguous range of handles; when it is destroyed the
+    range stays with its table row for its cache's next grow, so the
+    store follows the live slabs, not every object ever made. A handle
+    therefore names an object only while its slab lives, and containers
+    hold handles unboxed: moving one allocates nothing. *)
 
 type slab = private int
 (** A slab handle: an index into its env's slab table, which holds each
     slab's ints in one row (read them with {!sid}, {!free_n}, {!on_list}
-    and the other accessors below) and its latent queue in a side array.
-    A destroyed slab's index goes to the next grow, newest first, so a
-    handle names a slab only while it lives. Lists, selectors and the
-    object store hold slab handles unboxed, so linking, unlinking,
-    selecting and growing allocate nothing. *)
+    and the other accessors below). A destroyed slab's row goes to its
+    cache's next grow, newest first, so a handle names a slab only while
+    it lives. Lists, selectors and the object store hold slab handles
+    unboxed, so linking, unlinking, selecting and growing allocate
+    nothing. *)
 
 type slab_list = private {
   mutable head : slab;
@@ -94,31 +94,24 @@ type env = private {
   mutable next_sid : int;
   mutable slabs : int array;
       (** The slab table, indexed by slab: one row of 16 ints per slab
-          (sid, colour, node, page, base handle, first oid, capacity,
-          the free, latent and in-flight counts, the list tag, the four
-          list links, and its cache's place in [caches]). Empty until
-          the first {!grow}, which makes room for 32 slabs, a table too
-          large for the minor heap; a grow that finds it full doubles
-          it. *)
-  mutable slab_queues : objekt Latq.t array;
-      (** Each slab's latent queue. The array is made at the env's first
-          latent push and each queue at its slab's, so the SLUB baseline
-          pays for neither; a queue is kept for the next slab made at
-          its index. *)
+          (sid, least latent cookie, node, page, base handle, first oid,
+          capacity, the free, latent and in-flight counts, the list tag,
+          the four list links, and its cache's place in [caches]).
+          Empty until the first {!grow}, which makes room for 32 slabs,
+          a table too large for the minor heap; a grow that finds it
+          full doubles it. *)
   mutable slab_top : int;  (** Slabs below [slab_top] have been made. *)
   mutable caches : cache array;
       (** The caches that have grown a slab, in the order of their
           first grow: [caches.(0 .. n_caches - 1)]. *)
   mutable n_caches : int;
-  mutable spare_slab : int;
-      (** The newest destroyed slab, which the next grow reuses, or -1. *)
   mutable parents : int array;
       (** The object store, indexed by handle: each object's slab (-1
           for a handle of no live slab), cookie, state and touched bit,
-          and free-stack entry. Every array is empty until the first
-          {!grow}, which makes room for 2,048 handles (so that even the
-          byte-per-handle flags are made in the major heap), and doubles
-          when a grow needs room. *)
+          and free-stack and latent-list entries. Every array is empty
+          until the first {!grow}, which makes room for 2,048 handles (so
+          that even the byte-per-handle flags are made in the major
+          heap), and doubles when a grow needs room. *)
   mutable cookies : int array;
   mutable flags : Bytes.t;
   mutable stacks : Bytes.t;
@@ -126,7 +119,18 @@ type env = private {
           16-bit in-slab offsets at its own handles, bottom at its base
           handle. Filled once at {!grow}, so the first pop returns the
           lowest oid. *)
+  mutable latents : Bytes.t;
+      (** Latent lists, laid out as the free stacks are: a slab's latent
+          objects in push order, as 16-bit in-slab offsets at its own
+          handles. Empty until the env's first latent push, which makes
+          it as large as the store, so the SLUB baseline never makes it;
+          it grows with the store after that. A harvest reads each
+          entry's cookie from [cookies]. *)
   mutable top : int;  (** Handles below [top] belong to some range. *)
+  mutable latent_visits : int;
+      (** Instrumentation: latent entries {!slab_harvest_ripe} has
+          walked so far, so a test can show that a harvest with nothing
+          ripe visits nothing. *)
 }
 
 and node = private {
@@ -170,7 +174,6 @@ and cache = private {
   nodes : node array;
   pcpus : pcpu array;
   stats : Slab_stats.t;
-  mutable color_next : int;
   mutable total_slabs : int;
   mutable live_objs : int;  (** Objects currently requested by mutators. *)
   mutable latent_count : int;
@@ -180,8 +183,9 @@ and cache = private {
           shrinking (Prudence derives it from latent objects + recent
           allocation rate — a "hint about the future"). *)
   mutable spare : int;
-      (** Base handle of the newest range a destroyed slab of this cache
-          left for the next grow, or -1. *)
+      (** The newest destroyed slab of this cache, whose row and handle
+          range the cache's next grow takes, or -1; each spare row's
+          [next] link holds the next spare. *)
 }
 
 exception Oom
@@ -231,9 +235,6 @@ val cache_of : env -> objekt -> cache
 val sid : cache -> slab -> int
 (** The slab's id, numbered env-wide in grow order. *)
 
-val color : cache -> slab -> int
-(** Cache-colouring offset index (cycled per §4.3). *)
-
 val node_id : cache -> slab -> int
 
 val capacity : cache -> slab -> int
@@ -243,7 +244,7 @@ val free_n : cache -> slab -> int
 (** Objects on the slab's free stack. *)
 
 val latent_n : cache -> slab -> int
-(** Deferred objects parked on the slab's latent queue. *)
+(** Deferred objects parked on the slab's latent list. *)
 
 val in_flight : cache -> slab -> int
 (** Objects in object caches, latent caches, or held by mutators. *)
@@ -263,10 +264,10 @@ val free_obj : cache -> slab -> int -> objekt
 (** [free_obj cache s i] is entry [i] of the slab's free stack, bottom
     first; raises [Invalid_argument] unless [0 <= i < free_n]. *)
 
-val latent_queue : cache -> slab -> objekt Latq.t
-(** The slab's deferred objects with their grace-period cookies, in push
-    order. For reading only: a slab that never held a latent object
-    shares one empty queue. *)
+val latent_obj : cache -> slab -> int -> objekt
+(** [latent_obj cache s i] is entry [i] of the slab's latent list, in
+    push order (oldest first); raises [Invalid_argument] unless
+    [0 <= i < latent_n]. *)
 
 (** {1 Slab lists}
 
@@ -339,10 +340,7 @@ val desired_list : cache -> slab -> list_id
     list, and a full slab with latent objects pre-moves to the partial
     list (paper, "slab pre-movement"). *)
 
-(** {1 Locked node-list operations}
-
-    Each of these charges the caller CPU the configured lock hold plus any
-    queueing delay, modelling node-lock contention. *)
+(** {1 Node-list placement} *)
 
 val relocate : cache -> slab -> bool
 (** Place [slab] on its {!desired_list}. Returns [true] if the slab
@@ -374,6 +372,12 @@ val hand_to_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark [objekt] allocated, bump live counters, charge the first-touch
     cost if its memory was never used. Emits [Alloc] first. *)
 
+val alloc_hit : cache -> Sim.Machine.cpu -> pcpu -> objekt
+(** An allocation served from the object cache's top: pops it, counts
+    the hit, emits [Alloc_hit] and hands the object to the user
+    ({!hand_to_user}). Allocates nothing; raises [Invalid_argument] when
+    the object cache is empty. *)
+
 val release_from_user : cache -> Sim.Machine.cpu -> objekt -> unit
 (** Mark a mutator release (immediate free path): decrements live count.
     Emits [Free] before the state assert. *)
@@ -385,7 +389,9 @@ val stamp_deferred : cache -> Sim.Machine.cpu -> objekt -> cookie:int -> unit
 
 val obj_to_latent_cache : cache -> pcpu -> objekt -> unit
 val obj_to_latent_slab : cache -> objekt -> unit
-(** Move a deferred object onto its slab's latent list. Caller relocates. *)
+(** Move a deferred object onto its slab's latent list. Caller relocates.
+    Raises [Invalid_argument] when the list already holds the slab's
+    capacity. *)
 
 val latent_cache_pop_ripe : cache -> pcpu -> completed:int -> objekt option
 (** Pop the oldest latent-cache object if its grace period completed. *)
@@ -402,9 +408,11 @@ val latent_cache_pop_newest : cache -> pcpu -> objekt
 
 val slab_harvest_ripe : cache -> slab -> completed:int -> int
 (** Move every ripe latent object of [slab] back to its freelist,
-    newest first; returns the count. Returns at once when no cookie is
-    ripe; otherwise one walk over the slab's latent objects. Caller
-    relocates. *)
+    newest first (descending push order), and return the count; waiting
+    objects keep their push order. Returns at once while the slab's
+    least cookie is unripe; otherwise one walk over its latent list, so
+    a waiting object is visited at most once per grace period it waits
+    through. Caller relocates. *)
 
 (** {1 Slab lifecycle} *)
 
@@ -420,7 +428,8 @@ val grow : cache -> Sim.Machine.cpu -> slab
 val destroy_slab : cache -> slab -> unit
 (** Unlink a {!truly_free} slab and return its pages. A slab destroyed
     with latent objects (only under [unsafe_destroy_latent]) emits one
-    [Page_release] per latent object first. *)
+    [Page_release] per latent object first, by descending cookie and
+    oldest first within a cookie. *)
 
 val shrink_node : ?keep:int -> cache -> Sim.Machine.cpu -> node -> int
 (** Destroy truly-free slabs while the node holds more than the policy's
@@ -475,8 +484,9 @@ val note_release : pcpu -> unit
 (** Bump the per-CPU free/deferred-free rate counter. *)
 
 val decay_rates : pcpu -> unit
-(** Halve both rate counters; called once per grace period so the rates
-    reflect "recent few grace period intervals" (§4.2). *)
+(** Keep 7/8 of both rate counters; called once per grace period, so a
+    counter holds about eight grace periods' worth and the rates reflect
+    the "recent few grace period intervals" of §4.2. *)
 
 (** {1 Corruption hooks}
 

@@ -1,112 +1,9 @@
-(* Latent-object bookkeeping keyed by grace-period cookie.
-
-   Two variants:
-
-   - {!t}: arbitrary cookie arrival order (slab latent lists receive
-     objects demoted from per-CPU latent caches, whose cookies
-     interleave). Entries sit in two flat arrays in push order, objects
-     and cookies, beside the minimum cookie. A harvest returns at once
-     while that minimum is unripe; otherwise one walk from newest to
-     oldest hands out the ripe entries and compacts the waiting ones in
-     place. Ripe entries come out newest first (descending push order)
-     across cookies — object identity decides cold-touch costs
-     downstream, so reclaim order must not drift.
-
-   - {!Fifo}: cookie-monotone arrival (per-CPU latent caches, filled in
-     snapshot order). The payload deque is untouched; a run-length
-     index of (cookie, count) pairs rides along so ripeness queries
-     — "how many of these are past the horizon?" — cost O(distinct
-     cookies), not O(objects). *)
-
-(* The arrays are [||] until the first push and then hold [capacity]
-   entries, doubling if a push ever finds them full; a slab never holds
-   more latent objects than it has objects, so its store never grows
-   past the first allocation. Harvested slots keep their old element,
-   an object handle, which pins nothing. *)
-type 'a t = {
-  capacity : int;
-  mutable vals : 'a array;  (* push order *)
-  mutable cookies : int array;  (* parallel to [vals] *)
-  mutable n : int;
-  mutable min_cookie : int;  (* [max_int] when empty *)
-  mutable work : int;
-}
-
-let create ~capacity =
-  {
-    capacity = max 1 capacity;
-    vals = [||];
-    cookies = [||];
-    n = 0;
-    min_cookie = max_int;
-    work = 0;
-  }
-
-let length t = t.n
-let work t = t.work
-
-let clear t =
-  t.n <- 0;
-  t.min_cookie <- max_int
-
-let grow t v =
-  let cap = Array.length t.vals in
-  let size = if cap = 0 then t.capacity else 2 * cap in
-  let vals = Array.make size v and cookies = Array.make size 0 in
-  Array.blit t.vals 0 vals 0 t.n;
-  Array.blit t.cookies 0 cookies 0 t.n;
-  t.vals <- vals;
-  t.cookies <- cookies
-
-let push t ~cookie v =
-  if t.n = Array.length t.vals then grow t v;
-  t.vals.(t.n) <- v;
-  t.cookies.(t.n) <- cookie;
-  t.n <- t.n + 1;
-  if cookie < t.min_cookie then t.min_cookie <- cookie
-
-let harvest t ~completed ~f x =
-  if t.min_cookie > completed then 0
-  else begin
-    let n = t.n in
-    t.work <- t.work + n;
-    (* Newest to oldest: ripe entries go to [f], waiting ones slide up
-       to the slots [top + 1 .. n - 1], keeping their push order. *)
-    let top = ref (n - 1) and min_cookie = ref max_int in
-    for i = n - 1 downto 0 do
-      let c = t.cookies.(i) in
-      if c <= completed then f x t.vals.(i)
-      else begin
-        if !top <> i then begin
-          t.vals.(!top) <- t.vals.(i);
-          t.cookies.(!top) <- c
-        end;
-        if c < !min_cookie then min_cookie := c;
-        decr top
-      end
-    done;
-    let kept = n - 1 - !top in
-    if kept > 0 then begin
-      Array.blit t.vals (!top + 1) t.vals 0 kept;
-      Array.blit t.cookies (!top + 1) t.cookies 0 kept
-    end;
-    t.n <- kept;
-    t.min_cookie <- !min_cookie;
-    n - kept
-  end
-
-(* Ascending cookie, newest first within a cookie. The page-release
-   report of a mutated destroy emits in this order, so replays depend on
-   it; that report and the audits are its only readers, so sorting a
-   copy of the indices is fine. *)
-let iter f t =
-  let idx = Array.init t.n Fun.id in
-  Array.sort
-    (fun i j ->
-      let c = compare t.cookies.(i) t.cookies.(j) in
-      if c <> 0 then c else compare j i)
-    idx;
-  Array.iter (fun i -> f t.vals.(i)) idx
+(* Per-CPU latent caches: cookie-monotone arrival (filled in snapshot
+   order). The payload deque is untouched; a run-length index of
+   (cookie, count) pairs rides along so ripeness queries — "how many of
+   these are past the horizon?" — cost O(distinct cookies), not
+   O(objects). A slab's latent list lives in the object store
+   ([Frame.env.latents]). *)
 
 module Fifo = struct
   (* Ring buffers throughout: the payload ring plus a parallel pair of

@@ -1,45 +1,6 @@
-(** Latent-object queues keyed by grace-period cookie.
-
-    A slab's latent list ({!t}) keeps its objects and their cookies in
-    two flat arrays in push order, beside the minimum cookie: a push
-    allocates nothing once the arrays exist, and a harvest returns at
-    once while no cookie is ripe. See the implementation header for the
-    ordering contract. *)
-
-type 'a t
-(** Multiset accepting cookies in any order (slab latent lists). *)
-
-val create : capacity:int -> 'a t
-(** An empty queue. Its arrays are allocated at the first push, with
-    room for [capacity] elements (a slab's object count); a push past
-    that doubles them. *)
-
-val length : 'a t -> int
-
-val clear : 'a t -> unit
-(** Drop every element, keeping the arrays for the next push. *)
-
-val push : 'a t -> cookie:int -> 'a -> unit
-(** Add an element waiting on grace period [cookie]. O(1), in any
-    cookie order. *)
-
-val harvest : 'a t -> completed:int -> f:('b -> 'a -> unit) -> 'b -> int
-(** [harvest t ~completed ~f x] removes every element whose cookie is
-    [<= completed], applies [f x] to each newest-first (descending push
-    order, the order a [List.partition] over the old newest-first list
-    produced), and returns their count. Waiting elements keep their
-    push order. When no cookie is ripe the harvest visits nothing;
-    otherwise it visits each element once, so a waiting element is
-    visited at most once per grace period it waits through. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Every element, by ascending cookie and newest first within a
-    cookie. For audits, invariant checks and the page-release report of
-    a mutated slab destroy. *)
-
-val work : 'a t -> int
-(** Instrumentation: total elements visited by [harvest] so far. Lets
-    tests prove a harvest with nothing ripe touches nothing. *)
+(** Latent queues keyed by grace-period cookie: the per-CPU latent
+    caches. A slab's latent list sits in the object store beside the
+    slab's free stack ([Frame.env]'s [latents]). *)
 
 (** Cookie-monotone variant for per-CPU latent caches: payloads stay in
     one deque (push newest at the back, merge ripe from the front,

@@ -38,4 +38,3 @@ let object_cache_capacity ~obj_size =
 let batch_count ~capacity = max 1 (capacity / 2)
 
 let min_free_slabs = 8
-let max_color = 8

@@ -36,6 +36,3 @@ val batch_count : capacity:int -> int
 val min_free_slabs : int
 (** Free slabs a node keeps before shrinking returns pages (SLUB's
     [min_partial]-style threshold). *)
-
-val max_color : int
-(** Number of cache-colouring offsets cycled across slabs. *)

@@ -27,13 +27,7 @@ let alloc_inner (cache : Frame.cache) cpu =
   let pc = Frame.pcpu_for cache cpu in
   Slab_stats.alloc cache.Frame.stats;
   charge cpu costs.Costs.hit;
-  if pc.Frame.ocache_n > 0 then begin
-    let obj = Frame.pop_ocache_exn pc in
-    Slab_stats.hit cache.Frame.stats;
-    Frame.event cache cpu Alloc_hit 0;
-    Frame.hand_to_user cache cpu obj;
-    obj
-  end
+  if pc.Frame.ocache_n > 0 then Frame.alloc_hit cache cpu pc
   else begin
       Slab_stats.miss cache.Frame.stats;
       Frame.event cache cpu Alloc_miss 0;

@@ -235,9 +235,10 @@ let latent_views ~smr (backend : Slab.Backend.t) =
           c.Slab.Frame.pcpus;
         Array.iter
           (Slab.Frame.iter_latent c (fun s ->
-               Slab.Latq.iter
-                 (fun o -> bump ~slab_side:true (Slab.Frame.cookie c o))
-                 (Slab.Frame.latent_queue c s)))
+               for i = 0 to Slab.Frame.latent_n c s - 1 do
+                 bump ~slab_side:true
+                   (Slab.Frame.cookie c (Slab.Frame.latent_obj c s i))
+               done))
           c.Slab.Frame.nodes;
         let rows =
           Hashtbl.fold

@@ -633,7 +633,7 @@ let teeth_cases =
           (F.sid c s) );
     ( "latent_count off by one",
       fun _env (c : F.cache) _s ->
-        poke c ~field:15 ~was:c.F.latent_count (c.F.latent_count + 1);
+        poke c ~field:14 ~was:c.F.latent_count (c.F.latent_count + 1);
         "latent_count = 3 but latent slabs hold 1 + latent caches 1" );
   ]
 

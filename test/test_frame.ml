@@ -403,13 +403,102 @@ let test_fragmentation_formula () =
   Alcotest.(check (float 0.001)) "f_t" expect (Frame.fragmentation cache);
   ignore c
 
-let test_color_cycles () =
-  let env, cache = make_cache () in
+(* A slab's latent list, driven through the frame: one slab of 8 B
+   objects, 512 of them, more than a test pushes. *)
+let latent_slab () =
+  let env, cache = make_cache ~latent_aware:true ~obj_size:8 () in
+  (env, cache, Frame.grow cache (cpu0 env))
+
+(* Defer one of the slab's free objects onto its latent list. *)
+let defer_to_slab env cache s ~cookie =
   let c = cpu0 env in
-  let s1 = Frame.grow cache c in
-  let s2 = Frame.grow cache c in
-  Alcotest.(check bool) "colors differ across consecutive slabs" true
-    (Frame.color cache s1 <> (Frame.color cache s2))
+  let o = Frame.take_free_obj_exn cache s in
+  Frame.hand_to_user cache c o;
+  Frame.stamp_deferred cache c o ~cookie;
+  Frame.obj_to_latent_slab cache o;
+  ignore (Frame.relocate cache s);
+  o
+
+(* A harvest's count and the objects it freed, in the order it freed
+   them: they are the top of the slab's free stack. *)
+let harvest cache s ~completed =
+  let before = Frame.free_n cache s in
+  let n = Frame.slab_harvest_ripe cache s ~completed in
+  ignore (Frame.relocate cache s);
+  (n, List.init n (fun i -> Frame.free_obj cache s (before + i)))
+
+(* Reference model: one newest-first list of (cookie, object),
+   [List.partition]ed on harvest. A harvest frees the ripe objects
+   newest first, and the waiting ones stay in push order. *)
+let prop_latent_list_matches_model =
+  QCheck.Test.make ~name:"slab latent list matches newest-first list model"
+    ~count:300
+    QCheck.(list (pair (int_bound 1) (int_bound 8)))
+    (fun ops ->
+      let env, cache, s = latent_slab () in
+      let model = ref [] in
+      let waiting_ok () =
+        List.init (Frame.latent_n cache s) (Frame.latent_obj cache s)
+        = List.rev_map snd !model
+      in
+      List.for_all
+        (fun (op, k) ->
+          if op = 0 then begin
+            model := (k, defer_to_slab env cache s ~cookie:k) :: !model;
+            waiting_ok ()
+          end
+          else begin
+            let ripe, rest = List.partition (fun (c, _) -> c <= k) !model in
+            model := rest;
+            let n, got = harvest cache s ~completed:k in
+            n = List.length ripe && got = List.map snd ripe && waiting_ok ()
+          end)
+        ops
+      && Check.Audit.slab ~rcu:env.rcu cache = [])
+
+let test_latent_harvest_merge_order () =
+  (* Interleaved pushes across two cookies: the harvest frees them
+     newest first across cookies, as a partition of one newest-first
+     list does. *)
+  let env, cache, s = latent_slab () in
+  let push cookie = Frame.oid cache (defer_to_slab env cache s ~cookie) in
+  let a = push 1 in
+  let b = push 2 in
+  let c = push 1 in
+  let d = push 2 in
+  let e = push 1 in
+  let n, got = harvest cache s ~completed:2 in
+  Alcotest.(check int) "all ripe" 5 n;
+  Alcotest.(check (list int)) "newest first" [ e; d; c; b; a ]
+    (List.map (Frame.oid cache) got)
+
+let test_latent_harvest_visits () =
+  (* 512 latent objects over 8 cookies. [latent_visits] counts every
+     entry a harvest walks: a harvest below the least cookie visits
+     nothing, and one that ripens a cookie visits each entry at most
+     once. *)
+  let env, cache, s = latent_slab () in
+  let cookies = 8 and per = cache.Frame.objs_per_slab / 8 in
+  for cookie = 1 to cookies do
+    for _ = 1 to per do
+      ignore (defer_to_slab env cache s ~cookie)
+    done
+  done;
+  Alcotest.(check int) "populated" (cookies * per) (Frame.latent_n cache s);
+  let visits () = env.fenv.Frame.latent_visits in
+  let v0 = visits () in
+  Alcotest.(check int) "nothing ripe" 0
+    (Frame.slab_harvest_ripe cache s ~completed:0);
+  Alcotest.(check int) "nothing visited" v0 (visits ());
+  let len = Frame.latent_n cache s in
+  Alcotest.(check int) "one cookie ripe" per
+    (Frame.slab_harvest_ripe cache s ~completed:1);
+  Alcotest.(check bool) "at most length visited" true (visits () - v0 <= len);
+  let v1 = visits () in
+  ignore (Frame.slab_harvest_ripe cache s ~completed:1);
+  Alcotest.(check int) "same horizon again: nothing visited" v1 (visits ());
+  Alcotest.(check int) "other cookies stay" ((cookies - 1) * per)
+    (Frame.latent_n cache s)
 
 let suite =
   [
@@ -442,5 +531,9 @@ let suite =
     Alcotest.test_case "latent-slab list: member exactly while latent"
       `Quick test_latent_list_membership;
     Alcotest.test_case "fragmentation formula" `Quick test_fragmentation_formula;
-    Alcotest.test_case "slab colouring cycles" `Quick test_color_cycles;
+    QCheck_alcotest.to_alcotest prop_latent_list_matches_model;
+    Alcotest.test_case "latent harvest merges cookies newest-first" `Quick
+      test_latent_harvest_merge_order;
+    Alcotest.test_case "latent harvest visits nothing unripe, at most length"
+      `Quick test_latent_harvest_visits;
   ]

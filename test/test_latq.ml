@@ -1,103 +1,6 @@
-(* Latent-queue data structures: the slab latent store must be
-   observationally equivalent to the naive single-list bookkeeping it
-   replaced (same elements, same newest-first harvest order, the same
-   iteration order), and a harvest with nothing ripe must touch
-   nothing. *)
-
-let harvest_list q ~completed =
-  let out = ref [] in
-  let n =
-    Slab.Latq.harvest q ~completed ~f:(fun out v -> out := v :: !out) out
-  in
-  (n, List.rev !out)
-
-let iter_list q =
-  let out = ref [] in
-  Slab.Latq.iter (fun v -> out := v :: !out) q;
-  List.rev !out
-
-(* Reference model: one newest-first list, [List.partition]ed on
-   harvest — exactly the bookkeeping Latq replaced. Iteration visits
-   cookies in ascending order, newest first within a cookie: a stable
-   sort of the newest-first list by cookie. A small capacity makes the
-   store grow past its first allocation. *)
-let prop_bucketed_matches_naive =
-  QCheck.Test.make ~name:"latq matches naive partition bookkeeping"
-    ~count:300
-    QCheck.(list (pair (int_bound 1) (int_bound 8)))
-    (fun ops ->
-      let q = Slab.Latq.create ~capacity:2 in
-      let model = ref [] in
-      let next = ref 0 in
-      let iter_ok () =
-        iter_list q
-        = List.map snd
-            (List.stable_sort (fun (a, _) (b, _) -> compare a b) !model)
-      in
-      List.for_all
-        (fun (op, k) ->
-          if op = 0 then begin
-            let v = !next in
-            incr next;
-            Slab.Latq.push q ~cookie:k v;
-            model := (k, v) :: !model;
-            Slab.Latq.length q = List.length !model && iter_ok ()
-          end
-          else begin
-            let ripe, rest = List.partition (fun (c, _) -> c <= k) !model in
-            model := rest;
-            let n, got = harvest_list q ~completed:k in
-            n = List.length ripe
-            && got = List.map snd ripe
-            && Slab.Latq.length q = List.length rest
-            && iter_ok ()
-          end)
-        ops)
-
-let test_harvest_visits_bound () =
-  (* 10k latent objects spread over 100 cookies. [work] counts every
-     element a harvest visits: a harvest below the oldest cookie visits
-     nothing, and one that ripens a cookie visits each element at most
-     once. *)
-  let q = Slab.Latq.create ~capacity:16 in
-  let cookies = 100 and per = 100 in
-  for c = 1 to cookies do
-    for i = 0 to per - 1 do
-      Slab.Latq.push q ~cookie:c ((c * 1000) + i)
-    done
-  done;
-  Alcotest.(check int) "populated" (cookies * per) (Slab.Latq.length q);
-  let w0 = Slab.Latq.work q in
-  let n, _ = harvest_list q ~completed:0 in
-  Alcotest.(check int) "nothing ripe" 0 n;
-  Alcotest.(check int) "nothing visited" w0 (Slab.Latq.work q);
-  let len = Slab.Latq.length q in
-  let n, _ = harvest_list q ~completed:1 in
-  Alcotest.(check int) "one cookie ripe" per n;
-  Alcotest.(check bool) "at most length visited" true
-    (Slab.Latq.work q - w0 <= len);
-  let w1 = Slab.Latq.work q in
-  ignore (harvest_list q ~completed:1);
-  Alcotest.(check int) "same horizon again: nothing visited" w1
-    (Slab.Latq.work q);
-  Alcotest.(check int)
-    "other cookies stay"
-    ((cookies - 1) * per)
-    (Slab.Latq.length q)
-
-let test_harvest_merge_order () =
-  (* Interleaved pushes across two cookies: harvest must emit globally
-     newest-first across cookies, as the old single list's partition
-     did. *)
-  let q = Slab.Latq.create ~capacity:8 in
-  Slab.Latq.push q ~cookie:1 10;
-  Slab.Latq.push q ~cookie:2 20;
-  Slab.Latq.push q ~cookie:1 11;
-  Slab.Latq.push q ~cookie:2 21;
-  Slab.Latq.push q ~cookie:1 12;
-  let n, got = harvest_list q ~completed:2 in
-  Alcotest.(check int) "all ripe" 5 n;
-  Alcotest.(check (list int)) "newest first" [ 12; 21; 11; 20; 10 ] got
+(* Per-CPU latent caches ([Slab.Latq.Fifo]): a cookie-monotone ring
+   with a run-length cookie index must match a plain list model. The
+   slab latent list's tests are in test_frame.ml. *)
 
 module Fifo = Slab.Latq.Fifo
 
@@ -192,11 +95,6 @@ let test_fifo_growth () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_bucketed_matches_naive;
-    Alcotest.test_case "harvest visits nothing unripe, at most length"
-      `Quick test_harvest_visits_bound;
-    Alcotest.test_case "harvest merges buckets newest-first" `Quick
-      test_harvest_merge_order;
     QCheck_alcotest.to_alcotest prop_fifo_matches_model;
     Alcotest.test_case "fifo merge_ripe batches with limit" `Quick
       test_fifo_merge_ripe_batches;

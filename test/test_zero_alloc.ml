@@ -3,7 +3,8 @@
    allocates nothing on the OCaml heap, and neither SLUB's nor
    Prudence's allocation allocates (the object is an int handle). Once
    the slab table and the object store have room, a slab grow allocates
-   nothing either (the slab is an int handle too). A SLUB deferred free
+   nothing either (the slab is an int handle too), and neither does the
+   first latent push on a fresh slab. A SLUB deferred free
    allocates nothing, and neither does the RCU callback ring once grown,
    nor SLUB's reclaim callback, nor a grace period with the callback
    conservation oracle installed. The engine's schedule/dispatch
@@ -64,7 +65,7 @@ let test_latent_slab_cycle () =
   let env, cache = make_cache ~latent_aware:true () in
   let c = cpu0 env in
   let slab = Frame.grow cache c in
-  (* The first latent push allocates the slab's latent queue. *)
+  (* The warm-up's latent push makes the store's latent array. *)
   pin "obj_to_latent_slab + slab_harvest_ripe" (fun i ->
       let o = Frame.take_free_obj_exn cache slab in
       Frame.hand_to_user cache c o;
@@ -73,6 +74,35 @@ let test_latent_slab_cycle () =
       ignore (Frame.relocate cache slab);
       ignore (Frame.slab_harvest_ripe cache slab ~completed:(i + 1));
       ignore (Frame.relocate cache slab));
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
+
+(* A slab's latent list is its handles' entries in the store's latent
+   array, which the env makes at its first latent push: after that, the
+   first latent push on each fresh slab allocates nothing while the
+   store has room (its first room holds 2,048 handles, 128 slabs of the
+   512 B test cache, and the table's 32 rows). *)
+let test_first_latent_push () =
+  let env, cache = make_cache ~latent_aware:true () in
+  let c = cpu0 env in
+  let deferred () =
+    let s = Frame.grow cache c in
+    let o = Frame.take_free_obj_exn cache s in
+    Frame.hand_to_user cache c o;
+    Frame.stamp_deferred cache c o ~cookie:1;
+    (s, o)
+  in
+  let s, o = deferred () in
+  Frame.obj_to_latent_slab cache o;
+  ignore (Frame.relocate cache s);
+  let fresh = Array.init 30 (fun _ -> deferred ()) in
+  let before = Gc.minor_words () in
+  for i = 0 to Array.length fresh - 1 do
+    let s, o = fresh.(i) in
+    Frame.obj_to_latent_slab cache o;
+    ignore (Frame.relocate cache s)
+  done;
+  Alcotest.(check (float 0.)) "30 first latent pushes, 0 minor words" 0.
+    (Gc.minor_words () -. before);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 let test_relocate () =
@@ -87,11 +117,11 @@ let test_relocate () =
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache)
 
 (* Each cycle grows a slab of the 512 B test cache and destroys it, so
-   the next grow reuses the slab's table entry and its handles, and
+   the next grow reuses the slab's table row and its handles, and
    neither the table nor the object store grows. The slab is an int
-   index into the table, so the grow and the destroy allocate nothing;
-   so does a latent-aware cache's, whose latent queue waits for the
-   slab's first latent push. *)
+   index into the table, so the grow and the destroy allocate nothing,
+   on a latent-aware cache too: its slab's latent list is entries in
+   the store, so a grow has nothing latent to make. *)
 let test_grow ~latent_aware () =
   let env, cache = make_cache ~latent_aware () in
   let c = cpu0 env in
@@ -609,6 +639,8 @@ let suite =
       test_object_cache;
     Alcotest.test_case "latent slab push/harvest allocate nothing" `Quick
       test_latent_slab_cycle;
+    Alcotest.test_case "first latent push on a fresh slab allocates nothing"
+      `Quick test_first_latent_push;
     Alcotest.test_case "relocate across lists allocates nothing" `Quick
       test_relocate;
     Alcotest.test_case "refill_from_node allocates nothing" `Quick test_refill;
