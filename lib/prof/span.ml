@@ -16,10 +16,9 @@ type t =
   | Prudence_scan
   | Prudence_flush
   | Check_probe
-  | Engine_wheel_advance
-  | Engine_bucket_drain
+  | Engine_pop
 
-let count = 19
+let count = 18
 
 let index = function
   | Engine_dispatch -> 0
@@ -39,8 +38,7 @@ let index = function
   | Prudence_scan -> 14
   | Prudence_flush -> 15
   | Check_probe -> 16
-  | Engine_wheel_advance -> 17
-  | Engine_bucket_drain -> 18
+  | Engine_pop -> 17
 
 let of_index = function
   | 0 -> Engine_dispatch
@@ -60,8 +58,7 @@ let of_index = function
   | 14 -> Prudence_scan
   | 15 -> Prudence_flush
   | 16 -> Check_probe
-  | 17 -> Engine_wheel_advance
-  | 18 -> Engine_bucket_drain
+  | 17 -> Engine_pop
   | i -> invalid_arg (Printf.sprintf "Prof.Span.of_index %d" i)
 
 let all = List.init count of_index
@@ -84,8 +81,7 @@ let name = function
   | Prudence_scan -> "prudence.scan"
   | Prudence_flush -> "prudence.flush"
   | Check_probe -> "check.probe"
-  | Engine_wheel_advance -> "engine.wheel_advance"
-  | Engine_bucket_drain -> "engine.bucket_drain"
+  | Engine_pop -> "engine.pop"
 
 let subsystem s =
   let n = name s in

@@ -7,7 +7,7 @@
 
 type t =
   | Engine_dispatch  (** Event execution: the body of every event. *)
-  | Engine_schedule  (** Event creation + wheel placement. *)
+  | Engine_schedule  (** Event creation + event-heap insertion. *)
   | Buddy_alloc
   | Buddy_free
   | Slab_alloc  (** Backend alloc entry (slub and prudence). *)
@@ -23,12 +23,7 @@ type t =
   | Prudence_scan  (** Ripeness scan of node latent-slab heads. *)
   | Prudence_flush  (** Emergency reclaim under Critical pressure. *)
   | Check_probe  (** Shadow-heap oracle probe handlers (checker overhead). *)
-  | Engine_wheel_advance
-      (** Timer-wheel cursor advance: bitmap scan, cascades, overflow
-          refill. *)
-  | Engine_bucket_drain
-      (** Same-instant bucket extraction into the dispatch batch,
-          including the Shuffle tie-break sort. *)
+  | Engine_pop  (** Removal of the earliest event from the event heap. *)
 
 val count : int
 (** Number of spans; [index] is a bijection onto [0..count-1]. *)

@@ -5,11 +5,13 @@
     in scheduling order (FIFO), which makes every simulation deterministic
     for a given seed.
 
-    The scheduler is a hierarchical timer wheel (Varghese-Lauck, see
-    {!Wheel}) over flat structure-of-arrays event slots: O(1) schedule,
-    batched same-instant dispatch, zero allocation in steady state.
-    Events dispatch in ascending (time, {!tie_key}, sequence number)
-    order; the test suite checks this against a sorted-list model.
+    The scheduler is a 4-ary min-heap of event-slot indices over a flat
+    structure-of-arrays event pool: O(log n) schedule and pop in the
+    number n of pending events (a few dozen to a few hundred in the
+    simulated workloads), zero allocation in steady state. Events
+    dispatch in ascending (time, {!tie_key}, sequence number) order,
+    one pop at a time, including events scheduled for the instant being
+    dispatched; the test suite checks this against a sorted-list model.
 
     The engine is single-threaded on purpose: the reproduction models a
     64-CPU machine with virtual time rather than real parallelism, which is
@@ -50,8 +52,7 @@ val rng : t -> Rng.t
 val set_prof : t -> Prof.t -> unit
 (** Install a profiler. The engine opens [engine.dispatch] /
     [engine.schedule] spans around event execution and scheduling, plus
-    [engine.wheel_advance] / [engine.bucket_drain] around event
-    extraction. *)
+    [engine.pop] around event extraction. *)
 
 val set_observer : t -> (time:int -> unit) option -> unit
 (** Install (or clear) a per-executed-event observer, called with the
@@ -86,21 +87,14 @@ val stopped : t -> bool
 (** Whether [stop] has been called. *)
 
 val pending : t -> int
-(** Number of events scheduled but not yet run, including the rest of
-    the same-instant batch being dispatched. O(1). *)
+(** Number of events scheduled but not yet run. O(1). *)
 
 val executed : t -> int
 (** Total number of events executed so far (diagnostic). *)
 
-val wheel_occupancy : t -> int
-(** Events currently held by the timer wheel (buckets + overflow +
-    front heap). Diagnostic gauge; excludes the active dispatch batch. *)
-
 val cascades : t -> int
-(** Timer-wheel buckets cascaded down a level so far. *)
-
-val spills : t -> int
-(** Events that landed in the out-of-horizon overflow heap. *)
+(** Always 0: the event heap never cascades. Kept only because the
+    bench/e2e benchmark records it among its counters. *)
 
 val run_until_quiet : ?horizon:int -> t -> unit
 (** Run while there is live work: non-daemon events queued or processes
@@ -119,8 +113,9 @@ val every : t -> period:int -> ?phase:int -> (unit -> bool) -> unit
     [period]) and then every [period] ns for as long as [fn] returns [true]
     and the engine is not stopped. *)
 
-val debug_no_batch_sort : bool ref
-(** Test-only fault injection: when true, the engine skips the Shuffle
-    same-instant batch sort, deliberately breaking tie-break order. The
-    QCheck model suite uses this to prove it detects ordering bugs.
-    Never set elsewhere. *)
+val debug_drop_tie_key : bool ref
+(** Test-only fault injection: when true, events scheduled from then on
+    carry a 0 tie key, so the heap orders same-instant events by
+    sequence number alone and {!Shuffle} runs them in {!Fifo} order,
+    deliberately breaking tie-break order. The QCheck model suite uses
+    this to prove it detects ordering bugs. Never set elsewhere. *)

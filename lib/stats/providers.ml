@@ -337,15 +337,6 @@ let register_env reg (env : Workloads.Env.t) =
     (fi (fun () -> Sim.Engine.pending eng));
   counter "engine.executed" ~unit_:"events" ~help:"events dispatched so far"
     (fi (fun () -> Sim.Engine.executed eng));
-  gauge "engine.wheel_occupancy" ~unit_:"events"
-    ~help:"events held by the scheduler structure"
-    (fi (fun () -> Sim.Engine.wheel_occupancy eng));
-  counter "engine.cascades" ~unit_:"buckets"
-    ~help:"timer-wheel buckets cascaded down a level"
-    (fi (fun () -> Sim.Engine.cascades eng));
-  counter "engine.spills" ~unit_:"events"
-    ~help:"events spilled to the out-of-horizon overflow heap"
-    (fi (fun () -> Sim.Engine.spills eng));
   (* Buddy / pressure *)
   gauge "buddy.used_pages" ~unit_:"pages"
     ~help:"pages allocated from the buddy allocator"

@@ -44,3 +44,10 @@ let check_completed what finished =
 (* An invariant audit ({!Check.Audit}) must come back empty; a failure
    names each broken invariant. *)
 let audit_clean errs = Alcotest.(check (list string)) "audit" [] errs
+
+(* Words allocated in or promoted to the major heap so far. Arrays too
+   large for the minor heap are allocated there directly, so a growth
+   shows here and not in [Gc.minor_words]. *)
+let major_words () =
+  let _, _, w = Gc.counters () in
+  w

@@ -8,12 +8,13 @@
    allocates nothing, and neither does the RCU callback ring once grown,
    nor SLUB's reclaim callback, nor a grace period with the callback
    conservation oracle installed. The engine's schedule/dispatch
-   cycle allocates nothing either, under both tie-break policies, and a
-   process sleep only the runtime's continuation. On the read side, a
-   reader section's holds, an EBR reader exit and a list copy-update
-   allocate nothing, a lookup only its result, and an insert into a
-   list with spare room only its entry record. A buddy allocation and a
-   coalescing buddy free allocate nothing, and neither does a bare
+   cycle allocates nothing either, under both tie-break policies and
+   with 200 events pending, and a process sleep only the runtime's
+   continuation. On the read side, a reader section's holds, an EBR
+   reader exit and a list copy-update allocate nothing, a lookup only
+   its result, and an insert into a list with spare room only its
+   entry record. A buddy allocation and a coalescing buddy free
+   allocate nothing, and neither does a bare
    machine's scheduler tick. The RNG's float draws allocate nothing
    when called from another module: they are inlined there, so their
    floats stay unboxed (a build that loses cross-module inlining boxes
@@ -389,22 +390,49 @@ let test_cblist_cycle () =
   Alcotest.(check int) "every cycle ran one callback" (iterations + 1) !ran;
   Alcotest.(check int) "the ring stays 10 deep" 10 (Rcu.Cblist.total cbl)
 
-(* Each cycle schedules two same-instant events and one 70 us away,
-   which lands on wheel level 1 and cascades down before it runs, then
-   runs all three. The handler closure is allocated once, up front. *)
+(* Each cycle schedules two same-instant events, one 70 us away and
+   one 2^32 ns (4.3 s) away, then runs all four. The handler closure
+   is allocated once, up front. *)
 let test_engine_cycle tiebreak () =
   let eng = Sim.Engine.create ~tiebreak () in
   let ran = ref 0 in
   let fn () = incr ran in
-  pin "schedule x3 + run" (fun _ ->
+  pin "schedule x4 + run" (fun _ ->
       Sim.Engine.schedule eng ~after:0 fn;
       Sim.Engine.schedule eng ~after:0 fn;
       Sim.Engine.schedule eng ~after:70_000 fn;
+      Sim.Engine.schedule eng ~after:(1 lsl 32) fn;
       Sim.Engine.run eng);
-  Alcotest.(check int) "every event ran" (3 * (iterations + 1)) !ran;
-  Alcotest.(check int) "none left" 0 (Sim.Engine.pending eng);
-  Alcotest.(check bool) "the far events cascaded" true
-    (Sim.Engine.cascades eng > iterations)
+  Alcotest.(check int) "every event ran" (4 * (iterations + 1)) !ran;
+  Alcotest.(check int) "none left" 0 (Sim.Engine.pending eng)
+
+(* 200 daemon events wait 2^40 ns out, more than the 150 events the
+   checked workload holds at its peak, while each cycle schedules two
+   live events and runs until only the daemons are left: every
+   schedule and pop works a heap about 200 deep. A growth would show
+   as major words; there is none. A minor collection first empties the
+   minor heap, so no collection promotes words during the
+   measurement. *)
+let test_engine_deep_queue () =
+  let eng = Sim.Engine.create () in
+  let fn () = () in
+  for i = 1 to 200 do
+    Sim.Engine.schedule ~daemon:true eng ~after:((1 lsl 40) + i) fn
+  done;
+  let cycle _ =
+    Sim.Engine.schedule eng ~after:0 fn;
+    Sim.Engine.schedule eng ~after:70_000 fn;
+    Sim.Engine.run_until_quiet eng
+  in
+  cycle 0;
+  Gc.minor ();
+  let major0 = major_words () in
+  let minor = words cycle in
+  let major = major_words () -. major0 in
+  Alcotest.(check (float 0.)) "10k cycles, 0 minor words" 0. minor;
+  Alcotest.(check (float 0.)) "10k cycles, 0 major words" 0. major;
+  Alcotest.(check int) "the daemons are still pending" 200
+    (Sim.Engine.pending eng)
 
 (* A process on a bare engine sleeps 10k times after one warm-up
    sleep. The effect is a constant, so a sleep allocates only the
@@ -664,6 +692,8 @@ let suite =
     Alcotest.test_case "engine schedule/run allocate nothing (Shuffle)"
       `Quick
       (test_engine_cycle (Sim.Engine.Shuffle 3));
+    Alcotest.test_case "engine schedule/pop 200 deep allocate nothing" `Quick
+      test_engine_deep_queue;
     Alcotest.test_case "process sleep allocates only its continuation"
       `Quick test_process_sleep;
     Alcotest.test_case "reader section holds allocate nothing" `Quick
