@@ -269,9 +269,8 @@ let words_per_update m =
 let allocs_per_event m =
   if m.c.events = 0 then 0. else m.minor_words /. float_of_int m.c.events
 
-(* 10%: the timer-wheel scheduler's hot path allocates no per-event
-   record, so the steady-state figure leaves headroom below the
-   baseline. *)
+(* 10%: the event heap's hot path allocates no per-event record, so
+   the steady-state figure leaves headroom below the baseline. *)
 let allocs_per_event_tolerance_pct = 10.
 
 let run_all ?(scenarios = all_scenarios) p =
