@@ -58,10 +58,10 @@ type env = {
   mutable caches : cache array;
   mutable n_caches : int;
   (* The object store, indexed by handle; a slab's objects are the
-     handles [base, base + capacity). Every array is empty until the
+     handles [base, base + capacity). Every column is empty until the
      first grow and doubles when a grow needs more room. *)
-  mutable parents : int array;  (* -1 off a live slab *)
-  mutable cookies : int array;
+  mutable parents : Bytes.t;  (* 32-bit slab, -1 off a live slab *)
+  mutable cookies : Bytes.t;  (* 32-bit cookie *)
   mutable flags : Bytes.t;  (* state code, plus [touched_bit] *)
   mutable stacks : Bytes.t;
       (* Free stacks: the 16-bit in-slab offset at byte [2 * handle]; a
@@ -141,8 +141,8 @@ let make_env ~pressure machine buddy =
     slab_top = 0;
     caches = [||];
     n_caches = 0;
-    parents = [||];
-    cookies = [||];
+    parents = Bytes.empty;
+    cookies = Bytes.empty;
     flags = Bytes.empty;
     stacks = Bytes.empty;
     latents = Bytes.empty;
@@ -225,8 +225,22 @@ let set_state env obj s =
 
 let state_of env obj = states.(flags env obj land (touched_bit - 1))
 
+(* A handle's slab and cookie are 4-byte entries at [4 * handle], in
+   the host's byte order, in bounds as its flags byte is; the 32-bit
+   read sign-extends, so -1 reads back as [no_slab]. A slab fits, since
+   the table would need 256 GiB for 2^31 rows, and {!stamp_deferred}
+   refuses a cookie that does not. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let slab_at env obj = Int32.to_int (get32u env.parents (4 * obj))
+let set_slab_at env obj s = set32u env.parents (4 * obj) (Int32.of_int s)
+let cookie_at env obj = Int32.to_int (get32u env.cookies (4 * obj))
+let set_cookie_at env obj c = set32u env.cookies (4 * obj) (Int32.of_int c)
+let max_cookie = 0x7fff_ffff
+
 let parent_of env obj =
-  let s = env.parents.(obj) in
+  let s = slab_at env obj in
   if s < 0 then invalid_arg "Frame: handle of no live slab";
   s
 
@@ -242,7 +256,7 @@ let oid_of env obj =
   get env s f_first_oid + obj - get env s f_base
 
 let oid (cache : cache) obj = oid_of cache.env obj
-let cookie (cache : cache) obj = cache.env.cookies.(obj)
+let cookie (cache : cache) obj = cookie_at cache.env obj
 let state (cache : cache) obj = state_of cache.env obj
 let parent (cache : cache) obj = parent_of cache.env obj
 
@@ -519,11 +533,11 @@ let take_free_obj_exn cache s =
    these, whichever allocator policy drives it. *)
 let emit_pool cache ~cpu obj =
   if Trace.Tap.armed cache.env.tap then
-    emit cache ~cpu Pool (oid_of cache.env obj) cache.env.cookies.(obj)
+    emit cache ~cpu Pool (oid_of cache.env obj) (cookie_at cache.env obj)
 
 let put_free_obj cache s obj =
   let env = cache.env in
-  if env.parents.(obj) <> s || s < 0 then
+  if slab_at env obj <> s || s < 0 then
     invalid_arg "Frame.put_free_obj: not the object's slab";
   emit_pool cache ~cpu:(-1) obj;
   set_state env obj Free_in_slab;
@@ -613,16 +627,18 @@ let release_from_user cache (cpu : Sim.Machine.cpu) obj =
 
 let stamp_deferred cache (cpu : Sim.Machine.cpu) obj ~cookie =
   let env = cache.env in
+  if cookie < 0 || cookie > max_cookie then
+    invalid_arg "Frame.stamp_deferred: cookie outside [0, 2^31 - 1]";
   emit_obj cache ~cpu:cpu.id Defer obj cookie;
   assert (flags env obj land (touched_bit - 1) = code_of Allocated);
-  env.cookies.(obj) <- cookie;
+  set_cookie_at env obj cookie;
   cache.live_objs <- cache.live_objs - 1
 
 let obj_to_latent_cache cache pc obj =
   Prof.enter (prof cache) ~cpu:pc.cpu.Sim.Machine.id Prof.Span.Latq_push;
   set_state cache.env obj In_latent_cache;
   cache.latent_count <- cache.latent_count + 1;
-  Latq.Fifo.push_back pc.latent ~cookie:cache.env.cookies.(obj) obj;
+  Latq.Fifo.push_back pc.latent ~cookie:(cookie_at cache.env obj) obj;
   Prof.exit (prof cache) Prof.Span.Latq_push
 
 (* The env's first latent push makes the latent array, as large as the
@@ -640,7 +656,7 @@ let obj_to_latent_slab cache obj =
   if Bytes.length env.latents = 0 then
     env.latents <- Bytes.make (Bytes.length env.stacks) '\000';
   set16u env.latents (2 * (base + n)) (obj - base);
-  let cookie = env.cookies.(obj) in
+  let cookie = cookie_at env obj in
   if cookie < get env s f_min_cookie then set env s f_min_cookie cookie;
   set env s f_latent_n (n + 1);
   set env s f_in_flight (get env s f_in_flight - 1);
@@ -686,7 +702,7 @@ let slab_harvest_ripe cache s ~completed =
       let top = ref (n - 1) and min_cookie = ref max_int in
       for i = n - 1 downto 0 do
         let off = get16u env.latents (2 * (base + i)) in
-        let c = env.cookies.(base + off) in
+        let c = cookie_at env (base + off) in
         if c <= completed then begin
           (* latent -> free stays inside the slab: in_flight is
              unchanged, but put_free_obj decrements it, so
@@ -713,32 +729,30 @@ let slab_harvest_ripe cache s ~completed =
   Prof.exit (prof cache) Prof.Span.Latq_harvest;
   ripe
 
-(* Room in the store for handles below [n]: every array doubles (at
+(* Room in the store for handles below [n]: every column doubles (at
    least), keeping its contents. The first room is for [first_handles]
    handles, so that even the flags, a byte per handle, are made in the
    major heap: the store's growth costs a grow no minor-heap words. *)
 let first_handles = 2048
 
+(* [b], [width] bytes per handle, with room for [len] handles: the new
+   entries' bytes are [fill]. *)
+let extend b ~width ~len fill =
+  let b' = Bytes.make (width * len) fill in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
 let reserve env n =
-  let len = Array.length env.cookies in
+  let len = Bytes.length env.flags in
   if n > len then begin
-    let len' = max n (max first_handles (2 * len)) in
-    let extend a fill =
-      let a' = Array.make len' fill in
-      Array.blit a 0 a' 0 len;
-      a'
-    in
-    env.parents <- extend env.parents no_slab;
-    env.cookies <- extend env.cookies 0;
-    let extend_bytes b width =
-      let b' = Bytes.make (width * len') '\000' in
-      Bytes.blit b 0 b' 0 (width * len);
-      b'
-    in
-    env.flags <- extend_bytes env.flags 1;
-    env.stacks <- extend_bytes env.stacks 2;
+    let len = max n (max first_handles (2 * len)) in
+    (* All-ones bytes read back as [no_slab]. *)
+    env.parents <- extend env.parents ~width:4 ~len '\255';
+    env.cookies <- extend env.cookies ~width:4 ~len '\000';
+    env.flags <- extend env.flags ~width:1 ~len '\000';
+    env.stacks <- extend env.stacks ~width:2 ~len '\000';
     if Bytes.length env.latents > 0 then
-      env.latents <- extend_bytes env.latents 2
+      env.latents <- extend env.latents ~width:2 ~len '\000'
   end
 
 (* Room in the table for slabs below [slab_top + 1]: the table doubles,
@@ -862,8 +876,8 @@ let grow_inner cache (cpu : Sim.Machine.cpu) =
     env.next_oid <- env.next_oid + capacity;
     for i = 0 to capacity - 1 do
       let obj = base + i in
-      env.parents.(obj) <- s;
-      env.cookies.(obj) <- 0;
+      set_slab_at env obj s;
+      set_cookie_at env obj 0;
       set_flags env obj (code_of Free_in_slab);
       set16u env.stacks (2 * obj) (capacity - 1 - i)
     done;
@@ -901,9 +915,11 @@ let destroy_slab cache s =
   if latent_n > 0 then begin
     if Trace.Tap.armed env.tap then
       List.init latent_n (entry env.latents env s)
-      |> List.stable_sort (fun a b -> compare env.cookies.(b) env.cookies.(a))
+      |> List.stable_sort (fun a b ->
+             compare (cookie_at env b) (cookie_at env a))
       |> List.iter (fun o ->
-             emit cache ~cpu:(-1) Page_release (oid_of env o) env.cookies.(o));
+             emit cache ~cpu:(-1) Page_release (oid_of env o)
+               (cookie_at env o));
     cache.latent_count <- cache.latent_count - latent_n;
     set env s f_latent_n 0;
     remove env ~latent:true (latent_slabs_of cache s) s
@@ -911,7 +927,8 @@ let destroy_slab cache s =
   unlink cache s;
   (* The slab's row, which keeps its handle range, becomes the cache's
      newest spare. *)
-  Array.fill env.parents (get env s f_base) (get env s f_capacity) no_slab;
+  Bytes.fill env.parents (4 * get env s f_base) (4 * get env s f_capacity)
+    '\255';
   set env s f_next cache.spare;
   cache.spare <- s;
   Mem.Buddy.free cache.env.buddy ~page:(get env s f_page) ~order:cache.order;

@@ -105,14 +105,18 @@ type env = private {
       (** The caches that have grown a slab, in the order of their
           first grow: [caches.(0 .. n_caches - 1)]. *)
   mutable n_caches : int;
-  mutable parents : int array;
-      (** The object store, indexed by handle: each object's slab (-1
-          for a handle of no live slab), cookie, state and touched bit,
-          and free-stack and latent-list entries. Every array is empty
-          until the first {!grow}, which makes room for 2,048 handles (so
-          that even the byte-per-handle flags are made in the major
-          heap), and doubles when a grow needs room. *)
-  mutable cookies : int array;
+  mutable parents : Bytes.t;
+      (** The object store, indexed by handle, in byte columns: each
+          object's slab, a 32-bit entry at [4 * handle] (-1 for a handle
+          of no live slab); its grace-period cookie, 32 bits at
+          [4 * handle] in [cookies]; its state and touched bit, a byte
+          in [flags]; and its free-stack and latent-list entries, two
+          bytes each. That is 11 bytes per handle, 13 once the env has
+          latent lists. Every column is empty until the first {!grow},
+          which makes room for 2,048 handles (so that even the
+          byte-per-handle flags are made in the major heap), and doubles
+          when a grow needs room. *)
+  mutable cookies : Bytes.t;
   mutable flags : Bytes.t;
   mutable stacks : Bytes.t;
       (** Free stacks, two bytes per handle: a slab's stack is the
@@ -385,7 +389,9 @@ val release_from_user : cache -> Sim.Machine.cpu -> objekt -> unit
 val stamp_deferred : cache -> Sim.Machine.cpu -> objekt -> cookie:int -> unit
 (** Record the grace-period cookie and decrement the live count (the
     mutator no longer holds the object). Emits [Defer] from [cpu] before
-    the state assert. *)
+    the state assert. Raises [Invalid_argument], before it emits or
+    records anything, for a cookie outside [0, 2^31 - 1]: the store
+    keeps cookies in 32 bits. *)
 
 val obj_to_latent_cache : cache -> pcpu -> objekt -> unit
 val obj_to_latent_slab : cache -> objekt -> unit

@@ -500,6 +500,30 @@ let test_latent_harvest_visits () =
   Alcotest.(check int) "other cookies stay" ((cookies - 1) * per)
     (Frame.latent_n cache s)
 
+(* The store keeps a cookie in 32 bits: a deferral whose cookie does
+   not fit is refused before it emits or records anything, and the
+   largest cookie that fits reads back whole. *)
+let test_cookie_range () =
+  let env, cache = make_cache () in
+  let o = take_one env cache in
+  let defers = ref 0 in
+  Trace.Tap.subscribe env.fenv.Frame.tap (fun kind ~cpu:_ ~label:_ _ _ ->
+      match kind with Defer -> incr defers | _ -> ());
+  List.iter
+    (fun cookie ->
+      Alcotest.check_raises
+        (Printf.sprintf "cookie %d refused" cookie)
+        (Invalid_argument "Frame.stamp_deferred: cookie outside [0, 2^31 - 1]")
+        (fun () -> Frame.stamp_deferred cache (cpu0 env) o ~cookie))
+    [ 1 lsl 31; max_int; -1 ];
+  Alcotest.(check int) "nothing emitted" 0 !defers;
+  Alcotest.(check int) "still live" 1 (Frame.live_objects cache);
+  Alcotest.(check int) "cookie untouched" 0 (Frame.cookie cache o);
+  let top = (1 lsl 31) - 1 in
+  Frame.stamp_deferred cache (cpu0 env) o ~cookie:top;
+  Alcotest.(check int) "2^31 - 1 reads back" top (Frame.cookie cache o);
+  Alcotest.(check int) "one Defer" 1 !defers
+
 let suite =
   [
     Alcotest.test_case "cache geometry" `Quick test_cache_geometry;
@@ -536,4 +560,6 @@ let suite =
       test_latent_harvest_merge_order;
     Alcotest.test_case "latent harvest visits nothing unripe, at most length"
       `Quick test_latent_harvest_visits;
+    Alcotest.test_case "a cookie outside 32 bits is refused" `Quick
+      test_cookie_range;
   ]

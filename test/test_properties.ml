@@ -450,6 +450,93 @@ let prop_cblist_conserves_callbacks =
         flush () && Rcu.Cblist.total cbl = 0
       end)
 
+(* The callback ring's segments against a list model. Every entry takes
+   one of two callbacks made once, so runs of one callback at one
+   cookie share a segment; cookies rise by 0 or 1 per enqueue, and the
+   frontier moves by 0 to 2 per advance, so entries land at, above and
+   behind it. A drained entry whose payload is odd enqueues one more
+   entry with the same callback and the current cookie from inside the
+   drain. After every step, each drain must have run exactly the
+   model's ready prefix (capped by its [max]) with each entry's own
+   callback and payload, and the ready, waiting and total counts must
+   match the model. *)
+let prop_cblist_segments =
+  QCheck.Test.make ~name:"cblist: shared callbacks keep order across segments"
+    ~count:300
+    QCheck.(
+      list_of_size Gen.(1 -- 80) (triple (int_bound 4) (int_bound 5) bool))
+    (fun ops ->
+      let cbl = Rcu.Cblist.create () in
+      (* The model: (callback, payload, cookie) in enqueue order, the
+         first [ready] of them invocable. *)
+      let model = Queue.create () and ready = ref 0 in
+      let ran = ref [] and next = ref 0 in
+      let cookie = ref 1 and completed = ref 0 in
+      let fns = Array.make 2 (fun () (_ : int) -> ()) in
+      let enqueue which ~nested =
+        (* Payloads are ids, odd when the entry enqueues from its drain. *)
+        let arg = (2 * !next) + if nested then 1 else 0 in
+        incr next;
+        Queue.push (which, arg, !cookie) model;
+        Rcu.Cblist.enqueue cbl ~cookie:!cookie fns.(which) arg
+      in
+      for which = 0 to 1 do
+        fns.(which) <-
+          (fun () arg ->
+            ran := (which, arg) :: !ran;
+            if arg land 1 = 1 then enqueue which ~nested:false)
+      done;
+      let drain ~max =
+        let n = min max !ready in
+        let expected =
+          List.init n (fun _ ->
+              let which, arg, _ = Queue.pop model in
+              (which, arg))
+        in
+        ready := !ready - n;
+        ran := [];
+        let drained = Rcu.Cblist.drain cbl ~max () in
+        drained = n && List.rev !ran = expected
+      in
+      let advance () =
+        let moved = Rcu.Cblist.advance cbl ~completed:!completed in
+        let before = !ready and i = ref 0 in
+        Queue.iter
+          (fun (_, _, c) ->
+            if !i = !ready && c <= !completed then incr ready;
+            incr i)
+          model;
+        moved = !ready - before
+      in
+      let step (op, a, nested) =
+        let ok =
+          match op with
+          | 0 | 1 ->
+              (* A run of one to three entries with one callback. *)
+              cookie := !cookie + (a / 4);
+              for _ = 0 to a mod 3 do
+                enqueue (a land 1) ~nested
+              done;
+              true
+          | 2 ->
+              completed := !completed + (a mod 3);
+              advance ()
+          | _ -> drain ~max:(1 + a)
+        in
+        ok
+        && Rcu.Cblist.ready cbl = !ready
+        && Rcu.Cblist.waiting cbl = Queue.length model - !ready
+        && Rcu.Cblist.total cbl = Queue.length model
+      in
+      List.for_all step ops
+      &&
+      let rec flush () =
+        completed := max_int;
+        advance ()
+        && (Queue.is_empty model || (drain ~max:max_int && flush ()))
+      in
+      flush () && Rcu.Cblist.total cbl = 0)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_callback_waits_for_overlapping_readers;
@@ -457,6 +544,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_buddy_coverage_and_conservation;
     QCheck_alcotest.to_alcotest prop_buddy_matches_model;
     QCheck_alcotest.to_alcotest prop_cblist_conserves_callbacks;
+    QCheck_alcotest.to_alcotest prop_cblist_segments;
     Alcotest.test_case "numa: objects return home" `Quick
       test_numa_objects_return_home;
     Alcotest.test_case "numa: prudence latent per node" `Quick

@@ -7,7 +7,8 @@
    first latent push on a fresh slab. A SLUB deferred free
    allocates nothing, and neither does the RCU callback ring once grown,
    nor SLUB's reclaim callback, nor a grace period with the callback
-   conservation oracle installed. The engine's schedule/dispatch
+   conservation oracle installed, nor 1,000 grace periods of SLUB
+   deferrals end to end. The engine's schedule/dispatch
    cycle allocates nothing either, under both tie-break policies and
    with 200 events pending, and a process sleep only the runtime's
    continuation. On the read side, a reader section's holds, an EBR
@@ -323,6 +324,53 @@ let test_slub_reclaim () =
   Alcotest.(check int) "every callback ran" 0 (Rcu.pending_callbacks env.rcu);
   audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
   Alcotest.(check (float 0.)) "SLUB reclaim callback: 0 words" 0. !words
+
+(* SLUB's deferred frees through whole grace periods: a daemon event
+   every 5 ms allocates 100 objects on one CPU and defers them all, and
+   before the next one the CPUs' ticks complete the grace periods they
+   wait for and softirq passes invoke every callback. A round's
+   callbacks share SLUB's one callback and one or two cookies, so each
+   round makes a segment or two in the callback ring, which the drains
+   pop; over 1,000 rounds the 256-slot segment ring wraps several
+   times. Once the first round has grown both rings, the next 1,000
+   allocate nothing. *)
+let test_slub_defer_segments () =
+  let env = make_env ~cpus:2 ~total_pages:4096 () in
+  let slub = Slab.Slub.create env.fenv env.rcu in
+  let cache = Slab.Slub.create_cache slub ~name:"pins" ~obj_size:512 in
+  let c = cpu0 env in
+  let n = 100 and rounds = 1_000 in
+  let objs = Array.make n (Slab.Slub.alloc slub cache c) in
+  Slab.Slub.free slub cache c objs.(0);
+  let period = Sim.Clock.ms 5 in
+  let round = ref 0 and leftover = ref 0 in
+  let words = Float.Array.make 2 0. in
+  let rec step () =
+    leftover := !leftover + Rcu.pending_callbacks env.rcu;
+    if !round = 1 then Float.Array.set words 0 (Gc.minor_words ());
+    if !round = rounds + 1 then Float.Array.set words 1 (Gc.minor_words ())
+    else begin
+      for i = 0 to n - 1 do
+        objs.(i) <- Slab.Slub.alloc slub cache c
+      done;
+      for i = 0 to n - 1 do
+        Slab.Slub.free_deferred slub cache c objs.(i)
+      done;
+      incr round;
+      Sim.Engine.schedule ~daemon:true env.eng ~after:period step
+    end
+  in
+  Sim.Engine.schedule ~daemon:true env.eng ~after:period step;
+  let gps0 = Rcu.completed env.rcu in
+  Sim.Engine.run ~until:(period * (rounds + 3)) env.eng;
+  Alcotest.(check int) "every round ran" (rounds + 1) !round;
+  Alcotest.(check int) "each round drained before the next" 0 !leftover;
+  Alcotest.(check bool) "a grace period or more per round" true
+    (Rcu.completed env.rcu - gps0 > rounds);
+  audit_clean (Check.Audit.slab ~rcu:env.rcu cache);
+  Alcotest.(check (float 0.)) "1,000 rounds of 100 deferrals, 0 minor words"
+    0.
+    (Float.Array.get words 1 -. Float.Array.get words 0)
 
 (* A SLUB environment with the callback conservation oracle installed
    runs 10k grace periods: a daemon event requests one every 5 ms, and
@@ -683,6 +731,9 @@ let suite =
       test_slub_free_deferred;
     Alcotest.test_case "SLUB reclaim callback allocates nothing" `Quick
       test_slub_reclaim;
+    Alcotest.test_case
+      "SLUB deferrals through 1,000 grace periods allocate nothing" `Quick
+      test_slub_defer_segments;
     Alcotest.test_case "grace periods with the conservation oracle allocate \
                         nothing" `Quick test_grace_period;
     Alcotest.test_case "cblist enqueue/advance/drain allocate nothing" `Quick
